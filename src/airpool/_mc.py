@@ -38,26 +38,3 @@ def worker_chunks(trials: int, workers: int) -> list:
     base = trials // workers
     rem = trials % workers
     return [base + (1 if w < rem else 0) for w in range(workers)]
-
-
-def mc_mean(sample_fn, trials: int, seed: int, workers: int = 1,
-            key: tuple = ()) -> MonteCarloEstimate:
-    """Estimate E[X] by averaging `sample_fn(rng, n)` draws across workers.
-
-    `sample_fn` must return an array of n i.i.d. scalar samples. Each worker
-    w draws from the sub-stream (seed, *key, w), so the estimate is
-    reproducible for a fixed (seed, workers) pair.
-    """
-    total = 0.0
-    total_sq = 0.0
-    n_done = 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        x = np.asarray(sample_fn(rng_from(seed, *key, w), n), dtype=float)
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        n_done += n
-    mean = total / n_done
-    var = max(total_sq / n_done - mean * mean, 0.0)
-    return MonteCarloEstimate(mean, float(np.sqrt(var / n_done)), n_done)

@@ -17,7 +17,7 @@ from . import features as feat
 from ._mc import MonteCarloEstimate, rng_from, worker_chunks
 from .features import FeatureModel
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
-                      pool_noisy_and_clean)
+                      postprocess, true_pool)
 from .specfun import ln_gamma, regularized_gamma_p, inverse_regularized_gamma_p
 
 #: Standard-error multiple used by all statistical bound checks.
@@ -70,41 +70,78 @@ def estimate_errors(model: FeatureModel, cfg: AirPoolConfig, k: int,
                     trials: int, seed: int, workers: int = 1) -> ErrorBreakdown:
     """Paired Monte Carlo estimates of D, D_chan, and D_appr.
 
-    The noisy and noiseless pipelines run on identical feature draws so the
-    decomposition checks see correlated, low-variance estimates. Bounds are
-    filled from the closed forms (noise side) and an independent Monte Carlo
-    stream (approximation side).
+    The noisy and noiseless pipelines run on identical feature draws, from
+    the sub-stream (seed, 0, w), so the decomposition checks see correlated,
+    low-variance estimates. The noise bound comes from the closed form. The
+    approximation bound comes from `approx_error_bound` with key (1,): in
+    average mode that is the independent sub-stream (seed, 1, w); in max mode
+    the key is unused and E[fmax^2] is drawn from (seed, w), the stream whose
+    first rows `optimal_beta` also uses.
+    """
+    return estimate_errors_grid(model, [cfg], k, trials=trials, seed=seed,
+                                workers=workers)[0]
+
+
+def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
+                         k: int, trials: int, seed: int,
+                         workers: int = 1) -> List[ErrorBreakdown]:
+    """`estimate_errors` for every configuration of an alpha sweep.
+
+    The configurations must share one pooling mode (max or average). Each
+    worker chunk draws its features and unit noise once and every
+    configuration reuses them (common random numbers across the grid), as
+    does the approximation bound. Each result is bit-identical to drawing
+    anew for that configuration alone.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors requires trials >= {feat.MIN_MC_TRIALS}")
-    sums = np.zeros(3)
-    sums_sq = np.zeros(3)
+    if not cfgs:
+        return []
+    mode = cfgs[0].mode
+    if mode.kind not in (AVERAGE, MAX):
+        raise ValueError("approximation bound is defined for max and average modes")
+    if any(cfg.mode.kind != mode.kind for cfg in cfgs):
+        raise ValueError("an error sweep needs one pooling mode")
+    if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
+        raise ValueError("degenerate feature distribution: nu is zero")
+    noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
+    sums = np.zeros((len(cfgs), 3))
+    sums_sq = np.zeros((len(cfgs), 3))
     n_done = 0
     for w, n in enumerate(worker_chunks(trials, workers)):
         if n == 0:
             continue
         rng = rng_from(seed, 0, w)
         f = model.draw(rng, (n, k))
-        g_hat, g_clean, g_true = pool_noisy_and_clean(f, cfg, rng)
-        sq = np.stack([(g_hat - g_true) ** 2,
-                       (g_hat - g_clean) ** 2,
-                       (g_clean - g_true) ** 2])
-        sums += sq.sum(axis=1)
-        sums_sq += (sq * sq).sum(axis=1)
+        unit_noise = rng.standard_normal(n) if noisy else None
+        g_true = true_pool(f, mode)
+        powered_sums = feat.PowerSums(f)
+        for i, cfg in enumerate(cfgs):
+            v_sum = powered_sums(cfg.alpha)
+            g_clean = postprocess(v_sum, cfg)
+            g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
+                v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
+            sq = np.stack([(g_hat - g_true) ** 2,
+                           (g_hat - g_clean) ** 2,
+                           (g_clean - g_true) ** 2])
+            sums[i] += sq.sum(axis=1)
+            sums_sq[i] += (sq * sq).sum(axis=1)
         n_done += n
     means = sums / n_done
     variances = np.maximum(sums_sq / n_done - means ** 2, 0.0)
     ses = np.sqrt(variances / n_done)
-    eps = approx_error_bound(model, cfg.mode, k, cfg.alpha,
-                             trials=trials, seed=seed, key=(1,), workers=workers)
-    return ErrorBreakdown(
-        d_total=float(means[0]), d_chan=float(means[1]), d_appr=float(means[2]),
-        se_total=float(ses[0]), se_chan=float(ses[1]), se_appr=float(ses[2]),
+    bounds = _approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
+                                  trials=trials, seed=seed, key=(1,),
+                                  workers=workers)
+    return [ErrorBreakdown(
+        d_total=float(m[0]), d_chan=float(m[1]), d_appr=float(m[2]),
+        se_total=float(se[0]), se_chan=float(se[1]), se_appr=float(se[2]),
         noise_bound=noise_error_bound_from_moments(cfg),
         noise_bound_asymptotic=noise_error_asymptote(cfg.alpha, cfg.p_rx_w,
                                                      cfg.noise_power_w),
         approx_bound=eps.value, approx_bound_se=eps.std_error,
         c0=decomposition_c0(cfg.mode, cfg.alpha), trials=n_done)
+        for cfg, m, se, eps in zip(cfgs, means, ses, bounds)]
 
 
 def noise_error_bound_from_moments(cfg: AirPoolConfig) -> float:
@@ -172,31 +209,47 @@ def approx_error_bound(model: FeatureModel, mode: PoolingMode, k: int,
     """Function-approximation error bound for the requested ground truth.
 
     Max pooling: (1 - K^(-1/alpha)) E[fmax^2 | K], with the second moment
-    estimated by Monte Carlo. Average pooling: E[(||f||_a / K - g_avg)^2],
-    estimated directly.
+    estimated by `features.max_second_moment` from the sub-stream (seed, w);
+    `key` is not used. Average pooling: E[(||f||_a / K - g_avg)^2],
+    estimated directly from the sub-stream (seed, *key, w).
     """
-    if alpha < 1.0:
+    return _approx_error_bounds(model, mode, k, [alpha], trials=trials,
+                                seed=seed, key=key, workers=workers)[0]
+
+
+def _approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
+                         alphas: Sequence[float], trials: int, seed: int,
+                         key: tuple, workers: int) -> List[MonteCarloEstimate]:
+    """`approx_error_bound` at every alpha of `alphas`, from one draw."""
+    if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
     if mode.kind == MAX:
-        scale = 1.0 - k ** (-1.0 / alpha)
         est = feat.max_second_moment(model, k, trials=trials, seed=seed,
                                      workers=workers) if k > 1 else \
             MonteCarloEstimate(0.0, 0.0, 0)
-        return MonteCarloEstimate(scale * est.value, scale * est.std_error,
-                                  est.trials)
+        scales = [1.0 - k ** (-1.0 / alpha) for alpha in alphas]
+        return [MonteCarloEstimate(scale * est.value, scale * est.std_error,
+                                   est.trials) for scale in scales]
     if mode.kind == AVERAGE:
-        total, total_sq, n_done = 0.0, 0.0, 0
+        sums = [[0.0, 0.0] for _ in alphas]
+        n_done = 0
         for w, n in enumerate(worker_chunks(trials, workers)):
             if n == 0:
                 continue
             f = model.draw(rng_from(seed, *key, w), (n, k))
-            x = (feat.lp_norm_rescaled(f, alpha) / k - f.mean(axis=1)) ** 2
-            total += float(x.sum())
-            total_sq += float((x * x).sum())
+            g_avg = f.mean(axis=1)
+            norms = feat.RescaledNorms(f)
+            for acc, alpha in zip(sums, alphas):
+                x = (norms(alpha) / k - g_avg) ** 2
+                acc[0] += float(x.sum())
+                acc[1] += float((x * x).sum())
             n_done += n
-        mean = total / n_done
-        var = max(total_sq / n_done - mean * mean, 0.0)
-        return MonteCarloEstimate(mean, math.sqrt(var / n_done), n_done)
+        estimates = []
+        for total, total_sq in sums:
+            mean = total / n_done
+            var = max(total_sq / n_done - mean * mean, 0.0)
+            estimates.append(MonteCarloEstimate(mean, math.sqrt(var / n_done), n_done))
+        return estimates
     raise ValueError("approximation bound is defined for max and average modes")
 
 

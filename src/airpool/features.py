@@ -13,7 +13,7 @@ Carlo; an empirical model wraps externally supplied samples.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -90,7 +90,9 @@ class FeatureModel:
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Sample an array of the given shape; entries are >= 0."""
         if self.kind == RECTIFIED_GAUSSIAN:
-            return np.maximum(rng.standard_normal(shape), 0.0)
+            x = rng.standard_normal(shape)
+            np.maximum(x, 0.0, out=x)
+            return x
         if self.kind == UNIFORM01:
             return rng.random(shape)
         if self.kind == EXPONENTIAL_UNIT:
@@ -210,21 +212,49 @@ def normalization_moments(model: FeatureModel, alpha: float,
                      trials=used_trials, seed=used_seed, clamped=clamped)
 
 
-def lp_norm_rescaled(f: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise l_alpha norm computed as fmax * (sum (f/fmax)^alpha)^(1/alpha).
+class PowerSums:
+    """Row sums of x ** alpha for many alpha over one (n, K) array x >= 0.
 
-    Factoring out the row maximum keeps the powers in [0, 1], so the result
-    stays finite for large alpha where the naive sum would overflow. All-zero
-    rows map to 0.
+    x is taken over as the dense buffer the powers are written into, so the
+    caller must not use it afterwards. Only its non-zero entries are powered,
+    through an int32 index kept from the start: 0 ** alpha is exactly 0, and
+    libm pow is slowest at 0, which is about half of a rectified Gaussian
+    draw. The sums are bit-identical to ``(x ** alpha).sum(axis=1)``.
     """
-    f = np.atleast_2d(np.asarray(f, dtype=float))
-    fmax = f.max(axis=1)
-    out = np.zeros(f.shape[0])
-    pos = fmax > 0
-    if np.any(pos):
-        ratios = f[pos] / fmax[pos, None]
-        out[pos] = fmax[pos] * (ratios ** alpha).sum(axis=1) ** (1.0 / alpha)
-    return out
+
+    def __init__(self, x: np.ndarray):
+        self._x = np.ascontiguousarray(x)
+        flat = self._x.reshape(-1)
+        index_type = np.int32 if flat.size < 2 ** 31 else np.intp
+        self._index = np.flatnonzero(flat).astype(index_type)
+        self._values = flat[self._index]
+
+    def __call__(self, alpha: float) -> np.ndarray:
+        self._x.reshape(-1)[self._index] = self._values ** alpha
+        return self._x.sum(axis=1)
+
+
+class RescaledNorms:
+    """Row-wise l_alpha norms of one (n, K) draw f >= 0, for many alpha.
+
+    Each norm is fmax * (sum (f/fmax)^alpha)^(1/alpha): factoring out the row
+    maximum keeps the powers in [0, 1], so the result stays finite for large
+    alpha where the naive sum would overflow. All-zero rows map to 0. The
+    ratios f/fmax are computed once, in place: f is taken over.
+    """
+
+    def __init__(self, f: np.ndarray):
+        self.fmax = f.max(axis=1)
+        np.divide(f, self.fmax[:, None], out=f, where=(self.fmax > 0)[:, None])
+        self._sums = PowerSums(f)
+
+    def __call__(self, alpha: float) -> np.ndarray:
+        return self.fmax * self._sums(alpha) ** (1.0 / alpha)
+
+
+def lp_norm_rescaled(f: np.ndarray, alpha: float) -> np.ndarray:
+    """Row-wise l_alpha norm of f >= 0; see `RescaledNorms`."""
+    return RescaledNorms(np.array(np.atleast_2d(f), dtype=float, order="C"))(alpha)
 
 
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
@@ -258,26 +288,48 @@ def optimal_beta(model: FeatureModel, k: int, alpha: float,
     ratio estimate automatically lands in [1, K]; a violation beyond four
     standard errors raises, as it would indicate a numeric fault.
     """
+    return optimal_beta_grid(model, k, [alpha], trials=trials, seed=seed,
+                             workers=workers)[0]
+
+
+def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
+                      trials: int = 1_000_000, seed: int = 0,
+                      workers: int = 1) -> List[MonteCarloEstimate]:
+    """`optimal_beta` at every alpha of `alphas`, from one draw per worker.
+
+    Each worker chunk is drawn from the sub-stream (seed, w) and rescaled
+    once; every alpha then reuses it (common random numbers across the
+    grid). Each estimate is bit-identical to drawing anew for that alpha.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if alpha < 1.0:
+    if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
-    if k == 1:
-        return MonteCarloEstimate(1.0, 0.0, 0)
-    sum_a, sum_b, sum_aa, sum_bb, sum_ab, n_done = 0.0, 0.0, 0.0, 0.0, 0.0, 0
+    if k == 1 or not alphas:
+        return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
+    # Per alpha: sums of a, b, a^2, b^2 and a*b.
+    sums = [[0.0] * 5 for _ in alphas]
+    n_done = 0
     for w, n in enumerate(worker_chunks(trials, workers)):
         if n == 0:
             continue
-        f = model.draw(rng_from(seed, w), (n, k))
-        norm = lp_norm_rescaled(f, alpha)
-        a = f.max(axis=1) * norm
-        b = norm * norm
-        sum_a += float(a.sum())
-        sum_b += float(b.sum())
-        sum_aa += float((a * a).sum())
-        sum_bb += float((b * b).sum())
-        sum_ab += float((a * b).sum())
+        norms = RescaledNorms(model.draw(rng_from(seed, w), (n, k)))
+        for acc, alpha in zip(sums, alphas):
+            norm = norms(alpha)
+            a = norms.fmax * norm
+            b = norm * norm
+            acc[0] += float(a.sum())
+            acc[1] += float(b.sum())
+            acc[2] += float((a * a).sum())
+            acc[3] += float((b * b).sum())
+            acc[4] += float((a * b).sum())
         n_done += n
+    return [_beta_from_sums(acc, k, alpha, n_done) for acc, alpha in zip(sums, alphas)]
+
+
+def _beta_from_sums(sums, k: int, alpha: float, n_done: int) -> MonteCarloEstimate:
+    """beta* and its delta-method standard error from the per-alpha sums."""
+    sum_a, sum_b, sum_aa, sum_bb, sum_ab = sums
     mean_a, mean_b = sum_a / n_done, sum_b / n_done
     u = mean_a / mean_b
     # Delta method for the ratio of correlated means.

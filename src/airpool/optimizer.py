@@ -8,6 +8,7 @@ search over the empirical error is the ground-truth baseline. Averaging and
 weighted sums always take alpha = 1.
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -23,7 +24,6 @@ CLOSED_FORM = "closed_form"
 LOW_SNR_RULE = "low_snr_rule"
 AVERAGE_RULE = "average_rule"
 BRUTE_FORCE = "brute_force"
-CALIBRATED = "calibrated"
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,23 @@ def default_alpha_grid(points: int = 64) -> List[float]:
 _BETA_CACHE: dict = {}
 
 
+def _beta_key(model: FeatureModel, k: int, alpha: float, beta_trials: int,
+              seed: int) -> tuple:
+    """Memo key of beta*(alpha); an empirical model is keyed on its samples."""
+    model_key = model.kind
+    if model.kind == feat.EMPIRICAL:
+        samples = np.ascontiguousarray(model.samples, dtype=float)
+        model_key = (model.kind, hashlib.sha256(samples.tobytes()).hexdigest())
+    return (model_key, k, round(alpha, 12), beta_trials, seed)
+
+
 def config_for(model: FeatureModel, mode: PoolingMode, k: int, alpha: float,
                p_rx: float, noise_power: float, beta_trials: int = 400_000,
                seed: int = 0) -> AirPoolConfig:
     """Analysis configuration at a given alpha: beta*(alpha) for max pooling
     (memoized per (model, k, alpha, trials, seed)), K^alpha for averaging."""
     if mode.kind == MAX:
-        key = (model.kind, k, round(alpha, 12), beta_trials, seed)
+        key = _beta_key(model, k, alpha, beta_trials, seed)
         beta = _BETA_CACHE.get(key)
         if beta is None:
             beta = feat.optimal_beta(model, k, alpha, trials=beta_trials,
@@ -212,20 +222,33 @@ def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
     """Linear search for the alpha minimizing the empirical pooling error.
 
     beta is re-derived per grid point (beta*(alpha) for max, K^alpha for
-    average). Ties break toward the smaller alpha; the reduction is a
-    lexicographic (error, alpha) minimum, so the result does not depend on
-    evaluation order.
+    average). The features are drawn once per sweep and shared by every grid
+    point: beta* for all uncached grid alphas comes from one
+    `optimal_beta_grid` call, and the errors from one `estimate_errors_grid`
+    call, each bit-identical to its per-point counterpart. Ties break toward
+    the smaller alpha; the reduction is a lexicographic (error, alpha)
+    minimum, so the result does not depend on evaluation order.
     """
     grid = [float(a) for a in alpha_grid]
     if not grid or sorted(grid) != grid:
         raise ValueError("alpha_grid must be nonempty and ascending")
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"brute_force_alpha requires trials >= {feat.MIN_MC_TRIALS}")
+    if mode.kind == MAX:
+        missing = {}
+        for alpha in grid:
+            key = _beta_key(model, k, alpha, beta_trials, seed)
+            if key not in _BETA_CACHE:
+                missing.setdefault(key, alpha)
+        betas = feat.optimal_beta_grid(model, k, list(missing.values()),
+                                       trials=beta_trials, seed=seed)
+        for key, beta in zip(missing, betas):
+            _BETA_CACHE[key] = beta.value
+    cfgs = [config_for(model, mode, k, alpha, p_rx, noise_power,
+                       beta_trials=beta_trials, seed=seed) for alpha in grid]
+    errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed)
     best: Tuple[float, float] = (math.inf, math.inf)
-    for alpha in grid:
-        cfg = config_for(model, mode, k, alpha, p_rx, noise_power,
-                         beta_trials=beta_trials, seed=seed)
-        err = analysis.estimate_errors(model, cfg, k, trials=trials, seed=seed)
+    for alpha, err in zip(grid, errors):
         best = min(best, (err.d_total, alpha))
     return AlphaDecision(alpha_star=best[1], method=BRUTE_FORCE,
                          objective_value=best[0])

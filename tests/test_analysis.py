@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from airpool import analysis, features as feat
+from airpool import analysis, features as feat, optimizer
+from airpool._mc import rng_from, worker_chunks
 from airpool.analysis import MarginModel
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
-from airpool.pooling import AirPoolConfig, PoolingMode
+from airpool.pooling import AirPoolConfig, PoolingMode, pool_noisy_and_clean
 from airpool.specfun import regularized_gamma_p
 
 RG = FeatureModel.rectified_gaussian()
@@ -123,6 +124,81 @@ class TestNoiseAsymptote:
         fd = (analysis.noise_error_asymptote(64.0 + 1e-4, 10.0, 1.0)
               - analysis.noise_error_asymptote(64.0 - 1e-4, 10.0, 1.0)) / 2e-4
         assert d == pytest.approx(fd, rel=1e-6)
+
+
+def dense_error_moments(model, cfg, k, trials, seed, workers):
+    """Per-configuration oracle of the error means and SEs: its own draws,
+    dense powers, and noise drawn by the pooling pipeline itself."""
+    sums, sums_sq, n_done = np.zeros(3), np.zeros(3), 0
+    for w, n in enumerate(worker_chunks(trials, workers)):
+        if n == 0:
+            continue
+        rng = rng_from(seed, 0, w)
+        f = model.draw(rng, (n, k))
+        g_hat, g_clean, g_true = pool_noisy_and_clean(f, cfg, rng)
+        sq = np.stack([(g_hat - g_true) ** 2, (g_hat - g_clean) ** 2,
+                       (g_clean - g_true) ** 2])
+        sums += sq.sum(axis=1)
+        sums_sq += (sq * sq).sum(axis=1)
+        n_done += n
+    means = sums / n_done
+    ses = np.sqrt(np.maximum(sums_sq / n_done - means ** 2, 0.0) / n_done)
+    return tuple(means) + tuple(ses)
+
+
+def dense_average_approx_bound(model, k, alpha, trials, seed, workers):
+    """Per-alpha oracle of the average-mode approximation bound (key (1,))."""
+    total, total_sq, n_done = 0.0, 0.0, 0
+    for w, n in enumerate(worker_chunks(trials, workers)):
+        if n == 0:
+            continue
+        f = model.draw(rng_from(seed, 1, w), (n, k))
+        fmax = f.max(axis=1)
+        norm = np.zeros(n)
+        pos = fmax > 0
+        norm[pos] = fmax[pos] * ((f[pos] / fmax[pos, None]) ** alpha).sum(
+            axis=1) ** (1.0 / alpha)
+        x = (norm / k - f.mean(axis=1)) ** 2
+        total += float(x.sum())
+        total_sq += float((x * x).sum())
+        n_done += n
+    mean = total / n_done
+    return mean, math.sqrt(max(total_sq / n_done - mean * mean, 0.0) / n_done)
+
+
+class TestEstimateErrorsGrid:
+    GRID = [1.0, 2.0, 5.5, 128.0]
+
+    @pytest.mark.parametrize("mode_kind", ["max", "average"])
+    @pytest.mark.parametrize("k", [3, 12])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_bit_identical_to_dense_per_config_oracle(self, mode_kind, k,
+                                                       workers, noise):
+        mode = PoolingMode.max() if mode_kind == "max" else PoolingMode.average()
+        cfgs = [optimizer.config_for(RG, mode, k, alpha, 10.0, noise,
+                                     beta_trials=20_000, seed=9)
+                for alpha in self.GRID]
+        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000,
+                                             seed=9, workers=workers)
+        for cfg, err in zip(cfgs, errs):
+            got = (err.d_total, err.d_chan, err.d_appr) + err.std_errors
+            assert got == dense_error_moments(RG, cfg, k, 10_000, 9, workers)
+            if mode_kind == "max":
+                e2 = feat.max_second_moment(RG, k, trials=10_000, seed=9,
+                                            workers=workers)
+                scale = 1.0 - k ** (-1.0 / cfg.alpha)
+                ref = (scale * e2.value, scale * e2.std_error)
+            else:
+                ref = dense_average_approx_bound(RG, k, cfg.alpha, 10_000, 9,
+                                                 workers)
+            assert (err.approx_bound, err.approx_bound_se) == ref
+
+    def test_mixed_modes_rejected(self):
+        cfgs = [AirPoolConfig.for_average(RG, K, 1.0, 0.0),
+                snr_config("max", 4.0, 6.0)]
+        with pytest.raises(ValueError):
+            analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=0)
 
 
 class TestApproxBound:

@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from airpool import features as feat
+from airpool._mc import MonteCarloEstimate, rng_from, worker_chunks
 from airpool.features import FeatureModel
 
 RG = FeatureModel.rectified_gaussian()
@@ -18,6 +19,11 @@ class TestSampling:
         b = feat.sample_features(RG, 4, seed=123)
         np.testing.assert_array_equal(a, b)
         assert np.all(a >= 0)
+
+    def test_rectified_gaussian_draw_matches_clipped_normal(self):
+        draws = RG.draw(np.random.default_rng(6), (1000, 4))
+        ref = np.maximum(np.random.default_rng(6).standard_normal((1000, 4)), 0.0)
+        assert np.array_equal(draws, ref)
 
     def test_rectified_gaussian_mass_at_zero(self):
         n = 200_000
@@ -134,6 +140,77 @@ class TestRescaledNorm:
 
     def test_all_zero_row(self):
         assert feat.lp_norm_rescaled(np.zeros((1, 5)), 4.0)[0] == 0.0
+
+    def test_bit_identical_to_dense_powers(self):
+        f = RG.draw(np.random.default_rng(3), (2000, 3))
+        assert np.any(f.max(axis=1) == 0.0)
+        before = f.copy()
+        for alpha in [1.0, 2.0, 3.7, 128.0]:
+            out = feat.lp_norm_rescaled(f, alpha)
+            assert np.array_equal(out, dense_lp_norm(f, alpha))
+        assert np.array_equal(f, before)
+
+    def test_column_major_input(self):
+        f = np.asfortranarray(RG.draw(np.random.default_rng(4), (500, 6)))
+        assert np.array_equal(feat.lp_norm_rescaled(f, 5.0), dense_lp_norm(f, 5.0))
+
+
+def dense_lp_norm(f, alpha):
+    """The rescaled norm with every entry powered (zeros included)."""
+    fmax = f.max(axis=1)
+    out = np.zeros(f.shape[0])
+    pos = fmax > 0
+    ratios = f[pos] / fmax[pos, None]
+    out[pos] = fmax[pos] * (ratios ** alpha).sum(axis=1) ** (1.0 / alpha)
+    return out
+
+
+def dense_optimal_beta(model, k, alpha, trials, seed, workers):
+    """Per-alpha beta* oracle: its own draws and dense powers at every call."""
+    if k == 1:
+        return MonteCarloEstimate(1.0, 0.0, 0)
+    sums = [0.0] * 5
+    n_done = 0
+    for w, n in enumerate(worker_chunks(trials, workers)):
+        if n == 0:
+            continue
+        f = model.draw(rng_from(seed, w), (n, k))
+        norm = dense_lp_norm(f, alpha)
+        a = f.max(axis=1) * norm
+        b = norm * norm
+        for i, x in enumerate((a, b, a * a, b * b, a * b)):
+            sums[i] += float(x.sum())
+        n_done += n
+    mean_a, mean_b = sums[0] / n_done, sums[1] / n_done
+    u = mean_a / mean_b
+    var_a = max(sums[2] / n_done - mean_a ** 2, 0.0)
+    var_b = max(sums[3] / n_done - mean_b ** 2, 0.0)
+    cov_ab = sums[4] / n_done - mean_a * mean_b
+    se_u = math.sqrt(max(var_a - 2.0 * u * cov_ab + u * u * var_b, 0.0)
+                     / (mean_b ** 2 * n_done))
+    return MonteCarloEstimate(float(u ** (-alpha)),
+                                   float(alpha * u ** (-alpha - 1.0) * se_u), n_done)
+
+
+MODELS = [RG, FeatureModel.uniform01(), FeatureModel.exponential_unit(),
+          FeatureModel.empirical([0.0, 0.0, 0.3, 1.0, 2.5, 0.0, 4.0])]
+
+
+class TestOptimalBetaGrid:
+    GRID = [1.0, 1.5, 2.0, 3.7, 16.0, 128.0]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_to_dense_per_alpha_oracle(self, model, k, workers):
+        grid = feat.optimal_beta_grid(model, k, self.GRID, trials=20_000,
+                                      seed=17, workers=workers)
+        for alpha, est in zip(self.GRID, grid):
+            assert est == dense_optimal_beta(model, k, alpha, 20_000, 17, workers)
+
+    def test_rejects_alpha_below_one(self):
+        with pytest.raises(ValueError):
+            feat.optimal_beta_grid(RG, 4, [2.0, 0.5], trials=10_000)
 
 
 class TestMaxSecondMoment:

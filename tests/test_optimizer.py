@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from airpool import optimizer
+from airpool import analysis, features as feat, optimizer
 from airpool.features import FeatureModel
-from airpool.pooling import PoolingMode
+from airpool.pooling import AirPoolConfig, PoolingMode
 
 RG = FeatureModel.rectified_gaussian()
 K = 12
@@ -164,6 +164,25 @@ class TestBruteForce:
                                             grid, trials=30_000, seed=7)
             assert d.alpha_star <= grid[1]
 
+    def test_shared_draws_match_per_point_loop(self):
+        grid = optimizer.default_alpha_grid(8)
+        for mode in (PoolingMode.max(), PoolingMode.average()):
+            d = optimizer.brute_force_alpha(RG, mode, K, 300.0, 1.0, grid,
+                                            trials=20_000, seed=31,
+                                            beta_trials=50_000)
+            best = (math.inf, math.inf)
+            for alpha in grid:
+                if mode.kind == "max":
+                    beta = feat.optimal_beta(RG, K, alpha, trials=50_000, seed=31)
+                    cfg = AirPoolConfig(mode, alpha, beta.value, 300.0, 1.0,
+                                        feat.normalization_moments(RG, alpha, seed=31))
+                else:
+                    cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, 300.0,
+                                                             1.0, seed=31)
+                err = analysis.estimate_errors(RG, cfg, K, trials=20_000, seed=31)
+                best = min(best, (err.d_total, alpha))
+            assert (d.alpha_star, d.objective_value) == (best[1], best[0])
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             optimizer.brute_force_alpha(RG, PoolingMode.max(), K, 1.0, 0.0,
@@ -171,6 +190,19 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             optimizer.brute_force_alpha(RG, PoolingMode.max(), K, 1.0, 0.0,
                                         [4.0, 2.0], trials=20_000)
+
+
+class TestBetaMemo:
+    def test_empirical_models_keep_their_own_beta(self):
+        # The memo must tell sample sets apart: keyed on the model kind
+        # alone, the second model would get the first one's beta*.
+        a = FeatureModel.empirical(np.random.default_rng(40).exponential(1.0, 500))
+        b = FeatureModel.empirical(np.random.default_rng(41).random(500))
+        for model in (a, b):
+            cfg = optimizer.config_for(model, PoolingMode.max(), 6, 4.0, 10.0, 1.0,
+                                       beta_trials=20_000, seed=0)
+            own = feat.optimal_beta(model, 6, 4.0, trials=20_000, seed=0).value
+            assert cfg.beta == own
 
 
 class TestCalibration:

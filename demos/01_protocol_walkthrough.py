@@ -9,13 +9,12 @@ maximum; alpha = 1 recovers the exact average.
 
 import numpy as np
 
-from airpool import FeatureModel, PoolingMode, SystemParams
+from airpool import FeatureModel, PoolingMode
 from airpool.channel import db_to_linear
 from airpool.pooling import AirPoolConfig, airpool_round, true_pool
 
 K, N = 12, 8
 model = FeatureModel.rectified_gaussian()
-params = SystemParams(k_sensors=K, n_features=N)
 rng = np.random.default_rng(7)
 features = model.draw(rng, (K, N))
 
@@ -23,7 +22,7 @@ print(f"{K} sensors, {N} feature dimensions, rectified-Gaussian features\n")
 
 # Averaging comes out exactly when there is no noise.
 cfg = AirPoolConfig.for_average(model, K, p_rx_w=1.0, noise_power_w=0.0)
-pooled = airpool_round(features, cfg, params, seed=1)
+pooled = airpool_round(features, cfg, seed=1)
 truth = true_pool(features.T, PoolingMode.average())
 print("average pooling, no noise:")
 print("  worst |estimate - truth| =", np.abs(pooled - truth).max())
@@ -33,7 +32,7 @@ print("\nmax pooling, no noise (beta tuned per alpha):")
 truth = true_pool(features.T, PoolingMode.max())
 for alpha in (2.0, 8.0, 32.0, 64.0):
     cfg = AirPoolConfig.for_max(model, K, alpha, 1.0, 0.0, trials=200_000, seed=2)
-    pooled = airpool_round(features, cfg, params, seed=1)
+    pooled = airpool_round(features, cfg, seed=1)
     rel = np.abs(pooled - truth) / truth
     print(f"  alpha={alpha:>4.0f}: worst relative error {rel.max():.4f}")
 
@@ -43,7 +42,7 @@ print("\nmax pooling at 10 dB receive SNR (noise now matters):")
 p_rx = db_to_linear(10.0)
 for alpha in (2.0, 8.0):
     cfg = AirPoolConfig.for_max(model, K, alpha, p_rx, 1.0, trials=200_000, seed=2)
-    pooled = airpool_round(features, cfg, params, seed=3)
+    pooled = airpool_round(features, cfg, seed=3)
     rel = np.abs(pooled - truth) / truth
     print(f"  alpha={alpha:>4.0f}: worst relative error {rel.max():.4f}")
 
@@ -52,7 +51,7 @@ for alpha in (2.0, 8.0):
 weights = np.array([0.3, -0.1, 0.2, 0.05, 0.15, -0.05, 0.1, 0.05, 0.1, 0.05,
                     0.1, 0.05])
 cfg = AirPoolConfig.for_weighted_sum(model, weights, 1.0, 0.0)
-pooled = airpool_round(features, cfg, params, seed=4)
+pooled = airpool_round(features, cfg, seed=4)
 truth = true_pool(features.T, PoolingMode.weighted_sum(weights))
 print("\nweighted-sum pooling, no noise:")
 print("  worst |estimate - truth| =", np.abs(pooled - truth).max())

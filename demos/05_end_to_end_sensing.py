@@ -39,8 +39,7 @@ for snr_db in (20.0, 15.0, 10.0, 5.0, 0.0):
     cfg = AirPoolConfig.for_max(model, dataset.k_views, decision.alpha_star,
                                 p_rx, 1.0, trials=100_000, seed=SEED)
     r_ap, d_sigma = sensing.evaluate_accuracy(report.classifier, dataset, cfg,
-                                              None, trials_per_sample=10,
-                                              seed=SEED)
+                                              trials_per_sample=10, seed=SEED)
     print(f"{snr_db:>9.0f} {decision.alpha_star:>7.2f} {decision.method:>12} "
           f"{r_ap:>9.4f} {d_sigma:>14.4f}")
 

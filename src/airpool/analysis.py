@@ -14,11 +14,11 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import features as feat
-from ._mc import MonteCarloEstimate, rng_from, worker_chunks
+from ._mc import MomentSums, MonteCarloEstimate, rng_from, worker_streams
 from .features import FeatureModel
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
                       postprocess, true_pool)
-from .specfun import ln_gamma, regularized_gamma_p, inverse_regularized_gamma_p
+from .specfun import regularized_gamma_p, inverse_regularized_gamma_p
 
 #: Standard-error multiple used by all statistical bound checks.
 N_SIGMA = 4.0
@@ -105,85 +105,58 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
-    sums = np.zeros((len(cfgs), 3))
-    sums_sq = np.zeros((len(cfgs), 3))
-    n_done = 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        rng = rng_from(seed, 0, w)
+    # Per configuration: D in slot 0, D_chan in slot 1, D_appr in slot 2.
+    sums = [MomentSums("estimate_errors", slots=3) for _ in cfgs]
+    for rng, n in worker_streams(trials, workers, seed, 0):
         f = model.draw(rng, (n, k))
         unit_noise = rng.standard_normal(n) if noisy else None
         g_true = true_pool(f, mode)
         powered_sums = feat.PowerSums(f)
-        for i, cfg in enumerate(cfgs):
+        for acc, cfg in zip(sums, cfgs):
             v_sum = powered_sums(cfg.alpha)
             g_clean = postprocess(v_sum, cfg)
             g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
                 v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
-            sq = np.stack([(g_hat - g_true) ** 2,
-                           (g_hat - g_clean) ** 2,
-                           (g_clean - g_true) ** 2])
-            sums[i] += sq.sum(axis=1)
-            sums_sq[i] += (sq * sq).sum(axis=1)
-        n_done += n
-    means = sums / n_done
-    variances = np.maximum(sums_sq / n_done - means ** 2, 0.0)
-    ses = np.sqrt(variances / n_done)
+            acc.add((g_hat - g_true) ** 2, 0)
+            acc.add((g_hat - g_clean) ** 2, 1)
+            acc.add((g_clean - g_true) ** 2, 2)
     bounds = _approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
                                   trials=trials, seed=seed, key=(1,),
                                   workers=workers)
-    return [ErrorBreakdown(
-        d_total=float(m[0]), d_chan=float(m[1]), d_appr=float(m[2]),
-        se_total=float(se[0]), se_chan=float(se[1]), se_appr=float(se[2]),
-        noise_bound=noise_error_bound_from_moments(cfg),
-        noise_bound_asymptotic=noise_error_asymptote(cfg.alpha, cfg.p_rx_w,
-                                                     cfg.noise_power_w),
-        approx_bound=eps.value, approx_bound_se=eps.std_error,
-        c0=decomposition_c0(cfg.mode, cfg.alpha), trials=n_done)
-        for cfg, m, se, eps in zip(cfgs, means, ses, bounds)]
+    errors = []
+    for acc, cfg, eps in zip(sums, cfgs, bounds):
+        total, chan, appr = (acc.estimate(slot) for slot in range(3))
+        errors.append(ErrorBreakdown(
+            d_total=total.value, d_chan=chan.value, d_appr=appr.value,
+            se_total=total.std_error, se_chan=chan.std_error,
+            se_appr=appr.std_error,
+            noise_bound=noise_error_bound_from_moments(
+                cfg.alpha, cfg.moments.nu_sq, cfg.p_rx_w, cfg.noise_power_w),
+            noise_bound_asymptotic=noise_error_asymptote(cfg.alpha, cfg.p_rx_w,
+                                                         cfg.noise_power_w),
+            approx_bound=eps.value, approx_bound_se=eps.std_error,
+            c0=decomposition_c0(cfg.mode, cfg.alpha), trials=acc.n))
+    return errors
 
 
-def noise_error_bound_from_moments(cfg: AirPoolConfig) -> float:
-    """(sigma^2 nu_alpha^2 / P_rx)^(1/alpha) using the configured moments."""
-    if cfg.noise_power_w == 0.0:
+def noise_error_bound_from_moments(alpha: float, nu_sq: float, p_rx_w: float,
+                                   noise_power_w: float) -> float:
+    """Channel-noise error bound (sigma^2 nu_alpha^2 / P_rx)^(1/alpha), in logs."""
+    if noise_power_w == 0.0:
         return 0.0
-    ln_inner = math.log(cfg.noise_power_w) + math.log(cfg.moments.nu_sq) \
-        - math.log(cfg.p_rx_w)
-    return math.exp(ln_inner / cfg.alpha)
+    ln_inner = math.log(noise_power_w) + math.log(nu_sq) - math.log(p_rx_w)
+    return math.exp(ln_inner / alpha)
 
 
 def noise_error_bound(model: FeatureModel, alpha: float, p_rx_w: float,
-                      noise_power_w: float, trials: int = 1_000_000,
-                      seed: int = 0) -> float:
-    """Channel-noise error bound (sigma^2 nu_alpha^2 / P_rx)^(1/alpha)."""
+                      noise_power_w: float) -> float:
+    """The channel-noise error bound with the analytic moments of `model`."""
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
     if noise_power_w == 0.0:
         return 0.0
-    moments = feat.normalization_moments(model, alpha, trials=trials, seed=seed)
-    ln_inner = math.log(noise_power_w) + math.log(moments.nu_sq) - math.log(p_rx_w)
-    return math.exp(ln_inner / alpha)
-
-
-def noise_error_bound_gamma_form(alpha: float, p_rx_w: float,
-                                 noise_power_w: float) -> float:
-    """Rectified-Gaussian noise bound through its gamma-function closed form.
-
-    Algebraically identical to the generic bound with analytic moments, but
-    evaluated as a separate expression (log domain) so the two routes can be
-    cross-checked.
-    """
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    if noise_power_w == 0.0:
-        return 0.0
-    ln_a = ln_gamma(alpha + 0.5)
-    ln_b = 2.0 * ln_gamma((alpha + 1.0) / 2.0) - math.log(2.0 * math.sqrt(math.pi))
-    ln_bracket = ln_a + math.log1p(-math.exp(ln_b - ln_a))
-    ln_inner = math.log(noise_power_w) - math.log(p_rx_w) \
-        - 0.5 * math.log(math.pi) + (alpha - 1.0) * math.log(2.0) + ln_bracket
-    return math.exp(ln_inner / alpha)
+    return noise_error_bound_from_moments(
+        alpha, feat.normalization_moments(model, alpha).nu_sq, p_rx_w, noise_power_w)
 
 
 def noise_error_asymptote(alpha: float, p_rx_w: float, noise_power_w: float) -> float:
@@ -231,25 +204,14 @@ def _approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
         return [MonteCarloEstimate(scale * est.value, scale * est.std_error,
                                    est.trials) for scale in scales]
     if mode.kind == AVERAGE:
-        sums = [[0.0, 0.0] for _ in alphas]
-        n_done = 0
-        for w, n in enumerate(worker_chunks(trials, workers)):
-            if n == 0:
-                continue
-            f = model.draw(rng_from(seed, *key, w), (n, k))
+        sums = [MomentSums("approx_error_bound") for _ in alphas]
+        for rng, n in worker_streams(trials, workers, seed, *key):
+            f = model.draw(rng, (n, k))
             g_avg = f.mean(axis=1)
             norms = feat.RescaledNorms(f)
             for acc, alpha in zip(sums, alphas):
-                x = (norms(alpha) / k - g_avg) ** 2
-                acc[0] += float(x.sum())
-                acc[1] += float((x * x).sum())
-            n_done += n
-        estimates = []
-        for total, total_sq in sums:
-            mean = total / n_done
-            var = max(total_sq / n_done - mean * mean, 0.0)
-            estimates.append(MonteCarloEstimate(mean, math.sqrt(var / n_done), n_done))
-        return estimates
+                acc.add((norms(alpha) / k - g_avg) ** 2)
+        return [acc.estimate() for acc in sums]
     raise ValueError("approximation bound is defined for max and average modes")
 
 
@@ -270,11 +232,7 @@ def tradeoff_curve(model: FeatureModel, k: int, p_rx_w: float,
     fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value
     rows = []
     for alpha in alpha_grid:
-        if model.kind == feat.RECTIFIED_GAUSSIAN:
-            delta = noise_error_bound_gamma_form(alpha, p_rx_w, noise_power_w)
-        else:
-            delta = noise_error_bound(model, alpha, p_rx_w, noise_power_w,
-                                      trials=max(trials, feat.MIN_MC_TRIALS), seed=seed)
+        delta = noise_error_bound(model, alpha, p_rx_w, noise_power_w)
         eps_m = (1.0 - k ** (-1.0 / alpha)) * fmax_sq
         rows.append({
             "alpha": alpha,

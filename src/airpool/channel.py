@@ -1,26 +1,22 @@
-"""Rician block-fading multi-access channel with channel-inversion precoding.
+"""The multi-access channel after ideal channel inversion, and air latency.
 
-Covers the physical-layer side of the simulation: fading draws, the receive
-power budget under channel inversion, receive SNR, the equivalent
-post-inversion AWGN aggregation, and the air-latency models for both the
-over-the-air scheme and the digital baseline.
+Covers the physical-layer side of the simulation: the system setting and
+its noise powers, the equivalent post-inversion AWGN aggregation, and the
+air-latency models for both the over-the-air scheme and the digital
+baseline. Experiments set the receive power directly as SNR x noise, so no
+fading gains are drawn.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._mc import MonteCarloEstimate, rng_from, worker_chunks
+from ._mc import rng_from
 
 
 def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -31,19 +27,16 @@ class SystemParams:
     n_features: int = 17911
     bandwidth_hz: float = 10e6
     n_subchannels: int = 12
-    power_budget_w: float = 1.0
     noise_density_dbm_per_hz: float = -174.0
     noise_figure_db: float = 4.0
-    path_loss: float = 300.0 ** -3.4
-    rician_ratio_db: float = 4.0
 
     def __post_init__(self):
         if self.k_sensors < 1 or self.n_subchannels < 1:
             raise ValueError("k_sensors and n_subchannels must be >= 1")
         if self.n_features < 0:
             raise ValueError("n_features must be >= 0")
-        if self.bandwidth_hz <= 0 or self.power_budget_w <= 0 or self.path_loss <= 0:
-            raise ValueError("bandwidth, power budget, and path loss must be positive")
+        if self.bandwidth_hz <= 0:
+            raise ValueError("bandwidth_hz must be positive")
 
     @property
     def noise_density_w_per_hz(self) -> float:
@@ -54,104 +47,6 @@ class SystemParams:
     def subchannel_noise_w(self) -> float:
         """Per-sub-channel noise power: density x figure x B/M."""
         return self.noise_density_w_per_hz * self.bandwidth_hz / self.n_subchannels
-
-    @property
-    def aggregate_noise_w(self) -> float:
-        """Full-band noise power: density x figure x B."""
-        return self.noise_density_w_per_hz * self.bandwidth_hz
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One block-fading realization of the K sensor-to-server gains."""
-
-    gains: np.ndarray
-    seed: int
-
-
-def draw_rician(params: SystemParams, seed: int, k: int = 0) -> ChannelDraw:
-    """Unit-average-power Rician gains: a fixed-magnitude line-of-sight term
-    with a uniform phase per sensor plus a CN(0,1) scatter term, mixed by the
-    configured LoS/NLoS power ratio."""
-    if not math.isfinite(params.rician_ratio_db):
-        raise ValueError("rician_ratio_db must be finite")
-    k = k or params.k_sensors
-    rng = rng_from(seed)
-    kappa = db_to_linear(params.rician_ratio_db)
-    phase = rng.uniform(0.0, 2.0 * math.pi, k)
-    los = math.sqrt(kappa / (kappa + 1.0)) * np.exp(1j * phase)
-    nlos = math.sqrt(1.0 / (kappa + 1.0)) * (
-        rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
-    return ChannelDraw(gains=los + nlos, seed=seed)
-
-
-def inverse_gain_moment(params: SystemParams, trials: int = 1_000_000, seed: int = 0,
-                        g_threshold: float = 0.0, workers: int = 1) -> MonteCarloEstimate:
-    """Monte Carlo estimate of E[|h|^-2] under channel inversion.
-
-    With g_threshold > 0 the estimate is conditioned on |h|^2 > g_threshold
-    (truncated inversion: sensors in a deeper fade skip the slot). The
-    untruncated moment is heavy-tailed, so prefer a threshold when a stable
-    budget is needed. Estimates are cached per configuration, so sweeps
-    compute each one once and share it read-only.
-    """
-    return _inverse_gain_moment_cached(params.rician_ratio_db, trials, seed,
-                                       g_threshold, workers)
-
-
-@lru_cache(maxsize=64)
-def _inverse_gain_moment_cached(rician_ratio_db: float, trials: int, seed: int,
-                                g_threshold: float, workers: int) -> MonteCarloEstimate:
-    kappa = db_to_linear(rician_ratio_db)
-    total, total_sq, n_kept, n_done = 0.0, 0.0, 0, 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        rng = rng_from(seed, w)
-        re = rng.standard_normal(n)
-        im = rng.standard_normal(n)
-        # Phase of the LoS term is irrelevant to |h|; fix it at zero.
-        g = (math.sqrt(kappa / (kappa + 1.0)) + math.sqrt(1.0 / (2.0 * (kappa + 1.0))) * re) ** 2 \
-            + (math.sqrt(1.0 / (2.0 * (kappa + 1.0))) * im) ** 2
-        kept = g > g_threshold
-        inv = 1.0 / g[kept]
-        total += float(inv.sum())
-        total_sq += float((inv * inv).sum())
-        n_kept += int(kept.sum())
-        n_done += n
-    if n_kept == 0:
-        raise ArithmeticError("all channel draws fell below the truncation threshold")
-    mean = total / n_kept
-    if not math.isfinite(mean):
-        raise ArithmeticError(
-            "E[|h|^-2] estimate is non-finite; use a truncation threshold g_threshold > 0")
-    var = max(total_sq / n_kept - mean * mean, 0.0)
-    return MonteCarloEstimate(mean, math.sqrt(var / n_kept), n_kept)
-
-
-def receive_power_budget(params: SystemParams, inv_gain_moment: float) -> float:
-    """Receive power ceiling under the per-sensor budget: P0 * Ppl / E[|h|^-2]."""
-    if not (inv_gain_moment > 0.0) or not math.isfinite(inv_gain_moment):
-        raise ValueError(
-            "inv_gain_moment must be finite and positive; estimate it with a "
-            "truncation threshold if the untruncated moment diverges")
-    return params.power_budget_w * params.path_loss / inv_gain_moment
-
-
-def receive_snr(params: SystemParams, inv_gain_moment: float) -> float:
-    """Average receive SNR (linear): P0 * Ppl / (N0 * NF * B * E[|h|^-2])."""
-    if not (inv_gain_moment > 0.0) or not math.isfinite(inv_gain_moment):
-        raise ValueError(
-            "inv_gain_moment must be finite and positive; estimate it with a "
-            "truncation threshold if the untruncated moment diverges")
-    return params.power_budget_w * params.path_loss / (
-        params.aggregate_noise_w * inv_gain_moment)
-
-
-def power_for_target_snr(params: SystemParams, snr_db: float,
-                         inv_gain_moment: float) -> float:
-    """Per-sensor power budget that makes receive_snr hit the target (dB)."""
-    return db_to_linear(snr_db) * params.aggregate_noise_w * inv_gain_moment / params.path_loss
 
 
 def transmit_over_mac(symbols: np.ndarray, p_rx: float, noise_power: float,

@@ -16,7 +16,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,26 +90,44 @@ class ExperimentConfig:
         return d
 
 
-def _get_typed(section, name: str, cast, default):
-    if name not in section:
-        return default
-    raw = section[name]
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {name}: cannot parse {raw!r} as {cast.__name__}")
+def _float_list(raw: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in raw.replace(",", " ").split())
 
 
-def _get_float_list(section, name: str, default):
-    if name not in section:
-        return default
-    raw = section[name]
-    try:
-        return tuple(float(part) for part in raw.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {name}: cannot parse {raw!r} as a float list")
+# Every key of every section: the ExperimentConfig field it sets and its
+# parser. The [system] keys are the SystemParams fields. Anything else in a
+# config file is an error, so a typo is never silently ignored.
+_SECTIONS = {
+    "experiment": {"kind": ("experiment", str.strip), "trials": ("trials", int),
+                   "seed": ("seed", int), "output_dir": ("output_dir", str.strip),
+                   "workers": ("workers", int),
+                   "fault_injection": ("fault_injection", str.strip)},
+    "system": {f.name: (f.name, f.type) for f in fields(SystemParams)},
+    "feature_model": {"kind": ("feature_kind", str.strip),
+                      "sample_file": ("feature_file", str.strip)},
+    "sweep": {"snr_grid_db": ("snr_grid_db", _float_list),
+              "alpha_grid": ("alpha_grid", _float_list), "q_bits": ("q_bits", int),
+              "n_samples": ("n_samples", int), "epochs": ("epochs", int),
+              "learning_rate": ("learning_rate", float),
+              "trials_per_sample": ("trials_per_sample", int)},
+}
+
+
+def _read_section(parser, name: str, path) -> dict:
+    """The typed values of one section, keyed by the field each one sets."""
+    keys = _SECTIONS[name]
+    values = {}
+    for key, raw in parser[name].items():
+        if key not in keys:
+            raise ConfigError(f"{path}: [{name}] unknown key {key!r}; expected one of "
+                              f"{', '.join(keys)}")
+        field_name, cast = keys[key]
+        try:
+            values[field_name] = cast(raw)
+        except ValueError:
+            kind = "a float list" if cast is _float_list else cast.__name__
+            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {kind}")
+    return values
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -121,53 +139,23 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}")
     if not read:
         raise ConfigError(f"{path}: file not found or empty")
+    if parser.defaults():
+        raise ConfigError(f"{path}: a [DEFAULT] section is not supported")
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{name}]; expected one of "
+                              f"{', '.join(_SECTIONS)}")
     if "experiment" not in parser:
         raise ConfigError(f"{path}: missing [experiment] section")
-    exp = parser["experiment"]
-    kind = exp.get("kind", "").strip()
-    if "system" not in parser:
-        system = SystemParams()
-    else:
-        sys_sec = parser["system"]
-        try:
-            system = SystemParams(
-                k_sensors=_get_typed(sys_sec, "k_sensors", int, 12),
-                n_features=_get_typed(sys_sec, "n_features", int, 17911),
-                bandwidth_hz=_get_typed(sys_sec, "bandwidth_hz", float, 10e6),
-                n_subchannels=_get_typed(sys_sec, "n_subchannels", int, 12),
-                power_budget_w=_get_typed(sys_sec, "power_budget_w", float, 1.0),
-                noise_density_dbm_per_hz=_get_typed(sys_sec, "noise_density_dbm_per_hz",
-                                                    float, -174.0),
-                noise_figure_db=_get_typed(sys_sec, "noise_figure_db", float, 4.0),
-                path_loss=_get_typed(sys_sec, "path_loss", float, 300.0 ** -3.4),
-                rician_ratio_db=_get_typed(sys_sec, "rician_ratio_db", float, 4.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[system]: {exc}")
-    fm_sec = parser["feature_model"] if "feature_model" in parser else None
-    sweep = parser["sweep"] if "sweep" in parser else None
-    kwargs = dict(
-        experiment=kind,
-        system=system,
-        trials=_get_typed(exp, "trials", int, 100_000),
-        seed=_get_typed(exp, "seed", int, 42),
-        output_dir=exp.get("output_dir", "out"),
-        workers=_get_typed(exp, "workers", int, 1),
-        fault_injection=exp.get("fault_injection", "").strip(),
-    )
-    if fm_sec is not None:
-        kwargs["feature_kind"] = fm_sec.get("kind", "rectified_gaussian").strip()
-        kwargs["feature_file"] = fm_sec.get("sample_file", "").strip()
-    if sweep is not None:
-        kwargs["snr_grid_db"] = _get_float_list(sweep, "snr_grid_db", (0.0, 6.0, 12.0))
-        kwargs["alpha_grid"] = _get_float_list(sweep, "alpha_grid",
-                                               (1.0, 2.0, 4.0, 8.0, 16.0))
-        kwargs["q_bits"] = _get_typed(sweep, "q_bits", int, 6)
-        kwargs["n_samples"] = _get_typed(sweep, "n_samples", int, 4000)
-        kwargs["epochs"] = _get_typed(sweep, "epochs", int, 200)
-        kwargs["learning_rate"] = _get_typed(sweep, "learning_rate", float, 0.5)
-        kwargs["trials_per_sample"] = _get_typed(sweep, "trials_per_sample", int, 20)
-    return ExperimentConfig(**kwargs)
+    values = {name: _read_section(parser, name, path) for name in parser.sections()}
+    try:
+        system = SystemParams(**values.pop("system", {}))
+    except ValueError as exc:
+        raise ConfigError(f"[system]: {exc}")
+    kwargs = {"experiment": ""}
+    for section in values.values():
+        kwargs.update(section)
+    return ExperimentConfig(system=system, **kwargs)
 
 
 @dataclass
@@ -344,10 +332,11 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
 
     # Closed-form cross checks that need no Monte Carlo.
     p10 = 10.0 * noise
+    gaussian = FeatureModel.rectified_gaussian()
     ratio64 = analysis.noise_error_asymptote(64.0, p10, noise) / \
-        analysis.noise_error_bound_gamma_form(64.0, p10, noise)
+        analysis.noise_error_bound(gaussian, 64.0, p10, noise)
     ratio8 = analysis.noise_error_asymptote(8.0, p10, noise) / \
-        analysis.noise_error_bound_gamma_form(8.0, p10, noise)
+        analysis.noise_error_bound(gaussian, 8.0, p10, noise)
     rows.append({
         "check": "asymptote-tightness", "mode": "max", "alpha": 64.0, "snr_db": 10.0,
         "measured": ratio64, "bound": 1.05,
@@ -573,7 +562,7 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
         pool_cfg = AirPoolConfig.for_max(model, k, decision.alpha_star, p_rx, noise,
                                          trials=200_000, seed=cfg.seed)
         r_ap, d_sigma = sensing.evaluate_accuracy(
-            report.classifier, dataset, pool_cfg, cfg.system,
+            report.classifier, dataset, pool_cfg,
             trials_per_sample=cfg.trials_per_sample, seed=cfg.seed)
         rows.append({"snr_db": snr_db, "alpha": decision.alpha_star,
                      "alpha_method": decision.method, "r_ap": r_ap,

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._mc import MonteCarloEstimate, rng_from, worker_chunks
+from ._mc import MomentSums, MonteCarloEstimate, rng_from, worker_streams
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -155,20 +155,21 @@ def moment_abs_power(model: FeatureModel, s: float) -> float:
 def moment_abs_power_mc(model: FeatureModel, s: float, trials: int = 1_000_000,
                         seed: int = 0, workers: int = 1) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[|f|^s], with standard error."""
+    return _abs_power_sums(model, s, trials, seed, workers,
+                           "moment_abs_power_mc").estimate()
+
+
+def _abs_power_sums(model: FeatureModel, s: float, trials: int, seed: int,
+                    workers: int, estimator: str) -> MomentSums:
+    """Sums of f^s and f^(2s) over draws from the sub-streams (seed, w)."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"Monte Carlo moments require trials >= {MIN_MC_TRIALS}")
-    total, total_sq, n_done = 0.0, 0.0, 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n:
-            x = model.draw(rng_from(seed, w), n) ** s
-            total += float(x.sum())
-            total_sq += float((x * x).sum())
-            n_done += n
-    mean = total / n_done
-    var = max(total_sq / n_done - mean * mean, 0.0)
-    return MonteCarloEstimate(mean, math.sqrt(var / n_done), n_done)
+    sums = MomentSums(estimator)
+    for rng, n in worker_streams(trials, workers, seed):
+        sums.add(model.draw(rng, n) ** s)
+    return sums
 
 
 def normalization_moments(model: FeatureModel, alpha: float,
@@ -190,18 +191,10 @@ def normalization_moments(model: FeatureModel, alpha: float,
         m2 = moment_abs_power(model, 2.0 * alpha)
         used_trials, used_seed = 0, 0
     elif method == "monte_carlo":
-        if trials < MIN_MC_TRIALS:
-            raise ValueError(f"Monte Carlo moments require trials >= {MIN_MC_TRIALS}")
-        total, total_sq, n_done = 0.0, 0.0, 0
-        for w, n in enumerate(worker_chunks(trials, workers)):
-            if n:
-                v = model.draw(rng_from(seed, w), n) ** alpha
-                total += float(v.sum())
-                total_sq += float((v * v).sum())
-                n_done += n
-        eta = total / n_done
-        m2 = total_sq / n_done
-        used_trials, used_seed = n_done, seed
+        sums = _abs_power_sums(model, alpha, trials, seed, workers,
+                               "normalization_moments")
+        eta, m2 = sums.moments()
+        used_trials, used_seed = sums.n, seed
     else:
         raise ValueError(f"unknown moments method: {method!r}")
     nu_sq = m2 - eta * eta
@@ -264,17 +257,10 @@ def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
         raise ValueError("k must be >= 1")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    total, total_sq, n_done = 0.0, 0.0, 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        x = model.draw(rng_from(seed, w), (n, k)).max(axis=1) ** 2
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        n_done += n
-    mean = total / n_done
-    var = max(total_sq / n_done - mean * mean, 0.0)
-    return MonteCarloEstimate(mean, math.sqrt(var / n_done), n_done)
+    sums = MomentSums("max_second_moment")
+    for rng, n in worker_streams(trials, workers, seed):
+        sums.add(model.draw(rng, (n, k)).max(axis=1) ** 2)
+    return sums.estimate()
 
 
 def optimal_beta(model: FeatureModel, k: int, alpha: float,
@@ -307,35 +293,29 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
         raise ValueError("alpha must be >= 1")
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
-    # Per alpha: sums of a, b, a^2, b^2 and a*b.
-    sums = [[0.0] * 5 for _ in alphas]
-    n_done = 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        norms = RescaledNorms(model.draw(rng_from(seed, w), (n, k)))
+    # Per alpha: a = fmax ||f||_a in slot 0, b = ||f||_a^2 in slot 1.
+    sums = [MomentSums("optimal_beta", slots=2) for _ in alphas]
+    for rng, n in worker_streams(trials, workers, seed):
+        norms = RescaledNorms(model.draw(rng, (n, k)))
         for acc, alpha in zip(sums, alphas):
             norm = norms(alpha)
             a = norms.fmax * norm
             b = norm * norm
-            acc[0] += float(a.sum())
-            acc[1] += float(b.sum())
-            acc[2] += float((a * a).sum())
-            acc[3] += float((b * b).sum())
-            acc[4] += float((a * b).sum())
-        n_done += n
-    return [_beta_from_sums(acc, k, alpha, n_done) for acc, alpha in zip(sums, alphas)]
+            acc.add(a, 0)
+            acc.add(b, 1)
+            acc.add_cross(a, b)
+    return [_beta_from_sums(acc, k, alpha) for acc, alpha in zip(sums, alphas)]
 
 
-def _beta_from_sums(sums, k: int, alpha: float, n_done: int) -> MonteCarloEstimate:
-    """beta* and its delta-method standard error from the per-alpha sums."""
-    sum_a, sum_b, sum_aa, sum_bb, sum_ab = sums
-    mean_a, mean_b = sum_a / n_done, sum_b / n_done
+def _beta_from_sums(sums: MomentSums, k: int, alpha: float) -> MonteCarloEstimate:
+    """beta* and its delta-method standard error from one alpha's sums."""
+    n_done = sums.n
+    (mean_a, second_a), (mean_b, second_b) = sums.moments(0), sums.moments(1)
     u = mean_a / mean_b
     # Delta method for the ratio of correlated means.
-    var_a = max(sum_aa / n_done - mean_a ** 2, 0.0)
-    var_b = max(sum_bb / n_done - mean_b ** 2, 0.0)
-    cov_ab = sum_ab / n_done - mean_a * mean_b
+    var_a = max(second_a - mean_a ** 2, 0.0)
+    var_b = max(second_b - mean_b ** 2, 0.0)
+    cov_ab = sums.cross_moment() - mean_a * mean_b
     var_u = max(var_a - 2.0 * u * cov_ab + u * u * var_b, 0.0) / (mean_b ** 2 * n_done)
     se_u = math.sqrt(var_u)
     u_lo, u_hi = k ** (-1.0 / alpha), 1.0

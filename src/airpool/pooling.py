@@ -22,7 +22,6 @@ import numpy as np
 
 from . import features as feat
 from ._mc import rng_from
-from .channel import SystemParams
 from .features import ALPHA_MAX, FeatureModel, MomentSet
 
 AVERAGE = "average"
@@ -228,7 +227,7 @@ def aggregate_with_noise(v_sum: np.ndarray, cfg: AirPoolConfig,
 
 
 def airpool_round(features: np.ndarray, cfg: AirPoolConfig,
-                  params: SystemParams, seed: int = 0) -> np.ndarray:
+                  seed: int = 0) -> np.ndarray:
     """One pooling round over a K x N feature matrix; returns N estimates.
 
     Each feature dimension is aggregated with an independent noise draw;

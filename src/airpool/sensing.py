@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._mc import rng_from
-from .channel import SystemParams
 from .features import FeatureModel
 from .pooling import AirPoolConfig, PoolingMode, true_pool
 
@@ -262,8 +261,8 @@ def gradient_check(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray,
 
 
 def evaluate_accuracy(clf: ShallowClassifier, dataset: SyntheticDataset,
-                      cfg: AirPoolConfig, params: SystemParams,
-                      trials_per_sample: int = 8, seed: int = 0) -> Tuple[float, float]:
+                      cfg: AirPoolConfig, trials_per_sample: int = 8,
+                      seed: int = 0) -> Tuple[float, float]:
     """Accuracy and summed feature error of the classifier on pooled-over-
     the-air features.
 

@@ -119,9 +119,9 @@ def test_criterion_4_asymptote_tightness():
     t0 = time.time()
     p_rx, noise = 10.0, 1.0
     r64 = analysis.noise_error_asymptote(64.0, p_rx, noise) / \
-        analysis.noise_error_bound_gamma_form(64.0, p_rx, noise)
+        analysis.noise_error_bound(RG, 64.0, p_rx, noise)
     r8 = analysis.noise_error_asymptote(8.0, p_rx, noise) / \
-        analysis.noise_error_bound_gamma_form(8.0, p_rx, noise)
+        analysis.noise_error_bound(RG, 8.0, p_rx, noise)
     slope = analysis.noise_error_asymptote_derivative(64.0, p_rx, noise)
     ok = abs(r64 - 1.0) <= 0.05
     ok &= abs(r64 - 1.0) < abs(r8 - 1.0)
@@ -300,7 +300,7 @@ def test_criterion_8_synthetic_end_to_end(trained_task):
         accs, errs = [], []
         for t in range(16):
             a, d = sensing.evaluate_accuracy(report.classifier, dataset, cfg,
-                                             None, trials_per_sample=1,
+                                             trials_per_sample=1,
                                              seed=SEED * 100 + t)
             accs.append(a)
             errs.append(d)

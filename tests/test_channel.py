@@ -1,4 +1,4 @@
-"""Fading draws, power budgeting, the aggregation channel, and latency."""
+"""System parameters, the aggregation channel, and latency."""
 
 import math
 
@@ -21,83 +21,6 @@ class TestSystemParams:
             SystemParams(k_sensors=0)
         with pytest.raises(ValueError):
             SystemParams(bandwidth_hz=0.0)
-
-
-class TestRicianDraws:
-    def test_deterministic(self):
-        a = channel.draw_rician(SystemParams(), seed=3)
-        b = channel.draw_rician(SystemParams(), seed=3)
-        np.testing.assert_array_equal(a.gains, b.gains)
-
-    def test_strong_los_limit(self):
-        p = SystemParams(rician_ratio_db=60.0)
-        draw = channel.draw_rician(p, seed=4, k=2000)
-        assert np.max(np.abs(np.abs(draw.gains) - 1.0)) <= 1e-2
-
-    def test_unit_average_power(self):
-        p = SystemParams(rician_ratio_db=4.0)
-        draw = channel.draw_rician(p, seed=5, k=1_000_000)
-        power = np.abs(draw.gains) ** 2
-        se = power.std(ddof=1) / math.sqrt(len(power))
-        assert abs(power.mean() - 1.0) <= 4.0 * se
-
-    def test_unit_power_for_any_ratio(self):
-        for ratio_db in [-10.0, 0.0, 4.0, 10.0]:
-            p = SystemParams(rician_ratio_db=ratio_db)
-            draw = channel.draw_rician(p, seed=6, k=500_000)
-            power = np.abs(draw.gains) ** 2
-            se = power.std(ddof=1) / math.sqrt(len(power))
-            assert abs(power.mean() - 1.0) <= 4.0 * se
-
-
-class TestPowerBudget:
-    def test_unit_channel_gives_budget_back(self):
-        p = SystemParams(power_budget_w=2.5, path_loss=1.0)
-        assert channel.receive_power_budget(p, 1.0) == pytest.approx(2.5)
-
-    def test_linear_in_power_budget(self):
-        p1 = SystemParams(power_budget_w=1.0)
-        p2 = SystemParams(power_budget_w=2.0)
-        assert channel.receive_power_budget(p2, 3.0) == pytest.approx(
-            2.0 * channel.receive_power_budget(p1, 3.0))
-
-    def test_truncated_inverse_moment_is_stable(self):
-        p = SystemParams()
-        a = channel.inverse_gain_moment(p, trials=200_000, seed=7, g_threshold=0.05)
-        b = channel.inverse_gain_moment(p, trials=400_000, seed=8, g_threshold=0.05)
-        assert abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
-        assert a.value > 1.0  # harmonic-type mean exceeds 1/E[|h|^2] = 1
-
-    def test_invalid_moment_rejected(self):
-        p = SystemParams()
-        with pytest.raises(ValueError):
-            channel.receive_power_budget(p, math.inf)
-        with pytest.raises(ValueError):
-            channel.receive_snr(p, 0.0)
-
-
-class TestReceiveSnr:
-    def test_round_trip_at_6_db(self):
-        p = SystemParams()
-        igm = channel.inverse_gain_moment(p, trials=100_000, seed=9,
-                                          g_threshold=0.05).value
-        p0 = channel.power_for_target_snr(p, 6.0, igm)
-        tuned = SystemParams(power_budget_w=p0)
-        snr = channel.receive_snr(tuned, igm)
-        assert 10.0 * math.log10(snr) == pytest.approx(6.0, abs=1e-9)
-
-    def test_doubling_bandwidth_halves_snr(self):
-        p1 = SystemParams(bandwidth_hz=10e6)
-        p2 = SystemParams(bandwidth_hz=20e6)
-        assert channel.receive_snr(p2, 2.0) == pytest.approx(
-            0.5 * channel.receive_snr(p1, 2.0))
-
-    def test_direct_evaluation(self):
-        # Independent recomputation of the SNR expression.
-        p = SystemParams(power_budget_w=0.05)
-        igm = 3.7
-        expected = 0.05 * 300.0 ** -3.4 / (1e-20 * 10e6 * igm)
-        assert channel.receive_snr(p, igm) == pytest.approx(expected, rel=1e-6)
 
 
 class TestTransmitOverMac:

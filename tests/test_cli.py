@@ -78,6 +78,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="trials"):
             parse_config(path)
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nkind = latency_table\ntrails = 5\n")
+        with pytest.raises(ConfigError, match="trails"):
+            parse_config(path)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "trails" in capsys.readouterr().err
+
+    def test_removed_channel_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(LATENCY_CFG.format(out=tmp_path / "out").replace(
+            "bandwidth_hz = 10e6", "bandwidth_hz = 10e6\npath_loss = 1e-9"))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "path_loss" in capsys.readouterr().err
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nkind = latency_table\n\n[sweeps]\nq_bits = 6\n")
+        with pytest.raises(ConfigError, match="sweeps"):
+            parse_config(path)
+
     def test_empirical_requires_sample_file(self):
         cfg = ExperimentConfig(experiment="latency_table",
                                feature_kind="empirical")

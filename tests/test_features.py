@@ -113,6 +113,15 @@ class TestMoments:
         with pytest.raises(ValueError):
             feat.normalization_moments(RG, 2.0, method="monte_carlo", trials=100)
 
+    def test_monte_carlo_overflow_raises(self):
+        # f^128 of a unit exponential reaches 1e150, so its square overflows.
+        exp = FeatureModel.exponential_unit()
+        with pytest.raises(ArithmeticError, match="normalization_moments"):
+            feat.normalization_moments(exp, 128.0, method="monte_carlo",
+                                       trials=1_000_000, seed=1)
+        with pytest.raises(ArithmeticError, match="moment_abs_power_mc"):
+            feat.moment_abs_power_mc(exp, 256.0, trials=100_000, seed=1)
+
     def test_degenerate_empirical_all_zero(self):
         ms = feat.normalization_moments(FeatureModel.empirical([0.0, 0.0, 0.0]), 1.0)
         assert ms.eta == 0.0 and ms.nu_sq == 0.0

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from airpool import features as feat, pooling
-from airpool.channel import SystemParams, transmit_over_mac
+from airpool.channel import transmit_over_mac
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
 
 RG = FeatureModel.rectified_gaussian()
-PARAMS = SystemParams(k_sensors=12)
 
 
 def max_config(k, alpha, noise_power=0.0, p_rx=1.0, seed=0):
@@ -148,14 +147,14 @@ class TestAirpoolRound:
     def test_zero_noise_average_exact(self):
         cfg = AirPoolConfig.for_average(RG, 12, 1.0, 0.0)
         f = RG.draw(np.random.default_rng(3), (12, 40))
-        out = pooling.airpool_round(f, cfg, PARAMS, seed=0)
+        out = pooling.airpool_round(f, cfg, seed=0)
         ref = f.mean(axis=0)
         np.testing.assert_allclose(out, ref, rtol=1e-12)
 
     def test_zero_noise_max_tracks_true_max(self):
         cfg = max_config(12, 64.0, seed=4)
         f = RG.draw(np.random.default_rng(4), (12, 64))
-        out = pooling.airpool_round(f, cfg, PARAMS, seed=0)
+        out = pooling.airpool_round(f, cfg, seed=0)
         truth = f.max(axis=0)
         rel = np.abs(out - truth) / np.where(truth > 0, truth, 1.0)
         assert rel.max() <= 0.02
@@ -164,16 +163,16 @@ class TestAirpoolRound:
         cfg = max_config(1, 7.0)
         assert cfg.beta == 1.0
         f = RG.draw(np.random.default_rng(5), (1, 30))
-        out = pooling.airpool_round(f, cfg, PARAMS, seed=0)
+        out = pooling.airpool_round(f, cfg, seed=0)
         np.testing.assert_allclose(out, f[0], rtol=1e-10)
 
     def test_deterministic_given_seed(self):
         cfg = max_config(4, 8.0, noise_power=0.5, p_rx=2.0)
         f = RG.draw(np.random.default_rng(6), (4, 16))
-        a = pooling.airpool_round(f, cfg, PARAMS, seed=9)
-        b = pooling.airpool_round(f, cfg, PARAMS, seed=9)
+        a = pooling.airpool_round(f, cfg, seed=9)
+        b = pooling.airpool_round(f, cfg, seed=9)
         np.testing.assert_array_equal(a, b)
-        c = pooling.airpool_round(f, cfg, PARAMS, seed=10)
+        c = pooling.airpool_round(f, cfg, seed=10)
         assert not np.array_equal(a, c)
 
     def test_aggregate_matches_symbol_domain_at_moderate_alpha(self):
@@ -225,14 +224,14 @@ class TestWeightedSum:
         weights = np.array([0.3, -0.2, 0.5, 0.1, 0.6])
         cfg = AirPoolConfig.for_weighted_sum(RG, weights, 1.0, 0.0)
         f = RG.draw(np.random.default_rng(10), (5, 50))
-        out = pooling.airpool_round(f, cfg, PARAMS, seed=0)
+        out = pooling.airpool_round(f, cfg, seed=0)
         np.testing.assert_allclose(out, f.T @ weights, rtol=1e-10, atol=1e-12)
 
     def test_negative_aggregate_not_clipped(self):
         weights = np.array([-1.0, -1.0])
         cfg = AirPoolConfig.for_weighted_sum(RG, weights, 1.0, 0.0)
         f = np.array([[1.0], [2.0]])
-        out = pooling.airpool_round(f, cfg, PARAMS, seed=0)
+        out = pooling.airpool_round(f, cfg, seed=0)
         assert out[0] == pytest.approx(-3.0)
 
     def test_matches_true_pool(self):

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from airpool import sensing
-from airpool.channel import SystemParams, db_to_linear
+from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
 
 RG = FeatureModel.rectified_gaussian()
-PARAMS = SystemParams(k_sensors=4, n_features=4)
 
 
 class TestGenerateDataset:
@@ -118,8 +117,7 @@ class TestEvaluateAccuracy:
         report = sensing.train_classifier(ds, epochs=60, learning_rate=0.5, seed=15)
         cfg = AirPoolConfig.for_average(RG, 4, 1.0, 0.0)
         r_ap, d_sigma = sensing.evaluate_accuracy(report.classifier, ds, cfg,
-                                                  PARAMS, trials_per_sample=2,
-                                                  seed=15)
+                                                  trials_per_sample=2, seed=15)
         assert r_ap == pytest.approx(report.clean_accuracy, abs=1e-12)
         assert d_sigma <= 1e-25
 
@@ -128,9 +126,9 @@ class TestEvaluateAccuracy:
         report = sensing.train_classifier(ds, epochs=30, learning_rate=0.5, seed=16)
         cfg = AirPoolConfig.for_max(RG, 4, 8.0, db_to_linear(10.0), 1.0,
                                     trials=100_000, seed=16)
-        a = sensing.evaluate_accuracy(report.classifier, ds, cfg, PARAMS,
+        a = sensing.evaluate_accuracy(report.classifier, ds, cfg,
                                       trials_per_sample=4, seed=16)
-        b = sensing.evaluate_accuracy(report.classifier, ds, cfg, PARAMS,
+        b = sensing.evaluate_accuracy(report.classifier, ds, cfg,
                                       trials_per_sample=4, seed=16)
         assert a == b
 
@@ -142,7 +140,7 @@ class TestEvaluateAccuracy:
             cfg = AirPoolConfig.for_max(RG, 4, 8.0, db_to_linear(snr_db), 1.0,
                                         trials=100_000, seed=17)
             results.append(sensing.evaluate_accuracy(
-                report.classifier, ds, cfg, PARAMS, trials_per_sample=6, seed=17))
+                report.classifier, ds, cfg, trials_per_sample=6, seed=17))
         assert results[0][0] > results[1][0]      # accuracy drops
         assert results[0][1] < results[1][1]      # feature error grows
 

@@ -26,12 +26,14 @@ print(f"critical power ratio rho0 = {rho0:.3f}  "
       f"(below this, averaging wins)\n")
 
 print(f"{'P/noise':>9} {'closed form':>12} {'root':>8} {'brute force':>12}")
+betas = optimizer.BetaTable(model, K, seed=5)  # beta* shared by every search
 for ratio in (1e2, 1e3, 1e4):
     closed = optimizer.closed_form_alpha(K, ratio, 1.0, e2).alpha_star
     root = optimizer.bisection_alpha(K, ratio, 1.0, e2)
     brute = optimizer.brute_force_alpha(
         model, PoolingMode.max(), K, ratio, 1.0,
-        optimizer.default_alpha_grid(24), trials=40_000, seed=5).alpha_star
+        optimizer.default_alpha_grid(24), trials=40_000, seed=5,
+        betas=betas).alpha_star
     print(f"{ratio:>9.0f} {closed:>12.3f} {root:>8.3f} {brute:>12.3f}")
 
 print("\ndispatcher decisions:")
@@ -48,7 +50,7 @@ pairs = []
 for ratio in (1e2, 1e3, 1e4):
     brute = optimizer.brute_force_alpha(
         model, PoolingMode.max(), K, ratio, 1.0,
-        optimizer.default_alpha_grid(24), trials=40_000, seed=5)
+        optimizer.default_alpha_grid(24), trials=40_000, seed=5, betas=betas)
     pairs.append((ratio, brute.alpha_star))
 fit = optimizer.fit_calibration(pairs, K, e2)
 print(f"\ncalibration against brute force: alpha' = {fit.c1:.3f} alpha + "

@@ -3,12 +3,11 @@ errors.
 
 The seeding contract: every stochastic routine takes an integer ``seed`` and
 derives sub-streams with ``np.random.SeedSequence([seed, *key])``, so results
-are bit-reproducible for a fixed (seed, worker-count) pair and independent of
-scheduling order. Worker splits derive one sub-stream per worker, which makes
-the worker count part of the reproducibility contract.
+are bit-reproducible for a fixed seed.
 
-Every estimator draws through `worker_streams` and sums through `MomentSums`,
-so the sub-streams and the float operations of each estimate live here.
+Every estimator draws its trials in one piece from `estimator_rng` and sums
+through `MomentSums`, so the sub-streams and the float operations of each
+estimate live here.
 """
 
 import math
@@ -32,28 +31,22 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def worker_chunks(trials: int, workers: int) -> list:
-    """Split `trials` into per-worker chunk sizes (first chunks get the rest)."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    base = trials // workers
-    rem = trials % workers
-    return [base + (1 if w < rem else 0) for w in range(workers)]
+def estimator_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator of a Monte Carlo estimator: the sub-stream (seed, *key, 0).
 
-
-def worker_streams(trials: int, workers: int, seed: int, *key: int):
-    """(generator, size) of each non-empty chunk; worker w draws (seed, *key, w)."""
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n:
-            yield rng_from(seed, *key, w), n
+    The trailing 0 is the index of the first chunk of the former worker
+    split; keeping it keeps every estimate, and so every CSV, bit-identical
+    to the results recorded before the split was removed.
+    """
+    return rng_from(seed, *key, 0)
 
 
 class MomentSums:
     """Running sums of x and x^2 per slot, plus one cross sum of a*b.
 
-    Chunks merge by plain addition in worker order. Every finished moment is
-    checked: a value that is not finite raises ArithmeticError naming the
-    estimator, rather than leaking inf or NaN into a result.
+    Every finished moment is checked: a value that is not finite raises
+    ArithmeticError naming the estimator, rather than leaking inf or NaN
+    into a result.
     """
 
     def __init__(self, estimator: str, slots: int = 1):
@@ -64,7 +57,7 @@ class MomentSums:
         self.sum_cross = 0.0
 
     def add(self, x: np.ndarray, slot: int = 0) -> None:
-        """Add one chunk's values to a slot; slot 0 counts the draws."""
+        """Add the values of one slot; slot 0 counts the draws."""
         if slot == 0:
             self.n += len(x)
         self.sums[slot] += float(x.sum())

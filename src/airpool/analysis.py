@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import features as feat
-from ._mc import MomentSums, MonteCarloEstimate, rng_from, worker_streams
+from ._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
 from .features import FeatureModel
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
                       postprocess, true_pool)
@@ -67,31 +67,30 @@ class ErrorBreakdown:
 
 
 def estimate_errors(model: FeatureModel, cfg: AirPoolConfig, k: int,
-                    trials: int, seed: int, workers: int = 1) -> ErrorBreakdown:
+                    trials: int, seed: int) -> ErrorBreakdown:
     """Paired Monte Carlo estimates of D, D_chan, and D_appr.
 
     The noisy and noiseless pipelines run on identical feature draws, from
-    the sub-stream (seed, 0, w), so the decomposition checks see correlated,
+    the sub-stream (seed, 0, 0), so the decomposition checks see correlated,
     low-variance estimates. The noise bound comes from the closed form. The
     approximation bound comes from `approx_error_bound` with key (1,): in
-    average mode that is the independent sub-stream (seed, 1, w); in max mode
-    the key is unused and E[fmax^2] is drawn from (seed, w), the stream whose
+    average mode that is the independent sub-stream (seed, 1, 0); in max mode
+    the key is unused and E[fmax^2] is drawn from (seed, 0), the stream whose
     first rows `optimal_beta` also uses.
     """
-    return estimate_errors_grid(model, [cfg], k, trials=trials, seed=seed,
-                                workers=workers)[0]
+    return estimate_errors_grid(model, [cfg], k, trials=trials, seed=seed)[0]
 
 
 def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
-                         k: int, trials: int, seed: int,
-                         workers: int = 1) -> List[ErrorBreakdown]:
-    """`estimate_errors` for every configuration of an alpha sweep.
+                         k: int, trials: int, seed: int) -> List[ErrorBreakdown]:
+    """`estimate_errors` for every configuration of a sweep.
 
-    The configurations must share one pooling mode (max or average). Each
-    worker chunk draws its features and unit noise once and every
-    configuration reuses them (common random numbers across the grid), as
-    does the approximation bound. Each result is bit-identical to drawing
-    anew for that configuration alone.
+    The configurations must share one pooling mode (max or average); their
+    alpha and power may differ. The features and the unit noise are drawn
+    once and every configuration reuses them (common random numbers across
+    the grid), scaling the unit noise by its own noise level; so does the
+    approximation bound. Each result is bit-identical to drawing anew for
+    that configuration alone.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors requires trials >= {feat.MIN_MC_TRIALS}")
@@ -107,22 +106,23 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
     # Per configuration: D in slot 0, D_chan in slot 1, D_appr in slot 2.
     sums = [MomentSums("estimate_errors", slots=3) for _ in cfgs]
-    for rng, n in worker_streams(trials, workers, seed, 0):
-        f = model.draw(rng, (n, k))
-        unit_noise = rng.standard_normal(n) if noisy else None
-        g_true = true_pool(f, mode)
-        powered_sums = feat.PowerSums(f)
-        for acc, cfg in zip(sums, cfgs):
-            v_sum = powered_sums(cfg.alpha)
-            g_clean = postprocess(v_sum, cfg)
-            g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
-                v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
-            acc.add((g_hat - g_true) ** 2, 0)
-            acc.add((g_hat - g_clean) ** 2, 1)
-            acc.add((g_clean - g_true) ** 2, 2)
+    rng = estimator_rng(seed, 0)
+    f = model.draw(rng, (trials, k))
+    unit_noise = rng.standard_normal(trials) if noisy else None
+    g_true = true_pool(f, mode)
+    powered_sums = feat.PowerSums(f)
+    v_alpha = None
+    for acc, cfg in zip(sums, cfgs):
+        if cfg.alpha != v_alpha:  # consecutive configurations often share alpha
+            v_alpha, v_sum = cfg.alpha, powered_sums(cfg.alpha)
+        g_clean = postprocess(v_sum, cfg)
+        g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
+            v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
+        acc.add((g_hat - g_true) ** 2, 0)
+        acc.add((g_hat - g_clean) ** 2, 1)
+        acc.add((g_clean - g_true) ** 2, 2)
     bounds = _approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
-                                  trials=trials, seed=seed, key=(1,),
-                                  workers=workers)
+                                  trials=trials, seed=seed, key=(1,))
     errors = []
     for acc, cfg, eps in zip(sums, cfgs, bounds):
         total, chan, appr = (acc.estimate(slot) for slot in range(3))
@@ -178,40 +178,40 @@ def noise_error_asymptote_derivative(alpha: float, p_rx_w: float,
 
 def approx_error_bound(model: FeatureModel, mode: PoolingMode, k: int,
                        alpha: float, trials: int = 1_000_000, seed: int = 0,
-                       key: tuple = (), workers: int = 1) -> MonteCarloEstimate:
+                       key: tuple = ()) -> MonteCarloEstimate:
     """Function-approximation error bound for the requested ground truth.
 
     Max pooling: (1 - K^(-1/alpha)) E[fmax^2 | K], with the second moment
-    estimated by `features.max_second_moment` from the sub-stream (seed, w);
+    estimated by `features.max_second_moment` from the sub-stream (seed, 0);
     `key` is not used. Average pooling: E[(||f||_a / K - g_avg)^2],
-    estimated directly from the sub-stream (seed, *key, w).
+    estimated directly from the sub-stream (seed, *key, 0).
     """
     return _approx_error_bounds(model, mode, k, [alpha], trials=trials,
-                                seed=seed, key=key, workers=workers)[0]
+                                seed=seed, key=key)[0]
 
 
 def _approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
                          alphas: Sequence[float], trials: int, seed: int,
-                         key: tuple, workers: int) -> List[MonteCarloEstimate]:
+                         key: tuple) -> List[MonteCarloEstimate]:
     """`approx_error_bound` at every alpha of `alphas`, from one draw."""
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
     if mode.kind == MAX:
-        est = feat.max_second_moment(model, k, trials=trials, seed=seed,
-                                     workers=workers) if k > 1 else \
-            MonteCarloEstimate(0.0, 0.0, 0)
+        est = feat.max_second_moment(model, k, trials=trials, seed=seed) \
+            if k > 1 else MonteCarloEstimate(0.0, 0.0, 0)
         scales = [1.0 - k ** (-1.0 / alpha) for alpha in alphas]
         return [MonteCarloEstimate(scale * est.value, scale * est.std_error,
                                    est.trials) for scale in scales]
     if mode.kind == AVERAGE:
-        sums = [MomentSums("approx_error_bound") for _ in alphas]
-        for rng, n in worker_streams(trials, workers, seed, *key):
-            f = model.draw(rng, (n, k))
-            g_avg = f.mean(axis=1)
-            norms = feat.RescaledNorms(f)
-            for acc, alpha in zip(sums, alphas):
-                acc.add((norms(alpha) / k - g_avg) ** 2)
-        return [acc.estimate() for acc in sums]
+        f = model.draw(estimator_rng(seed, *key), (trials, k))
+        g_avg = f.mean(axis=1)
+        norms = feat.RescaledNorms(f)
+        bounds = {}
+        for alpha in dict.fromkeys(alphas):
+            acc = MomentSums("approx_error_bound")
+            acc.add((norms(alpha) / k - g_avg) ** 2)
+            bounds[alpha] = acc.estimate()
+        return [bounds[alpha] for alpha in alphas]
     raise ValueError("approximation bound is defined for max and average modes")
 
 

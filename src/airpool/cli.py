@@ -2,7 +2,9 @@
 
 Subcommands: `run` (config-driven experiments), `validate-bounds` (batch
 property gate, nonzero exit on any failed check), `latency`, `optimize-alpha`,
-and `train-snn`. Exit codes: 0 success, 1 check failure, 2 config error.
+and `train-snn`. Exit codes: 0 success, 1 check failure, 2 config error,
+3 numeric error (an ArithmeticError such as an overflow, in `run` and
+`validate-bounds`).
 """
 
 import argparse
@@ -18,14 +20,13 @@ from .pooling import PoolingMode
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_NUMERIC_ERROR = 3
 
 
 def _add_common_overrides(sub):
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
     sub.add_argument("--out", help="override the output directory")
-    sub.add_argument("--workers", type=int,
-                     help="worker count (part of the reproducibility contract)")
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -35,9 +36,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.trials = args.trials
     if getattr(args, "out", None) is not None:
         cfg.output_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     return cfg
+
+
+def _error_exit(exc: Exception) -> int:
+    """Print the one-line message of a config or numeric error; its exit code."""
+    if isinstance(exc, ConfigError):
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC_ERROR
 
 
 def _print_table(result: ExperimentResult) -> None:
@@ -55,9 +63,8 @@ def _cmd_run(args) -> int:
     try:
         cfg = _apply_overrides(experiments.parse_config(args.config), args)
         result, paths = experiments.run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    except (ConfigError, ArithmeticError) as exc:
+        return _error_exit(exc)
     print(f"{cfg.experiment}: {len(result.rows)} rows -> {paths['csv']}")
     if result.failures:
         print(f"{result.failures} checks failed", file=sys.stderr)
@@ -74,9 +81,8 @@ def _cmd_validate_bounds(args) -> int:
             cfg = ExperimentConfig(experiment="bound_validation")
         cfg = _apply_overrides(cfg, args)
         result, _ = experiments.run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    except (ConfigError, ArithmeticError) as exc:
+        return _error_exit(exc)
     _print_table(result)
     total = len(result.rows)
     if result.failures:

@@ -2,10 +2,13 @@
 
 Each experiment consumes an ExperimentConfig (parsed from a flat INI-style
 file), produces a fixed-column row set, and writes three artifacts into the
-output directory: `<kind>.csv` (byte-reproducible for a fixed config, seed,
-and worker count), `<kind>.svg` (derived chart, never feeds back into the
-CSV), and `<kind>.meta.json` (config echo, CSV content hash, timestamp; the
-timestamp lives here so the CSV stays reproducible).
+output directory: `<kind>.csv` (byte-reproducible for a fixed config and
+seed), `<kind>.svg` (derived chart, never feeds back into the CSV), and
+`<kind>.meta.json` (config echo, CSV content hash, timestamp; the timestamp
+lives here so the CSV stays reproducible).
+
+The Monte Carlo experiments draw once per sweep (at one power or several)
+and take beta* from one `optimizer.BetaTable` that the experiment owns.
 """
 
 import configparser
@@ -15,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from typing import Dict, List, Optional, Tuple
 
@@ -54,7 +56,6 @@ class ExperimentConfig:
     trials: int = 100_000
     seed: int = 42
     output_dir: str = "out"
-    workers: int = 1
     q_bits: int = 6
     n_samples: int = 4000
     epochs: int = 200
@@ -70,8 +71,6 @@ class ExperimentConfig:
             raise ConfigError("sweep grids must be nonempty")
         if self.experiment != "latency_table" and self.trials < 10_000:
             raise ConfigError("experiment.trials must be >= 10000 for Monte Carlo runs")
-        if self.workers < 1:
-            raise ConfigError("experiment.workers must be >= 1")
 
     def feature_model(self) -> FeatureModel:
         if self.feature_kind == "empirical":
@@ -155,6 +154,9 @@ def parse_config(path) -> ExperimentConfig:
     kwargs = {"experiment": ""}
     for section in values.values():
         kwargs.update(section)
+    if kwargs.pop("workers", 1) != 1:  # generated benchmark configs say `workers = 1`
+        raise ConfigError("[experiment] workers: parallel workers were removed; "
+                          "only workers = 1 is accepted")
     return ExperimentConfig(system=system, **kwargs)
 
 
@@ -275,60 +277,51 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
 # bound_validation
 # ---------------------------------------------------------------------------
 
-def _grid_point_check(args) -> List[Dict]:
-    """(Picklable) bound checks for one (mode, alpha, snr) grid point."""
-    kind, feature_file, k, alpha, snr_db, noise, trials, seed, fault = args
-    model = FeatureModel.from_file(feature_file) if kind == "empirical" else \
-        _MODEL_KINDS[kind]()
-    p_rx = db_to_linear(snr_db) * noise
-    mode_rows = []
-    for mode_name in ("average", "max"):
-        if mode_name == "max":
-            cfg_point = optimizer.config_for(model, PoolingMode.max(), k, alpha,
-                                             p_rx, noise, seed=seed)
-        else:
-            cfg_point = AirPoolConfig.average_ground_truth(model, k, alpha,
-                                                           p_rx, noise, seed=seed)
-        err = analysis.estimate_errors(model, cfg_point, k, trials=trials, seed=seed)
-        # The fault flag exists so the gate itself can be tested: it inflates
-        # the measured noise error far past its bound.
-        d_chan = err.d_chan * (1000.0 if fault == "noise_bound" else 1.0)
-        mode_rows.append({
-            "check": "noise-bound", "mode": mode_name, "alpha": alpha,
-            "snr_db": snr_db, "measured": d_chan, "bound": err.noise_bound,
-            "slack": err.noise_bound + analysis.N_SIGMA * err.se_chan - d_chan,
-            "passed": d_chan <= err.noise_bound + analysis.N_SIGMA * err.se_chan,
-        })
-        eps_tol = analysis.N_SIGMA * math.hypot(err.se_appr, err.approx_bound_se)
-        mode_rows.append({
-            "check": "approx-bound", "mode": mode_name, "alpha": alpha,
-            "snr_db": snr_db, "measured": err.d_appr, "bound": err.approx_bound,
-            "slack": err.approx_bound + eps_tol - err.d_appr,
-            "passed": err.d_appr <= err.approx_bound + eps_tol,
-        })
-        slack = err.decomposition_slack()
-        mode_rows.append({
-            "check": "decomposition", "mode": mode_name, "alpha": alpha,
-            "snr_db": snr_db, "measured": err.d_total,
-            "bound": err.c0 * (err.d_chan + err.d_appr),
-            "slack": slack, "passed": slack >= 0.0,
-        })
-    return mode_rows
+# The max-mode alphas of the reconfiguration checks and the argmin grid.
+_RECONFIG_ALPHAS = (2.0, 8.0, 64.0)
+_ARGMIN_GRID = (1.0, 2.0, 4.0)
+
+
+def _grid_point_rows(err: analysis.ErrorBreakdown, mode_name: str, alpha: float,
+                     snr_db: float, fault: str) -> List[Dict]:
+    """Noise, approximation and decomposition checks of one grid point."""
+    # The fault flag exists so the gate itself can be tested: it inflates
+    # the measured noise error far past its bound.
+    d_chan = err.d_chan * (1000.0 if fault == "noise_bound" else 1.0)
+    eps_tol = analysis.N_SIGMA * math.hypot(err.se_appr, err.approx_bound_se)
+    slack = err.decomposition_slack()
+    point = {"mode": mode_name, "alpha": alpha, "snr_db": snr_db}
+    return [
+        {"check": "noise-bound", **point, "measured": d_chan, "bound": err.noise_bound,
+         "slack": err.noise_bound + analysis.N_SIGMA * err.se_chan - d_chan,
+         "passed": d_chan <= err.noise_bound + analysis.N_SIGMA * err.se_chan},
+        {"check": "approx-bound", **point, "measured": err.d_appr,
+         "bound": err.approx_bound, "slack": err.approx_bound + eps_tol - err.d_appr,
+         "passed": err.d_appr <= err.approx_bound + eps_tol},
+        {"check": "decomposition", **point, "measured": err.d_total,
+         "bound": err.c0 * (err.d_chan + err.d_appr), "slack": slack,
+         "passed": slack >= 0.0},
+    ]
 
 
 def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
     noise = cfg.system.subchannel_noise_w
     k = cfg.system.k_sensors
     model = cfg.feature_model()
-    points = [(cfg.feature_kind, cfg.feature_file, k, alpha, snr_db, noise,
-               cfg.trials, cfg.seed, cfg.fault_injection)
-              for alpha in cfg.alpha_grid for snr_db in cfg.snr_grid_db]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunks = list(pool.map(_grid_point_check, points))
-    else:
-        chunks = [_grid_point_check(p) for p in points]
-    rows: List[Dict] = [row for chunk in chunks for row in chunk]
+    betas = optimizer.BetaTable(model, k, seed=cfg.seed)
+    betas.fill([*cfg.alpha_grid, *_RECONFIG_ALPHAS, *_ARGMIN_GRID])
+    points = [(alpha, snr_db) for alpha in cfg.alpha_grid for snr_db in cfg.snr_grid_db]
+    errors = {}
+    for mode in (PoolingMode.average(), PoolingMode.max()):
+        cfgs = [optimizer.config_for(model, mode, k, alpha, db_to_linear(snr_db) * noise,
+                                     noise, betas) for alpha, snr_db in points]
+        errors[mode.kind] = analysis.estimate_errors_grid(model, cfgs, k,
+                                                          trials=cfg.trials, seed=cfg.seed)
+    rows: List[Dict] = []
+    for i, (alpha, snr_db) in enumerate(points):
+        for mode_name in ("average", "max"):
+            rows.extend(_grid_point_rows(errors[mode_name][i], mode_name, alpha,
+                                         snr_db, cfg.fault_injection))
 
     # Closed-form cross checks that need no Monte Carlo.
     p10 = 10.0 * noise
@@ -375,8 +368,8 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
             "slack": 1.1 * best - closed.objective_value,
             "passed": closed.objective_value <= 1.1 * best,
         })
-    rows.extend(_reconfigurability_checks(model, k, cfg))
-    rows.extend(_argmin_rule_checks(model, k, noise, e2, cfg))
+    rows.extend(_reconfigurability_checks(model, k, cfg, betas))
+    rows.extend(_argmin_rule_checks(model, k, noise, e2, cfg, betas))
     rows.extend(_margin_chain_checks(model, noise, cfg))
     failures = sum(0 if r["passed"] else 1 for r in rows)
     result = ExperimentResult(
@@ -386,7 +379,8 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     return result, None
 
 
-def _reconfigurability_checks(model, k, cfg: ExperimentConfig) -> List[Dict]:
+def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
+                              betas: optimizer.BetaTable) -> List[Dict]:
     """Exactness of zero-noise averaging, convergence of zero-noise max
     pooling, and the per-sample sandwich bound."""
     from .pooling import pool_noisy_and_clean
@@ -404,9 +398,9 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig) -> List[Dict]:
     prev_err = math.inf
     sandwich_ok = True
     mean_rel = math.nan
-    for alpha in (2.0, 8.0, 64.0):
+    for alpha in _RECONFIG_ALPHAS:
         max_cfg = optimizer.config_for(model, PoolingMode.max(), k, alpha,
-                                       1.0, 0.0, seed=cfg.seed)
+                                       1.0, 0.0, betas)
         g_hat, _, g_true = pool_noisy_and_clean(f, max_cfg, rng)
         pos = g_true > 0
         mean_rel = float(np.mean(np.abs(g_hat[pos] - g_true[pos]) / g_true[pos]))
@@ -426,12 +420,13 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig) -> List[Dict]:
     return rows
 
 
-def _argmin_rule_checks(model, k, noise, e2, cfg: ExperimentConfig) -> List[Dict]:
+def _argmin_rule_checks(model, k, noise, e2, cfg: ExperimentConfig,
+                        betas: optimizer.BetaTable) -> List[Dict]:
     """Brute-force argmin rules: averaging prefers alpha = 1 at any SNR, and
     below the critical power ratio max pooling stays within one grid step
     of alpha = 1."""
     rows = []
-    grid = [1.0, 2.0, 4.0]
+    grid = _ARGMIN_GRID
     snr_db = cfg.snr_grid_db[0]
     d = optimizer.brute_force_alpha(model, PoolingMode.average(), k,
                                     db_to_linear(snr_db) * noise, noise, grid,
@@ -443,7 +438,7 @@ def _argmin_rule_checks(model, k, noise, e2, cfg: ExperimentConfig) -> List[Dict
     rho0 = optimizer.low_snr_threshold(k, e2)
     d = optimizer.brute_force_alpha(model, PoolingMode.max(), k,
                                     0.5 * rho0 * noise, noise, grid,
-                                    trials=cfg.trials, seed=cfg.seed)
+                                    trials=cfg.trials, seed=cfg.seed, betas=betas)
     rows.append({"check": "low-snr-argmin", "mode": "max",
                  "alpha": d.alpha_star, "snr_db": "",
                  "measured": d.alpha_star, "bound": grid[1],
@@ -509,19 +504,21 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     e2 = feat.max_second_moment(model, k, trials=max(cfg.trials, 100_000),
                                 seed=cfg.seed).value
     grid = optimizer.default_alpha_grid(48)
+    p_bars = [db_to_linear(snr_db) * noise for snr_db in cfg.snr_grid_db]
+    closed_alphas = [optimizer.closed_form_alpha(k, p_bar, noise, e2)
+                     for p_bar in p_bars]
+    betas = optimizer.BetaTable(model, k, seed=cfg.seed)
+    betas.fill(grid + [c.alpha_star for c in closed_alphas])
     rows = []
-    for snr_db in cfg.snr_grid_db:
-        p_bar = db_to_linear(snr_db) * noise
-        closed = optimizer.closed_form_alpha(k, p_bar, noise, e2)
+    for snr_db, p_bar, closed in zip(cfg.snr_grid_db, p_bars, closed_alphas):
         root = optimizer.bisection_alpha(k, p_bar, noise, e2)
-        brute = optimizer.brute_force_alpha(model, PoolingMode.max(), k, p_bar,
-                                            noise, grid, trials=cfg.trials,
-                                            seed=cfg.seed)
-        cfg_closed = optimizer.config_for(model, PoolingMode.max(), k,
-                                          closed.alpha_star, p_bar, noise,
-                                          seed=cfg.seed)
-        d_closed = analysis.estimate_errors(model, cfg_closed, k,
-                                            trials=cfg.trials, seed=cfg.seed).d_total
+        # The closed-form alpha shares the sweep's draw but not its argmin.
+        cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar,
+                                     noise, betas) for alpha in grid + [closed.alpha_star]]
+        errors = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials,
+                                               seed=cfg.seed)
+        brute = optimizer.lowest_error_alpha(grid, errors[:-1])
+        d_closed = errors[-1].d_total
         rows.append({
             "snr_db": snr_db, "alpha_closed": closed.alpha_star,
             "alpha_bisection": root, "alpha_bruteforce": brute.alpha_star,

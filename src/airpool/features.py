@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._mc import MomentSums, MonteCarloEstimate, rng_from, worker_streams
+from ._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -153,28 +153,26 @@ def moment_abs_power(model: FeatureModel, s: float) -> float:
 
 
 def moment_abs_power_mc(model: FeatureModel, s: float, trials: int = 1_000_000,
-                        seed: int = 0, workers: int = 1) -> MonteCarloEstimate:
+                        seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[|f|^s], with standard error."""
-    return _abs_power_sums(model, s, trials, seed, workers,
-                           "moment_abs_power_mc").estimate()
+    return _abs_power_sums(model, s, trials, seed, "moment_abs_power_mc").estimate()
 
 
 def _abs_power_sums(model: FeatureModel, s: float, trials: int, seed: int,
-                    workers: int, estimator: str) -> MomentSums:
-    """Sums of f^s and f^(2s) over draws from the sub-streams (seed, w)."""
+                    estimator: str) -> MomentSums:
+    """Sums of f^s and f^(2s) over draws from the sub-stream (seed, 0)."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"Monte Carlo moments require trials >= {MIN_MC_TRIALS}")
     sums = MomentSums(estimator)
-    for rng, n in worker_streams(trials, workers, seed):
-        sums.add(model.draw(rng, n) ** s)
+    sums.add(model.draw(estimator_rng(seed), trials) ** s)
     return sums
 
 
 def normalization_moments(model: FeatureModel, alpha: float,
                           method: str = "analytic", trials: int = 1_000_000,
-                          seed: int = 0, workers: int = 1) -> MomentSet:
+                          seed: int = 0) -> MomentSet:
     """eta = E[f^alpha] and nu_sq = Var[f^alpha] for the given model.
 
     The default route is closed-form (or exact sample moments for the
@@ -191,8 +189,7 @@ def normalization_moments(model: FeatureModel, alpha: float,
         m2 = moment_abs_power(model, 2.0 * alpha)
         used_trials, used_seed = 0, 0
     elif method == "monte_carlo":
-        sums = _abs_power_sums(model, alpha, trials, seed, workers,
-                               "normalization_moments")
+        sums = _abs_power_sums(model, alpha, trials, seed, "normalization_moments")
         eta, m2 = sums.moments()
         used_trials, used_seed = sums.n, seed
     else:
@@ -251,21 +248,20 @@ def lp_norm_rescaled(f: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
-                      seed: int = 0, workers: int = 1) -> MonteCarloEstimate:
-    """Monte Carlo estimate of E[max_k f_k^2] with its standard error."""
+                      seed: int = 0) -> MonteCarloEstimate:
+    """Monte Carlo estimate of E[max_k f_k^2] with its standard error, from
+    the sub-stream (seed, 0)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
     sums = MomentSums("max_second_moment")
-    for rng, n in worker_streams(trials, workers, seed):
-        sums.add(model.draw(rng, (n, k)).max(axis=1) ** 2)
+    sums.add(model.draw(estimator_rng(seed), (trials, k)).max(axis=1) ** 2)
     return sums.estimate()
 
 
 def optimal_beta(model: FeatureModel, k: int, alpha: float,
-                 trials: int = 1_000_000, seed: int = 0,
-                 workers: int = 1) -> MonteCarloEstimate:
+                 trials: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
     """Post-processing parameter beta* minimizing the noise-free max-pooling
     error: beta* = u^(-alpha) with u = E[fmax ||f||_a] / E[||f||_a^2].
 
@@ -274,18 +270,16 @@ def optimal_beta(model: FeatureModel, k: int, alpha: float,
     ratio estimate automatically lands in [1, K]; a violation beyond four
     standard errors raises, as it would indicate a numeric fault.
     """
-    return optimal_beta_grid(model, k, [alpha], trials=trials, seed=seed,
-                             workers=workers)[0]
+    return optimal_beta_grid(model, k, [alpha], trials=trials, seed=seed)[0]
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
-                      trials: int = 1_000_000, seed: int = 0,
-                      workers: int = 1) -> List[MonteCarloEstimate]:
-    """`optimal_beta` at every alpha of `alphas`, from one draw per worker.
+                      trials: int = 1_000_000, seed: int = 0) -> List[MonteCarloEstimate]:
+    """`optimal_beta` at every alpha of `alphas`, from one draw.
 
-    Each worker chunk is drawn from the sub-stream (seed, w) and rescaled
-    once; every alpha then reuses it (common random numbers across the
-    grid). Each estimate is bit-identical to drawing anew for that alpha.
+    The features are drawn from the sub-stream (seed, 0) and rescaled once;
+    every alpha then reuses them (common random numbers across the grid).
+    Each estimate is bit-identical to drawing anew for that alpha.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -293,22 +287,23 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
         raise ValueError("alpha must be >= 1")
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
-    # Per alpha: a = fmax ||f||_a in slot 0, b = ||f||_a^2 in slot 1.
-    sums = [MomentSums("optimal_beta", slots=2) for _ in alphas]
-    for rng, n in worker_streams(trials, workers, seed):
-        norms = RescaledNorms(model.draw(rng, (n, k)))
-        for acc, alpha in zip(sums, alphas):
-            norm = norms(alpha)
-            a = norms.fmax * norm
-            b = norm * norm
-            acc.add(a, 0)
-            acc.add(b, 1)
-            acc.add_cross(a, b)
-    return [_beta_from_sums(acc, k, alpha) for acc, alpha in zip(sums, alphas)]
+    norms = RescaledNorms(model.draw(estimator_rng(seed), (trials, k)))
+    return [_beta_at(norms, k, alpha) for alpha in alphas]
 
 
-def _beta_from_sums(sums: MomentSums, k: int, alpha: float) -> MonteCarloEstimate:
-    """beta* and its delta-method standard error from one alpha's sums."""
+def _beta_at(norms: RescaledNorms, k: int, alpha: float) -> MonteCarloEstimate:
+    """beta* and its delta-method standard error at one alpha.
+
+    A function of its own, so that this alpha's arrays are freed before the
+    next alpha allocates its own.
+    """
+    norm = norms(alpha)
+    a = norms.fmax * norm   # slot 0
+    b = norm * norm         # slot 1
+    sums = MomentSums("optimal_beta", slots=2)
+    sums.add(a, 0)
+    sums.add(b, 1)
+    sums.add_cross(a, b)
     n_done = sums.n
     (mean_a, second_a), (mean_b, second_b) = sums.moments(0), sums.moments(1)
     u = mean_a / mean_b

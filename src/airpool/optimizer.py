@@ -8,7 +8,6 @@ search over the empirical error is the ground-truth baseline. Averaging and
 weighted sums always take alpha = 1.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -184,74 +183,81 @@ def default_alpha_grid(points: int = 64) -> List[float]:
     return [float(a) for a in np.geomspace(1.0, ALPHA_MAX, points)]
 
 
-_BETA_CACHE: dict = {}
+class BetaTable:
+    """beta*(alpha) of one (model, K, beta_trials, seed), drawn on demand.
 
+    An experiment owns one table per feature distribution and passes it to
+    `config_for` and `brute_force_alpha`, so every sweep over it, at any
+    power, reuses the betas drawn so far. `fill` draws all missing alphas
+    with one `optimal_beta_grid` call, each bit-identical to `optimal_beta`.
+    """
 
-def _beta_key(model: FeatureModel, k: int, alpha: float, beta_trials: int,
-              seed: int) -> tuple:
-    """Memo key of beta*(alpha); an empirical model is keyed on its samples."""
-    model_key = model.kind
-    if model.kind == feat.EMPIRICAL:
-        samples = np.ascontiguousarray(model.samples, dtype=float)
-        model_key = (model.kind, hashlib.sha256(samples.tobytes()).hexdigest())
-    return (model_key, k, round(alpha, 12), beta_trials, seed)
+    def __init__(self, model: FeatureModel, k: int, beta_trials: int = 400_000,
+                 seed: int = 0):
+        self.model, self.k, self.beta_trials, self.seed = model, k, beta_trials, seed
+        self._betas: dict = {}
+
+    def fill(self, alphas: Sequence[float]) -> None:
+        missing = [a for a in dict.fromkeys(map(float, alphas)) if a not in self._betas]
+        if missing:
+            estimates = feat.optimal_beta_grid(self.model, self.k, missing,
+                                               trials=self.beta_trials, seed=self.seed)
+            self._betas.update(zip(missing, (e.value for e in estimates)))
+
+    def __getitem__(self, alpha: float) -> float:
+        self.fill([alpha])
+        return self._betas[float(alpha)]
 
 
 def config_for(model: FeatureModel, mode: PoolingMode, k: int, alpha: float,
-               p_rx: float, noise_power: float, beta_trials: int = 400_000,
-               seed: int = 0) -> AirPoolConfig:
-    """Analysis configuration at a given alpha: beta*(alpha) for max pooling
-    (memoized per (model, k, alpha, trials, seed)), K^alpha for averaging."""
+               p_rx: float, noise_power: float,
+               betas: Optional[BetaTable] = None) -> AirPoolConfig:
+    """Analysis configuration at a given alpha: beta*(alpha) from the table
+    `betas` (built for this model and K) for max pooling, K^alpha for
+    averaging."""
     if mode.kind == MAX:
-        key = _beta_key(model, k, alpha, beta_trials, seed)
-        beta = _BETA_CACHE.get(key)
-        if beta is None:
-            beta = feat.optimal_beta(model, k, alpha, trials=beta_trials,
-                                     seed=seed).value
-            _BETA_CACHE[key] = beta
-        return AirPoolConfig(mode, alpha, beta, p_rx, noise_power,
-                             feat.normalization_moments(model, alpha, seed=seed))
-    return AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise_power,
-                                              seed=seed)
+        if betas is None or betas.model is not model or betas.k != k:
+            raise ValueError("max pooling needs the beta table of this model and K")
+        return AirPoolConfig(mode, alpha, betas[alpha], p_rx, noise_power,
+                             feat.normalization_moments(model, alpha))
+    return AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise_power)
+
+
+def lowest_error_alpha(alpha_grid: Sequence[float],
+                       errors: Sequence[analysis.ErrorBreakdown]) -> AlphaDecision:
+    """The grid alpha of least empirical error.
+
+    Ties break toward the smaller alpha; the reduction is a lexicographic
+    (error, alpha) minimum, so the result does not depend on grid order.
+    """
+    best = min((err.d_total, float(alpha)) for alpha, err in zip(alpha_grid, errors))
+    return AlphaDecision(alpha_star=best[1], method=BRUTE_FORCE,
+                         objective_value=best[0])
 
 
 def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
                       p_rx: float, noise_power: float,
                       alpha_grid: Sequence[float], trials: int = 100_000,
-                      seed: int = 0, beta_trials: int = 400_000) -> AlphaDecision:
+                      seed: int = 0, betas: Optional[BetaTable] = None) -> AlphaDecision:
     """Linear search for the alpha minimizing the empirical pooling error.
 
     beta is re-derived per grid point (beta*(alpha) for max, K^alpha for
-    average). The features are drawn once per sweep and shared by every grid
-    point: beta* for all uncached grid alphas comes from one
-    `optimal_beta_grid` call, and the errors from one `estimate_errors_grid`
-    call, each bit-identical to its per-point counterpart. Ties break toward
-    the smaller alpha; the reduction is a lexicographic (error, alpha)
-    minimum, so the result does not depend on evaluation order.
+    average); beta* for every grid alpha missing from `betas` (a table of
+    its own when None) comes from one draw. The error features are drawn
+    once and shared by every grid point, each error bit-identical to its
+    per-point counterpart; `lowest_error_alpha` picks the minimum.
     """
     grid = [float(a) for a in alpha_grid]
     if not grid or sorted(grid) != grid:
         raise ValueError("alpha_grid must be nonempty and ascending")
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"brute_force_alpha requires trials >= {feat.MIN_MC_TRIALS}")
+    betas = betas if betas is not None else BetaTable(model, k, seed=seed)
     if mode.kind == MAX:
-        missing = {}
-        for alpha in grid:
-            key = _beta_key(model, k, alpha, beta_trials, seed)
-            if key not in _BETA_CACHE:
-                missing.setdefault(key, alpha)
-        betas = feat.optimal_beta_grid(model, k, list(missing.values()),
-                                       trials=beta_trials, seed=seed)
-        for key, beta in zip(missing, betas):
-            _BETA_CACHE[key] = beta.value
-    cfgs = [config_for(model, mode, k, alpha, p_rx, noise_power,
-                       beta_trials=beta_trials, seed=seed) for alpha in grid]
+        betas.fill(grid)
+    cfgs = [config_for(model, mode, k, alpha, p_rx, noise_power, betas) for alpha in grid]
     errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed)
-    best: Tuple[float, float] = (math.inf, math.inf)
-    for alpha, err in zip(grid, errors):
-        best = min(best, (err.d_total, alpha))
-    return AlphaDecision(alpha_star=best[1], method=BRUTE_FORCE,
-                         objective_value=best[0])
+    return lowest_error_alpha(grid, errors)
 
 
 def fit_calibration(pairs: Sequence[Tuple[float, float]], k: int,

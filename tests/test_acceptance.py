@@ -90,13 +90,14 @@ def test_criterion_3_bound_suite():
     trials = 100_000
     ok = True
     failures = []
+    betas = optimizer.BetaTable(RG, K, seed=SEED)
     for mode_name in ("average", "max"):
         for alpha in (1.0, 2.0, 4.0, 8.0, 16.0):
             for snr_db in (0.0, 6.0, 12.0):
                 p_rx = db_to_linear(snr_db)
                 if mode_name == "max":
                     cfg = optimizer.config_for(RG, PoolingMode.max(), K, alpha,
-                                               p_rx, 1.0, seed=SEED)
+                                               p_rx, 1.0, betas)
                 else:
                     cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, p_rx,
                                                              1.0, seed=SEED)
@@ -173,22 +174,24 @@ def test_criterion_5c_empirical_near_optimality(fmax_sq_k12):
     # by 5a, 5b and the optimizer suite, and its ratio is reported here too.
     t0 = time.time()
     grid = optimizer.default_alpha_grid()
+    betas = optimizer.BetaTable(RG, K, seed=SEED)
     reference_ratios = (3e2, 3e3, 3e4)
     pairs = [(ratio, optimizer.brute_force_alpha(
         RG, PoolingMode.max(), K, ratio, 1.0, grid, trials=100_000,
-        seed=SEED).alpha_star) for ratio in reference_ratios]
+        seed=SEED, betas=betas).alpha_star) for ratio in reference_ratios]
     fit = optimizer.fit_calibration(pairs, K, fmax_sq_k12)
 
     def d_total(alpha, ratio):
         cfg = optimizer.config_for(RG, PoolingMode.max(), K, alpha, ratio, 1.0,
-                                   seed=SEED)
+                                   betas)
         return analysis.estimate_errors(RG, cfg, K, trials=100_000,
                                         seed=SEED).d_total
 
     ratios = {}
     for ratio in (1e3, 1e4):
         brute = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, ratio,
-                                            1.0, grid, trials=100_000, seed=SEED)
+                                            1.0, grid, trials=100_000, seed=SEED,
+                                            betas=betas)
         closed = optimizer.closed_form_alpha(K, ratio, 1.0,
                                              fmax_sq_k12).alpha_star
         root = optimizer.bisection_alpha(K, ratio, 1.0, fmax_sq_k12)
@@ -221,9 +224,11 @@ def test_criterion_6_averaging_and_low_snr_rules(fmax_sq_k12):
         ok &= d.alpha_star == 1.0
         details.append(f"avg@{snr_db:g}dB->{d.alpha_star:g}")
     rho0 = optimizer.low_snr_threshold(K, fmax_sq_k12)
+    betas = optimizer.BetaTable(RG, K, seed=SEED)
     for ratio in (0.25, 0.5, rho0):
         d = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, ratio, 1.0,
-                                        grid, trials=100_000, seed=SEED)
+                                        grid, trials=100_000, seed=SEED,
+                                        betas=betas)
         ok &= d.alpha_star <= grid[1]  # within one grid step of alpha = 1
         details.append(f"max@{ratio:.2f}->{d.alpha_star:g}")
     assert _report("6 argmin-rules", ok,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from airpool import analysis, features as feat, optimizer
-from airpool._mc import rng_from, worker_chunks
+from airpool._mc import rng_from
 from airpool.analysis import MarginModel
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
@@ -140,44 +140,33 @@ class TestNoiseAsymptote:
         assert d == pytest.approx(fd, rel=1e-6)
 
 
-def dense_error_moments(model, cfg, k, trials, seed, workers):
-    """Per-configuration oracle of the error means and SEs: its own draws,
-    dense powers, and noise drawn by the pooling pipeline itself."""
-    sums, sums_sq, n_done = np.zeros(3), np.zeros(3), 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        rng = rng_from(seed, 0, w)
-        f = model.draw(rng, (n, k))
-        g_hat, g_clean, g_true = pool_noisy_and_clean(f, cfg, rng)
-        sq = np.stack([(g_hat - g_true) ** 2, (g_hat - g_clean) ** 2,
-                       (g_clean - g_true) ** 2])
-        sums += sq.sum(axis=1)
-        sums_sq += (sq * sq).sum(axis=1)
-        n_done += n
-    means = sums / n_done
-    ses = np.sqrt(np.maximum(sums_sq / n_done - means ** 2, 0.0) / n_done)
+def dense_error_moments(model, cfg, k, trials, seed):
+    """Per-configuration oracle of the error means and SEs: its own draw
+    from (seed, 0, 0), dense powers, and noise drawn by the pooling pipeline
+    itself."""
+    rng = rng_from(seed, 0, 0)
+    f = model.draw(rng, (trials, k))
+    g_hat, g_clean, g_true = pool_noisy_and_clean(f, cfg, rng)
+    sq = np.stack([(g_hat - g_true) ** 2, (g_hat - g_clean) ** 2,
+                   (g_clean - g_true) ** 2])
+    means = sq.sum(axis=1) / trials
+    ses = np.sqrt(np.maximum((sq * sq).sum(axis=1) / trials - means ** 2, 0.0)
+                  / trials)
     return tuple(means) + tuple(ses)
 
 
-def dense_average_approx_bound(model, k, alpha, trials, seed, workers):
+def dense_average_approx_bound(model, k, alpha, trials, seed):
     """Per-alpha oracle of the average-mode approximation bound (key (1,))."""
-    total, total_sq, n_done = 0.0, 0.0, 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        f = model.draw(rng_from(seed, 1, w), (n, k))
-        fmax = f.max(axis=1)
-        norm = np.zeros(n)
-        pos = fmax > 0
-        norm[pos] = fmax[pos] * ((f[pos] / fmax[pos, None]) ** alpha).sum(
-            axis=1) ** (1.0 / alpha)
-        x = (norm / k - f.mean(axis=1)) ** 2
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        n_done += n
-    mean = total / n_done
-    return mean, math.sqrt(max(total_sq / n_done - mean * mean, 0.0) / n_done)
+    f = model.draw(rng_from(seed, 1, 0), (trials, k))
+    fmax = f.max(axis=1)
+    norm = np.zeros(trials)
+    pos = fmax > 0
+    norm[pos] = fmax[pos] * ((f[pos] / fmax[pos, None]) ** alpha).sum(
+        axis=1) ** (1.0 / alpha)
+    x = (norm / k - f.mean(axis=1)) ** 2
+    mean = float(x.sum()) / trials
+    return mean, math.sqrt(max(float((x * x).sum()) / trials - mean * mean, 0.0)
+                           / trials)
 
 
 class TestEstimateErrorsGrid:
@@ -185,28 +174,40 @@ class TestEstimateErrorsGrid:
 
     @pytest.mark.parametrize("mode_kind", ["max", "average"])
     @pytest.mark.parametrize("k", [3, 12])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("seed", [1, 3])
     @pytest.mark.parametrize("noise", [0.0, 1.0])
     def test_bit_identical_to_dense_per_config_oracle(self, mode_kind, k,
-                                                       workers, noise):
+                                                       seed, noise):
         mode = PoolingMode.max() if mode_kind == "max" else PoolingMode.average()
-        cfgs = [optimizer.config_for(RG, mode, k, alpha, 10.0, noise,
-                                     beta_trials=20_000, seed=9)
+        betas = optimizer.BetaTable(RG, k, beta_trials=20_000, seed=seed)
+        cfgs = [optimizer.config_for(RG, mode, k, alpha, 10.0, noise, betas)
                 for alpha in self.GRID]
-        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000,
-                                             seed=9, workers=workers)
+        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=seed)
         for cfg, err in zip(cfgs, errs):
             got = (err.d_total, err.d_chan, err.d_appr) + err.std_errors
-            assert got == dense_error_moments(RG, cfg, k, 10_000, 9, workers)
+            assert got == dense_error_moments(RG, cfg, k, 10_000, seed)
             if mode_kind == "max":
-                e2 = feat.max_second_moment(RG, k, trials=10_000, seed=9,
-                                            workers=workers)
+                e2 = feat.max_second_moment(RG, k, trials=10_000, seed=seed)
                 scale = 1.0 - k ** (-1.0 / cfg.alpha)
                 ref = (scale * e2.value, scale * e2.std_error)
             else:
-                ref = dense_average_approx_bound(RG, k, cfg.alpha, 10_000, 9,
-                                                 workers)
+                ref = dense_average_approx_bound(RG, k, cfg.alpha, 10_000, seed)
             assert (err.approx_bound, err.approx_bound_se) == ref
+
+    @pytest.mark.parametrize("mode_kind", ["max", "average"])
+    def test_mixed_snr_grid_matches_per_point_calls(self, mode_kind):
+        # Each configuration scales the shared unit noise by its own power,
+        # so one grid may mix SNRs (and zero noise) and repeat an alpha.
+        mode = PoolingMode.max() if mode_kind == "max" else PoolingMode.average()
+        betas = optimizer.BetaTable(RG, K, beta_trials=20_000, seed=4)
+        points = [(1.0, 0.0), (1.0, 12.0), (4.0, 6.0), (4.0, -3.0), (16.0, 0.0),
+                  (2.0, 6.0)]
+        cfgs = [optimizer.config_for(RG, mode, K, alpha, db_to_linear(snr_db),
+                                     0.0 if snr_db == 6.0 else 1.0, betas)
+                for alpha, snr_db in points]
+        errs = analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=4)
+        for cfg, err in zip(cfgs, errs):
+            assert err == analysis.estimate_errors(RG, cfg, K, trials=10_000, seed=4)
 
     def test_mixed_modes_rejected(self):
         cfgs = [AirPoolConfig.for_average(RG, K, 1.0, 0.0),

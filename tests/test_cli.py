@@ -2,13 +2,23 @@
 codes."""
 
 import csv
+import glob
 import hashlib
+import importlib.util
 import json
+import math
+import os
+import sys
 
 import pytest
 
-from airpool import cli, experiments
+from airpool import analysis, cli, experiments, features as feat, optimizer
+from airpool.channel import SystemParams, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
+from airpool.features import FeatureModel
+from airpool.pooling import AirPoolConfig, PoolingMode
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LATENCY_CFG = """
 [experiment]
@@ -196,16 +206,108 @@ class TestBoundValidationGate:
         failing = {r["check"] for r in result.rows if not r["passed"]}
         assert "noise-bound" in failing
 
-    def test_worker_count_preserves_results(self, tmp_path):
-        rows = []
-        for workers, sub in [(1, "w1"), (2, "w2")]:
-            cfg = ExperimentConfig(experiment="bound_validation", trials=20_000,
-                                   snr_grid_db=(6.0,), alpha_grid=(1.0, 4.0),
-                                   seed=5, workers=workers,
-                                   output_dir=str(tmp_path / sub))
-            result, paths = experiments.run_experiment(cfg)
-            rows.append(_sha(paths["csv"]))
-        assert rows[0] == rows[1]
+    def test_grid_rows_match_per_point_loop(self, tmp_path):
+        # One error sweep per mode over a grid that mixes SNRs gives the
+        # rows of drawing every (mode, alpha, SNR) point on its own.
+        k, seed, trials = 4, 3, 10_000
+        cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
+                               system=SystemParams(k_sensors=k),
+                               snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
+                               seed=seed, output_dir=str(tmp_path))
+        result, _ = experiments.run_experiment(cfg)
+        model = FeatureModel.rectified_gaussian()
+        noise = cfg.system.subchannel_noise_w
+        expected = []
+        for alpha in cfg.alpha_grid:
+            beta = feat.optimal_beta(model, k, alpha, trials=400_000, seed=seed).value
+            for snr_db in cfg.snr_grid_db:
+                p_rx = db_to_linear(snr_db) * noise
+                for point in (
+                        AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise),
+                        AirPoolConfig(PoolingMode.max(), alpha, beta, p_rx, noise,
+                                      feat.normalization_moments(model, alpha))):
+                    err = analysis.estimate_errors(model, point, k, trials=trials,
+                                                   seed=seed)
+                    expected += per_point_rows(err, point.mode.kind, alpha, snr_db)
+        assert result.rows[:len(expected)] == expected
+        assert len(expected) == 36
+
+
+def per_point_rows(err, mode_name, alpha, snr_db):
+    """The noise, approximation and decomposition rows of one grid point."""
+    eps_tol = 4.0 * math.hypot(err.se_appr, err.approx_bound_se)
+    slack = err.decomposition_slack()
+    point = {"mode": mode_name, "alpha": alpha, "snr_db": snr_db}
+    return [
+        {"check": "noise-bound", **point, "measured": err.d_chan,
+         "bound": err.noise_bound,
+         "slack": err.noise_bound + 4.0 * err.se_chan - err.d_chan,
+         "passed": err.d_chan <= err.noise_bound + 4.0 * err.se_chan},
+        {"check": "approx-bound", **point, "measured": err.d_appr,
+         "bound": err.approx_bound, "slack": err.approx_bound + eps_tol - err.d_appr,
+         "passed": err.d_appr <= err.approx_bound + eps_tol},
+        {"check": "decomposition", **point, "measured": err.d_total,
+         "bound": err.c0 * (err.d_chan + err.d_appr), "slack": slack,
+         "passed": slack >= 0.0},
+    ]
+
+
+class TestAlphaOptimality:
+    def test_closed_form_error_matches_separate_call(self, tmp_path):
+        # The closed-form alpha rides along in the sweep's draws; its error
+        # equals a separate estimate at that alpha.
+        k, seed, trials = 6, 5, 10_000
+        cfg = ExperimentConfig(experiment="alpha_optimality", trials=trials,
+                               system=SystemParams(k_sensors=k),
+                               snr_grid_db=(15.0, 25.0), seed=seed,
+                               output_dir=str(tmp_path))
+        result, _ = experiments.run_experiment(cfg)
+        model = FeatureModel.rectified_gaussian()
+        noise = cfg.system.subchannel_noise_w
+        e2 = feat.max_second_moment(model, k, trials=100_000, seed=seed).value
+        for row in result.rows:
+            p_bar = db_to_linear(row["snr_db"]) * noise
+            alpha = optimizer.closed_form_alpha(k, p_bar, noise, e2).alpha_star
+            beta = feat.optimal_beta(model, k, alpha, trials=400_000, seed=seed).value
+            point = AirPoolConfig(PoolingMode.max(), alpha, beta, p_bar, noise,
+                                  feat.normalization_moments(model, alpha))
+            err = analysis.estimate_errors(model, point, k, trials=trials, seed=seed)
+            assert (row["alpha_closed"], row["d_closed"]) == (alpha, err.d_total)
+            assert alpha not in optimizer.default_alpha_grid(48)
+
+
+def load_benchmark_runner():
+    """perfbench/run.py, which writes the benchmark's experiment configs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(ROOT, "perfbench", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestConfigCoverage:
+    @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "configs",
+                                                                   "*.ini"))),
+                             ids=os.path.basename)
+    def test_repository_configs_parse(self, path):
+        assert parse_config(path).experiment in experiments.EXPERIMENT_KINDS
+
+    @pytest.mark.parametrize("scale", ["full", "tiny"])
+    def test_benchmark_configs_parse(self, tmp_path, monkeypatch, scale):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+        runner = load_benchmark_runner()
+        assert len(runner.WORKLOADS) == 3
+        for workload, spec in runner.WORKLOADS.items():
+            path = tmp_path / f"{workload}.ini"
+            path.write_text(runner.config_text(workload, scale, 1, str(tmp_path)))
+            assert parse_config(path).experiment == spec["kind"]
+
+    def test_parallel_workers_rejected(self, tmp_path, capsys):
+        path = tmp_path / "exp.ini"
+        path.write_text(LATENCY_CFG.format(out=tmp_path / "out")
+                        .replace("seed = 7", "seed = 7\nworkers = 2"))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "parallel workers were removed" in capsys.readouterr().err
 
 
 class TestCliExitCodes:
@@ -234,6 +336,17 @@ class TestCliExitCodes:
         assert cli.main(["validate-bounds", "--config", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "noise-bound" in out
+
+    def test_numeric_error_exit_code(self, tmp_path, capsys):
+        # Gamma(129) of the unit-exponential moments overflows a float.
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nkind = tradeoff_curve\ntrials = 10000\n"
+                        f"output_dir = {tmp_path / 'out'}\n\n"
+                        "[sweep]\nsnr_grid_db = 10\nalpha_grid = 1, 16, 128\n")
+        assert cli.main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: OverflowError")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_latency_command(self, capsys):
         assert cli.main(["latency", "--snr-db", "6", "10", "16"]) == 0

@@ -1,13 +1,14 @@
 """Feature models, moments, the rescaled norm, and the beta* estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from airpool import features as feat
-from airpool._mc import MonteCarloEstimate, rng_from, worker_chunks
+from airpool._mc import MonteCarloEstimate, rng_from
 from airpool.features import FeatureModel
 
 RG = FeatureModel.rectified_gaussian()
@@ -174,22 +175,17 @@ def dense_lp_norm(f, alpha):
     return out
 
 
-def dense_optimal_beta(model, k, alpha, trials, seed, workers):
-    """Per-alpha beta* oracle: its own draws and dense powers at every call."""
+def dense_optimal_beta(model, k, alpha, trials, seed):
+    """Per-alpha beta* oracle: its own draw from (seed, 0) and dense powers
+    at every call."""
     if k == 1:
         return MonteCarloEstimate(1.0, 0.0, 0)
-    sums = [0.0] * 5
-    n_done = 0
-    for w, n in enumerate(worker_chunks(trials, workers)):
-        if n == 0:
-            continue
-        f = model.draw(rng_from(seed, w), (n, k))
-        norm = dense_lp_norm(f, alpha)
-        a = f.max(axis=1) * norm
-        b = norm * norm
-        for i, x in enumerate((a, b, a * a, b * b, a * b)):
-            sums[i] += float(x.sum())
-        n_done += n
+    f = model.draw(rng_from(seed, 0), (trials, k))
+    norm = dense_lp_norm(f, alpha)
+    a = f.max(axis=1) * norm
+    b = norm * norm
+    sums = [float(x.sum()) for x in (a, b, a * a, b * b, a * b)]
+    n_done = trials
     mean_a, mean_b = sums[0] / n_done, sums[1] / n_done
     u = mean_a / mean_b
     var_a = max(sums[2] / n_done - mean_a ** 2, 0.0)
@@ -210,12 +206,24 @@ class TestOptimalBetaGrid:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
     @pytest.mark.parametrize("k", [1, 3, 12])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_bit_identical_to_dense_per_alpha_oracle(self, model, k, workers):
-        grid = feat.optimal_beta_grid(model, k, self.GRID, trials=20_000,
-                                      seed=17, workers=workers)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_dense_per_alpha_oracle(self, model, k, seed):
+        grid = feat.optimal_beta_grid(model, k, self.GRID, trials=20_000, seed=seed)
         for alpha, est in zip(self.GRID, grid):
-            assert est == dense_optimal_beta(model, k, alpha, 20_000, 17, workers)
+            assert est == dense_optimal_beta(model, k, alpha, 20_000, seed)
+
+    def test_peak_memory_flat_in_grid_length(self):
+        # Each alpha's arrays are freed before the next alpha allocates, so
+        # a longer grid does not raise the peak.
+        def peak(alphas):
+            tracemalloc.start()
+            try:
+                feat.optimal_beta_grid(RG, 12, alphas, trials=400_000, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak([2.0, 8.0, 32.0]) <= 1.02 * peak([2.0])
 
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ValueError):
@@ -267,10 +275,11 @@ class TestOptimalBeta:
         b = feat.optimal_beta(RG, 12, 8.0, trials=300_000, seed=16)
         assert abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
 
-    def test_reproducible_per_seed_and_workers(self):
-        a = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21, workers=2)
-        b = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21, workers=2)
-        assert a.value == b.value
-        # A different worker count is a different (valid) estimate.
-        c = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21, workers=3)
+    def test_reproducible_per_seed(self):
+        a = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21)
+        b = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21)
+        assert a == b
+        # Another seed is a different (valid) estimate.
+        c = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=22)
+        assert c.value != a.value
         assert abs(a.value - c.value) <= 4.0 * math.hypot(a.std_error, c.std_error)

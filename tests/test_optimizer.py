@@ -167,9 +167,9 @@ class TestBruteForce:
     def test_shared_draws_match_per_point_loop(self):
         grid = optimizer.default_alpha_grid(8)
         for mode in (PoolingMode.max(), PoolingMode.average()):
-            d = optimizer.brute_force_alpha(RG, mode, K, 300.0, 1.0, grid,
-                                            trials=20_000, seed=31,
-                                            beta_trials=50_000)
+            d = optimizer.brute_force_alpha(
+                RG, mode, K, 300.0, 1.0, grid, trials=20_000, seed=31,
+                betas=optimizer.BetaTable(RG, K, beta_trials=50_000, seed=31))
             best = (math.inf, math.inf)
             for alpha in grid:
                 if mode.kind == "max":
@@ -194,15 +194,33 @@ class TestBruteForce:
 
 class TestBetaMemo:
     def test_empirical_models_keep_their_own_beta(self):
-        # The memo must tell sample sets apart: keyed on the model kind
-        # alone, the second model would get the first one's beta*.
+        # Each table is bound to one model: two sample sets of the same kind
+        # never share a beta*.
         a = FeatureModel.empirical(np.random.default_rng(40).exponential(1.0, 500))
         b = FeatureModel.empirical(np.random.default_rng(41).random(500))
-        for model in (a, b):
+        tables = [optimizer.BetaTable(model, 6, beta_trials=20_000, seed=0)
+                  for model in (a, b)]
+        for model, betas in zip((a, b), tables):
             cfg = optimizer.config_for(model, PoolingMode.max(), 6, 4.0, 10.0, 1.0,
-                                       beta_trials=20_000, seed=0)
+                                       betas)
             own = feat.optimal_beta(model, 6, 4.0, trials=20_000, seed=0).value
             assert cfg.beta == own
+        with pytest.raises(ValueError):
+            optimizer.config_for(a, PoolingMode.max(), 6, 4.0, 10.0, 1.0, tables[1])
+
+    def test_table_matches_per_alpha_beta(self):
+        betas = optimizer.BetaTable(RG, 5, beta_trials=30_000, seed=12)
+        betas.fill([1.0, 3.0, 64.0])
+        for alpha in (3.0, 1.0, 7.5, 64.0, 128.0):
+            assert betas[alpha] == feat.optimal_beta(RG, 5, alpha, trials=30_000,
+                                                     seed=12).value
+
+    def test_max_config_needs_a_table(self):
+        with pytest.raises(ValueError):
+            optimizer.config_for(RG, PoolingMode.max(), K, 4.0, 10.0, 1.0)
+        with pytest.raises(ValueError):
+            optimizer.config_for(RG, PoolingMode.max(), K, 4.0, 10.0, 1.0,
+                                 optimizer.BetaTable(RG, K - 1))
 
 
 class TestCalibration:
@@ -225,10 +243,11 @@ class TestCalibration:
 
     def test_brute_force_reference_fit(self):
         pairs = []
+        betas = optimizer.BetaTable(RG, K, seed=8)
         for ratio in [1e3, 3e3, 1e4]:
             brute = optimizer.brute_force_alpha(
                 RG, PoolingMode.max(), K, ratio, 1.0,
-                optimizer.default_alpha_grid(16), trials=20_000, seed=8)
+                optimizer.default_alpha_grid(16), trials=20_000, seed=8, betas=betas)
             pairs.append((ratio, brute.alpha_star))
         fit = optimizer.fit_calibration(pairs, K, E2_K12)
         assert math.isfinite(fit.fit_error) and fit.fit_error >= 0.0

@@ -11,6 +11,7 @@ import numpy as np
 
 from airpool import FeatureModel, PoolingMode
 from airpool.channel import db_to_linear
+from airpool.optimizer import BetaTable
 from airpool.pooling import AirPoolConfig, airpool_round, true_pool
 
 K, N = 12, 8
@@ -27,11 +28,13 @@ truth = true_pool(features.T, PoolingMode.average())
 print("average pooling, no noise:")
 print("  worst |estimate - truth| =", np.abs(pooled - truth).max())
 
-# Max pooling sharpens as alpha grows.
+# Max pooling sharpens as alpha grows. The post-processing beta*(alpha) is
+# estimated once per alpha by Monte Carlo and kept in a table.
 print("\nmax pooling, no noise (beta tuned per alpha):")
 truth = true_pool(features.T, PoolingMode.max())
+betas = BetaTable(model, K, beta_trials=200_000, seed=2)
 for alpha in (2.0, 8.0, 32.0, 64.0):
-    cfg = AirPoolConfig.for_max(model, K, alpha, 1.0, 0.0, trials=200_000, seed=2)
+    cfg = AirPoolConfig.for_max(model, alpha, betas[alpha], 1.0, 0.0)
     pooled = airpool_round(features, cfg, seed=1)
     rel = np.abs(pooled - truth) / truth
     print(f"  alpha={alpha:>4.0f}: worst relative error {rel.max():.4f}")
@@ -41,7 +44,7 @@ for alpha in (2.0, 8.0, 32.0, 64.0):
 print("\nmax pooling at 10 dB receive SNR (noise now matters):")
 p_rx = db_to_linear(10.0)
 for alpha in (2.0, 8.0):
-    cfg = AirPoolConfig.for_max(model, K, alpha, p_rx, 1.0, trials=200_000, seed=2)
+    cfg = AirPoolConfig.for_max(model, alpha, betas[alpha], p_rx, 1.0)
     pooled = airpool_round(features, cfg, seed=3)
     rel = np.abs(pooled - truth) / truth
     print(f"  alpha={alpha:>4.0f}: worst relative error {rel.max():.4f}")

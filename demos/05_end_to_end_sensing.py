@@ -31,13 +31,14 @@ print(f"backprop vs finite differences: {check:.2e}\n")
 
 print(f"{'SNR (dB)':>9} {'alpha*':>7} {'method':>12} {'accuracy':>9} "
       f"{'feature error':>14}")
+betas = optimizer.BetaTable(model, dataset.k_views, beta_trials=100_000, seed=SEED)
 for snr_db in (20.0, 15.0, 10.0, 5.0, 0.0):
     p_rx = db_to_linear(snr_db)
     decision = optimizer.select_alpha(PoolingMode.max(), model,
                                       dataset.k_views, p_rx, 1.0,
                                       trials=50_000, seed=SEED)
-    cfg = AirPoolConfig.for_max(model, dataset.k_views, decision.alpha_star,
-                                p_rx, 1.0, trials=100_000, seed=SEED)
+    cfg = AirPoolConfig.for_max(model, decision.alpha_star,
+                                betas[decision.alpha_star], p_rx, 1.0)
     r_ap, d_sigma = sensing.evaluate_accuracy(report.classifier, dataset, cfg,
                                               trials_per_sample=10, seed=SEED)
     print(f"{snr_db:>9.0f} {decision.alpha_star:>7.2f} {decision.method:>12} "

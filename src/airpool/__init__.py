@@ -2,8 +2,8 @@
 
 A simulation and optimization toolkit for pooling distributed sensor
 features directly through a multi-access channel: the protocol itself
-(`pooling`), feature-distribution moments (`features`), the inverted
-aggregation channel and latency models (`channel`), error bounds and accuracy translation
+(`pooling`), feature-distribution moments (`features`), the system
+setting and latency models (`channel`), error bounds and accuracy translation
 (`analysis`), configuration-parameter selection (`optimizer`), a synthetic
 end-to-end recognition task (`sensing`), scalar special functions
 (`specfun`), and batch experiment drivers (`experiments`, `cli`).

@@ -5,6 +5,13 @@ function-approximation part, computes closed-form upper bounds for both,
 checks the error decomposition, generates noise/approximation tradeoff
 curves, and translates feature-space error into classification-accuracy
 lower bounds through the margin argument.
+
+Random streams of the error sweep (`estimate_errors_grid`), for a seed:
+the error features and the unit noise come from the sub-stream
+(seed, 0, 0); the average-mode approximation bound draws from (seed, 1, 0);
+the max-mode approximation bound scales E[fmax^2] of
+`features.max_second_moment`, drawn from (seed, 0), the stream whose first
+rows `features.optimal_beta_grid` also uses.
 """
 
 import math
@@ -18,7 +25,7 @@ from ._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
 from .features import FeatureModel
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
                       postprocess, true_pool)
-from .specfun import regularized_gamma_p, inverse_regularized_gamma_p
+from .specfun import regularized_gamma_p
 
 #: Standard-error multiple used by all statistical bound checks.
 N_SIGMA = 4.0
@@ -55,10 +62,6 @@ class ErrorBreakdown:
     c0: int
     trials: int
 
-    @property
-    def std_errors(self) -> Tuple[float, float, float]:
-        return (self.se_total, self.se_chan, self.se_appr)
-
     def decomposition_slack(self, n_sigma: float = N_SIGMA) -> float:
         """c0 (d_chan + d_appr) + n_sigma SE - d_total; >= 0 when the bound holds."""
         combined = math.sqrt(self.se_total ** 2
@@ -66,34 +69,24 @@ class ErrorBreakdown:
         return self.c0 * (self.d_chan + self.d_appr) + n_sigma * combined - self.d_total
 
 
-def estimate_errors(model: FeatureModel, cfg: AirPoolConfig, k: int,
-                    trials: int, seed: int) -> ErrorBreakdown:
-    """Paired Monte Carlo estimates of D, D_chan, and D_appr.
-
-    The noisy and noiseless pipelines run on identical feature draws, from
-    the sub-stream (seed, 0, 0), so the decomposition checks see correlated,
-    low-variance estimates. The noise bound comes from the closed form. The
-    approximation bound comes from `approx_error_bound` with key (1,): in
-    average mode that is the independent sub-stream (seed, 1, 0); in max mode
-    the key is unused and E[fmax^2] is drawn from (seed, 0), the stream whose
-    first rows `optimal_beta` also uses.
-    """
-    return estimate_errors_grid(model, [cfg], k, trials=trials, seed=seed)[0]
-
-
 def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
                          k: int, trials: int, seed: int) -> List[ErrorBreakdown]:
-    """`estimate_errors` for every configuration of a sweep.
+    """Paired Monte Carlo estimates of D, D_chan and D_appr, with their
+    bounds, for every configuration of a sweep.
 
     The configurations must share one pooling mode (max or average); their
-    alpha and power may differ. The features and the unit noise are drawn
-    once and every configuration reuses them (common random numbers across
-    the grid), scaling the unit noise by its own noise level; so does the
-    approximation bound. Each result is bit-identical to drawing anew for
-    that configuration alone.
+    alpha and power may differ. The noisy and noiseless pipelines run on
+    identical feature draws, so the decomposition checks see correlated,
+    low-variance estimates. The features and the unit noise are drawn once
+    and every configuration reuses them (common random numbers across the
+    grid), scaling the unit noise by its own noise level; so does the
+    approximation bound (`approx_error_bounds` with key (1,)). The noise
+    bound comes from the closed form. Each result is bit-identical to the
+    same call on that configuration alone. The streams are listed in the
+    module docstring.
     """
     if trials < feat.MIN_MC_TRIALS:
-        raise ValueError(f"estimate_errors requires trials >= {feat.MIN_MC_TRIALS}")
+        raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
     if not cfgs:
         return []
     mode = cfgs[0].mode
@@ -105,7 +98,7 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         raise ValueError("degenerate feature distribution: nu is zero")
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
     # Per configuration: D in slot 0, D_chan in slot 1, D_appr in slot 2.
-    sums = [MomentSums("estimate_errors", slots=3) for _ in cfgs]
+    sums = [MomentSums("estimate_errors_grid", slots=3) for _ in cfgs]
     rng = estimator_rng(seed, 0)
     f = model.draw(rng, (trials, k))
     unit_noise = rng.standard_normal(trials) if noisy else None
@@ -121,8 +114,8 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         acc.add((g_hat - g_true) ** 2, 0)
         acc.add((g_hat - g_clean) ** 2, 1)
         acc.add((g_clean - g_true) ** 2, 2)
-    bounds = _approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
-                                  trials=trials, seed=seed, key=(1,))
+    bounds = approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
+                                 trials=trials, seed=seed, key=(1,))
     errors = []
     for acc, cfg, eps in zip(sums, cfgs, bounds):
         total, chan, appr = (acc.estimate(slot) for slot in range(3))
@@ -176,24 +169,17 @@ def noise_error_asymptote_derivative(alpha: float, p_rx_w: float,
     return 2.0 / math.e * base ** (1.0 / alpha) * (1.0 + math.log(1.0 / base) / alpha)
 
 
-def approx_error_bound(model: FeatureModel, mode: PoolingMode, k: int,
-                       alpha: float, trials: int = 1_000_000, seed: int = 0,
-                       key: tuple = ()) -> MonteCarloEstimate:
-    """Function-approximation error bound for the requested ground truth.
+def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
+                        alphas: Sequence[float], trials: int, seed: int,
+                        key: tuple) -> List[MonteCarloEstimate]:
+    """Function-approximation error bound at every alpha of `alphas`, from
+    one draw.
 
     Max pooling: (1 - K^(-1/alpha)) E[fmax^2 | K], with the second moment
     estimated by `features.max_second_moment` from the sub-stream (seed, 0);
     `key` is not used. Average pooling: E[(||f||_a / K - g_avg)^2],
     estimated directly from the sub-stream (seed, *key, 0).
     """
-    return _approx_error_bounds(model, mode, k, [alpha], trials=trials,
-                                seed=seed, key=key)[0]
-
-
-def _approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
-                         alphas: Sequence[float], trials: int, seed: int,
-                         key: tuple) -> List[MonteCarloEstimate]:
-    """`approx_error_bound` at every alpha of `alphas`, from one draw."""
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
     if mode.kind == MAX:
@@ -208,7 +194,7 @@ def _approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
         norms = feat.RescaledNorms(f)
         bounds = {}
         for alpha in dict.fromkeys(alphas):
-            acc = MomentSums("approx_error_bound")
+            acc = MomentSums("approx_error_bounds")
             acc.add((norms(alpha) / k - g_avg) ** 2)
             bounds[alpha] = acc.estimate()
         return [bounds[alpha] for alpha in alphas]
@@ -254,55 +240,28 @@ def tradeoff_curve(model: FeatureModel, k: int, p_rx_w: float,
     return rows, diagnostics
 
 
-@dataclass(frozen=True)
-class MarginModel:
-    """Classification margin of a trained server model in feature space."""
-
-    margin: float
-    clean_accuracy: float
-    n_dims: int
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if not (0.0 <= self.clean_accuracy <= 1.0):
-            raise ValueError("clean_accuracy must lie in [0, 1]")
-
-
-def accuracy_lower_bounds(margin: MarginModel, d_sigma: float) -> Tuple[float, float]:
-    """Accuracy lower bounds given the summed feature error d_sigma.
+def accuracy_lower_bounds(margin: float, clean_accuracy: float, n_dims: int,
+                          d_sigma: float) -> Tuple[float, float]:
+    """Accuracy lower bounds of a classifier with the given feature-space
+    margin and clean accuracy R0, given the summed feature error d_sigma
+    over n_dims dimensions.
 
     Returns (markov_bound, chi_bound): the distribution-free bound
     R0 (1 - d_sigma / margin^2) clipped at zero, and the tighter bound
     R0 P(N/2, N margin^2 / (2 d_sigma)) for averaging with Gaussian
     per-dimension error.
     """
+    if margin <= 0:
+        raise ValueError("margin must be positive")
+    if not (0.0 <= clean_accuracy <= 1.0):
+        raise ValueError("clean_accuracy must lie in [0, 1]")
     if d_sigma < 0:
         raise ValueError("d_sigma must be >= 0")
-    r0 = margin.clean_accuracy
+    r0 = clean_accuracy
     if d_sigma == 0.0:
         return r0, r0
-    markov = r0 * max(0.0, 1.0 - d_sigma / margin.margin ** 2)
-    chi = r0 * regularized_gamma_p(margin.n_dims / 2.0,
-                                   margin.n_dims * margin.margin ** 2 / (2.0 * d_sigma))
-    return markov, chi
-
-
-def required_error_budget(margin: MarginModel, r_target: float) -> Tuple[float, float]:
-    """Feature-error budgets sufficient for a target accuracy.
-
-    Returns (markov_budget, chi_budget); the chi budget assumes Gaussian
-    per-dimension error and is never smaller than the markov one.
-    """
-    r0 = margin.clean_accuracy
-    if not (0.0 < r_target <= r0):
-        raise ValueError("r_target must satisfy 0 < r_target <= clean accuracy")
-    ratio = r_target / r0
-    markov = margin.margin ** 2 * (1.0 - ratio)
-    if ratio >= 1.0:
-        return 0.0, 0.0
-    x = inverse_regularized_gamma_p(margin.n_dims / 2.0, ratio)
-    chi = margin.n_dims * margin.margin ** 2 / (2.0 * x)
+    markov = r0 * max(0.0, 1.0 - d_sigma / margin ** 2)
+    chi = r0 * regularized_gamma_p(n_dims / 2.0, n_dims * margin ** 2 / (2.0 * d_sigma))
     return markov, chi
 
 

@@ -1,18 +1,17 @@
 """The multi-access channel after ideal channel inversion, and air latency.
 
 Covers the physical-layer side of the simulation: the system setting and
-its noise powers, the equivalent post-inversion AWGN aggregation, and the
-air-latency models for both the over-the-air scheme and the digital
-baseline. Experiments set the receive power directly as SNR x noise, so no
-fading gains are drawn.
+its noise powers, and the air-latency models for both the over-the-air
+scheme and the digital baseline. After ideal channel inversion, the K
+sensors transmitting symbols s_k at once deliver sqrt(P_rx) sum_k s_k plus
+real zero-mean Gaussian noise of the sub-channel noise power per aggregated
+symbol. `pooling.aggregate_with_noise` applies that noise after
+de-normalization as its equivalent term on sum_k f_k^alpha. Experiments set
+the receive power directly as SNR x noise, so no fading gains are drawn.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from ._mc import rng_from
 
 
 def db_to_linear(x_db: float) -> float:
@@ -47,26 +46,6 @@ class SystemParams:
     def subchannel_noise_w(self) -> float:
         """Per-sub-channel noise power: density x figure x B/M."""
         return self.noise_density_w_per_hz * self.bandwidth_hz / self.n_subchannels
-
-
-def transmit_over_mac(symbols: np.ndarray, p_rx: float, noise_power: float,
-                      seed: int = 0, rng: np.random.Generator = None) -> np.ndarray:
-    """Simultaneous transmission after ideal channel inversion.
-
-    `symbols` has the sensor axis last; returns sqrt(p_rx) * sum_k s_k plus
-    real zero-mean Gaussian noise of the given power per aggregated symbol.
-    """
-    if noise_power < 0:
-        raise ValueError("noise_power must be >= 0")
-    if p_rx < 0:
-        raise ValueError("p_rx must be >= 0")
-    symbols = np.asarray(symbols, dtype=float)
-    total = math.sqrt(p_rx) * symbols.sum(axis=-1)
-    if noise_power == 0.0:
-        return total
-    if rng is None:
-        rng = rng_from(seed)
-    return total + math.sqrt(noise_power) * rng.standard_normal(total.shape)
 
 
 def airpool_latency(params: SystemParams) -> float:

@@ -2,9 +2,10 @@
 
 Subcommands: `run` (config-driven experiments), `validate-bounds` (batch
 property gate, nonzero exit on any failed check), `latency`, `optimize-alpha`,
-and `train-snn`. Exit codes: 0 success, 1 check failure, 2 config error,
-3 numeric error (an ArithmeticError such as an overflow, in `run` and
-`validate-bounds`).
+and `train-snn`. Exit codes, the same for every subcommand: 0 success,
+1 check failure, 2 config error (an invalid config file, or any option or
+config value out of its range: the library raises ValueError only for
+arguments), 3 numeric error (an ArithmeticError such as an overflow).
 """
 
 import argparse
@@ -41,7 +42,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _error_exit(exc: Exception) -> int:
     """Print the one-line message of a config or numeric error; its exit code."""
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, (ConfigError, ValueError)):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -60,11 +61,8 @@ def _print_table(result: ExperimentResult) -> None:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = _apply_overrides(experiments.parse_config(args.config), args)
-        result, paths = experiments.run_experiment(cfg)
-    except (ConfigError, ArithmeticError) as exc:
-        return _error_exit(exc)
+    cfg = _apply_overrides(experiments.parse_config(args.config), args)
+    result, paths = experiments.run_experiment(cfg)
     print(f"{cfg.experiment}: {len(result.rows)} rows -> {paths['csv']}")
     if result.failures:
         print(f"{result.failures} checks failed", file=sys.stderr)
@@ -73,16 +71,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate_bounds(args) -> int:
-    try:
-        if args.config:
-            cfg = experiments.parse_config(args.config)
-            cfg.experiment = "bound_validation"
-        else:
-            cfg = ExperimentConfig(experiment="bound_validation")
-        cfg = _apply_overrides(cfg, args)
-        result, _ = experiments.run_experiment(cfg)
-    except (ConfigError, ArithmeticError) as exc:
-        return _error_exit(exc)
+    if args.config:
+        cfg = experiments.parse_config(args.config)
+        cfg.experiment = "bound_validation"
+    else:
+        cfg = ExperimentConfig(experiment="bound_validation")
+    result, _ = experiments.run_experiment(_apply_overrides(cfg, args))
     _print_table(result)
     total = len(result.rows)
     if result.failures:
@@ -180,7 +174,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_train_snn)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, ValueError, ArithmeticError) as exc:
+        return _error_exit(exc)
 
 
 if __name__ == "__main__":

@@ -475,7 +475,8 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
             sq += float(((g_hat - pooled) ** 2).sum(axis=1).mean())
             n += len(dataset)
         r_ap = hits / n
-        bound = r0 * max(0.0, 1.0 - (sq / 10.0) / margin_model.margin ** 2)
+        bound, _ = analysis.accuracy_lower_bounds(margin_model.margin, r0,
+                                                  dataset.n_features, sq / 10.0)
         se = math.sqrt(max(r_ap * (1.0 - r_ap), 1e-12) / n)
         rows.append({"check": "margin-chain", "mode": "average", "alpha": 1.0,
                      "snr_db": snr_db, "measured": r_ap, "bound": bound,
@@ -552,12 +553,13 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
                                       learning_rate=cfg.learning_rate, seed=cfg.seed)
     rows = []
     k = dataset.k_views
+    betas = optimizer.BetaTable(model, k, beta_trials=200_000, seed=cfg.seed)
     for snr_db in sorted(cfg.snr_grid_db, reverse=True):
         p_rx = db_to_linear(snr_db) * noise
         decision = optimizer.select_alpha(PoolingMode.max(), model, k, p_rx, noise,
                                           trials=max(cfg.trials, 10_000), seed=cfg.seed)
-        pool_cfg = AirPoolConfig.for_max(model, k, decision.alpha_star, p_rx, noise,
-                                         trials=200_000, seed=cfg.seed)
+        pool_cfg = optimizer.config_for(model, PoolingMode.max(), k, decision.alpha_star,
+                                        p_rx, noise, betas)
         r_ap, d_sigma = sensing.evaluate_accuracy(
             report.classifier, dataset, pool_cfg,
             trials_per_sample=cfg.trials_per_sample, seed=cfg.seed)

@@ -7,8 +7,10 @@ absolute moments
     E[|f|^s] = (1/sqrt(pi)) * 2^(s/2 - 1) * Gamma((s + 1) / 2),
 
 which this module evaluates in the log domain so that powers up to s = 256
-stay finite. Uniform(0,1) and unit-exponential models are sampled Monte
-Carlo; an empirical model wraps externally supplied samples.
+stay finite. Uniform(0,1) and unit-exponential models have closed forms
+too, and an empirical model wraps externally supplied samples, whose
+moments are exact sample means. Only the max-pooling quantities E[fmax^2]
+and beta* are estimated by Monte Carlo.
 """
 
 import math
@@ -17,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
+from ._mc import MomentSums, MonteCarloEstimate, estimator_rng
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -111,21 +113,7 @@ class MomentSet:
     alpha: float
     eta: float
     nu_sq: float
-    method: str
-    trials: int = 0
-    seed: int = 0
     clamped: bool = False
-
-    @property
-    def nu(self) -> float:
-        return math.sqrt(self.nu_sq)
-
-
-def sample_features(model: FeatureModel, k: int, seed: int) -> np.ndarray:
-    """One feature vector of length k, deterministic given the seed."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return model.draw(rng_from(seed), k)
 
 
 def moment_abs_power(model: FeatureModel, s: float) -> float:
@@ -133,10 +121,9 @@ def moment_abs_power(model: FeatureModel, s: float) -> float:
 
     Rectified Gaussian, uniform, and unit-exponential use their closed
     forms (the first and last through ln_gamma, staying finite up to
-    s = 256); the empirical model uses the exact sample moment. A Monte
-    Carlo estimate of a high-order moment is single-draw dominated for the
-    heavy-tailed models, so the sampled route lives in
-    `moment_abs_power_mc` and serves as a low-order cross check.
+    s = 256); the empirical model uses the exact sample moment. There is
+    no sampled route: a Monte Carlo estimate of a high-order moment is
+    single-draw dominated for the heavy-tailed models.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -152,54 +139,19 @@ def moment_abs_power(model: FeatureModel, s: float) -> float:
     return float(np.mean(np.asarray(model.samples, dtype=float) ** s))
 
 
-def moment_abs_power_mc(model: FeatureModel, s: float, trials: int = 1_000_000,
-                        seed: int = 0) -> MonteCarloEstimate:
-    """Monte Carlo estimate of E[|f|^s], with standard error."""
-    return _abs_power_sums(model, s, trials, seed, "moment_abs_power_mc").estimate()
-
-
-def _abs_power_sums(model: FeatureModel, s: float, trials: int, seed: int,
-                    estimator: str) -> MomentSums:
-    """Sums of f^s and f^(2s) over draws from the sub-stream (seed, 0)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if trials < MIN_MC_TRIALS:
-        raise ValueError(f"Monte Carlo moments require trials >= {MIN_MC_TRIALS}")
-    sums = MomentSums(estimator)
-    sums.add(model.draw(estimator_rng(seed), trials) ** s)
-    return sums
-
-
-def normalization_moments(model: FeatureModel, alpha: float,
-                          method: str = "analytic", trials: int = 1_000_000,
-                          seed: int = 0) -> MomentSet:
-    """eta = E[f^alpha] and nu_sq = Var[f^alpha] for the given model.
-
-    The default route is closed-form (or exact sample moments for the
-    empirical model); method="monte_carlo" estimates both moments by
-    sampling instead (trials >= 10^4 enforced), which the tests use as an
-    independent cross check.
-    """
+def normalization_moments(model: FeatureModel, alpha: float) -> MomentSet:
+    """eta = E[f^alpha] and nu_sq = Var[f^alpha] for the given model, in
+    closed form (exact sample moments for the empirical model)."""
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
     if alpha > ALPHA_MAX:
         raise ValueError(f"alpha must be <= {ALPHA_MAX}")
-    if method == "analytic":
-        eta = moment_abs_power(model, alpha)
-        m2 = moment_abs_power(model, 2.0 * alpha)
-        used_trials, used_seed = 0, 0
-    elif method == "monte_carlo":
-        sums = _abs_power_sums(model, alpha, trials, seed, "normalization_moments")
-        eta, m2 = sums.moments()
-        used_trials, used_seed = sums.n, seed
-    else:
-        raise ValueError(f"unknown moments method: {method!r}")
-    nu_sq = m2 - eta * eta
+    eta = moment_abs_power(model, alpha)
+    nu_sq = moment_abs_power(model, 2.0 * alpha) - eta * eta
     clamped = nu_sq < 0.0
     if clamped:
         nu_sq = 0.0
-    return MomentSet(alpha=alpha, eta=eta, nu_sq=nu_sq, method=method,
-                     trials=used_trials, seed=used_seed, clamped=clamped)
+    return MomentSet(alpha=alpha, eta=eta, nu_sq=nu_sq, clamped=clamped)
 
 
 class PowerSums:
@@ -242,11 +194,6 @@ class RescaledNorms:
         return self.fmax * self._sums(alpha) ** (1.0 / alpha)
 
 
-def lp_norm_rescaled(f: np.ndarray, alpha: float) -> np.ndarray:
-    """Row-wise l_alpha norm of f >= 0; see `RescaledNorms`."""
-    return RescaledNorms(np.array(np.atleast_2d(f), dtype=float, order="C"))(alpha)
-
-
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
                       seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[max_k f_k^2] with its standard error, from
@@ -260,26 +207,21 @@ def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
     return sums.estimate()
 
 
-def optimal_beta(model: FeatureModel, k: int, alpha: float,
-                 trials: int = 1_000_000, seed: int = 0) -> MonteCarloEstimate:
-    """Post-processing parameter beta* minimizing the noise-free max-pooling
-    error: beta* = u^(-alpha) with u = E[fmax ||f||_a] / E[||f||_a^2].
-
-    Estimated by Monte Carlo with a delta-method standard error. Because
-    fmax <= ||f||_a <= K^(1/alpha) fmax holds per sample, the same-sample
-    ratio estimate automatically lands in [1, K]; a violation beyond four
-    standard errors raises, as it would indicate a numeric fault.
-    """
-    return optimal_beta_grid(model, k, [alpha], trials=trials, seed=seed)[0]
-
-
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
                       trials: int = 1_000_000, seed: int = 0) -> List[MonteCarloEstimate]:
-    """`optimal_beta` at every alpha of `alphas`, from one draw.
+    """Post-processing parameter beta* at every alpha of `alphas`, from one
+    draw.
+
+    beta* minimizes the noise-free max-pooling error: beta* = u^(-alpha)
+    with u = E[fmax ||f||_a] / E[||f||_a^2], estimated by Monte Carlo with a
+    delta-method standard error. Because fmax <= ||f||_a <= K^(1/alpha) fmax
+    holds per sample, the same-sample ratio estimate lands in [1, K]; a
+    violation beyond four standard errors raises, as it would indicate a
+    numeric fault.
 
     The features are drawn from the sub-stream (seed, 0) and rescaled once;
     every alpha then reuses them (common random numbers across the grid).
-    Each estimate is bit-identical to drawing anew for that alpha.
+    Each estimate is bit-identical to drawing anew for that alpha alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -300,7 +242,7 @@ def _beta_at(norms: RescaledNorms, k: int, alpha: float) -> MonteCarloEstimate:
     norm = norms(alpha)
     a = norms.fmax * norm   # slot 0
     b = norm * norm         # slot 1
-    sums = MomentSums("optimal_beta", slots=2)
+    sums = MomentSums("optimal_beta_grid", slots=2)
     sums.add(a, 0)
     sums.add(b, 1)
     sums.add_cross(a, b)

@@ -153,6 +153,8 @@ def select_alpha(mode: PoolingMode, model: FeatureModel, k: int, p_bar: float,
     premises hold, and falls back to brute force in the uncovered band
     (rho0 < ratio <= K) or when K < 4.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if mode.kind in (AVERAGE, WEIGHTED_SUM):
         return AlphaDecision(alpha_star=1.0, method=AVERAGE_RULE,
                              objective_value=analysis.noise_error_bound(
@@ -189,7 +191,8 @@ class BetaTable:
     An experiment owns one table per feature distribution and passes it to
     `config_for` and `brute_force_alpha`, so every sweep over it, at any
     power, reuses the betas drawn so far. `fill` draws all missing alphas
-    with one `optimal_beta_grid` call, each bit-identical to `optimal_beta`.
+    with one `optimal_beta_grid` call, each bit-identical to drawing that
+    alpha alone.
     """
 
     def __init__(self, model: FeatureModel, k: int, beta_trials: int = 400_000,
@@ -218,8 +221,7 @@ def config_for(model: FeatureModel, mode: PoolingMode, k: int, alpha: float,
     if mode.kind == MAX:
         if betas is None or betas.model is not model or betas.k != k:
             raise ValueError("max pooling needs the beta table of this model and K")
-        return AirPoolConfig(mode, alpha, betas[alpha], p_rx, noise_power,
-                             feat.normalization_moments(model, alpha))
+        return AirPoolConfig.for_max(model, alpha, betas[alpha], p_rx, noise_power)
     return AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise_power)
 
 

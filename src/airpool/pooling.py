@@ -7,6 +7,13 @@ the symbols; the server de-normalizes the aggregate back to sum_k f_k^alpha
 plus an equivalent Gaussian noise term; finally the server divides by a
 post-processing parameter beta, clips negatives, and takes the alpha-th root.
 
+The simulation evaluates the round in the aggregate domain: it forms
+sum_k f_k^alpha and adds the equivalent Gaussian noise of the channel after
+de-normalization (`aggregate_with_noise`). This is algebraically identical to
+the literal symbol-domain chain, which the tests keep as an oracle, but stays
+accurate at large alpha, where subtracting eta_alpha from each symbol and
+adding K eta_alpha back would cancel catastrophically in float64.
+
 alpha = 1 with beta = K reproduces the exact average; large alpha with the
 optimal beta approaches the maximum. A weighted-sum variant scales features
 by K * w_k at the sensors and runs the averaging configuration (with the
@@ -65,9 +72,10 @@ class AirPoolConfig:
     """Tunable state of one pooling round.
 
     Protocol configurations come from the `for_*` constructors, which pin the
-    defaults (average: alpha=1, beta=K; max: beta=beta*(alpha)). The analysis
-    sweeps additionally build average-ground-truth configurations at alpha>1
-    via `average_ground_truth`, where beta=K^alpha keeps the noiseless output
+    defaults (average: alpha=1, beta=K; max: beta=beta*(alpha), which the
+    caller takes from an `optimizer.BetaTable`). The analysis sweeps
+    additionally build average-ground-truth configurations at alpha>1 via
+    `average_ground_truth`, where beta=K^alpha keeps the noiseless output
     equal to ||f||_alpha / K.
     """
 
@@ -103,13 +111,11 @@ class AirPoolConfig:
                    feat.normalization_moments(model, 1.0))
 
     @classmethod
-    def for_max(cls, model: FeatureModel, k: int, alpha: float, p_rx_w: float,
-                noise_power_w: float, trials: int = 1_000_000,
-                seed: int = 0) -> "AirPoolConfig":
-        """Protocol max configuration at the given alpha, with beta = beta*."""
-        beta = feat.optimal_beta(model, k, alpha, trials=trials, seed=seed).value
+    def for_max(cls, model: FeatureModel, alpha: float, beta: float, p_rx_w: float,
+                noise_power_w: float) -> "AirPoolConfig":
+        """Protocol max configuration at the given alpha and its beta*."""
         return cls(PoolingMode.max(), alpha, beta, p_rx_w, noise_power_w,
-                   feat.normalization_moments(model, alpha, seed=seed))
+                   feat.normalization_moments(model, alpha))
 
     @classmethod
     def for_weighted_sum(cls, model: FeatureModel, weights, p_rx_w: float,
@@ -122,11 +128,10 @@ class AirPoolConfig:
 
     @classmethod
     def average_ground_truth(cls, model: FeatureModel, k: int, alpha: float,
-                             p_rx_w: float, noise_power_w: float,
-                             seed: int = 0) -> "AirPoolConfig":
+                             p_rx_w: float, noise_power_w: float) -> "AirPoolConfig":
         """Average-as-ground-truth analysis configuration: beta = K^alpha."""
         return cls(PoolingMode.average(), alpha, float(k) ** alpha, p_rx_w,
-                   noise_power_w, feat.normalization_moments(model, alpha, seed=seed))
+                   noise_power_w, feat.normalization_moments(model, alpha))
 
 
 def weighted_sum_moments(model: FeatureModel, weights: np.ndarray) -> MomentSet:
@@ -144,8 +149,7 @@ def weighted_sum_moments(model: FeatureModel, weights: np.ndarray) -> MomentSet:
     second = float(np.mean((k * weights) ** 2) * m2)
     nu_sq = second - eta * eta
     clamped = nu_sq < 0.0
-    return MomentSet(alpha=1.0, eta=eta, nu_sq=max(nu_sq, 0.0), method="mixture",
-                     clamped=clamped)
+    return MomentSet(alpha=1.0, eta=eta, nu_sq=max(nu_sq, 0.0), clamped=clamped)
 
 
 def true_pool(features: np.ndarray, mode: PoolingMode) -> np.ndarray:
@@ -158,31 +162,6 @@ def true_pool(features: np.ndarray, mode: PoolingMode) -> np.ndarray:
     if features.shape[-1] != len(mode.weights):
         raise ValueError("weights length must match the sensor count")
     return features @ mode.weights
-
-
-def preprocess_and_modulate(features: np.ndarray, cfg: AirPoolConfig) -> np.ndarray:
-    """Per-sensor symbols s_k = (f_k^alpha - eta) / nu; sensor axis last.
-
-    Weighted-sum mode scales f_k by K*w_k first and uses alpha = 1.
-    """
-    if cfg.moments.nu_sq <= 0.0:
-        raise ValueError("degenerate feature distribution: nu is zero")
-    features = np.asarray(features, dtype=float)
-    if cfg.mode.kind == WEIGHTED_SUM:
-        if features.shape[-1] != len(cfg.mode.weights):
-            raise ValueError("weights length must match the sensor count")
-        v = features.shape[-1] * cfg.mode.weights * features
-    else:
-        if np.any(features < 0):
-            raise ValueError("features must be >= 0")
-        v = features ** cfg.alpha
-    return (v - cfg.moments.eta) / cfg.moments.nu
-
-
-def denormalize(y: np.ndarray, cfg: AirPoolConfig, k_sensors: int) -> np.ndarray:
-    """Aggregate estimate before post-processing: (nu/sqrt(Prx)) y + eta K."""
-    return cfg.moments.nu / math.sqrt(cfg.p_rx_w) * np.asarray(y, dtype=float) \
-        + cfg.moments.eta * k_sensors
 
 
 def postprocess(v_hat: np.ndarray, cfg: AirPoolConfig) -> np.ndarray:
@@ -215,10 +194,8 @@ def aggregate_with_noise(v_sum: np.ndarray, cfg: AirPoolConfig,
                          rng: np.random.Generator) -> np.ndarray:
     """The de-normalized aggregate sum_k v_k + xi, xi ~ N(0, sigma^2 nu^2/Prx).
 
-    Algebraically identical to denormalize(transmit_over_mac(preprocess(...)))
-    but evaluated in the aggregate domain: the literal symbol-domain order
-    cancels catastrophically in float64 at large alpha, where eta_alpha
-    dwarfs sum_k v_k.
+    Stands for the symbol-domain chain (normalize, transmit, de-normalize);
+    see the module docstring.
     """
     if cfg.noise_power_w == 0.0:
         return np.asarray(v_sum, dtype=float)

@@ -107,38 +107,6 @@ def generate_dataset(n_samples: int, seed: int,
                             margin_gap=margin_gap)
 
 
-def save_dataset(dataset: SyntheticDataset, path) -> None:
-    """Write one sample per line: label then K*N feature values, row-major."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for views, label in zip(dataset.views, dataset.labels):
-            flat = " ".join(f"{v:.17g}" for v in views.reshape(-1))
-            fh.write(f"{int(label)} {flat}\n")
-
-
-def load_dataset(path, k_views: int = DEFAULT_VIEWS,
-                 n_features: int = DEFAULT_FEATURES,
-                 mode: Optional[PoolingMode] = None) -> SyntheticDataset:
-    """Read a dataset written by save_dataset."""
-    rows, labels = [], []
-    expected = k_views * n_features
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != expected + 1:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 1 label + {expected} values, got {len(parts)}")
-            labels.append(int(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-    views = np.asarray(rows, dtype=float).reshape(-1, k_views, n_features)
-    if np.any(views < 0):
-        raise ValueError(f"{path}: feature values must be >= 0")
-    return SyntheticDataset(views=views, labels=np.asarray(labels, dtype=np.int64),
-                            mode=mode or PoolingMode.max(), generator_seed=0,
-                            label_rule="loaded")
-
-
 class ShallowClassifier:
     """Two tanh hidden layers and a softmax output, trained by plain SGD."""
 
@@ -273,6 +241,8 @@ def evaluate_accuracy(clf: ShallowClassifier, dataset: SyntheticDataset,
     """
     from .pooling import aggregate_with_noise, postprocess, powered_sum
 
+    if trials_per_sample < 1:
+        raise ValueError("trials_per_sample must be >= 1")
     _, test_idx = dataset.split()
     pooled_true = dataset.pooled()[test_idx]
     labels = dataset.labels[test_idx]
@@ -300,9 +270,6 @@ class LinearMarginModel:
 
     def decision(self, g: np.ndarray) -> np.ndarray:
         return np.atleast_2d(g) @ self.weight + self.bias
-
-    def predict(self, g: np.ndarray) -> np.ndarray:
-        return (self.decision(g) > 0).astype(np.int64)
 
 
 def measure_linear_margin(dataset: SyntheticDataset, seed: int = 0,

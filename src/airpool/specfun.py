@@ -126,45 +126,6 @@ def regularized_gamma_p(k: float, x: float) -> float:
     return min(1.0, max(0.0, regularized_gamma_p_result(k, x).value))
 
 
-def inverse_regularized_gamma_p_result(k: float, p: float) -> SpecFunResult:
-    """Solve P(k, x) = p for x by bracketing bisection.
-
-    Terminates once |P(k, x) - p| <= 1e-9 (and polishes the bracket down to
-    relative width 1e-14 when the cap allows).
-    """
-    if not (k > 0.0):
-        raise ValueError(f"inverse_regularized_gamma_p requires k > 0, got k={k}")
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"inverse_regularized_gamma_p requires 0 < p < 1, got p={p}")
-    lo, hi = 0.0, max(k, 1.0)
-    iters = 0
-    while regularized_gamma_p(k, hi) < p:
-        lo = hi
-        hi *= 2.0
-        iters += 1
-        if iters >= ITERATION_CAP:
-            return SpecFunResult(hi, False, iters)
-    x = 0.5 * (lo + hi)
-    converged = False
-    while iters < ITERATION_CAP:
-        iters += 1
-        x = 0.5 * (lo + hi)
-        fx = regularized_gamma_p(k, x)
-        if fx < p:
-            lo = x
-        else:
-            hi = x
-        if abs(fx - p) <= 1e-9 and (hi - lo) <= 1e-14 * max(1.0, x):
-            converged = True
-            break
-    return SpecFunResult(x, converged, iters)
-
-
-def inverse_regularized_gamma_p(k: float, p: float) -> float:
-    """Inverse of P(k, .) at probability p, as a plain float."""
-    return inverse_regularized_gamma_p_result(k, p).value
-
-
 _NEG_INV_E = -math.exp(-1.0)
 
 

@@ -19,6 +19,7 @@ from airpool.features import FeatureModel
 from airpool.pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise,
                              pool_noisy_and_clean, postprocess, powered_sum)
 from airpool import specfun
+from oracles import inverse_regularized_gamma_p
 
 SEED = 20260809
 RG = FeatureModel.rectified_gaussian()
@@ -71,9 +72,9 @@ def test_criterion_2_reconfigurability():
     ok = avg_err <= 1e-12
 
     mean_rel = {}
+    betas = optimizer.BetaTable(RG, K, beta_trials=400_000, seed=SEED)
     for alpha in (2.0, 8.0, 64.0):
-        cfg = AirPoolConfig.for_max(RG, K, alpha, 1.0, 0.0,
-                                    trials=400_000, seed=SEED)
+        cfg = AirPoolConfig.for_max(RG, alpha, betas[alpha], 1.0, 0.0)
         g_hat, _, g_true = pool_noisy_and_clean(f, cfg, np.random.default_rng(0))
         pos = g_true > 0
         mean_rel[alpha] = float(np.mean(np.abs(g_hat[pos] - g_true[pos])
@@ -100,9 +101,9 @@ def test_criterion_3_bound_suite():
                                                p_rx, 1.0, betas)
                 else:
                     cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, p_rx,
-                                                             1.0, seed=SEED)
-                err = analysis.estimate_errors(RG, cfg, K, trials=trials,
-                                               seed=SEED)
+                                                             1.0)
+                err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=trials,
+                                                     seed=SEED)
                 ok_chan = err.d_chan <= err.noise_bound + 4.0 * err.se_chan
                 eps_tol = 4.0 * math.hypot(err.se_appr, err.approx_bound_se)
                 ok_appr = err.d_appr <= err.approx_bound + eps_tol
@@ -184,8 +185,8 @@ def test_criterion_5c_empirical_near_optimality(fmax_sq_k12):
     def d_total(alpha, ratio):
         cfg = optimizer.config_for(RG, PoolingMode.max(), K, alpha, ratio, 1.0,
                                    betas)
-        return analysis.estimate_errors(RG, cfg, K, trials=100_000,
-                                        seed=SEED).d_total
+        return analysis.estimate_errors_grid(RG, [cfg], K, trials=100_000,
+                                             seed=SEED)[0].d_total
 
     ratios = {}
     for ratio in (1e3, 1e4):
@@ -295,13 +296,14 @@ def test_criterion_8_synthetic_end_to_end(trained_task):
     ok &= worst_grad <= 1e-4
     details.append(f"grad_check={worst_grad:.2e}")
     prev = None
+    betas = optimizer.BetaTable(RG, dataset.k_views, beta_trials=200_000, seed=SEED)
     for snr_db in (20.0, 15.0, 10.0, 5.0, 0.0):
         p_rx = db_to_linear(snr_db)
         decision = optimizer.select_alpha(PoolingMode.max(), RG,
                                           dataset.k_views, p_rx, 1.0,
                                           trials=100_000, seed=SEED)
-        cfg = AirPoolConfig.for_max(RG, dataset.k_views, decision.alpha_star,
-                                    p_rx, 1.0, trials=200_000, seed=SEED)
+        cfg = AirPoolConfig.for_max(RG, decision.alpha_star,
+                                    betas[decision.alpha_star], p_rx, 1.0)
         accs, errs = [], []
         for t in range(16):
             a, d = sensing.evaluate_accuracy(report.classifier, dataset, cfg,
@@ -344,7 +346,7 @@ def test_criterion_9_special_function_oracles():
         p = specfun.regularized_gamma_p(k, x0)
         if not (1e-12 < p < 1.0 - 1e-12):
             continue
-        x = specfun.inverse_regularized_gamma_p(k, p)
+        x = inverse_regularized_gamma_p(k, p)
         worst_round = max(worst_round, abs(specfun.regularized_gamma_p(k, x) - p))
     ok &= worst_round <= 1e-8
     # Lambert W defining equation on its stated grid.

@@ -8,7 +8,6 @@ import pytest
 
 from airpool import analysis, features as feat, optimizer
 from airpool._mc import rng_from
-from airpool.analysis import MarginModel
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode, pool_noisy_and_clean
@@ -35,15 +34,17 @@ def gamma_form_noise_bound(alpha, p_rx_w, noise_power_w):
 def snr_config(mode_kind, alpha, snr_db, seed=0):
     p_rx = db_to_linear(snr_db)
     if mode_kind == "max":
-        return AirPoolConfig.for_max(RG, K, alpha, p_rx, 1.0,
-                                     trials=300_000, seed=seed)
-    return AirPoolConfig.average_ground_truth(RG, K, alpha, p_rx, 1.0, seed=seed)
+        beta = optimizer.BetaTable(RG, K, beta_trials=300_000, seed=seed)[alpha]
+        return AirPoolConfig.for_max(RG, alpha, beta, p_rx, 1.0)
+    return AirPoolConfig.average_ground_truth(RG, K, alpha, p_rx, 1.0)
 
 
 class TestEstimateErrors:
+    """One configuration at a time: a sweep of one."""
+
     def test_average_zero_noise_is_exact(self):
         cfg = AirPoolConfig.for_average(RG, K, 1.0, 0.0)
-        err = analysis.estimate_errors(RG, cfg, K, trials=20_000, seed=1)
+        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000, seed=1)[0]
         assert err.d_total <= 1e-28
         assert err.d_chan <= 1e-28
         assert err.d_appr <= 1e-28
@@ -52,19 +53,19 @@ class TestEstimateErrors:
         # At alpha=1 the estimate is the true average plus xi/K, apart from
         # rare clipping events; 12 dB keeps those negligible.
         cfg = AirPoolConfig.for_average(RG, K, db_to_linear(12.0), 1.0)
-        err = analysis.estimate_errors(RG, cfg, K, trials=100_000, seed=2)
+        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=100_000, seed=2)[0]
         theory = cfg.noise_sigma_sq / K ** 2
         assert abs(err.d_total - theory) <= 4.0 * err.se_total + 0.02 * theory
 
     def test_max_mode_decomposition_constant(self):
         cfg = snr_config("max", 8.0, 6.0)
-        err = analysis.estimate_errors(RG, cfg, K, trials=50_000, seed=3)
+        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=3)[0]
         assert err.c0 == 2
         assert err.decomposition_slack() >= 0.0
 
     def test_average_alpha_one_decomposition_is_equality(self):
         cfg = AirPoolConfig.for_average(RG, K, db_to_linear(6.0), 1.0)
-        err = analysis.estimate_errors(RG, cfg, K, trials=50_000, seed=4)
+        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=4)[0]
         assert err.c0 == 1
         assert err.d_appr == 0.0
         assert err.d_total == pytest.approx(err.d_chan, rel=1e-12)
@@ -72,7 +73,7 @@ class TestEstimateErrors:
     def test_trial_floor_enforced(self):
         cfg = AirPoolConfig.for_average(RG, K, 1.0, 0.0)
         with pytest.raises(ValueError):
-            analysis.estimate_errors(RG, cfg, K, trials=100, seed=0)
+            analysis.estimate_errors_grid(RG, [cfg], K, trials=100, seed=0)[0]
 
 
 class TestDecompositionConstant:
@@ -184,7 +185,8 @@ class TestEstimateErrorsGrid:
                 for alpha in self.GRID]
         errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=seed)
         for cfg, err in zip(cfgs, errs):
-            got = (err.d_total, err.d_chan, err.d_appr) + err.std_errors
+            got = (err.d_total, err.d_chan, err.d_appr,
+                   err.se_total, err.se_chan, err.se_appr)
             assert got == dense_error_moments(RG, cfg, k, 10_000, seed)
             if mode_kind == "max":
                 e2 = feat.max_second_moment(RG, k, trials=10_000, seed=seed)
@@ -207,7 +209,7 @@ class TestEstimateErrorsGrid:
                 for alpha, snr_db in points]
         errs = analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=4)
         for cfg, err in zip(cfgs, errs):
-            assert err == analysis.estimate_errors(RG, cfg, K, trials=10_000, seed=4)
+            assert err == analysis.estimate_errors_grid(RG, [cfg], K, trials=10_000, seed=4)[0]
 
     def test_mixed_modes_rejected(self):
         cfgs = [AirPoolConfig.for_average(RG, K, 1.0, 0.0),
@@ -218,19 +220,19 @@ class TestEstimateErrorsGrid:
 
 class TestApproxBound:
     def test_single_sensor_is_zero(self):
-        est = analysis.approx_error_bound(RG, PoolingMode.max(), 1, 8.0,
-                                          trials=20_000, seed=6)
+        est, = analysis.approx_error_bounds(RG, PoolingMode.max(), 1, [8.0],
+                                            trials=20_000, seed=6, key=())
         assert est.value == 0.0
 
     def test_vanishes_for_huge_alpha(self):
         e2 = feat.max_second_moment(RG, K, trials=100_000, seed=7)
-        est = analysis.approx_error_bound(RG, PoolingMode.max(), K, 1e6,
-                                          trials=100_000, seed=7)
+        est, = analysis.approx_error_bounds(RG, PoolingMode.max(), K, [1e6],
+                                            trials=100_000, seed=7, key=())
         assert est.value <= 1e-5 * e2.value
 
     def test_average_zero_at_alpha_one(self):
-        est = analysis.approx_error_bound(RG, PoolingMode.average(), K, 1.0,
-                                          trials=20_000, seed=8)
+        est, = analysis.approx_error_bounds(RG, PoolingMode.average(), K, [1.0],
+                                            trials=20_000, seed=8, key=())
         assert est.value <= 1e-28
 
 
@@ -262,59 +264,35 @@ class TestTradeoffCurve:
 
 class TestAccuracyBounds:
     def test_zero_error_gives_clean_accuracy(self):
-        m = MarginModel(margin=1.0, clean_accuracy=0.93, n_dims=4)
-        assert analysis.accuracy_lower_bounds(m, 0.0) == (0.93, 0.93)
+        assert analysis.accuracy_lower_bounds(1.0, 0.93, 4, 0.0) == (0.93, 0.93)
 
     def test_markov_boundary(self):
-        m = MarginModel(margin=1.0, clean_accuracy=0.9, n_dims=4)
-        markov, chi = analysis.accuracy_lower_bounds(m, 1.0)
+        markov, chi = analysis.accuracy_lower_bounds(1.0, 0.9, 4, 1.0)
         assert markov == 0.0
         assert 0.0 <= chi <= 0.9
 
     def test_chi_reference_value(self):
-        m = MarginModel(margin=1.0, clean_accuracy=1.0, n_dims=4)
-        markov, chi = analysis.accuracy_lower_bounds(m, 0.5)
+        markov, chi = analysis.accuracy_lower_bounds(1.0, 1.0, 4, 0.5)
         assert chi == pytest.approx(regularized_gamma_p(2.0, 4.0), rel=1e-12)
         assert chi == pytest.approx(0.90842, abs=1e-5)
 
     def test_chi_dominates_markov(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            m = MarginModel(margin=float(rng.uniform(0.1, 3.0)),
-                            clean_accuracy=float(rng.uniform(0.2, 1.0)),
-                            n_dims=int(rng.integers(1, 40)))
+            margin = float(rng.uniform(0.1, 3.0))
+            r0 = float(rng.uniform(0.2, 1.0))
+            n_dims = int(rng.integers(1, 40))
             d = float(rng.uniform(0.0, 3.0))
-            markov, chi = analysis.accuracy_lower_bounds(m, d)
+            markov, chi = analysis.accuracy_lower_bounds(margin, r0, n_dims, d)
             assert 0.0 <= markov <= chi + 1e-12
-            assert chi <= m.clean_accuracy + 1e-12
+            assert chi <= r0 + 1e-12
 
-
-class TestRequiredBudget:
-    def test_target_equals_clean_gives_zero_markov(self):
-        m = MarginModel(margin=1.0, clean_accuracy=0.9, n_dims=4)
-        markov, chi = analysis.required_error_budget(m, 0.9)
-        assert markov == pytest.approx(0.0, abs=1e-12)
-
-    def test_round_trip_with_chi_bound(self):
-        m = MarginModel(margin=1.0, clean_accuracy=1.0, n_dims=4)
-        _, chi_budget = analysis.required_error_budget(
-            m, regularized_gamma_p(2.0, 4.0))
-        assert chi_budget == pytest.approx(0.5, abs=1e-7)
-
-    def test_chi_budget_dominates_markov_budget(self):
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            m = MarginModel(margin=float(rng.uniform(0.1, 3.0)),
-                            clean_accuracy=float(rng.uniform(0.3, 1.0)),
-                            n_dims=int(rng.integers(1, 40)))
-            target = m.clean_accuracy * float(rng.uniform(0.05, 0.999))
-            markov, chi = analysis.required_error_budget(m, target)
-            assert chi >= markov - 1e-12
-
-    def test_unreachable_target_rejected(self):
-        m = MarginModel(margin=1.0, clean_accuracy=0.8, n_dims=4)
+    @pytest.mark.parametrize("margin,r0,d_sigma", [(0.0, 0.9, 0.1), (-1.0, 0.9, 0.1),
+                                                   (1.0, 1.2, 0.1), (1.0, -0.1, 0.1),
+                                                   (1.0, 0.9, -0.1)])
+    def test_argument_ranges(self, margin, r0, d_sigma):
         with pytest.raises(ValueError):
-            analysis.required_error_budget(m, 0.81)
+            analysis.accuracy_lower_bounds(margin, r0, 4, d_sigma)
 
 
 class TestChiErrorCheck:

@@ -219,15 +219,16 @@ class TestBoundValidationGate:
         noise = cfg.system.subchannel_noise_w
         expected = []
         for alpha in cfg.alpha_grid:
-            beta = feat.optimal_beta(model, k, alpha, trials=400_000, seed=seed).value
+            beta = feat.optimal_beta_grid(model, k, [alpha], trials=400_000,
+                                          seed=seed)[0].value
             for snr_db in cfg.snr_grid_db:
                 p_rx = db_to_linear(snr_db) * noise
                 for point in (
                         AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise),
                         AirPoolConfig(PoolingMode.max(), alpha, beta, p_rx, noise,
                                       feat.normalization_moments(model, alpha))):
-                    err = analysis.estimate_errors(model, point, k, trials=trials,
-                                                   seed=seed)
+                    err, = analysis.estimate_errors_grid(model, [point], k,
+                                                         trials=trials, seed=seed)
                     expected += per_point_rows(err, point.mode.kind, alpha, snr_db)
         assert result.rows[:len(expected)] == expected
         assert len(expected) == 36
@@ -268,10 +269,12 @@ class TestAlphaOptimality:
         for row in result.rows:
             p_bar = db_to_linear(row["snr_db"]) * noise
             alpha = optimizer.closed_form_alpha(k, p_bar, noise, e2).alpha_star
-            beta = feat.optimal_beta(model, k, alpha, trials=400_000, seed=seed).value
+            beta = feat.optimal_beta_grid(model, k, [alpha], trials=400_000,
+                                          seed=seed)[0].value
             point = AirPoolConfig(PoolingMode.max(), alpha, beta, p_bar, noise,
                                   feat.normalization_moments(model, alpha))
-            err = analysis.estimate_errors(model, point, k, trials=trials, seed=seed)
+            err, = analysis.estimate_errors_grid(model, [point], k, trials=trials,
+                                                 seed=seed)
             assert (row["alpha_closed"], row["d_closed"]) == (alpha, err.d_total)
             assert alpha not in optimizer.default_alpha_grid(48)
 
@@ -310,7 +313,37 @@ class TestConfigCoverage:
         assert "parallel workers were removed" in capsys.readouterr().err
 
 
+# Inputs outside their documented range: a config body for `run`, or a
+# subcommand's argv.
+RANGE_ERRORS = {
+    "run-bound-alpha-below-one": ("bound_validation", "[sweep]\nalpha_grid = 0.5, 2"),
+    "run-tradeoff-alpha-descending": ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2"),
+    "run-alpha-optimality-k-2": ("alpha_optimality", "[system]\nk_sensors = 2"),
+    "run-bound-k-1": ("bound_validation", "[system]\nk_sensors = 1"),
+    "run-e2e-no-samples": ("synthetic_e2e", "[sweep]\nn_samples = 0"),
+    "run-e2e-no-trials-per-sample": (
+        "synthetic_e2e", "[sweep]\nn_samples = 100\nepochs = 1\ntrials_per_sample = 0"),
+    "run-latency-q-bits-0": ("latency_table", "[sweep]\nq_bits = 0"),
+    "latency-q-bits-0": ["latency", "--q-bits", "0"],
+    "train-snn-no-samples": ["train-snn", "--samples", "0"],
+    "optimize-alpha-k-0": ["optimize-alpha", "--k", "0"],
+}
+
+
 class TestCliExitCodes:
+    @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
+    def test_out_of_range_input_is_a_config_error(self, case, tmp_path, capsys):
+        argv = RANGE_ERRORS[case]
+        if isinstance(argv, tuple):
+            kind, body = argv
+            path = tmp_path / "exp.ini"
+            path.write_text(f"[experiment]\nkind = {kind}\ntrials = 10000\n"
+                            f"output_dir = {tmp_path / 'out'}\n\n{body}\n")
+            argv = ["run", "--config", str(path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_run_latency(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
         path.write_text(LATENCY_CFG.format(out=tmp_path / "out"))

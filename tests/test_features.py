@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from airpool import features as feat
-from airpool._mc import MonteCarloEstimate, rng_from
+from airpool._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
 from airpool.features import FeatureModel
 
 RG = FeatureModel.rectified_gaussian()
@@ -16,8 +16,8 @@ RG = FeatureModel.rectified_gaussian()
 
 class TestSampling:
     def test_deterministic_given_seed(self):
-        a = feat.sample_features(RG, 4, seed=123)
-        b = feat.sample_features(RG, 4, seed=123)
+        a = RG.draw(rng_from(123), 4)
+        b = RG.draw(rng_from(123), 4)
         np.testing.assert_array_equal(a, b)
         assert np.all(a >= 0)
 
@@ -73,8 +73,9 @@ class TestMoments:
         assert feat.moment_abs_power(RG, 2.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_second_moment_monte_carlo_oracle(self):
-        mc = feat.moment_abs_power_mc(RG, 2.0, trials=2_000_000, seed=3)
-        assert abs(mc.value - 0.5) <= 4.0 * mc.std_error
+        n = 2_000_000
+        v = RG.draw(rng_from(3), n) ** 2.0
+        assert abs(v.mean() - 0.5) <= 4.0 * v.std(ddof=1) / math.sqrt(n)
 
     def test_first_moment(self):
         assert feat.moment_abs_power(RG, 1.0) == pytest.approx(
@@ -106,22 +107,15 @@ class TestMoments:
         se_nu = float(nu_hat.std(ddof=1) / math.sqrt(n))
         assert abs(nu_hat.mean() - exact.nu_sq) <= 4.0 * se_nu
 
-    def test_monte_carlo_method_route(self):
-        ms = feat.normalization_moments(FeatureModel.uniform01(), 2.0,
-                                        method="monte_carlo", trials=200_000, seed=4)
-        assert ms.method == "monte_carlo"
-        assert ms.eta == pytest.approx(1.0 / 3.0, abs=0.01)
-        with pytest.raises(ValueError):
-            feat.normalization_moments(RG, 2.0, method="monte_carlo", trials=100)
-
     def test_monte_carlo_overflow_raises(self):
-        # f^128 of a unit exponential reaches 1e150, so its square overflows.
-        exp = FeatureModel.exponential_unit()
-        with pytest.raises(ArithmeticError, match="normalization_moments"):
-            feat.normalization_moments(exp, 128.0, method="monte_carlo",
-                                       trials=1_000_000, seed=1)
-        with pytest.raises(ArithmeticError, match="moment_abs_power_mc"):
-            feat.moment_abs_power_mc(exp, 256.0, trials=100_000, seed=1)
+        # f^128 of a unit exponential reaches 1e150, so its square overflows;
+        # the accumulator names the estimator instead of returning inf.
+        v = FeatureModel.exponential_unit().draw(estimator_rng(1), 1_000_000) ** 128.0
+        sums = MomentSums("some_estimator")
+        with np.errstate(over="ignore"):
+            sums.add(v)
+        with pytest.raises(ArithmeticError, match="some_estimator: .*second moment"):
+            sums.estimate()
 
     def test_degenerate_empirical_all_zero(self):
         ms = feat.normalization_moments(FeatureModel.empirical([0.0, 0.0, 0.0]), 1.0)
@@ -134,35 +128,58 @@ class TestMoments:
             feat.normalization_moments(RG, 200.0)
 
 
+class TestMomentSums:
+    """Every estimator sums through `MomentSums`, which refuses to return a
+    moment that overflowed float64."""
+
+    def test_overflowing_mean_and_cross_moment_raise(self):
+        sums = MomentSums("two_slots", slots=2)
+        big = np.array([1.5e308, 1.5e308])
+        with np.errstate(over="ignore"):
+            sums.add(big, 0)
+            sums.add(np.ones(2), 1)
+            sums.add_cross(big, np.full(2, 2.0))
+        with pytest.raises(ArithmeticError, match="two_slots: .*mean"):
+            sums.moments(0)
+        with pytest.raises(ArithmeticError, match="two_slots: .*cross moment"):
+            sums.cross_moment()
+        assert sums.moments(1) == (1.0, 1.0)
+
+
 class TestRescaledNorm:
     def test_matches_naive_on_small_inputs(self):
         rng = np.random.default_rng(2)
         f = rng.random((200, 6)) + 0.1
         for alpha in [1.0, 2.0, 3.5, 8.0]:
             naive = (f ** alpha).sum(axis=1) ** (1.0 / alpha)
-            np.testing.assert_allclose(feat.lp_norm_rescaled(f, alpha), naive,
+            np.testing.assert_allclose(rescaled_norm(f, alpha), naive,
                                        rtol=1e-12)
 
     def test_survives_large_alpha(self):
         f = np.array([[3.0, 2.9, 0.5, 0.0]])
-        out = feat.lp_norm_rescaled(f, 128.0)
+        out = rescaled_norm(f, 128.0)
         assert np.isfinite(out).all() and out[0] >= 3.0
 
     def test_all_zero_row(self):
-        assert feat.lp_norm_rescaled(np.zeros((1, 5)), 4.0)[0] == 0.0
+        assert rescaled_norm(np.zeros((1, 5)), 4.0)[0] == 0.0
 
     def test_bit_identical_to_dense_powers(self):
         f = RG.draw(np.random.default_rng(3), (2000, 3))
         assert np.any(f.max(axis=1) == 0.0)
         before = f.copy()
         for alpha in [1.0, 2.0, 3.7, 128.0]:
-            out = feat.lp_norm_rescaled(f, alpha)
+            out = rescaled_norm(f, alpha)
             assert np.array_equal(out, dense_lp_norm(f, alpha))
         assert np.array_equal(f, before)
 
     def test_column_major_input(self):
         f = np.asfortranarray(RG.draw(np.random.default_rng(4), (500, 6)))
-        assert np.array_equal(feat.lp_norm_rescaled(f, 5.0), dense_lp_norm(f, 5.0))
+        assert np.array_equal(rescaled_norm(f, 5.0), dense_lp_norm(f, 5.0))
+
+
+def rescaled_norm(f, alpha):
+    """One alpha of `RescaledNorms`, on a copy of f (which it takes over)."""
+    return feat.RescaledNorms(np.array(np.atleast_2d(f), dtype=float, order="K"))(alpha)
 
 
 def dense_lp_norm(f, alpha):
@@ -263,23 +280,23 @@ class TestMaxSecondMoment:
 
 class TestOptimalBeta:
     def test_single_sensor_is_exact(self):
-        est = feat.optimal_beta(RG, 1, 8.0)
+        est = feat.optimal_beta_grid(RG, 1, [8.0])[0]
         assert est.value == 1.0 and est.std_error == 0.0
 
     def test_within_unit_to_k_range(self):
-        est = feat.optimal_beta(RG, 12, 8.0, trials=200_000, seed=14)
+        est = feat.optimal_beta_grid(RG, 12, [8.0], trials=200_000, seed=14)[0]
         assert 1.0 <= est.value <= 12.0
 
     def test_doubled_trials_cross_check(self):
-        a = feat.optimal_beta(RG, 12, 8.0, trials=150_000, seed=15)
-        b = feat.optimal_beta(RG, 12, 8.0, trials=300_000, seed=16)
+        a = feat.optimal_beta_grid(RG, 12, [8.0], trials=150_000, seed=15)[0]
+        b = feat.optimal_beta_grid(RG, 12, [8.0], trials=300_000, seed=16)[0]
         assert abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
 
     def test_reproducible_per_seed(self):
-        a = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21)
-        b = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=21)
+        a = feat.optimal_beta_grid(RG, 6, [4.0], trials=50_000, seed=21)[0]
+        b = feat.optimal_beta_grid(RG, 6, [4.0], trials=50_000, seed=21)[0]
         assert a == b
         # Another seed is a different (valid) estimate.
-        c = feat.optimal_beta(RG, 6, 4.0, trials=50_000, seed=22)
+        c = feat.optimal_beta_grid(RG, 6, [4.0], trials=50_000, seed=22)[0]
         assert c.value != a.value
         assert abs(a.value - c.value) <= 4.0 * math.hypot(a.std_error, c.std_error)

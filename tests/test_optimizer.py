@@ -173,13 +173,14 @@ class TestBruteForce:
             best = (math.inf, math.inf)
             for alpha in grid:
                 if mode.kind == "max":
-                    beta = feat.optimal_beta(RG, K, alpha, trials=50_000, seed=31)
+                    beta, = feat.optimal_beta_grid(RG, K, [alpha], trials=50_000,
+                                                   seed=31)
                     cfg = AirPoolConfig(mode, alpha, beta.value, 300.0, 1.0,
-                                        feat.normalization_moments(RG, alpha, seed=31))
+                                        feat.normalization_moments(RG, alpha))
                 else:
-                    cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, 300.0,
-                                                             1.0, seed=31)
-                err = analysis.estimate_errors(RG, cfg, K, trials=20_000, seed=31)
+                    cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, 300.0, 1.0)
+                err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000,
+                                                     seed=31)
                 best = min(best, (err.d_total, alpha))
             assert (d.alpha_star, d.objective_value) == (best[1], best[0])
 
@@ -203,7 +204,7 @@ class TestBetaMemo:
         for model, betas in zip((a, b), tables):
             cfg = optimizer.config_for(model, PoolingMode.max(), 6, 4.0, 10.0, 1.0,
                                        betas)
-            own = feat.optimal_beta(model, 6, 4.0, trials=20_000, seed=0).value
+            own = feat.optimal_beta_grid(model, 6, [4.0], trials=20_000, seed=0)[0].value
             assert cfg.beta == own
         with pytest.raises(ValueError):
             optimizer.config_for(a, PoolingMode.max(), 6, 4.0, 10.0, 1.0, tables[1])
@@ -212,8 +213,8 @@ class TestBetaMemo:
         betas = optimizer.BetaTable(RG, 5, beta_trials=30_000, seed=12)
         betas.fill([1.0, 3.0, 64.0])
         for alpha in (3.0, 1.0, 7.5, 64.0, 128.0):
-            assert betas[alpha] == feat.optimal_beta(RG, 5, alpha, trials=30_000,
-                                                     seed=12).value
+            assert betas[alpha] == feat.optimal_beta_grid(RG, 5, [alpha], trials=30_000,
+                                                          seed=12)[0].value
 
     def test_max_config_needs_a_table(self):
         with pytest.raises(ValueError):

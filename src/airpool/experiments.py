@@ -26,7 +26,8 @@ import numpy as np
 from . import analysis, features as feat, optimizer, sensing
 from .channel import SystemParams, airpool_latency, db_to_linear, digital_latency
 from .features import FeatureModel
-from .pooling import AirPoolConfig, PoolingMode
+from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise,
+                      pool_noisy_and_clean, postprocess, powered_sum)
 from .svgchart import Series, render_line_chart
 
 EXPERIMENT_KINDS = ("latency_table", "tradeoff_curve", "bound_validation",
@@ -71,6 +72,12 @@ class ExperimentConfig:
             raise ConfigError("sweep grids must be nonempty")
         if self.experiment != "latency_table" and self.trials < 10_000:
             raise ConfigError("experiment.trials must be >= 10000 for Monte Carlo runs")
+        for name in ("n_samples", "epochs", "trials_per_sample", "q_bits"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"sweep.{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError(f"sweep.learning_rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
 
     def feature_model(self) -> FeatureModel:
         if self.feature_kind == "empirical":
@@ -383,8 +390,6 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
                               betas: optimizer.BetaTable) -> List[Dict]:
     """Exactness of zero-noise averaging, convergence of zero-noise max
     pooling, and the per-sample sandwich bound."""
-    from .pooling import pool_noisy_and_clean
-
     rows = []
     rng = np.random.default_rng(cfg.seed)
     f = model.draw(rng, (min(cfg.trials, 50_000), k))
@@ -450,14 +455,11 @@ def _argmin_rule_checks(model, k, noise, e2, cfg: ExperimentConfig,
 def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
     """Accuracy chain on the linear synthetic task plus the chi fit of the
     averaging error norm."""
-    from . import sensing as _sensing
-    from .pooling import aggregate_with_noise, postprocess, powered_sum
-
     rows = []
-    dataset = _sensing.generate_dataset(1500, cfg.seed, linear_labels=True,
-                                        margin_gap=0.2,
-                                        mode=PoolingMode.average(), model=model)
-    margin_model = _sensing.measure_linear_margin(dataset, seed=cfg.seed)
+    dataset = sensing.generate_dataset(1500, cfg.seed, linear_labels=True,
+                                       margin_gap=0.2,
+                                       mode=PoolingMode.average(), model=model)
+    margin_model = sensing.measure_linear_margin(dataset, seed=cfg.seed)
     per_dim = np.swapaxes(dataset.views, 1, 2)
     pooled = dataset.pooled()
     r0 = margin_model.clean_accuracy

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._mc import MomentSums, MonteCarloEstimate, estimator_rng
+from ._mc import MonteCarloEstimate, estimator_rng, finite_mean, mean_estimate
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -202,9 +202,8 @@ def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
         raise ValueError("k must be >= 1")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    sums = MomentSums("max_second_moment")
-    sums.add(model.draw(estimator_rng(seed), (trials, k)).max(axis=1) ** 2)
-    return sums.estimate()
+    return mean_estimate(model.draw(estimator_rng(seed), (trials, k)).max(axis=1) ** 2,
+                         "max_second_moment")
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
@@ -240,19 +239,18 @@ def _beta_at(norms: RescaledNorms, k: int, alpha: float) -> MonteCarloEstimate:
     next alpha allocates its own.
     """
     norm = norms(alpha)
-    a = norms.fmax * norm   # slot 0
-    b = norm * norm         # slot 1
-    sums = MomentSums("optimal_beta_grid", slots=2)
-    sums.add(a, 0)
-    sums.add(b, 1)
-    sums.add_cross(a, b)
-    n_done = sums.n
-    (mean_a, second_a), (mean_b, second_b) = sums.moments(0), sums.moments(1)
+    a = norms.fmax * norm
+    b = norm * norm
+    n_done = len(a)
+    mean_a, mean_b = (finite_mean(x, "optimal_beta_grid", "mean") for x in (a, b))
+    second_a, second_b = (finite_mean(x * x, "optimal_beta_grid", "second moment")
+                          for x in (a, b))
+    cross = finite_mean(a * b, "optimal_beta_grid", "cross moment")
     u = mean_a / mean_b
     # Delta method for the ratio of correlated means.
     var_a = max(second_a - mean_a ** 2, 0.0)
     var_b = max(second_b - mean_b ** 2, 0.0)
-    cov_ab = sums.cross_moment() - mean_a * mean_b
+    cov_ab = cross - mean_a * mean_b
     var_u = max(var_a - 2.0 * u * cov_ab + u * u * var_b, 0.0) / (mean_b ** 2 * n_done)
     se_u = math.sqrt(var_u)
     u_lo, u_hi = k ** (-1.0 / alpha), 1.0

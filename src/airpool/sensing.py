@@ -16,7 +16,8 @@ import numpy as np
 
 from ._mc import rng_from
 from .features import FeatureModel
-from .pooling import AirPoolConfig, PoolingMode, true_pool
+from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postprocess,
+                      powered_sum, true_pool)
 
 DEFAULT_VIEWS = 4
 DEFAULT_FEATURES = 4
@@ -239,8 +240,6 @@ def evaluate_accuracy(clf: ShallowClassifier, dataset: SyntheticDataset,
     error). Equivalent to one `airpool_round` per (sample, trial), evaluated
     batched.
     """
-    from .pooling import aggregate_with_noise, postprocess, powered_sum
-
     if trials_per_sample < 1:
         raise ValueError("trials_per_sample must be >= 1")
     _, test_idx = dataset.split()
@@ -266,7 +265,6 @@ class LinearMarginModel:
     bias: float
     margin: float
     clean_accuracy: float
-    separable: bool
 
     def decision(self, g: np.ndarray) -> np.ndarray:
         return np.atleast_2d(g) @ self.weight + self.bias
@@ -278,8 +276,8 @@ def measure_linear_margin(dataset: SyntheticDataset, seed: int = 0,
     """Fit a linear separator by logistic descent and report its margin.
 
     The margin is the minimum distance of correctly classified pooled points
-    to the fitted boundary. On non-separable data the margin of the correct
-    subset is returned with `separable=False`.
+    to the fitted boundary; on non-separable data, that of the correct
+    subset.
     """
     pooled = dataset.pooled()
     y = dataset.labels.astype(float)
@@ -300,5 +298,4 @@ def measure_linear_margin(dataset: SyntheticDataset, seed: int = 0,
     norm = float(np.linalg.norm(w))
     margin = float(np.min(np.abs(z[correct])) / norm)
     return LinearMarginModel(weight=w, bias=float(b), margin=margin,
-                             clean_accuracy=float(correct.mean()),
-                             separable=bool(np.all(correct)))
+                             clean_accuracy=float(correct.mean()))

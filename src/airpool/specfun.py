@@ -1,14 +1,16 @@
-"""Scalar special functions used by the closed-form error bounds and the
-configuration optimizer.
+"""Special functions used by the closed-form error bounds, the margin
+accuracy bound and the configuration optimizer.
 
-Everything here is pure float arithmetic with explicit convergence
-bookkeeping, so callers can tell a converged value from a truncated one.
-The iterative routines are capped at ``ITERATION_CAP`` steps and report the
-count they actually used.
+Each function returns a plain value. The iterative routines are capped at
+``ITERATION_CAP`` steps; an evaluation that has not converged by then
+raises ArithmeticError naming the function, rather than returning a
+truncated value. `regularized_gamma_p` also takes an array, iterating only
+over the entries that have not converged yet.
 """
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 ITERATION_CAP = 500
 
@@ -34,15 +36,6 @@ _LANCZOS_COEF = (
 )
 
 
-@dataclass(frozen=True)
-class SpecFunResult:
-    """Value of a special-function evaluation plus convergence metadata."""
-
-    value: float
-    converged: bool
-    iterations: int
-
-
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0.
 
@@ -60,76 +53,97 @@ def ln_gamma(x: float) -> float:
     return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(s)
 
 
-def _gamma_p_series(k: float, x: float) -> SpecFunResult:
-    # Power series for P(k, x), effective when x < k + 1.
-    if x == 0.0:
-        return SpecFunResult(0.0, True, 0)
+def _unconverged(name: str, detail: str) -> ArithmeticError:
+    return ArithmeticError(f"{name}: no convergence within ITERATION_CAP = "
+                           f"{ITERATION_CAP} steps ({detail})")
+
+
+def _gamma_p_series(k: float, x: np.ndarray) -> np.ndarray:
+    # Power series for P(k, x) without its prefactor, effective when
+    # x < k + 1. Each step runs on the entries that have not converged yet.
+    out = np.empty_like(x)
+    index = np.arange(len(x))
     ap = k
-    total = 1.0 / k
-    term = total
-    for n in range(1, ITERATION_CAP + 1):
+    total = np.full(len(x), 1.0 / k)
+    term = total.copy()
+    for _ in range(ITERATION_CAP):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * 1e-16:
-            value = total * math.exp(-x + k * math.log(x) - ln_gamma(k))
-            return SpecFunResult(value, True, n)
-    value = total * math.exp(-x + k * math.log(x) - ln_gamma(k))
-    return SpecFunResult(value, False, ITERATION_CAP)
+        done = np.abs(term) < np.abs(total) * 1e-16
+        out[index[done]] = total[done]
+        keep = ~done
+        index, x, term, total = index[keep], x[keep], term[keep], total[keep]
+        if not index.size:
+            return out
+    raise _unconverged("regularized_gamma_p", f"k={k}; unconverged entries: {index.size}")
 
 
-def _gamma_q_contfrac(k: float, x: float) -> SpecFunResult:
-    # Modified Lentz continued fraction for Q(k, x) = 1 - P(k, x), x >= k + 1.
+def _gamma_q_contfrac(k: float, x: np.ndarray) -> np.ndarray:
+    # Modified Lentz continued fraction for Q(k, x) = 1 - P(k, x) without
+    # its prefactor, x >= k + 1; again only over the unconverged entries.
     tiny = 1e-300
+    out = np.empty_like(x)
+    index = np.arange(len(x))
     b = x + 1.0 - k
-    c = 1.0 / tiny
+    c = np.full(len(x), 1.0 / tiny)
     d = 1.0 / b
     h = d
     for n in range(1, ITERATION_CAP + 1):
         an = -n * (n - k)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            value = h * math.exp(-x + k * math.log(x) - ln_gamma(k))
-            return SpecFunResult(value, True, n)
-    value = h * math.exp(-x + k * math.log(x) - ln_gamma(k))
-    return SpecFunResult(value, False, ITERATION_CAP)
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        out[index[done]] = h[done]
+        keep = ~done
+        index, b, c, d, h = index[keep], b[keep], c[keep], d[keep], h[keep]
+        if not index.size:
+            return out
+    raise _unconverged("regularized_gamma_p", f"k={k}; unconverged entries: {index.size}")
 
 
-def regularized_gamma_p_result(k: float, x: float) -> SpecFunResult:
-    """P(k, x), the regularized lower incomplete gamma function.
+def regularized_gamma_p(k: float, x):
+    """P(k, x), the regularized lower incomplete gamma function, clipped
+    into [0, 1].
 
-    Series expansion for x < k + 1, continued fraction otherwise.
+    `x` is a float or an array of them; a float gives a float. Series
+    expansion for x < k + 1, continued fraction otherwise (Press et al.,
+    Numerical Recipes, 3rd ed., section 6.2).
     """
     if not (k > 0.0):
         raise ValueError(f"regularized_gamma_p requires k > 0, got k={k}")
-    if x < 0.0 or math.isnan(x):
-        raise ValueError(f"regularized_gamma_p requires x >= 0, got x={x}")
-    if math.isinf(x):
-        return SpecFunResult(1.0, True, 0)
-    if x < k + 1.0:
-        return _gamma_p_series(k, x)
-    q = _gamma_q_contfrac(k, x)
-    return SpecFunResult(1.0 - q.value, q.converged, q.iterations)
+    xs = np.array(x, dtype=float, ndmin=1)
+    bad = ~(xs >= 0.0)
+    if bad.any():
+        raise ValueError(f"regularized_gamma_p requires x >= 0, got x={xs[bad][0]}")
+    flat = xs.reshape(-1)
+    p = np.ones_like(flat)  # P(k, inf) = 1
+    ln_gamma_k = ln_gamma(k)
 
+    def prefactor(v):
+        return np.exp(-v + k * np.log(v) - ln_gamma_k)
 
-def regularized_gamma_p(k: float, x: float) -> float:
-    """P(k, x) as a plain float, clipped into [0, 1]."""
-    return min(1.0, max(0.0, regularized_gamma_p_result(k, x).value))
+    series = np.flatnonzero((flat > 0.0) & (flat < k + 1.0))
+    contfrac = np.flatnonzero((flat >= k + 1.0) & (flat < math.inf))
+    p[flat == 0.0] = 0.0
+    v = flat[series]
+    p[series] = _gamma_p_series(k, v) * prefactor(v)
+    v = flat[contfrac]
+    p[contfrac] = 1.0 - _gamma_q_contfrac(k, v) * prefactor(v)
+    p = np.minimum(1.0, np.maximum(0.0, p)).reshape(xs.shape)
+    return float(p[0]) if np.ndim(x) == 0 else p
 
 
 _NEG_INV_E = -math.exp(-1.0)
 
 
-def lambert_w0_result(x: float) -> SpecFunResult:
+def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function (w e^w = x, w >= -1).
 
     Halley iteration from a log-based initial guess; falls back to bisection
@@ -139,7 +153,7 @@ def lambert_w0_result(x: float) -> SpecFunResult:
     if math.isnan(x) or x < _NEG_INV_E:
         raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
     if x == 0.0:
-        return SpecFunResult(0.0, True, 0)
+        return 0.0
     tol = 1e-12 * max(1.0, abs(x))
     # Initial guess.
     if x > math.e:
@@ -151,12 +165,12 @@ def lambert_w0_result(x: float) -> SpecFunResult:
         # Near the branch point w ~ -1 + sqrt(2(e x + 1)).
         w = -1.0 + math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
     iters = 0
-    for _ in range(64):
+    for _ in range(min(64, ITERATION_CAP)):
         iters += 1
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= tol:
-            return SpecFunResult(w, True, iters)
+            return w
         wp1 = w + 1.0
         denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1) if wp1 != 0.0 else ew
         step = f / denom
@@ -168,24 +182,17 @@ def lambert_w0_result(x: float) -> SpecFunResult:
         w = w_new
     # Bisection fallback: W0 is increasing, bracket then halve.
     lo, hi = -1.0, max(w, 1.0)
-    while hi * math.exp(hi) < x:
+    while hi * math.exp(hi) < x and iters < ITERATION_CAP:
         hi *= 2.0
         iters += 1
-        if iters >= ITERATION_CAP:
-            return SpecFunResult(hi, False, iters)
     while iters < ITERATION_CAP:
         iters += 1
         mid = 0.5 * (lo + hi)
         f = mid * math.exp(mid) - x
         if abs(f) <= tol:
-            return SpecFunResult(mid, True, iters)
+            return mid
         if f < 0.0:
             lo = mid
         else:
             hi = mid
-    return SpecFunResult(0.5 * (lo + hi), False, iters)
-
-
-def lambert_w0(x: float) -> float:
-    """W0(x) as a plain float."""
-    return lambert_w0_result(x).value
+    raise _unconverged("lambert_w0", f"x={x}")

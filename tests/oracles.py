@@ -11,12 +11,13 @@ The inverse of the regularized gamma function checks the forward
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from airpool._mc import rng_from
 from airpool.pooling import WEIGHTED_SUM, AirPoolConfig
-from airpool.specfun import ITERATION_CAP, SpecFunResult, regularized_gamma_p
+from airpool.specfun import ITERATION_CAP, regularized_gamma_p
 
 
 def preprocess_and_modulate(features: np.ndarray, cfg: AirPoolConfig) -> np.ndarray:
@@ -62,7 +63,15 @@ def denormalize(y: np.ndarray, cfg: AirPoolConfig, k_sensors: int) -> np.ndarray
         * np.asarray(y, dtype=float) + cfg.moments.eta * k_sensors
 
 
-def inverse_regularized_gamma_p_result(k: float, p: float) -> SpecFunResult:
+class InverseResult(NamedTuple):
+    """Root of the inverse with its convergence record."""
+
+    value: float
+    converged: bool
+    iterations: int
+
+
+def inverse_regularized_gamma_p_result(k: float, p: float) -> InverseResult:
     """Solve P(k, x) = p for x by bracketing bisection.
 
     Terminates once |P(k, x) - p| <= 1e-9 (and polishes the bracket down to
@@ -79,7 +88,7 @@ def inverse_regularized_gamma_p_result(k: float, p: float) -> SpecFunResult:
         hi *= 2.0
         iters += 1
         if iters >= ITERATION_CAP:
-            return SpecFunResult(hi, False, iters)
+            return InverseResult(hi, False, iters)
     x = 0.5 * (lo + hi)
     converged = False
     while iters < ITERATION_CAP:
@@ -93,7 +102,7 @@ def inverse_regularized_gamma_p_result(k: float, p: float) -> SpecFunResult:
         if abs(fx - p) <= 1e-9 and (hi - lo) <= 1e-14 * max(1.0, x):
             converged = True
             break
-    return SpecFunResult(x, converged, iters)
+    return InverseResult(x, converged, iters)
 
 
 def inverse_regularized_gamma_p(k: float, p: float) -> float:

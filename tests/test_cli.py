@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from airpool import analysis, cli, experiments, features as feat, optimizer
+from airpool import analysis, cli, experiments, features as feat, optimizer, sensing
 from airpool.channel import SystemParams, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
 from airpool.features import FeatureModel
@@ -313,6 +313,23 @@ class TestConfigCoverage:
         assert "parallel workers were removed" in capsys.readouterr().err
 
 
+class TestBenchmarkCsvBytes:
+    """Every benchmark workload, run in-process at its tiny size, writes the
+    CSV bytes recorded at the seed commit."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("workload", ["alpha_search", "bound_gate", "sensing_e2e"])
+    def test_tiny_csv_matches_seed_commit(self, workload, seed, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+        runner = load_benchmark_runner()
+        with open(os.path.join(ROOT, "perfbench", "csv_sha256_seed_commit.json")) as fh:
+            want = json.load(fh)["tiny"][workload][str(seed)]
+        path = tmp_path / "bench.ini"
+        path.write_text(runner.config_text(workload, "tiny", seed, str(tmp_path / "out")))
+        _, paths = experiments.run_experiment(parse_config(path))
+        assert _sha(paths["csv"]) == want
+
+
 # Inputs outside their documented range: a config body for `run`, or a
 # subcommand's argv.
 RANGE_ERRORS = {
@@ -322,7 +339,12 @@ RANGE_ERRORS = {
     "run-bound-k-1": ("bound_validation", "[system]\nk_sensors = 1"),
     "run-e2e-no-samples": ("synthetic_e2e", "[sweep]\nn_samples = 0"),
     "run-e2e-no-trials-per-sample": (
-        "synthetic_e2e", "[sweep]\nn_samples = 100\nepochs = 1\ntrials_per_sample = 0"),
+        "synthetic_e2e", "[sweep]\nn_samples = 100\ntrials_per_sample = 0"),
+    "run-e2e-negative-epochs": ("synthetic_e2e", "[sweep]\nn_samples = 300\nepochs = -1"),
+    "run-e2e-nan-learning-rate": (
+        "synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = nan"),
+    "run-e2e-negative-learning-rate": (
+        "synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = -1"),
     "run-latency-q-bits-0": ("latency_table", "[sweep]\nq_bits = 0"),
     "latency-q-bits-0": ["latency", "--q-bits", "0"],
     "train-snn-no-samples": ["train-snn", "--samples", "0"],
@@ -332,7 +354,12 @@ RANGE_ERRORS = {
 
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
-    def test_out_of_range_input_is_a_config_error(self, case, tmp_path, capsys):
+    def test_out_of_range_input_is_a_config_error(self, case, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("an out-of-range input reached training")
+
+        monkeypatch.setattr(sensing, "train_classifier", no_training)
         argv = RANGE_ERRORS[case]
         if isinstance(argv, tuple):
             kind, body = argv

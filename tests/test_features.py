@@ -8,7 +8,8 @@ import pytest
 from scipy import integrate, stats
 
 from airpool import features as feat
-from airpool._mc import MomentSums, MonteCarloEstimate, estimator_rng, rng_from
+from airpool._mc import (MonteCarloEstimate, estimator_rng, finite_mean, mean_estimate,
+                         rng_from)
 from airpool.features import FeatureModel
 
 RG = FeatureModel.rectified_gaussian()
@@ -109,13 +110,11 @@ class TestMoments:
 
     def test_monte_carlo_overflow_raises(self):
         # f^128 of a unit exponential reaches 1e150, so its square overflows;
-        # the accumulator names the estimator instead of returning inf.
+        # `mean_estimate` names the estimator instead of returning inf.
         v = FeatureModel.exponential_unit().draw(estimator_rng(1), 1_000_000) ** 128.0
-        sums = MomentSums("some_estimator")
-        with np.errstate(over="ignore"):
-            sums.add(v)
-        with pytest.raises(ArithmeticError, match="some_estimator: .*second moment"):
-            sums.estimate()
+        with np.errstate(over="ignore"), \
+                pytest.raises(ArithmeticError, match="some_estimator: .*second moment"):
+            mean_estimate(v, "some_estimator")
 
     def test_degenerate_empirical_all_zero(self):
         ms = feat.normalization_moments(FeatureModel.empirical([0.0, 0.0, 0.0]), 1.0)
@@ -129,21 +128,17 @@ class TestMoments:
 
 
 class TestMomentSums:
-    """Every estimator sums through `MomentSums`, which refuses to return a
-    moment that overflowed float64."""
+    """Every estimator divides its moment sums through `_mc.finite_mean`,
+    which refuses to return a moment that overflowed float64."""
 
     def test_overflowing_mean_and_cross_moment_raise(self):
-        sums = MomentSums("two_slots", slots=2)
         big = np.array([1.5e308, 1.5e308])
         with np.errstate(over="ignore"):
-            sums.add(big, 0)
-            sums.add(np.ones(2), 1)
-            sums.add_cross(big, np.full(2, 2.0))
-        with pytest.raises(ArithmeticError, match="two_slots: .*mean"):
-            sums.moments(0)
-        with pytest.raises(ArithmeticError, match="two_slots: .*cross moment"):
-            sums.cross_moment()
-        assert sums.moments(1) == (1.0, 1.0)
+            with pytest.raises(ArithmeticError, match="two_moments: .*mean"):
+                mean_estimate(big, "two_moments")
+            with pytest.raises(ArithmeticError, match="two_moments: .*cross moment"):
+                finite_mean(big * 2.0, "two_moments", "cross moment")
+        assert mean_estimate(np.ones(2), "two_moments") == MonteCarloEstimate(1.0, 0.0, 2)
 
 
 class TestRescaledNorm:

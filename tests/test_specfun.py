@@ -90,16 +90,33 @@ class TestRegularizedGammaP:
                 assert specfun.regularized_gamma_p(k, x) == pytest.approx(
                     float(special.gammainc(k, x)), abs=1e-10)
 
-    def test_convergence_metadata(self):
-        res = specfun.regularized_gamma_p_result(2.5, 3.0)
-        assert res.converged and math.isfinite(res.value)
-        assert 0 < res.iterations <= specfun.ITERATION_CAP
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 2.5, 10.0, 50.0, 200.0])
+    def test_array_matches_float_calls_and_scipy(self, k):
+        # Zero, both branches, the branch point k + 1 and infinity.
+        x = np.concatenate([[0.0, k + 1.0, math.inf],
+                            np.geomspace(1e-6, 4.0 * k + 40.0, 300)])
+        p = specfun.regularized_gamma_p(k, x)
+        assert isinstance(p, np.ndarray) and p.shape == x.shape
+        assert all(p[i] == specfun.regularized_gamma_p(k, float(v))
+                   for i, v in enumerate(x))
+        np.testing.assert_allclose(p, special.gammainc(k, x), rtol=0.0, atol=1e-12)
+        assert isinstance(specfun.regularized_gamma_p(k, 1.0), float)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "ITERATION_CAP", 1)
+        with pytest.raises(ArithmeticError,
+                           match=r"regularized_gamma_p: .*k=2.5; unconverged entries: 2"):
+            specfun.regularized_gamma_p(2.5, np.array([0.0, 1.0, 3.0, 10.0]))
+        with pytest.raises(ArithmeticError, match=r"regularized_gamma_p: .*k=2.5"):
+            specfun.regularized_gamma_p(2.5, 10.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             specfun.regularized_gamma_p(0.0, 1.0)
         with pytest.raises(ValueError):
             specfun.regularized_gamma_p(2.0, -0.1)
+        with pytest.raises(ValueError):
+            specfun.regularized_gamma_p(2.0, np.array([1.0, math.nan]))
 
 
 class TestInverseRegularizedGammaP:
@@ -170,7 +187,7 @@ class TestLambertW0:
         with pytest.raises(ValueError):
             specfun.lambert_w0(-math.exp(-1.0) - 1e-6)
 
-    def test_result_metadata(self):
-        res = specfun.lambert_w0_result(3.5)
-        assert res.converged and math.isfinite(res.value)
-        assert res.iterations <= specfun.ITERATION_CAP
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "ITERATION_CAP", 1)
+        with pytest.raises(ArithmeticError, match=r"lambert_w0: .*x=3.5"):
+            specfun.lambert_w0(3.5)

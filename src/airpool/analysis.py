@@ -60,11 +60,9 @@ class ErrorBreakdown:
     se_chan: float
     se_appr: float
     noise_bound: float          # closed-form bound on d_chan
-    noise_bound_asymptotic: float
     approx_bound: float         # bound on d_appr for the active mode
     approx_bound_se: float
     c0: int
-    trials: int
 
     def decomposition_slack(self, n_sigma: float = N_SIGMA) -> float:
         """c0 (d_chan + d_appr) + n_sigma SE - d_total; >= 0 when the bound holds."""
@@ -86,8 +84,9 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     grid), scaling the unit noise by its own noise level; so does the
     approximation bound (`approx_error_bounds` with key (1,)). The noise
     bound comes from the closed form. Each result is bit-identical to the
-    same call on that configuration alone. The streams are listed in the
-    module docstring.
+    same call on that configuration alone, so one sweep per pooling mode
+    serves every alpha search of an experiment, each on its slice. The
+    streams are listed in the module docstring.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
@@ -127,10 +126,8 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
             se_appr=appr.std_error,
             noise_bound=noise_error_bound_from_moments(
                 cfg.alpha, cfg.moments.nu_sq, cfg.p_rx_w, cfg.noise_power_w),
-            noise_bound_asymptotic=noise_error_asymptote(cfg.alpha, cfg.p_rx_w,
-                                                         cfg.noise_power_w),
             approx_bound=eps.value, approx_bound_se=eps.std_error,
-            c0=decomposition_c0(cfg.mode, cfg.alpha), trials=total.trials))
+            c0=decomposition_c0(cfg.mode, cfg.alpha)))
     return errors
 
 
@@ -171,13 +168,18 @@ def noise_error_asymptote_derivative(alpha: float, p_rx_w: float,
     return 2.0 / math.e * base ** (1.0 / alpha) * (1.0 + math.log(1.0 / base) / alpha)
 
 
+def max_approx_error_bound(alpha: float, k: int, e_fmax_sq: float) -> float:
+    """Max-pooling approximation bound (1 - K^(-1/alpha)) E[fmax^2 | K]."""
+    return (1.0 - k ** (-1.0 / alpha)) * e_fmax_sq
+
+
 def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
                         alphas: Sequence[float], trials: int, seed: int,
                         key: tuple) -> List[MonteCarloEstimate]:
     """Function-approximation error bound at every alpha of `alphas`, from
     one draw.
 
-    Max pooling: (1 - K^(-1/alpha)) E[fmax^2 | K], with the second moment
+    Max pooling: `max_approx_error_bound`, with the second moment
     estimated by `features.max_second_moment` from the sub-stream (seed, 0);
     `key` is not used. Average pooling: E[(||f||_a / K - g_avg)^2],
     estimated directly from the sub-stream (seed, *key, 0).
@@ -187,9 +189,9 @@ def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
     if mode.kind == MAX:
         est = feat.max_second_moment(model, k, trials=trials, seed=seed) \
             if k > 1 else MonteCarloEstimate(0.0, 0.0, 0)
-        scales = [1.0 - k ** (-1.0 / alpha) for alpha in alphas]
-        return [MonteCarloEstimate(scale * est.value, scale * est.std_error,
-                                   est.trials) for scale in scales]
+        return [MonteCarloEstimate(max_approx_error_bound(alpha, k, est.value),
+                                   max_approx_error_bound(alpha, k, est.std_error),
+                                   est.trials) for alpha in alphas]
     if mode.kind == AVERAGE:
         f = model.draw(estimator_rng(seed, *key), (trials, k))
         g_avg = f.mean(axis=1)
@@ -219,7 +221,7 @@ def tradeoff_curve(model: FeatureModel, k: int, p_rx_w: float,
     rows = []
     for alpha in alpha_grid:
         delta = noise_error_bound(model, alpha, p_rx_w, noise_power_w)
-        eps_m = (1.0 - k ** (-1.0 / alpha)) * fmax_sq
+        eps_m = max_approx_error_bound(alpha, k, fmax_sq)
         rows.append({
             "alpha": alpha,
             "noise_bound": delta,

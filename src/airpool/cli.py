@@ -9,6 +9,7 @@ arguments), 3 numeric error (an ArithmeticError such as an overflow).
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -31,13 +32,11 @@ def _add_common_overrides(sub):
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg.trials = args.trials
-    if getattr(args, "out", None) is not None:
-        cfg.output_dir = args.out
-    return cfg
+    """The config with the command-line overrides, checked again."""
+    overrides = {name: getattr(args, option) for name, option in
+                 (("seed", "seed"), ("trials", "trials"), ("output_dir", "out"))
+                 if getattr(args, option, None) is not None}
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _error_exit(exc: Exception) -> int:
@@ -72,8 +71,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate_bounds(args) -> int:
     if args.config:
-        cfg = experiments.parse_config(args.config)
-        cfg.experiment = "bound_validation"
+        cfg = dataclasses.replace(experiments.parse_config(args.config),
+                                  experiment="bound_validation")
     else:
         cfg = ExperimentConfig(experiment="bound_validation")
     result, _ = experiments.run_experiment(_apply_overrides(cfg, args))

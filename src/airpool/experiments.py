@@ -7,8 +7,9 @@ seed), `<kind>.svg` (derived chart, never feeds back into the CSV), and
 `<kind>.meta.json` (config echo, CSV content hash, timestamp; the timestamp
 lives here so the CSV stays reproducible).
 
-The Monte Carlo experiments draw once per sweep (at one power or several)
-and take beta* from one `optimizer.BetaTable` that the experiment owns.
+A Monte Carlo experiment makes one `analysis.estimate_errors_grid` sweep per
+pooling mode, reads each brute-force argmin from a slice of it, and takes
+beta* from one `optimizer.BetaTable` that it owns.
 """
 
 import configparser
@@ -317,11 +318,18 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     model = cfg.feature_model()
     betas = optimizer.BetaTable(model, k, seed=cfg.seed)
     betas.fill([*cfg.alpha_grid, *_RECONFIG_ALPHAS, *_ARGMIN_GRID])
+    e2 = feat.max_second_moment(model, k, trials=max(cfg.trials, 100_000),
+                                seed=cfg.seed).value
     points = [(alpha, snr_db) for alpha in cfg.alpha_grid for snr_db in cfg.snr_grid_db]
+    # Each mode's sweep ends with the argmin grid at the power of its rule.
+    argmin_p_rx = {"average": db_to_linear(cfg.snr_grid_db[0]) * noise,
+                   "max": 0.5 * optimizer.low_snr_threshold(k, e2) * noise}
     errors = {}
     for mode in (PoolingMode.average(), PoolingMode.max()):
-        cfgs = [optimizer.config_for(model, mode, k, alpha, db_to_linear(snr_db) * noise,
-                                     noise, betas) for alpha, snr_db in points]
+        sweep = [(alpha, db_to_linear(snr_db) * noise) for alpha, snr_db in points]
+        sweep += [(alpha, argmin_p_rx[mode.kind]) for alpha in _ARGMIN_GRID]
+        cfgs = [optimizer.config_for(model, mode, k, alpha, p_rx, noise, betas)
+                for alpha, p_rx in sweep]
         errors[mode.kind] = analysis.estimate_errors_grid(model, cfgs, k,
                                                           trials=cfg.trials, seed=cfg.seed)
     rows: List[Dict] = []
@@ -350,8 +358,6 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
         "slack": 0.05 - abs(slope / (2.0 / math.e) - 1.0),
         "passed": abs(slope / (2.0 / math.e) - 1.0) <= 0.05,
     })
-    e2 = feat.max_second_moment(model, k, trials=max(cfg.trials, 100_000),
-                                seed=cfg.seed).value
     gaps = []
     for ratio in (1e2, 1e3, 1e4):
         closed = optimizer.closed_form_alpha(k, ratio * noise, noise, e2).alpha_star
@@ -376,7 +382,8 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
             "passed": closed.objective_value <= 1.1 * best,
         })
     rows.extend(_reconfigurability_checks(model, k, cfg, betas))
-    rows.extend(_argmin_rule_checks(model, k, noise, e2, cfg, betas))
+    rows.extend(_argmin_rule_checks(cfg, errors["average"][len(points):],
+                                    errors["max"][len(points):]))
     rows.extend(_margin_chain_checks(model, noise, cfg))
     failures = sum(0 if r["passed"] else 1 for r in rows)
     result = ExperimentResult(
@@ -425,31 +432,23 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     return rows
 
 
-def _argmin_rule_checks(model, k, noise, e2, cfg: ExperimentConfig,
-                        betas: optimizer.BetaTable) -> List[Dict]:
-    """Brute-force argmin rules: averaging prefers alpha = 1 at any SNR, and
-    below the critical power ratio max pooling stays within one grid step
-    of alpha = 1."""
-    rows = []
+def _argmin_rule_checks(cfg: ExperimentConfig,
+                        average: List[analysis.ErrorBreakdown],
+                        low_snr_max: List[analysis.ErrorBreakdown]) -> List[Dict]:
+    """Brute-force argmin rules over `_ARGMIN_GRID`, from the errors of its
+    configurations: averaging prefers alpha = 1 at any SNR, and below the
+    critical power ratio max pooling stays within one grid step of alpha = 1."""
     grid = _ARGMIN_GRID
-    snr_db = cfg.snr_grid_db[0]
-    d = optimizer.brute_force_alpha(model, PoolingMode.average(), k,
-                                    db_to_linear(snr_db) * noise, noise, grid,
-                                    trials=cfg.trials, seed=cfg.seed)
-    rows.append({"check": "average-argmin", "mode": "average",
-                 "alpha": d.alpha_star, "snr_db": snr_db,
-                 "measured": d.alpha_star, "bound": 1.0,
-                 "slack": 1.0 - d.alpha_star, "passed": d.alpha_star == 1.0})
-    rho0 = optimizer.low_snr_threshold(k, e2)
-    d = optimizer.brute_force_alpha(model, PoolingMode.max(), k,
-                                    0.5 * rho0 * noise, noise, grid,
-                                    trials=cfg.trials, seed=cfg.seed, betas=betas)
-    rows.append({"check": "low-snr-argmin", "mode": "max",
-                 "alpha": d.alpha_star, "snr_db": "",
-                 "measured": d.alpha_star, "bound": grid[1],
-                 "slack": grid[1] - d.alpha_star,
-                 "passed": d.alpha_star <= grid[1]})
-    return rows
+    avg_alpha = optimizer.lowest_error_alpha(grid, average).alpha_star
+    max_alpha = optimizer.lowest_error_alpha(grid, low_snr_max).alpha_star
+    return [
+        {"check": "average-argmin", "mode": "average", "alpha": avg_alpha,
+         "snr_db": cfg.snr_grid_db[0], "measured": avg_alpha, "bound": 1.0,
+         "slack": 1.0 - avg_alpha, "passed": avg_alpha == 1.0},
+        {"check": "low-snr-argmin", "mode": "max", "alpha": max_alpha, "snr_db": "",
+         "measured": max_alpha, "bound": grid[1], "slack": grid[1] - max_alpha,
+         "passed": max_alpha <= grid[1]},
+    ]
 
 
 def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
@@ -512,20 +511,24 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
                      for p_bar in p_bars]
     betas = optimizer.BetaTable(model, k, seed=cfg.seed)
     betas.fill(grid + [c.alpha_star for c in closed_alphas])
+    # One sweep, alpha-major so each grid alpha is powered once, then each
+    # SNR's closed-form alpha, which shares the draw but not the argmin.
+    sweep = [(alpha, p_bar) for alpha in grid for p_bar in p_bars]
+    sweep += [(closed.alpha_star, p_bar) for closed, p_bar in zip(closed_alphas, p_bars)]
+    cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar, noise, betas)
+            for alpha, p_bar in sweep]
+    errors = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials,
+                                           seed=cfg.seed)
+    n_grid = len(grid) * len(p_bars)
     rows = []
-    for snr_db, p_bar, closed in zip(cfg.snr_grid_db, p_bars, closed_alphas):
-        root = optimizer.bisection_alpha(k, p_bar, noise, e2)
-        # The closed-form alpha shares the sweep's draw but not its argmin.
-        cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar,
-                                     noise, betas) for alpha in grid + [closed.alpha_star]]
-        errors = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials,
-                                               seed=cfg.seed)
-        brute = optimizer.lowest_error_alpha(grid, errors[:-1])
-        d_closed = errors[-1].d_total
+    for i, (snr_db, p_bar, closed) in enumerate(zip(cfg.snr_grid_db, p_bars,
+                                                    closed_alphas)):
+        brute = optimizer.lowest_error_alpha(grid, errors[i:n_grid:len(p_bars)])
         rows.append({
             "snr_db": snr_db, "alpha_closed": closed.alpha_star,
-            "alpha_bisection": root, "alpha_bruteforce": brute.alpha_star,
-            "d_closed": d_closed, "d_bruteforce": brute.objective_value,
+            "alpha_bisection": optimizer.bisection_alpha(k, p_bar, noise, e2),
+            "alpha_bruteforce": brute.alpha_star,
+            "d_closed": errors[n_grid + i].d_total, "d_bruteforce": brute.objective_value,
             "seed": cfg.seed,
         })
     result = ExperimentResult(

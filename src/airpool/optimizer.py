@@ -31,10 +31,8 @@ class AlphaDecision:
 
     alpha_star: float
     method: str
-    c_const: float = math.nan      # ln(sqrt(2) P / (K sigma^2)) when applicable
     rho0: float = math.nan         # low-SNR critical power ratio
     objective_value: float = math.nan
-    clamped: bool = False
     note: str = ""
 
     def __post_init__(self):
@@ -102,7 +100,7 @@ def surrogate_objective(alpha: float, k: int, p_bar: float, noise_power: float,
                         e_fmax_sq: float) -> float:
     """Asymptotic noise bound plus max-approximation bound at this alpha."""
     return analysis.noise_error_asymptote(alpha, p_bar, noise_power) \
-        + (1.0 - k ** (-1.0 / alpha)) * e_fmax_sq
+        + analysis.max_approx_error_bound(alpha, k, e_fmax_sq)
 
 
 def low_snr_threshold(k: int, e_fmax_sq: float) -> float:
@@ -118,7 +116,7 @@ def closed_form_alpha(k: int, p_bar: float, noise_power: float,
     """Closed-form near-optimal alpha for max pooling via Lambert W.
 
     Requires k >= 4 and p_bar / noise_power > k. The result is clamped into
-    [1, ALPHA_MAX] with a flag when the clamp binds.
+    [1, ALPHA_MAX].
 
     It is near-optimal on the bound-sum surrogate it is derived from (within
     1.1x of the surrogate's minimum). Because those bounds are loose, it is
@@ -134,13 +132,10 @@ def closed_form_alpha(k: int, p_bar: float, noise_power: float,
     a = c / (c + log_k)
     arg = 2.0 * c * (c + log_k) / (math.exp(1.0 + a) * e_fmax_sq * log_k)
     alpha = c / (lambert_w0(arg) + a)
-    clamped = not (1.0 <= alpha <= ALPHA_MAX)
     alpha = min(max(alpha, 1.0), ALPHA_MAX)
     return AlphaDecision(
-        alpha_star=alpha, method=CLOSED_FORM, c_const=c,
-        rho0=low_snr_threshold(k, e_fmax_sq),
-        objective_value=surrogate_objective(alpha, k, p_bar, noise_power, e_fmax_sq),
-        clamped=clamped)
+        alpha_star=alpha, method=CLOSED_FORM, rho0=low_snr_threshold(k, e_fmax_sq),
+        objective_value=surrogate_objective(alpha, k, p_bar, noise_power, e_fmax_sq))
 
 
 def select_alpha(mode: PoolingMode, model: FeatureModel, k: int, p_bar: float,
@@ -169,8 +164,7 @@ def select_alpha(mode: PoolingMode, model: FeatureModel, k: int, p_bar: float,
                              objective_value=surrogate_objective(
                                  1.0, k, p_bar, noise_power, e_fmax_sq))
     if k >= 4 and ratio > k:
-        decision = closed_form_alpha(k, p_bar, noise_power, e_fmax_sq)
-        return decision
+        return closed_form_alpha(k, p_bar, noise_power, e_fmax_sq)
     grid = list(alpha_grid) if alpha_grid is not None else default_alpha_grid()
     note = "k < 4" if k < 4 else f"rho0 < p_bar/noise <= K ({ratio:.3g} <= {k})"
     decision = brute_force_alpha(model, mode, k, p_bar, noise_power, grid,

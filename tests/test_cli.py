@@ -233,6 +233,42 @@ class TestBoundValidationGate:
         assert result.rows[:len(expected)] == expected
         assert len(expected) == 36
 
+    @pytest.mark.parametrize("snr_grid_db", [(0.0, 12.0), (12.0, 0.0)])
+    def test_argmin_rows_match_per_sweep_search(self, tmp_path, monkeypatch, snr_grid_db):
+        # The argmin configurations ride at the end of each mode's error
+        # sweep; each decision equals a brute-force search drawn on its own.
+        k, seed, trials = 4, 3, 10_000
+        decisions = []
+        lowest_error_alpha = optimizer.lowest_error_alpha
+
+        def recording(grid, errors):
+            decision = lowest_error_alpha(grid, errors)
+            decisions.append((decision.alpha_star, decision.objective_value))
+            return decision
+
+        monkeypatch.setattr(optimizer, "lowest_error_alpha", recording)
+        cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
+                               system=SystemParams(k_sensors=k),
+                               snr_grid_db=snr_grid_db, alpha_grid=(1.0, 4.0),
+                               seed=seed, output_dir=str(tmp_path))
+        result, _ = experiments.run_experiment(cfg)
+        shared, decisions[:] = list(decisions), []
+        model = FeatureModel.rectified_gaussian()
+        noise = cfg.system.subchannel_noise_w
+        e2 = feat.max_second_moment(model, k, trials=100_000, seed=seed).value
+        grid = (1.0, 2.0, 4.0)
+        average = optimizer.brute_force_alpha(
+            model, PoolingMode.average(), k, db_to_linear(snr_grid_db[0]) * noise,
+            noise, grid, trials=trials, seed=seed)
+        low_snr = optimizer.brute_force_alpha(
+            model, PoolingMode.max(), k, 0.5 * optimizer.low_snr_threshold(k, e2) * noise,
+            noise, grid, trials=trials, seed=seed)
+        assert shared == decisions
+        rows = {r["check"]: r for r in result.rows if r["check"].endswith("-argmin")}
+        assert (rows["average-argmin"]["measured"], rows["average-argmin"]["snr_db"]) \
+            == (average.alpha_star, snr_grid_db[0])
+        assert rows["low-snr-argmin"]["measured"] == low_snr.alpha_star
+
 
 def per_point_rows(err, mode_name, alpha, snr_db):
     """The noise, approximation and decomposition rows of one grid point."""
@@ -277,6 +313,31 @@ class TestAlphaOptimality:
                                                  seed=seed)
             assert (row["alpha_closed"], row["d_closed"]) == (alpha, err.d_total)
             assert alpha not in optimizer.default_alpha_grid(48)
+
+    def test_brute_force_columns_match_per_snr_sweep(self, tmp_path):
+        # One sweep over every (alpha, SNR) pair gives each SNR's brute-force
+        # alpha and error of a sweep over that SNR alone.
+        k, seed, trials = 6, 5, 10_000
+        cfg = ExperimentConfig(experiment="alpha_optimality", trials=trials,
+                               system=SystemParams(k_sensors=k),
+                               snr_grid_db=(15.0, 25.0, 35.0), seed=seed,
+                               output_dir=str(tmp_path))
+        result, _ = experiments.run_experiment(cfg)
+        model = FeatureModel.rectified_gaussian()
+        noise = cfg.system.subchannel_noise_w
+        grid = optimizer.default_alpha_grid(48)
+        betas = optimizer.BetaTable(model, k, seed=seed)
+        betas.fill(grid)
+        for row in result.rows:
+            p_bar = db_to_linear(row["snr_db"]) * noise
+            cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar,
+                                         noise, betas) for alpha in grid]
+            errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials,
+                                                   seed=seed)
+            brute = optimizer.lowest_error_alpha(grid, errors)
+            assert (row["alpha_bruteforce"], row["d_bruteforce"]) \
+                == (brute.alpha_star, brute.objective_value)
+        assert [r["snr_db"] for r in result.rows] == [15.0, 25.0, 35.0]
 
 
 def load_benchmark_runner():
@@ -330,8 +391,8 @@ class TestBenchmarkCsvBytes:
         assert _sha(paths["csv"]) == want
 
 
-# Inputs outside their documented range: a config body for `run`, or a
-# subcommand's argv.
+# Inputs outside their documented range: a config body for `run` (or for
+# the subcommand and options that follow it), or a subcommand's argv.
 RANGE_ERRORS = {
     "run-bound-alpha-below-one": ("bound_validation", "[sweep]\nalpha_grid = 0.5, 2"),
     "run-tradeoff-alpha-descending": ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2"),
@@ -346,10 +407,18 @@ RANGE_ERRORS = {
     "run-e2e-negative-learning-rate": (
         "synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = -1"),
     "run-latency-q-bits-0": ("latency_table", "[sweep]\nq_bits = 0"),
+    "run-e2e-trials-override-5": (
+        "synthetic_e2e", "[sweep]\nn_samples = 300", "run", "--trials", "5"),
+    "validate-bounds-trials-override-5": (
+        "bound_validation", "[sweep]\nsnr_grid_db = 0, 6, 12\nalpha_grid = 1, 4, 16",
+        "validate-bounds", "--trials", "5"),
     "latency-q-bits-0": ["latency", "--q-bits", "0"],
     "train-snn-no-samples": ["train-snn", "--samples", "0"],
     "optimize-alpha-k-0": ["optimize-alpha", "--k", "0"],
 }
+
+# K is checked by the rule that needs E[fmax^2], after drawing it.
+CHECKED_AFTER_FMAX_DRAW = {"run-alpha-optimality-k-2", "run-bound-k-1"}
 
 
 class TestCliExitCodes:
@@ -359,14 +428,20 @@ class TestCliExitCodes:
         def no_training(*args, **kwargs):
             raise AssertionError("an out-of-range input reached training")
 
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an out-of-range input reached a Monte Carlo draw")
+
         monkeypatch.setattr(sensing, "train_classifier", no_training)
+        if case not in CHECKED_AFTER_FMAX_DRAW:
+            monkeypatch.setattr(FeatureModel, "draw", no_draw)
         argv = RANGE_ERRORS[case]
         if isinstance(argv, tuple):
-            kind, body = argv
+            kind, body, *command = argv
             path = tmp_path / "exp.ini"
             path.write_text(f"[experiment]\nkind = {kind}\ntrials = 10000\n"
                             f"output_dir = {tmp_path / 'out'}\n\n{body}\n")
-            argv = ["run", "--config", str(path)]
+            command = command or ["run"]
+            argv = [command[0], "--config", str(path), *command[1:]]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1

@@ -37,10 +37,11 @@ for ratio in (1e2, 1e3, 1e4):
     print(f"{ratio:>9.0f} {closed:>12.3f} {root:>8.3f} {brute:>12.3f}")
 
 print("\ndispatcher decisions:")
-for ratio in (0.5, 5.0, 1e3):
-    d = optimizer.select_alpha(PoolingMode.max(), model, K, ratio, 1.0,
-                               trials=40_000, seed=5,
-                               alpha_grid=optimizer.default_alpha_grid(16))
+ratios = (0.5, 5.0, 1e3)
+decisions = optimizer.select_alpha(PoolingMode.max(), model, K, ratios, 1.0,
+                                   trials=40_000, seed=5,
+                                   alpha_grid=optimizer.default_alpha_grid(16))
+for ratio, d in zip(ratios, decisions):
     print(f"  P/noise={ratio:>7.1f}: alpha*={d.alpha_star:.3f} [{d.method}]")
 
 # An affine calibration maps the closed form onto brute-force references,

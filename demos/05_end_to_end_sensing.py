@@ -31,12 +31,13 @@ print(f"backprop vs finite differences: {check:.2e}\n")
 
 print(f"{'SNR (dB)':>9} {'alpha*':>7} {'method':>12} {'accuracy':>9} "
       f"{'feature error':>14}")
+snrs = (20.0, 15.0, 10.0, 5.0, 0.0)
+p_rxs = [db_to_linear(snr_db) for snr_db in snrs]
+decisions = optimizer.select_alpha(PoolingMode.max(), model, dataset.k_views, p_rxs,
+                                   1.0, trials=50_000, seed=SEED)
 betas = optimizer.BetaTable(model, dataset.k_views, beta_trials=100_000, seed=SEED)
-for snr_db in (20.0, 15.0, 10.0, 5.0, 0.0):
-    p_rx = db_to_linear(snr_db)
-    decision = optimizer.select_alpha(PoolingMode.max(), model,
-                                      dataset.k_views, p_rx, 1.0,
-                                      trials=50_000, seed=SEED)
+betas.fill([d.alpha_star for d in decisions])
+for snr_db, p_rx, decision in zip(snrs, p_rxs, decisions):
     cfg = AirPoolConfig.for_max(model, decision.alpha_star,
                                 betas[decision.alpha_star], p_rx, 1.0)
     r_ap, d_sigma = sensing.evaluate_accuracy(report.classifier, dataset, cfg,

@@ -36,6 +36,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     overrides = {name: getattr(args, option) for name, option in
                  (("seed", "seed"), ("trials", "trials"), ("output_dir", "out"))
                  if getattr(args, option, None) is not None}
+    if "trials" in overrides and "trials" not in experiments._READS[cfg.experiment]:
+        raise ConfigError(f"--trials: {cfg.experiment} does not read trials")
     return dataclasses.replace(cfg, **overrides)
 
 
@@ -71,8 +73,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate_bounds(args) -> int:
     if args.config:
-        cfg = dataclasses.replace(experiments.parse_config(args.config),
-                                  experiment="bound_validation")
+        cfg = experiments.parse_config(args.config)
+        if cfg.experiment != "bound_validation":
+            raise ConfigError(f"{args.config}: validate-bounds takes a bound_validation "
+                              f"config, got kind = {cfg.experiment}")
     else:
         cfg = ExperimentConfig(experiment="bound_validation")
     result, _ = experiments.run_experiment(_apply_overrides(cfg, args))
@@ -97,8 +101,7 @@ def _cmd_latency(args) -> int:
     if args.out:
         cfg = ExperimentConfig(experiment="latency_table", system=params,
                                snr_grid_db=tuple(args.snr_db),
-                               q_bits=args.q_bits, output_dir=args.out,
-                               trials=100_000)
+                               q_bits=args.q_bits, output_dir=args.out)
         experiments.run_experiment(cfg)
         print(f"wrote {os.path.join(args.out, 'latency_table.csv')}")
     return EXIT_OK
@@ -107,11 +110,10 @@ def _cmd_latency(args) -> int:
 def _cmd_optimize_alpha(args) -> int:
     model = FeatureModel.rectified_gaussian()
     noise = 1.0
-    for snr_db in args.snr_db:
-        p_bar = db_to_linear(snr_db) * noise
-        decision = optimizer.select_alpha(PoolingMode.max(), model, args.k,
-                                          p_bar, noise, trials=args.trials,
-                                          seed=args.seed)
+    p_bars = [db_to_linear(snr_db) * noise for snr_db in args.snr_db]
+    decisions = optimizer.select_alpha(PoolingMode.max(), model, args.k, p_bars, noise,
+                                       trials=args.trials, seed=args.seed)
+    for snr_db, decision in zip(args.snr_db, decisions):
         extra = f" ({decision.note})" if decision.note else ""
         print(f"snr={snr_db:g} dB: alpha*={decision.alpha_star:.4f} "
               f"[{decision.method}]{extra}")
@@ -145,7 +147,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("validate-bounds", help="run the bound/property gate")
-    p.add_argument("--config", help="optional config file (defaults are used otherwise)")
+    p.add_argument("--config", help="optional bound_validation config (else defaults)")
     _add_common_overrides(p)
     p.set_defaults(func=_cmd_validate_bounds)
 

@@ -63,7 +63,6 @@ class ExperimentConfig:
     epochs: int = 200
     learning_rate: float = 0.5
     trials_per_sample: int = 20
-    fault_injection: str = ""
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_KINDS:
@@ -71,6 +70,9 @@ class ExperimentConfig:
                               f"got {self.experiment!r}")
         if not self.snr_grid_db or not self.alpha_grid:
             raise ConfigError("sweep grids must be nonempty")
+        if not all(1.0 <= a <= feat.ALPHA_MAX for a in self.alpha_grid):
+            raise ConfigError(f"sweep.alpha_grid values must lie in [1, {feat.ALPHA_MAX:g}], "
+                              f"got {self.alpha_grid}")
         if self.experiment != "latency_table" and self.trials < 10_000:
             raise ConfigError("experiment.trials must be >= 10000 for Monte Carlo runs")
         for name in ("n_samples", "epochs", "trials_per_sample", "q_bits"):
@@ -79,6 +81,17 @@ class ExperimentConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigError(f"sweep.learning_rate must be finite and > 0, "
                               f"got {self.learning_rate}")
+        # The premises of low_snr_threshold and closed_form_alpha, checked
+        # before any draw; the power ratio is the one the runner computes.
+        k, noise = self.system.k_sensors, self.system.subchannel_noise_w
+        k_min = {"bound_validation": 2, "alpha_optimality": 4}.get(self.experiment, 1)
+        if k < k_min:
+            raise ConfigError(f"system.k_sensors must be >= {k_min} for {self.experiment}, "
+                              f"got {k}")
+        if self.experiment == "alpha_optimality" and not all(
+                db_to_linear(s) * noise / noise > k for s in self.snr_grid_db):
+            raise ConfigError(f"sweep.snr_grid_db: alpha_optimality needs every SNR above "
+                              f"K = {k} in linear terms, got {self.snr_grid_db}")
 
     def feature_model(self) -> FeatureModel:
         if self.feature_kind == "empirical":
@@ -91,11 +104,6 @@ class ExperimentConfig:
                               f"{sorted(_MODEL_KINDS) + ['empirical']}, got {self.feature_kind!r}")
         return maker()
 
-    def echo(self) -> Dict:
-        d = asdict(self)
-        d["system"] = asdict(self.system)
-        return d
-
 
 def _float_list(raw: str) -> Tuple[float, ...]:
     return tuple(float(part) for part in raw.replace(",", " ").split())
@@ -107,8 +115,7 @@ def _float_list(raw: str) -> Tuple[float, ...]:
 _SECTIONS = {
     "experiment": {"kind": ("experiment", str.strip), "trials": ("trials", int),
                    "seed": ("seed", int), "output_dir": ("output_dir", str.strip),
-                   "workers": ("workers", int),
-                   "fault_injection": ("fault_injection", str.strip)},
+                   "workers": ("workers", int)},
     "system": {f.name: (f.name, f.type) for f in fields(SystemParams)},
     "feature_model": {"kind": ("feature_kind", str.strip),
                       "sample_file": ("feature_file", str.strip)},
@@ -120,7 +127,7 @@ _SECTIONS = {
 }
 
 
-def _read_section(parser, name: str, path) -> dict:
+def _read_section(parser, name: str, path, kind: str) -> dict:
     """The typed values of one section, keyed by the field each one sets."""
     keys = _SECTIONS[name]
     values = {}
@@ -129,11 +136,13 @@ def _read_section(parser, name: str, path) -> dict:
             raise ConfigError(f"{path}: [{name}] unknown key {key!r}; expected one of "
                               f"{', '.join(keys)}")
         field_name, cast = keys[key]
+        if kind in _READS and field_name not in _READS[kind]:
+            raise ConfigError(f"{path}: [{name}] {key}: {kind} does not read this key")
         try:
             values[field_name] = cast(raw)
         except ValueError:
-            kind = "a float list" if cast is _float_list else cast.__name__
-            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {kind}")
+            what = "a float list" if cast is _float_list else cast.__name__
+            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {what}")
     return values
 
 
@@ -154,7 +163,8 @@ def parse_config(path) -> ExperimentConfig:
                               f"{', '.join(_SECTIONS)}")
     if "experiment" not in parser:
         raise ConfigError(f"{path}: missing [experiment] section")
-    values = {name: _read_section(parser, name, path) for name in parser.sections()}
+    kind = parser["experiment"].get("kind", "").strip()
+    values = {name: _read_section(parser, name, path, kind) for name in parser.sections()}
     try:
         system = SystemParams(**values.pop("system", {}))
     except ValueError as exc:
@@ -202,9 +212,7 @@ def write_outputs(result: ExperimentResult, out_dir, chart: Optional[dict]) -> d
     """Write CSV, SVG, and metadata sidecar; returns the artifact paths."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, result.experiment)
-    csv_path = base + ".csv"
-    svg_path = base + ".svg"
-    meta_path = base + ".meta.json"
+    csv_path, svg_path, meta_path = (base + ext for ext in (".csv", ".svg", ".meta.json"))
     content_hash = write_csv(result, csv_path)
     if chart:
         render_line_chart(svg_path, **chart)
@@ -235,7 +243,7 @@ def run_latency_table(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
         })
     result = ExperimentResult(
         "latency_table", ("scheme", "snr_db", "q_bits", "latency_ms", "seed"),
-        rows, {"config": cfg.echo()})
+        rows, {"config": asdict(cfg)})
     chart = dict(
         series=[Series("digital", list(cfg.snr_grid_db),
                        [r["latency_ms"] for r in rows[1:]]),
@@ -275,7 +283,7 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
         "tradeoff_curve",
         ("model", "snr_db", "alpha", "noise_bound", "noise_bound_asymptotic",
          "approx_bound_max", "bound_sum", "diagnostics", "seed"),
-        rows, {"config": cfg.echo()})
+        rows, {"config": asdict(cfg)})
     chart = dict(series=series, title=f"Error-bound tradeoff at {snr_db:g} dB",
                  x_label="alpha", y_label="bound", log_x=True)
     return result, chart
@@ -290,25 +298,27 @@ _RECONFIG_ALPHAS = (2.0, 8.0, 64.0)
 _ARGMIN_GRID = (1.0, 2.0, 4.0)
 
 
+def _check(check: str, mode: str, alpha, snr_db, measured: float, bound: float,
+           slack: float, passed: Optional[bool] = None) -> Dict:
+    """One check row. `passed` defaults to `slack >= 0.0`: a slack fl(a - b) of
+    finite floats is >= 0 exactly when a >= b, so the rule is stated once."""
+    return {"check": check, "mode": mode, "alpha": alpha, "snr_db": snr_db,
+            "measured": measured, "bound": bound, "slack": slack,
+            "passed": slack >= 0.0 if passed is None else passed}
+
+
 def _grid_point_rows(err: analysis.ErrorBreakdown, mode_name: str, alpha: float,
-                     snr_db: float, fault: str) -> List[Dict]:
+                     snr_db: float) -> List[Dict]:
     """Noise, approximation and decomposition checks of one grid point."""
-    # The fault flag exists so the gate itself can be tested: it inflates
-    # the measured noise error far past its bound.
-    d_chan = err.d_chan * (1000.0 if fault == "noise_bound" else 1.0)
     eps_tol = analysis.N_SIGMA * math.hypot(err.se_appr, err.approx_bound_se)
-    slack = err.decomposition_slack()
-    point = {"mode": mode_name, "alpha": alpha, "snr_db": snr_db}
+    point = (mode_name, alpha, snr_db)
     return [
-        {"check": "noise-bound", **point, "measured": d_chan, "bound": err.noise_bound,
-         "slack": err.noise_bound + analysis.N_SIGMA * err.se_chan - d_chan,
-         "passed": d_chan <= err.noise_bound + analysis.N_SIGMA * err.se_chan},
-        {"check": "approx-bound", **point, "measured": err.d_appr,
-         "bound": err.approx_bound, "slack": err.approx_bound + eps_tol - err.d_appr,
-         "passed": err.d_appr <= err.approx_bound + eps_tol},
-        {"check": "decomposition", **point, "measured": err.d_total,
-         "bound": err.c0 * (err.d_chan + err.d_appr), "slack": slack,
-         "passed": slack >= 0.0},
+        _check("noise-bound", *point, err.d_chan, err.noise_bound,
+               err.noise_bound + analysis.N_SIGMA * err.se_chan - err.d_chan),
+        _check("approx-bound", *point, err.d_appr, err.approx_bound,
+               err.approx_bound + eps_tol - err.d_appr),
+        _check("decomposition", *point, err.d_total, err.c0 * (err.d_chan + err.d_appr),
+               err.decomposition_slack()),
     ]
 
 
@@ -335,61 +345,51 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     rows: List[Dict] = []
     for i, (alpha, snr_db) in enumerate(points):
         for mode_name in ("average", "max"):
-            rows.extend(_grid_point_rows(errors[mode_name][i], mode_name, alpha,
-                                         snr_db, cfg.fault_injection))
+            rows.extend(_grid_point_rows(errors[mode_name][i], mode_name, alpha, snr_db))
 
     # Closed-form cross checks that need no Monte Carlo.
     p10 = 10.0 * noise
     gaussian = FeatureModel.rectified_gaussian()
-    ratio64 = analysis.noise_error_asymptote(64.0, p10, noise) / \
-        analysis.noise_error_bound(gaussian, 64.0, p10, noise)
-    ratio8 = analysis.noise_error_asymptote(8.0, p10, noise) / \
-        analysis.noise_error_bound(gaussian, 8.0, p10, noise)
-    rows.append({
-        "check": "asymptote-tightness", "mode": "max", "alpha": 64.0, "snr_db": 10.0,
-        "measured": ratio64, "bound": 1.05,
-        "slack": 0.05 - abs(ratio64 - 1.0),
-        "passed": abs(ratio64 - 1.0) <= 0.05 and abs(ratio64 - 1.0) < abs(ratio8 - 1.0),
-    })
+    ratio64, ratio8 = (analysis.noise_error_asymptote(a, p10, noise)
+                       / analysis.noise_error_bound(gaussian, a, p10, noise) for a in (64.0, 8.0))
+    rows.append(_check(
+        "asymptote-tightness", "max", 64.0, 10.0, ratio64, 1.05, 0.05 - abs(ratio64 - 1.0),
+        abs(ratio64 - 1.0) <= 0.05 and abs(ratio64 - 1.0) < abs(ratio8 - 1.0)))
     slope = analysis.noise_error_asymptote_derivative(64.0, p10, noise)
-    rows.append({
-        "check": "asymptote-slope", "mode": "max", "alpha": 64.0, "snr_db": 10.0,
-        "measured": slope, "bound": 2.0 / math.e,
-        "slack": 0.05 - abs(slope / (2.0 / math.e) - 1.0),
-        "passed": abs(slope / (2.0 / math.e) - 1.0) <= 0.05,
-    })
-    gaps = []
-    for ratio in (1e2, 1e3, 1e4):
-        closed = optimizer.closed_form_alpha(k, ratio * noise, noise, e2).alpha_star
-        root = optimizer.bisection_alpha(k, ratio * noise, noise, e2)
-        gaps.append(abs(closed - root))
-    rows.append({
-        "check": "stationarity-gap-monotone", "mode": "max", "alpha": "",
-        "snr_db": "", "measured": max(gaps), "bound": gaps[0],
-        "slack": min(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1)),
-        "passed": all(gaps[i] >= gaps[i + 1] - 1e-12 for i in range(len(gaps) - 1)),
-    })
+    rows.append(_check("asymptote-slope", "max", 64.0, 10.0, slope, 2.0 / math.e,
+                       0.05 - abs(slope / (2.0 / math.e) - 1.0)))
+    gaps = [abs(optimizer.closed_form_alpha(k, ratio * noise, noise, e2).alpha_star
+                - optimizer.bisection_alpha(k, ratio * noise, noise, e2))
+            for ratio in (1e2, 1e3, 1e4)]
+    rows.append(_check(
+        "stationarity-gap-monotone", "max", "", "", max(gaps), gaps[0],
+        min(gaps[i] - gaps[i + 1] for i in range(len(gaps) - 1)),
+        all(gaps[i] >= gaps[i + 1] - 1e-12 for i in range(len(gaps) - 1))))
     dense = np.geomspace(1.0, 128.0, 512)
     for ratio in (1e3, 1e4):
         closed = optimizer.closed_form_alpha(k, ratio * noise, noise, e2)
         best = min(optimizer.surrogate_objective(a, k, ratio * noise, noise, e2)
                    for a in dense)
-        rows.append({
-            "check": "surrogate-near-optimality", "mode": "max", "alpha":
-                closed.alpha_star, "snr_db": 10.0 * math.log10(ratio),
-            "measured": closed.objective_value, "bound": 1.1 * best,
-            "slack": 1.1 * best - closed.objective_value,
-            "passed": closed.objective_value <= 1.1 * best,
-        })
+        rows.append(_check("surrogate-near-optimality", "max", closed.alpha_star,
+                           10.0 * math.log10(ratio), closed.objective_value, 1.1 * best,
+                           1.1 * best - closed.objective_value))
     rows.extend(_reconfigurability_checks(model, k, cfg, betas))
-    rows.extend(_argmin_rule_checks(cfg, errors["average"][len(points):],
-                                    errors["max"][len(points):]))
+    # Brute-force argmin rules over `_ARGMIN_GRID`, from the tail of each
+    # sweep: averaging prefers alpha = 1 at any SNR (alpha >= 1, so its slack
+    # is >= 0 only there), and below the critical power ratio max pooling
+    # stays within one grid step of alpha = 1.
+    avg_alpha, max_alpha = (optimizer.lowest_error_alpha(
+        _ARGMIN_GRID, errors[mode][len(points):]).alpha_star for mode in ("average", "max"))
+    rows += [_check("average-argmin", "average", avg_alpha, cfg.snr_grid_db[0], avg_alpha,
+                    1.0, 1.0 - avg_alpha),
+             _check("low-snr-argmin", "max", max_alpha, "", max_alpha, _ARGMIN_GRID[1],
+                    _ARGMIN_GRID[1] - max_alpha)]
     rows.extend(_margin_chain_checks(model, noise, cfg))
     failures = sum(0 if r["passed"] else 1 for r in rows)
     result = ExperimentResult(
         "bound_validation",
         ("check", "mode", "alpha", "snr_db", "measured", "bound", "slack", "passed"),
-        rows, {"config": cfg.echo()}, failures=failures)
+        rows, {"config": asdict(cfg)}, failures=failures)
     return result, None
 
 
@@ -404,9 +404,8 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     g_hat, _, g_true = pool_noisy_and_clean(f, avg_cfg, rng)
     avg_err = float(np.max(np.abs(g_hat - g_true)
                            / np.where(g_true > 0, g_true, 1.0)))
-    rows.append({"check": "reconfig-average", "mode": "average", "alpha": 1.0,
-                 "snr_db": "", "measured": avg_err, "bound": 1e-12,
-                 "slack": 1e-12 - avg_err, "passed": avg_err <= 1e-12})
+    rows.append(_check("reconfig-average", "average", 1.0, "", avg_err, 1e-12,
+                       1e-12 - avg_err))
     prev_err = math.inf
     sandwich_ok = True
     mean_rel = math.nan
@@ -418,37 +417,13 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
         mean_rel = float(np.mean(np.abs(g_hat[pos] - g_true[pos]) / g_true[pos]))
         sandwich_ok &= bool(np.all(g_hat >= g_true * k ** (-1.0 / alpha) - 1e-12)
                             and np.all(g_hat <= g_true * k ** (1.0 / alpha) + 1e-12))
-        rows.append({"check": "reconfig-max-monotone", "mode": "max",
-                     "alpha": alpha, "snr_db": "", "measured": mean_rel,
-                     "bound": prev_err, "slack": prev_err - mean_rel,
-                     "passed": mean_rel < prev_err})
+        rows.append(_check("reconfig-max-monotone", "max", alpha, "", mean_rel, prev_err,
+                           prev_err - mean_rel, mean_rel < prev_err))
         prev_err = mean_rel
-    rows.append({"check": "reconfig-max", "mode": "max", "alpha": 64.0,
-                 "snr_db": "", "measured": mean_rel, "bound": 0.02,
-                 "slack": 0.02 - mean_rel, "passed": mean_rel <= 0.02})
-    rows.append({"check": "sandwich", "mode": "max", "alpha": "", "snr_db": "",
-                 "measured": 0.0 if sandwich_ok else 1.0, "bound": 0.0,
-                 "slack": 0.0, "passed": sandwich_ok})
+    rows.append(_check("reconfig-max", "max", 64.0, "", mean_rel, 0.02, 0.02 - mean_rel))
+    rows.append(_check("sandwich", "max", "", "", 0.0 if sandwich_ok else 1.0, 0.0, 0.0,
+                       sandwich_ok))
     return rows
-
-
-def _argmin_rule_checks(cfg: ExperimentConfig,
-                        average: List[analysis.ErrorBreakdown],
-                        low_snr_max: List[analysis.ErrorBreakdown]) -> List[Dict]:
-    """Brute-force argmin rules over `_ARGMIN_GRID`, from the errors of its
-    configurations: averaging prefers alpha = 1 at any SNR, and below the
-    critical power ratio max pooling stays within one grid step of alpha = 1."""
-    grid = _ARGMIN_GRID
-    avg_alpha = optimizer.lowest_error_alpha(grid, average).alpha_star
-    max_alpha = optimizer.lowest_error_alpha(grid, low_snr_max).alpha_star
-    return [
-        {"check": "average-argmin", "mode": "average", "alpha": avg_alpha,
-         "snr_db": cfg.snr_grid_db[0], "measured": avg_alpha, "bound": 1.0,
-         "slack": 1.0 - avg_alpha, "passed": avg_alpha == 1.0},
-        {"check": "low-snr-argmin", "mode": "max", "alpha": max_alpha, "snr_db": "",
-         "measured": max_alpha, "bound": grid[1], "slack": grid[1] - max_alpha,
-         "passed": max_alpha <= grid[1]},
-    ]
 
 
 def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
@@ -479,19 +454,14 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
         bound, _ = analysis.accuracy_lower_bounds(margin_model.margin, r0,
                                                   dataset.n_features, sq / 10.0)
         se = math.sqrt(max(r_ap * (1.0 - r_ap), 1e-12) / n)
-        rows.append({"check": "margin-chain", "mode": "average", "alpha": 1.0,
-                     "snr_db": snr_db, "measured": r_ap, "bound": bound,
-                     "slack": r_ap - (bound - 2.0 * se),
-                     "passed": r_ap >= bound - 2.0 * se})
+        rows.append(_check("margin-chain", "average", 1.0, snr_db, r_ap, bound,
+                           r_ap - (bound - 2.0 * se)))
     nu1_sq = feat.normalization_moments(model, 1.0).nu_sq
     fit = analysis.chi_error_check(dataset.k_views, dataset.n_features, noise,
                                    db_to_linear(10.0) * noise, nu1_sq,
                                    trials=max(cfg.trials, 10_000), seed=cfg.seed)
-    rows.append({"check": "chi-fit", "mode": "average", "alpha": 1.0,
-                 "snr_db": 10.0, "measured": fit.statistic,
-                 "bound": fit.critical_1pct,
-                 "slack": fit.critical_1pct - fit.statistic,
-                 "passed": fit.passed})
+    rows.append(_check("chi-fit", "average", 1.0, 10.0, fit.statistic, fit.critical_1pct,
+                       fit.critical_1pct - fit.statistic, fit.passed))
     return rows
 
 
@@ -535,7 +505,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
         "alpha_optimality",
         ("snr_db", "alpha_closed", "alpha_bisection", "alpha_bruteforce",
          "d_closed", "d_bruteforce", "seed"),
-        rows, {"config": cfg.echo()})
+        rows, {"config": asdict(cfg)})
     xs = [r["snr_db"] for r in rows]
     chart = dict(series=[
         Series("closed form", xs, [r["alpha_closed"] for r in rows]),
@@ -558,11 +528,13 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
                                       learning_rate=cfg.learning_rate, seed=cfg.seed)
     rows = []
     k = dataset.k_views
+    snrs = sorted(cfg.snr_grid_db, reverse=True)
+    p_rxs = [db_to_linear(snr_db) * noise for snr_db in snrs]
+    decisions = optimizer.select_alpha(PoolingMode.max(), model, k, p_rxs, noise,
+                                       trials=max(cfg.trials, 10_000), seed=cfg.seed)
     betas = optimizer.BetaTable(model, k, beta_trials=200_000, seed=cfg.seed)
-    for snr_db in sorted(cfg.snr_grid_db, reverse=True):
-        p_rx = db_to_linear(snr_db) * noise
-        decision = optimizer.select_alpha(PoolingMode.max(), model, k, p_rx, noise,
-                                          trials=max(cfg.trials, 10_000), seed=cfg.seed)
+    betas.fill([d.alpha_star for d in decisions])
+    for snr_db, p_rx, decision in zip(snrs, p_rxs, decisions):
         pool_cfg = optimizer.config_for(model, PoolingMode.max(), k, decision.alpha_star,
                                         p_rx, noise, betas)
         r_ap, d_sigma = sensing.evaluate_accuracy(
@@ -575,7 +547,7 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
     result = ExperimentResult(
         "synthetic_e2e",
         ("snr_db", "alpha", "alpha_method", "r_ap", "d_sigma", "r0", "seed"),
-        rows, {"config": cfg.echo(),
+        rows, {"config": asdict(cfg),
                "clean_accuracy": report.clean_accuracy,
                "final_loss": report.final_loss})
     xs = [r["snr_db"] for r in rows]
@@ -592,6 +564,23 @@ _RUNNERS = {
     "bound_validation": run_bound_validation,
     "alpha_optimality": run_alpha_optimality,
     "synthetic_e2e": run_synthetic_e2e,
+}
+
+# The fields each runner reads. A config key that sets any other field is
+# an error, so no key is accepted that changes nothing. `workers` stays
+# readable because generated benchmark configs say `workers = 1`.
+_EVERY = {"experiment", "seed", "output_dir", "workers"}
+_MONTE_CARLO = {*_EVERY, "trials", "bandwidth_hz", "n_subchannels",
+                "noise_density_dbm_per_hz", "noise_figure_db", "feature_kind",
+                "feature_file", "snr_grid_db"}
+_READS = {
+    "latency_table": {*_EVERY, "k_sensors", "n_features", "bandwidth_hz", "snr_grid_db",
+                      "q_bits"},
+    "tradeoff_curve": {*_MONTE_CARLO, "k_sensors", "alpha_grid"},
+    "bound_validation": {*_MONTE_CARLO, "k_sensors", "alpha_grid"},
+    "alpha_optimality": {*_MONTE_CARLO, "k_sensors"},
+    "synthetic_e2e": {*_MONTE_CARLO, "n_samples", "epochs", "learning_rate",
+                      "trials_per_sample"},  # the dataset fixes K = 4
 }
 
 

@@ -9,7 +9,7 @@ weighted sums always take alpha = 1.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,40 +138,46 @@ def closed_form_alpha(k: int, p_bar: float, noise_power: float,
         objective_value=surrogate_objective(alpha, k, p_bar, noise_power, e_fmax_sq))
 
 
-def select_alpha(mode: PoolingMode, model: FeatureModel, k: int, p_bar: float,
-                 noise_power: float, trials: int = 200_000, seed: int = 0,
-                 alpha_grid: Optional[Sequence[float]] = None) -> AlphaDecision:
-    """Dispatch to the appropriate alpha rule for the given mode and power.
+def select_alpha(mode: PoolingMode, model: FeatureModel, k: int,
+                 p_bars: Sequence[float], noise_power: float, trials: int = 200_000,
+                 seed: int = 0,
+                 alpha_grid: Optional[Sequence[float]] = None) -> List[AlphaDecision]:
+    """The alpha rule's decision at each power of `p_bars`.
 
     Averaging and weighted sums always take alpha = 1. Max pooling uses the
     low-SNR rule below the critical ratio rho0, the closed form when its
     premises hold, and falls back to brute force in the uncovered band
-    (rho0 < ratio <= K) or when K < 4.
+    (rho0 < ratio <= K) or when K < 4. Every power shares one E[fmax^2]
+    draw and one beta* table.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if mode.kind in (AVERAGE, WEIGHTED_SUM):
-        return AlphaDecision(alpha_star=1.0, method=AVERAGE_RULE,
-                             objective_value=analysis.noise_error_bound(
-                                 model, 1.0, p_bar, noise_power))
-    e_fmax_sq = feat.max_second_moment(model, k, trials=max(trials, 10_000),
-                                       seed=seed).value if k > 1 else \
-        feat.moment_abs_power(model, 2.0)
+        return [AlphaDecision(alpha_star=1.0, method=AVERAGE_RULE,
+                              objective_value=analysis.noise_error_bound(
+                                  model, 1.0, p_bar, noise_power)) for p_bar in p_bars]
+    trials = max(trials, 10_000)
+    e_fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value \
+        if k > 1 else feat.moment_abs_power(model, 2.0)
     rho0 = low_snr_threshold(k, e_fmax_sq) if k >= 2 else math.inf
-    ratio = p_bar / noise_power
-    if ratio <= rho0:
-        return AlphaDecision(alpha_star=1.0, method=LOW_SNR_RULE, rho0=rho0,
-                             objective_value=surrogate_objective(
-                                 1.0, k, p_bar, noise_power, e_fmax_sq))
-    if k >= 4 and ratio > k:
-        return closed_form_alpha(k, p_bar, noise_power, e_fmax_sq)
     grid = list(alpha_grid) if alpha_grid is not None else default_alpha_grid()
-    note = "k < 4" if k < 4 else f"rho0 < p_bar/noise <= K ({ratio:.3g} <= {k})"
-    decision = brute_force_alpha(model, mode, k, p_bar, noise_power, grid,
-                                 trials=max(trials, 10_000), seed=seed)
-    return AlphaDecision(alpha_star=decision.alpha_star, method=BRUTE_FORCE,
-                         rho0=rho0, objective_value=decision.objective_value,
-                         note=f"closed-form premises not met: {note}")
+    betas = BetaTable(model, k, seed=seed)
+    decisions = []
+    for p_bar in p_bars:
+        ratio = p_bar / noise_power
+        if ratio <= rho0:
+            decisions.append(AlphaDecision(alpha_star=1.0, method=LOW_SNR_RULE, rho0=rho0,
+                                           objective_value=surrogate_objective(
+                                               1.0, k, p_bar, noise_power, e_fmax_sq)))
+        elif k >= 4 and ratio > k:
+            decisions.append(closed_form_alpha(k, p_bar, noise_power, e_fmax_sq))
+        else:
+            note = "k < 4" if k < 4 else f"rho0 < p_bar/noise <= K ({ratio:.3g} <= {k})"
+            brute = brute_force_alpha(model, mode, k, p_bar, noise_power, grid,
+                                      trials=trials, seed=seed, betas=betas)
+            decisions.append(replace(brute, rho0=rho0,
+                                     note=f"closed-form premises not met: {note}"))
+    return decisions
 
 
 def default_alpha_grid(points: int = 64) -> List[float]:

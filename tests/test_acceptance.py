@@ -297,11 +297,12 @@ def test_criterion_8_synthetic_end_to_end(trained_task):
     details.append(f"grad_check={worst_grad:.2e}")
     prev = None
     betas = optimizer.BetaTable(RG, dataset.k_views, beta_trials=200_000, seed=SEED)
-    for snr_db in (20.0, 15.0, 10.0, 5.0, 0.0):
+    snrs = (20.0, 15.0, 10.0, 5.0, 0.0)
+    decisions = optimizer.select_alpha(PoolingMode.max(), RG, dataset.k_views,
+                                       [db_to_linear(snr_db) for snr_db in snrs], 1.0,
+                                       trials=100_000, seed=SEED)
+    for snr_db, decision in zip(snrs, decisions):
         p_rx = db_to_linear(snr_db)
-        decision = optimizer.select_alpha(PoolingMode.max(), RG,
-                                          dataset.k_views, p_rx, 1.0,
-                                          trials=100_000, seed=SEED)
         cfg = AirPoolConfig.for_max(RG, decision.alpha_star,
                                     betas[decision.alpha_star], p_rx, 1.0)
         accs, errs = [], []

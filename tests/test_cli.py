@@ -8,6 +8,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 
 import pytest
@@ -24,7 +25,6 @@ LATENCY_CFG = """
 [experiment]
 kind = latency_table
 seed = 7
-trials = 100000
 output_dir = {out}
 
 [system]
@@ -43,7 +43,6 @@ kind = bound_validation
 seed = 5
 trials = 20000
 output_dir = {out}
-{extra}
 
 [sweep]
 snr_grid_db = 6
@@ -197,11 +196,11 @@ class TestBoundValidationGate:
                 "sandwich", "average-argmin", "low-snr-argmin",
                 "margin-chain", "chi-fit"} <= checks
 
-    def test_fault_injection_fails_named_check(self, tmp_path):
+    def test_noise_bound_violation_fails_named_check(self, tmp_path, monkeypatch):
+        shrink_noise_bound(monkeypatch)
         cfg = ExperimentConfig(experiment="bound_validation", trials=20_000,
                                snr_grid_db=(6.0,), alpha_grid=(4.0,),
-                               seed=5, output_dir=str(tmp_path),
-                               fault_injection="noise_bound")
+                               seed=5, output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
         failing = {r["check"] for r in result.rows if not r["passed"]}
         assert "noise-bound" in failing
@@ -268,6 +267,14 @@ class TestBoundValidationGate:
         assert (rows["average-argmin"]["measured"], rows["average-argmin"]["snr_db"]) \
             == (average.alpha_star, snr_grid_db[0])
         assert rows["low-snr-argmin"]["measured"] == low_snr.alpha_star
+
+
+def shrink_noise_bound(monkeypatch):
+    """Put every closed-form noise bound far below the measured noise error,
+    so the gate's failure path runs."""
+    bound = analysis.noise_error_bound_from_moments
+    monkeypatch.setattr(analysis, "noise_error_bound_from_moments",
+                        lambda *args: 1e-6 * bound(*args))
 
 
 def per_point_rows(err, mode_name, alpha, snr_db):
@@ -391,60 +398,160 @@ class TestBenchmarkCsvBytes:
         assert _sha(paths["csv"]) == want
 
 
-# Inputs outside their documented range: a config body for `run` (or for
-# the subcommand and options that follow it), or a subcommand's argv.
+# Inputs outside their documented range, each with the field its error
+# message names: a config body for `run` (or for the subcommand and options
+# that follow it), or a subcommand's argv.
 RANGE_ERRORS = {
-    "run-bound-alpha-below-one": ("bound_validation", "[sweep]\nalpha_grid = 0.5, 2"),
-    "run-tradeoff-alpha-descending": ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2"),
-    "run-alpha-optimality-k-2": ("alpha_optimality", "[system]\nk_sensors = 2"),
-    "run-bound-k-1": ("bound_validation", "[system]\nk_sensors = 1"),
-    "run-e2e-no-samples": ("synthetic_e2e", "[sweep]\nn_samples = 0"),
+    "run-bound-alpha-below-one": (
+        "alpha_grid", ("bound_validation", "[sweep]\nalpha_grid = 0.5, 2")),
+    "run-tradeoff-alpha-descending": (
+        "alpha_grid", ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2")),
+    "run-alpha-optimality-k-2": ("k_sensors", ("alpha_optimality", "[system]\nk_sensors = 2")),
+    "run-alpha-optimality-snr-not-above-k": (
+        "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 5, 30")),
+    "run-bound-k-1": ("k_sensors", ("bound_validation", "[system]\nk_sensors = 1")),
+    "run-e2e-no-samples": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 0")),
     "run-e2e-no-trials-per-sample": (
-        "synthetic_e2e", "[sweep]\nn_samples = 100\ntrials_per_sample = 0"),
-    "run-e2e-negative-epochs": ("synthetic_e2e", "[sweep]\nn_samples = 300\nepochs = -1"),
+        "trials_per_sample",
+        ("synthetic_e2e", "[sweep]\nn_samples = 100\ntrials_per_sample = 0")),
+    "run-e2e-negative-epochs": (
+        "epochs", ("synthetic_e2e", "[sweep]\nn_samples = 300\nepochs = -1")),
     "run-e2e-nan-learning-rate": (
-        "synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = nan"),
+        "learning_rate", ("synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = nan")),
     "run-e2e-negative-learning-rate": (
-        "synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = -1"),
-    "run-latency-q-bits-0": ("latency_table", "[sweep]\nq_bits = 0"),
+        "learning_rate", ("synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = -1")),
+    "run-latency-q-bits-0": ("q_bits", ("latency_table", "[sweep]\nq_bits = 0")),
     "run-e2e-trials-override-5": (
-        "synthetic_e2e", "[sweep]\nn_samples = 300", "run", "--trials", "5"),
+        "trials", ("synthetic_e2e", "[sweep]\nn_samples = 300", "run", "--trials", "5")),
     "validate-bounds-trials-override-5": (
-        "bound_validation", "[sweep]\nsnr_grid_db = 0, 6, 12\nalpha_grid = 1, 4, 16",
-        "validate-bounds", "--trials", "5"),
-    "latency-q-bits-0": ["latency", "--q-bits", "0"],
-    "train-snn-no-samples": ["train-snn", "--samples", "0"],
-    "optimize-alpha-k-0": ["optimize-alpha", "--k", "0"],
+        "trials", ("bound_validation", "[sweep]\nsnr_grid_db = 0, 6, 12\nalpha_grid = 1, 4, 16",
+                   "validate-bounds", "--trials", "5")),
+    "latency-q-bits-0": ("q_bits", ["latency", "--q-bits", "0"]),
+    "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
+    "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
 }
 
-# K is checked by the rule that needs E[fmax^2], after drawing it.
-CHECKED_AFTER_FMAX_DRAW = {"run-alpha-optimality-k-2", "run-bound-k-1"}
+# Keys outside each experiment's set, as (kind, section, key, value): each
+# one changes nothing for that experiment, so the file is rejected.
+UNREAD_KEYS = [
+    *[(kind, "experiment", "fault_injection", "noise_bound")
+      for kind in experiments.EXPERIMENT_KINDS],
+    ("latency_table", "experiment", "trials", "10"),
+    ("latency_table", "system", "n_subchannels", "12"),
+    ("latency_table", "system", "noise_density_dbm_per_hz", "-174"),
+    ("latency_table", "system", "noise_figure_db", "4"),
+    ("latency_table", "feature_model", "kind", "uniform01"),
+    ("latency_table", "feature_model", "sample_file", "features.txt"),
+    ("latency_table", "sweep", "alpha_grid", "1, 2"),
+    ("latency_table", "sweep", "n_samples", "300"),
+    ("latency_table", "sweep", "epochs", "10"),
+    ("latency_table", "sweep", "learning_rate", "0.5"),
+    ("latency_table", "sweep", "trials_per_sample", "10"),
+    *[(kind, section, key, value)
+      for kind in ("tradeoff_curve", "bound_validation", "alpha_optimality")
+      for section, key, value in (("system", "n_features", "100"),
+                                  ("sweep", "q_bits", "6"), ("sweep", "n_samples", "300"),
+                                  ("sweep", "epochs", "10"),
+                                  ("sweep", "learning_rate", "0.5"),
+                                  ("sweep", "trials_per_sample", "10"))],
+    ("alpha_optimality", "sweep", "alpha_grid", "1, 2"),
+    ("synthetic_e2e", "system", "k_sensors", "4"),
+    ("synthetic_e2e", "system", "n_features", "100"),
+    ("synthetic_e2e", "sweep", "alpha_grid", "1, 2"),
+    ("synthetic_e2e", "sweep", "q_bits", "6"),
+]
+
+# The keys each experiment reads, as (section, key, value).
+_NOISE_KEYS = [("system", "bandwidth_hz", "10e6"), ("system", "n_subchannels", "12"),
+               ("system", "noise_density_dbm_per_hz", "-174"),
+               ("system", "noise_figure_db", "4")]
+_MONTE_CARLO_KEYS = [("experiment", "trials", "10000"), *_NOISE_KEYS,
+                     ("feature_model", "kind", "rectified_gaussian"),
+                     ("sweep", "snr_grid_db", "20, 30")]
+READ_KEYS = {
+    "latency_table": [("system", "k_sensors", "12"), ("system", "n_features", "100"),
+                      ("system", "bandwidth_hz", "10e6"), ("sweep", "snr_grid_db", "6"),
+                      ("sweep", "q_bits", "6")],
+    "tradeoff_curve": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12"),
+                       ("sweep", "alpha_grid", "1, 2")],
+    "bound_validation": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12"),
+                         ("sweep", "alpha_grid", "1, 2")],
+    "alpha_optimality": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12")],
+    "synthetic_e2e": [*_MONTE_CARLO_KEYS, ("sweep", "n_samples", "300"),
+                      ("sweep", "epochs", "10"), ("sweep", "learning_rate", "0.5"),
+                      ("sweep", "trials_per_sample", "10")],
+}
+
+
+def config_body(kind, entries, out):
+    """A config file of this kind with (section, key, value) entries."""
+    sections = {"experiment": [f"kind = {kind}", "seed = 1", f"output_dir = {out}",
+                               "workers = 1"]}
+    for section, key, value in entries:
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n\n"
+                   for name, lines in sections.items())
+
+
+@pytest.fixture
+def no_draw_or_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a rejected input reached training")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a rejected input reached a Monte Carlo draw")
+
+    monkeypatch.setattr(sensing, "train_classifier", no_training)
+    monkeypatch.setattr(FeatureModel, "draw", no_draw)
+
+
+class TestExperimentKeys:
+    @pytest.mark.parametrize("kind,section,key,value", UNREAD_KEYS,
+                             ids=lambda v: str(v))
+    def test_unread_key_is_a_config_error(self, kind, section, key, value, tmp_path,
+                                          capsys, no_draw_or_training):
+        path = tmp_path / "exp.ini"
+        path.write_text(config_body(kind, [(section, key, value)], tmp_path / "out"))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"[{section}] " in err and key in err
+        if key != "fault_injection":
+            assert f"{kind} does not read this key" in err
+
+    def test_trials_override_of_latency_table_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", os.path.join(ROOT, "configs", "latency.ini"),
+                         "--trials", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --trials: latency_table does not read")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
+    def test_every_read_key_is_accepted(self, kind, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text(config_body(kind, READ_KEYS[kind], tmp_path / "out"))
+        cfg = parse_config(path)
+        assert (cfg.experiment, cfg.seed) == (kind, 1)
 
 
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
     def test_out_of_range_input_is_a_config_error(self, case, tmp_path, capsys,
-                                                  monkeypatch):
-        def no_training(*args, **kwargs):
-            raise AssertionError("an out-of-range input reached training")
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("an out-of-range input reached a Monte Carlo draw")
-
-        monkeypatch.setattr(sensing, "train_classifier", no_training)
-        if case not in CHECKED_AFTER_FMAX_DRAW:
-            monkeypatch.setattr(FeatureModel, "draw", no_draw)
-        argv = RANGE_ERRORS[case]
+                                                  no_draw_or_training):
+        named, argv = RANGE_ERRORS[case]
         if isinstance(argv, tuple):
             kind, body, *command = argv
+            trials = "" if kind == "latency_table" else "trials = 10000\n"
             path = tmp_path / "exp.ini"
-            path.write_text(f"[experiment]\nkind = {kind}\ntrials = 10000\n"
+            path.write_text(f"[experiment]\nkind = {kind}\n{trials}"
                             f"output_dir = {tmp_path / 'out'}\n\n{body}\n")
             command = command or ["run"]
             argv = [command[0], "--config", str(path), *command[1:]]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert re.search(rf"\b{named}\b", err)
 
     def test_run_latency(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
@@ -458,19 +565,30 @@ class TestCliExitCodes:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_validate_bounds_pass_and_fail(self, tmp_path, capsys):
+    def test_validate_bounds_pass_and_fail(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "ok.ini"
-        path.write_text(SMALL_BOUNDS_CFG.format(out=tmp_path / "ok", extra=""))
+        path.write_text(SMALL_BOUNDS_CFG.format(out=tmp_path / "ok"))
         assert cli.main(["validate-bounds", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "OK: all" in out
 
+        shrink_noise_bound(monkeypatch)
         bad = tmp_path / "bad.ini"
-        bad.write_text(SMALL_BOUNDS_CFG.format(
-            out=tmp_path / "bad", extra="fault_injection = noise_bound"))
+        bad.write_text(SMALL_BOUNDS_CFG.format(out=tmp_path / "bad"))
         assert cli.main(["validate-bounds", "--config", str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "noise-bound" in out
+        assert "FAIL:" in out and "noise-bound" in out.split("FAIL:")[1]
+
+    def test_validate_bounds_takes_only_a_bound_validation_config(self, capsys,
+                                                                   monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a rejected config reached a Monte Carlo draw")
+
+        monkeypatch.setattr(FeatureModel, "draw", no_draw)
+        path = os.path.join(ROOT, "configs", "e2e.ini")
+        assert cli.main(["validate-bounds", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "synthetic_e2e" in err
 
     def test_numeric_error_exit_code(self, tmp_path, capsys):
         # Gamma(129) of the unit-exponential moments overflows a float.

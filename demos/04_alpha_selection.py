@@ -27,14 +27,14 @@ print(f"critical power ratio rho0 = {rho0:.3f}  "
 
 print(f"{'P/noise':>9} {'closed form':>12} {'root':>8} {'brute force':>12}")
 betas = optimizer.BetaTable(model, K, seed=5)  # beta* shared by every search
-for ratio in (1e2, 1e3, 1e4):
+brute_ratios = (1e2, 1e3, 1e4)
+brutes = optimizer.brute_force_alpha(
+    model, PoolingMode.max(), K, brute_ratios, 1.0,
+    optimizer.default_alpha_grid(24), trials=40_000, seed=5, betas=betas)
+for ratio, brute in zip(brute_ratios, brutes):
     closed = optimizer.closed_form_alpha(K, ratio, 1.0, e2).alpha_star
     root = optimizer.bisection_alpha(K, ratio, 1.0, e2)
-    brute = optimizer.brute_force_alpha(
-        model, PoolingMode.max(), K, ratio, 1.0,
-        optimizer.default_alpha_grid(24), trials=40_000, seed=5,
-        betas=betas).alpha_star
-    print(f"{ratio:>9.0f} {closed:>12.3f} {root:>8.3f} {brute:>12.3f}")
+    print(f"{ratio:>9.0f} {closed:>12.3f} {root:>8.3f} {brute.alpha_star:>12.3f}")
 
 print("\ndispatcher decisions:")
 ratios = (0.5, 5.0, 1e3)
@@ -47,12 +47,7 @@ for ratio, d in zip(ratios, decisions):
 # An affine calibration maps the closed form onto brute-force references,
 # the hook for adapting to feature distributions that are merely close to
 # the rectified Gaussian.
-pairs = []
-for ratio in (1e2, 1e3, 1e4):
-    brute = optimizer.brute_force_alpha(
-        model, PoolingMode.max(), K, ratio, 1.0,
-        optimizer.default_alpha_grid(24), trials=40_000, seed=5, betas=betas)
-    pairs.append((ratio, brute.alpha_star))
+pairs = [(ratio, brute.alpha_star) for ratio, brute in zip(brute_ratios, brutes)]
 fit = optimizer.fit_calibration(pairs, K, e2)
 print(f"\ncalibration against brute force: alpha' = {fit.c1:.3f} alpha + "
       f"{fit.c2:.3f} (mean squared residual {fit.fit_error:.4f})")

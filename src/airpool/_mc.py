@@ -3,7 +3,11 @@ errors.
 
 The seeding contract: every stochastic routine takes an integer ``seed`` and
 derives sub-streams with ``np.random.SeedSequence([seed, *key])``, so results
-are bit-reproducible for a fixed seed.
+are bit-reproducible for a fixed seed. SeedSequence pads entropy shorter than
+its four-word pool with zeros, so keys that differ only by trailing zeros
+name one stream: for a seed below 2**32, (seed,), (seed, 0) and (seed, 0, 0)
+are the same stream, and so are (seed, 1) and (seed, 1, 0). Only keys that
+differ in a non-zero entry give distinct streams.
 
 Every estimator draws its trials in one piece from `estimator_rng` and
 reduces them with `mean_estimate` or `finite_mean`, so the sub-streams and
@@ -34,8 +38,10 @@ def estimator_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator of a Monte Carlo estimator: the sub-stream (seed, *key, 0).
 
     The trailing 0 is the index of the first chunk of the former worker
-    split; keeping it keeps every estimate, and so every CSV, bit-identical
-    to the results recorded before the split was removed.
+    split. By the zero padding it names the stream of (seed, *key) whenever
+    both fit the pool (a seed below 2**32 and at most two key entries); it
+    is kept so that larger seeds keep their streams, and so every CSV its
+    bytes.
     """
     return rng_from(seed, *key, 0)
 

@@ -11,8 +11,12 @@ the error features and the unit noise come from the sub-stream
 (seed, 0, 0); the average-mode approximation bound draws from (seed, 1, 0);
 the max-mode approximation bound scales E[fmax^2] of
 `features.max_second_moment`, drawn from (seed, 0), the stream whose first
-rows `features.optimal_beta_grid` also uses. Each error and bound estimate
-is one `_mc.mean_estimate` over its per-trial values.
+rows `features.optimal_beta_grid` also uses. These are not all distinct:
+SeedSequence pads short keys with zeros (see `_mc`), so (seed, 0, 0) is the
+stream (seed, 0). The error features are therefore the E[fmax^2] features
+when the trial counts agree, and the first rows of the beta* draw. Each
+error and bound estimate is one `_mc.mean_estimate` over its per-trial
+values.
 
 The chi fit (`chi_error_check`) evaluates the chi CDF at all its sorted
 radii in one array call of `specfun.regularized_gamma_p`.

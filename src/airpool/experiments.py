@@ -73,6 +73,9 @@ class ExperimentConfig:
         if not all(1.0 <= a <= feat.ALPHA_MAX for a in self.alpha_grid):
             raise ConfigError(f"sweep.alpha_grid values must lie in [1, {feat.ALPHA_MAX:g}], "
                               f"got {self.alpha_grid}")
+        if self.feature_kind not in (*_MODEL_KINDS, "empirical"):
+            raise ConfigError(f"feature_model.kind must be one of "
+                              f"{sorted(_MODEL_KINDS) + ['empirical']}, got {self.feature_kind!r}")
         if self.experiment != "latency_table" and self.trials < 10_000:
             raise ConfigError("experiment.trials must be >= 10000 for Monte Carlo runs")
         for name in ("n_samples", "epochs", "trials_per_sample", "q_bits"):
@@ -98,11 +101,7 @@ class ExperimentConfig:
             if not self.feature_file:
                 raise ConfigError("feature_model.sample_file is required for kind=empirical")
             return FeatureModel.from_file(self.feature_file)
-        maker = _MODEL_KINDS.get(self.feature_kind)
-        if maker is None:
-            raise ConfigError(f"feature_model.kind must be one of "
-                              f"{sorted(_MODEL_KINDS) + ['empirical']}, got {self.feature_kind!r}")
-        return maker()
+        return _MODEL_KINDS[self.feature_kind]()
 
 
 def _float_list(raw: str) -> Tuple[float, ...]:

@@ -154,26 +154,100 @@ def normalization_moments(model: FeatureModel, alpha: float) -> MomentSet:
     return MomentSet(alpha=alpha, eta=eta, nu_sq=nu_sq, clamped=clamped)
 
 
-class PowerSums:
-    """Row sums of x ** alpha for many alpha over one (n, K) array x >= 0.
+#: Rows per block of `PowerSums`: a (K, rows) block and the summation
+#: scratch stay in a core's L2 cache while they are powered and summed.
+_BLOCK_ROWS = 4096
+#: numpy's pairwise summation sums runs of up to this many with eight
+#: accumulators and halves longer runs (PW_BLOCKSIZE in numpy's loops).
+_PAIRWISE_RUN = 128
 
-    x is taken over as the dense buffer the powers are written into, so the
-    caller must not use it afterwards. Only its non-zero entries are powered,
-    through an int32 index kept from the start: 0 ** alpha is exactly 0, and
-    libm pow is slowest at 0, which is about half of a rectified Gaussian
-    draw. The sums are bit-identical to ``(x ** alpha).sum(axis=1)``.
+
+class PowerSums:
+    """Row sums of x ** alpha for many alpha >= 1 over one (n, K) array x >= 0.
+
+    x is taken over, so the caller must not use it afterwards. It is split
+    into blocks of `_BLOCK_ROWS` rows, and each block is stored transposed,
+    as (K, rows), in the memory it already occupies. Per block, a
+    block-local int32 index keeps the entries that are neither 0.0 nor
+    1.0, with their values: both are fixed points of pow, so only the other
+    entries are powered and written back (libm pow is slowest at 0, which
+    is about half of a rectified Gaussian draw, and the rescaled row maxima
+    are 1.0). The K rows of a block are then added elementwise in numpy's
+    pairwise order, while the block is in cache, so the sums are
+    bit-identical to ``(x ** alpha).sum(axis=1)`` of a C-ordered x.
     """
 
     def __init__(self, x: np.ndarray):
-        self._x = np.ascontiguousarray(x)
-        flat = self._x.reshape(-1)
-        index_type = np.int32 if flat.size < 2 ** 31 else np.intp
-        self._index = np.flatnonzero(flat).astype(index_type)
-        self._values = flat[self._index]
+        x = np.ascontiguousarray(x)
+        n, k = x.shape
+        flat = x.reshape(-1)
+        self._blocks = []  # (first row, (K, rows) view, index, values)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - start)
+            # Adding 0.0 turns any -0.0 into 0.0 while transposing, so that
+            # no partial sum is -0.0 and numpy's final 0.0 + sum is a no-op.
+            transposed = np.add(x[start:start + rows].T, 0.0, order="C")
+            block = flat[start * k:(start + rows) * k].reshape(k, rows)
+            block[...] = transposed
+            index = np.flatnonzero((transposed != 0.0) & (transposed != 1.0))
+            self._blocks.append((start, block, index.astype(np.int32),
+                                 transposed.reshape(-1)[index]))
+        self._n = n
+        # Scratch that every block and alpha reuses: a fresh 160 KB array per
+        # block lies above glibc's mmap threshold, and its page faults double
+        # the time of pow. numpy would also cast the int32 index to a fresh
+        # intp array before each scatter.
+        most = max((len(b[3]) for b in self._blocks), default=0)
+        self._powers, self._intp_index = np.empty(most), np.empty(most, dtype=np.intp)
+        self._scratch = np.empty((14, min(n, _BLOCK_ROWS)))
 
     def __call__(self, alpha: float) -> np.ndarray:
-        self._x.reshape(-1)[self._index] = self._values ** alpha
-        return self._x.sum(axis=1)
+        sums = np.empty(self._n)
+        for start, block, index, values in self._blocks:
+            m = len(index)
+            np.copyto(self._intp_index[:m], index)
+            block.reshape(-1)[self._intp_index[:m]] = np.power(
+                values, alpha, out=self._powers[:m])
+            rows = block.shape[1]
+            _pairwise_sum(block, sums[start:start + rows], self._scratch[:, :rows])
+        return sums
+
+
+def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = the sum over the first axis of terms, elementwise, in the order
+    of numpy's pairwise_sum: fewer than 8 terms in sequence; up to
+    `_PAIRWISE_RUN` terms in 8 strided accumulators, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
+    sequence; longer runs as the sum of two halves split at a multiple of 8.
+
+    The 14 rows of scratch hold the accumulators and their tree.
+    """
+    n = len(terms)
+    if n < 8:
+        np.copyto(out, terms[0])
+        for term in terms[1:]:
+            np.add(out, term, out=out)
+    elif n <= _PAIRWISE_RUN:
+        run = n - n % 8
+        acc = terms[:8]
+        if run > 8:
+            acc = scratch[:8]
+            np.add(terms[:8], terms[8:16], out=acc)
+            for i in range(16, run, 8):
+                np.add(acc, terms[i:i + 8], out=acc)
+        pairs, quads = scratch[8:12], scratch[12:14]
+        np.add(acc[0::2], acc[1::2], out=pairs)
+        np.add(pairs[0::2], pairs[1::2], out=quads)
+        np.add(quads[0], quads[1], out=out)
+        for term in terms[run:]:
+            np.add(out, term, out=out)
+    else:
+        half = n // 2
+        half -= half % 8
+        _pairwise_sum(terms[:half], out, scratch)
+        second = np.empty_like(out)
+        _pairwise_sum(terms[half:], second, scratch)
+        np.add(out, second, out=out)
 
 
 class RescaledNorms:

@@ -148,7 +148,8 @@ def select_alpha(mode: PoolingMode, model: FeatureModel, k: int,
     low-SNR rule below the critical ratio rho0, the closed form when its
     premises hold, and falls back to brute force in the uncovered band
     (rho0 < ratio <= K) or when K < 4. Every power shares one E[fmax^2]
-    draw and one beta* table.
+    draw and one beta* table, and the brute-force powers share one
+    alpha-major error sweep, each decision read from its slice.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -160,23 +161,27 @@ def select_alpha(mode: PoolingMode, model: FeatureModel, k: int,
     e_fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value \
         if k > 1 else feat.moment_abs_power(model, 2.0)
     rho0 = low_snr_threshold(k, e_fmax_sq) if k >= 2 else math.inf
-    grid = list(alpha_grid) if alpha_grid is not None else default_alpha_grid()
-    betas = BetaTable(model, k, seed=seed)
-    decisions = []
-    for p_bar in p_bars:
+    decisions: List[Optional[AlphaDecision]] = [None] * len(p_bars)
+    brute_powers = []
+    for i, p_bar in enumerate(p_bars):
         ratio = p_bar / noise_power
         if ratio <= rho0:
-            decisions.append(AlphaDecision(alpha_star=1.0, method=LOW_SNR_RULE, rho0=rho0,
-                                           objective_value=surrogate_objective(
-                                               1.0, k, p_bar, noise_power, e_fmax_sq)))
+            decisions[i] = AlphaDecision(alpha_star=1.0, method=LOW_SNR_RULE, rho0=rho0,
+                                         objective_value=surrogate_objective(
+                                             1.0, k, p_bar, noise_power, e_fmax_sq))
         elif k >= 4 and ratio > k:
-            decisions.append(closed_form_alpha(k, p_bar, noise_power, e_fmax_sq))
+            decisions[i] = closed_form_alpha(k, p_bar, noise_power, e_fmax_sq)
         else:
+            brute_powers.append((i, p_bar))
+    if brute_powers:
+        grid = alpha_grid if alpha_grid is not None else default_alpha_grid()
+        brutes = brute_force_alpha(model, mode, k, [p_bar for _, p_bar in brute_powers],
+                                   noise_power, grid, trials, seed)
+        for (i, p_bar), brute in zip(brute_powers, brutes):
+            ratio = p_bar / noise_power
             note = "k < 4" if k < 4 else f"rho0 < p_bar/noise <= K ({ratio:.3g} <= {k})"
-            brute = brute_force_alpha(model, mode, k, p_bar, noise_power, grid,
-                                      trials=trials, seed=seed, betas=betas)
-            decisions.append(replace(brute, rho0=rho0,
-                                     note=f"closed-form premises not met: {note}"))
+            decisions[i] = replace(brute, rho0=rho0,
+                                   note=f"closed-form premises not met: {note}")
     return decisions
 
 
@@ -238,16 +243,18 @@ def lowest_error_alpha(alpha_grid: Sequence[float],
 
 
 def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
-                      p_rx: float, noise_power: float,
+                      p_bars: Sequence[float], noise_power: float,
                       alpha_grid: Sequence[float], trials: int = 100_000,
-                      seed: int = 0, betas: Optional[BetaTable] = None) -> AlphaDecision:
-    """Linear search for the alpha minimizing the empirical pooling error.
+                      seed: int = 0, betas: Optional[BetaTable] = None) -> List[AlphaDecision]:
+    """Linear search for the alpha minimizing the empirical pooling error,
+    one decision per received power in `p_bars`.
 
     beta is re-derived per grid point (beta*(alpha) for max, K^alpha for
     average); beta* for every grid alpha missing from `betas` (a table of
     its own when None) comes from one draw. The error features are drawn
-    once and shared by every grid point, each error bit-identical to its
-    per-point counterpart; `lowest_error_alpha` picks the minimum.
+    once and shared by every (alpha, power) pair of one alpha-major sweep,
+    each error bit-identical to its own run; `lowest_error_alpha` picks the
+    minimum of each power's slice.
     """
     grid = [float(a) for a in alpha_grid]
     if not grid or sorted(grid) != grid:
@@ -257,9 +264,10 @@ def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
     betas = betas if betas is not None else BetaTable(model, k, seed=seed)
     if mode.kind == MAX:
         betas.fill(grid)
-    cfgs = [config_for(model, mode, k, alpha, p_rx, noise_power, betas) for alpha in grid]
+    cfgs = [config_for(model, mode, k, alpha, p_bar, noise_power, betas)
+            for alpha in grid for p_bar in p_bars]
     errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed)
-    return lowest_error_alpha(grid, errors)
+    return [lowest_error_alpha(grid, errors[j::len(p_bars)]) for j in range(len(p_bars))]
 
 
 def fit_calibration(pairs: Sequence[Tuple[float, float]], k: int,

@@ -177,9 +177,10 @@ def test_criterion_5c_empirical_near_optimality(fmax_sq_k12):
     grid = optimizer.default_alpha_grid()
     betas = optimizer.BetaTable(RG, K, seed=SEED)
     reference_ratios = (3e2, 3e3, 3e4)
-    pairs = [(ratio, optimizer.brute_force_alpha(
-        RG, PoolingMode.max(), K, ratio, 1.0, grid, trials=100_000,
-        seed=SEED, betas=betas).alpha_star) for ratio in reference_ratios]
+    references = optimizer.brute_force_alpha(
+        RG, PoolingMode.max(), K, reference_ratios, 1.0, grid, trials=100_000,
+        seed=SEED, betas=betas)
+    pairs = [(ratio, d.alpha_star) for ratio, d in zip(reference_ratios, references)]
     fit = optimizer.fit_calibration(pairs, K, fmax_sq_k12)
 
     def d_total(alpha, ratio):
@@ -189,10 +190,10 @@ def test_criterion_5c_empirical_near_optimality(fmax_sq_k12):
                                              seed=SEED)[0].d_total
 
     ratios = {}
-    for ratio in (1e3, 1e4):
-        brute = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, ratio,
-                                            1.0, grid, trials=100_000, seed=SEED,
-                                            betas=betas)
+    brutes = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, (1e3, 1e4),
+                                         1.0, grid, trials=100_000, seed=SEED,
+                                         betas=betas)
+    for ratio, brute in zip((1e3, 1e4), brutes):
         closed = optimizer.closed_form_alpha(K, ratio, 1.0,
                                              fmax_sq_k12).alpha_star
         root = optimizer.bisection_alpha(K, ratio, 1.0, fmax_sq_k12)
@@ -218,18 +219,19 @@ def test_criterion_6_averaging_and_low_snr_rules(fmax_sq_k12):
     grid = [1.0, 2.0, 4.0, 8.0, 16.0]
     ok = True
     details = []
-    for snr_db in (0.0, 6.0, 12.0):
-        d = optimizer.brute_force_alpha(RG, PoolingMode.average(), K,
-                                        db_to_linear(snr_db), 1.0, grid,
-                                        trials=100_000, seed=SEED)
+    snrs_db = (0.0, 6.0, 12.0)
+    averages = optimizer.brute_force_alpha(RG, PoolingMode.average(), K,
+                                           [db_to_linear(s) for s in snrs_db], 1.0,
+                                           grid, trials=100_000, seed=SEED)
+    for snr_db, d in zip(snrs_db, averages):
         ok &= d.alpha_star == 1.0
         details.append(f"avg@{snr_db:g}dB->{d.alpha_star:g}")
     rho0 = optimizer.low_snr_threshold(K, fmax_sq_k12)
     betas = optimizer.BetaTable(RG, K, seed=SEED)
-    for ratio in (0.25, 0.5, rho0):
-        d = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, ratio, 1.0,
-                                        grid, trials=100_000, seed=SEED,
-                                        betas=betas)
+    low_ratios = (0.25, 0.5, rho0)
+    lows = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, low_ratios, 1.0,
+                                       grid, trials=100_000, seed=SEED, betas=betas)
+    for ratio, d in zip(low_ratios, lows):
         ok &= d.alpha_star <= grid[1]  # within one grid step of alpha = 1
         details.append(f"max@{ratio:.2f}->{d.alpha_star:g}")
     assert _report("6 argmin-rules", ok,

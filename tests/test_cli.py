@@ -256,11 +256,11 @@ class TestBoundValidationGate:
         noise = cfg.system.subchannel_noise_w
         e2 = feat.max_second_moment(model, k, trials=100_000, seed=seed).value
         grid = (1.0, 2.0, 4.0)
-        average = optimizer.brute_force_alpha(
-            model, PoolingMode.average(), k, db_to_linear(snr_grid_db[0]) * noise,
+        average, = optimizer.brute_force_alpha(
+            model, PoolingMode.average(), k, [db_to_linear(snr_grid_db[0]) * noise],
             noise, grid, trials=trials, seed=seed)
-        low_snr = optimizer.brute_force_alpha(
-            model, PoolingMode.max(), k, 0.5 * optimizer.low_snr_threshold(k, e2) * noise,
+        low_snr, = optimizer.brute_force_alpha(
+            model, PoolingMode.max(), k, [0.5 * optimizer.low_snr_threshold(k, e2) * noise],
             noise, grid, trials=trials, seed=seed)
         assert shared == decisions
         rows = {r["check"]: r for r in result.rows if r["check"].endswith("-argmin")}
@@ -406,6 +406,8 @@ RANGE_ERRORS = {
         "alpha_grid", ("bound_validation", "[sweep]\nalpha_grid = 0.5, 2")),
     "run-tradeoff-alpha-descending": (
         "alpha_grid", ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2")),
+    "run-tradeoff-misspelled-model": (
+        "feature_model.kind", ("tradeoff_curve", "[feature_model]\nkind = unifrom01")),
     "run-alpha-optimality-k-2": ("k_sensors", ("alpha_optimality", "[system]\nk_sensors = 2")),
     "run-alpha-optimality-snr-not-above-k": (
         "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 5, 30")),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from airpool import features as feat
@@ -21,6 +22,21 @@ class TestSampling:
         b = RG.draw(rng_from(123), 4)
         np.testing.assert_array_equal(a, b)
         assert np.all(a >= 0)
+
+    def test_trailing_zero_keys_name_one_stream(self):
+        # SeedSequence pads short keys with zeros: the error sweep's
+        # (seed, 0, 0) is the stream (seed, 0) of E[fmax^2] and beta*.
+        def head(rng):
+            return rng.random(8).tobytes()
+
+        seed = 7
+        assert head(estimator_rng(seed, 0)) == head(estimator_rng(seed)) \
+            == head(rng_from(seed, 0)) == head(rng_from(seed))
+        assert head(estimator_rng(seed, 1)) == head(rng_from(seed, 1))
+        assert head(rng_from(seed, 1)) != head(rng_from(seed))
+        fmax_sq = RG.draw(estimator_rng(seed, 0), (10_000, 4)).max(axis=1) ** 2
+        assert feat.max_second_moment(RG, 4, trials=10_000, seed=seed) \
+            == mean_estimate(fmax_sq, "max_second_moment")
 
     def test_rectified_gaussian_draw_matches_clipped_normal(self):
         draws = RG.draw(np.random.default_rng(6), (1000, 4))
@@ -170,6 +186,70 @@ class TestRescaledNorm:
     def test_column_major_input(self):
         f = np.asfortranarray(RG.draw(np.random.default_rng(4), (500, 6)))
         assert np.array_equal(rescaled_norm(f, 5.0), dense_lp_norm(f, 5.0))
+
+
+def dense_power_sums(x, alpha):
+    """The oracle: numpy's own row sums of the powers, on a C-ordered copy."""
+    return (x.copy() ** alpha).sum(axis=1)
+
+
+def power_sums_input(n, k, seed, zeros=0.3, ones=0.1):
+    """An (n, k) array >= 0 with exact 0.0 and 1.0 entries and all-zero rows."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, k))
+    x = rng.exponential(0.5, (n, k))
+    x[u < zeros] = 0.0
+    x[(u >= zeros) & (u < zeros + ones)] = 1.0
+    x[::97] = 0.0
+    return x
+
+
+class TestPowerSums:
+    """`PowerSums` sums by blocks of rows, column by column, in numpy's
+    pairwise order; these pin it to numpy's own row sums, so a numpy that
+    sums in another order fails here."""
+
+    ALPHAS = [1.0, 2.0, 3.7, 128.0]
+
+    def assert_equal_to_oracle(self, x, alphas=ALPHAS):
+        sums = feat.PowerSums(x.copy(order="K"))
+        for alpha in alphas:
+            got, want = sums(alpha), dense_power_sums(x, alpha)
+            assert got.tobytes() == want.tobytes(), (x.shape, alpha)
+
+    def test_every_k_to_260_within_one_block(self):
+        # Crosses numpy's 8 accumulators (K = 8), its 128-term run and the
+        # recursive halving above it.
+        for k in range(1, 261):
+            self.assert_equal_to_oracle(power_sums_input(40, k, seed=k))
+
+    @pytest.mark.parametrize("k", [1, 5, 8, 12, 17, 128, 129, 200, 260])
+    @pytest.mark.parametrize("blocks", [0.5, 1.0, 2.75])
+    def test_across_blocks(self, k, blocks):
+        n = int(blocks * feat._BLOCK_ROWS)
+        self.assert_equal_to_oracle(power_sums_input(n, k, seed=n + k))
+
+    def test_fortran_order_input(self):
+        x = np.asfortranarray(power_sums_input(feat._BLOCK_ROWS + 5, 12, seed=3))
+        self.assert_equal_to_oracle(x)
+
+    def test_signed_zeros(self):
+        # (-0.0) ** 3.0 is -0.0, and numpy's row sum of a row of them is 0.0.
+        x = power_sums_input(300, 9, seed=4)
+        x[5] = -0.0
+        x[7, ::2] = -0.0
+        self.assert_equal_to_oracle(x, [3.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3 * feat._BLOCK_ROWS), k=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1),
+           zeros=st.floats(0.0, 1.0), ones=st.floats(0.0, 1.0),
+           alpha=st.one_of(st.sampled_from([1.0, 2.0, 128.0]), st.floats(1.0, 128.0)),
+           fortran=st.booleans())
+    def test_property_equals_numpy_row_sums(self, n, k, seed, zeros, ones, alpha,
+                                            fortran):
+        x = power_sums_input(n, k, seed, zeros, ones * (1.0 - zeros))
+        self.assert_equal_to_oracle(np.asfortranarray(x) if fortran else x, [alpha])
 
 
 def rescaled_norm(f, alpha):

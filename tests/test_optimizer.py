@@ -138,8 +138,8 @@ class TestSelectAlpha:
         assert d.method == optimizer.BRUTE_FORCE
 
     def test_powers_share_one_draw(self, monkeypatch):
-        # One E[fmax^2] draw and one beta* table serve every power, and each
-        # decision equals the decision at that power alone.
+        # One E[fmax^2] draw, one beta* table and one error sweep serve every
+        # power, and each decision equals the decision at that power alone.
         p_bars = [0.5, 5.0, 6.0, 1e3, 1e4]
         kwargs = dict(trials=10_000, seed=6, alpha_grid=[1.0, 2.0, 4.0])
         alone = [optimizer.select_alpha(PoolingMode.max(), RG, K, [p], 1.0, **kwargs)[0]
@@ -154,9 +154,10 @@ class TestSelectAlpha:
         assert [d.method for d in shared] == [optimizer.LOW_SNR_RULE, optimizer.BRUTE_FORCE,
                                               optimizer.BRUTE_FORCE, optimizer.CLOSED_FORM,
                                               optimizer.CLOSED_FORM]
-        # E[fmax^2] and one beta* draw for the grid; then each brute-force
-        # power draws its errors and its approximation bound.
-        assert draws == [(10_000, K), (400_000, K)] + [(10_000, K)] * 4
+        # E[fmax^2], one beta* draw for the grid, then one error sweep for
+        # both brute-force powers: its error features and its approximation
+        # bound.
+        assert draws == [(10_000, K), (400_000, K), (10_000, K), (10_000, K)]
 
     def test_never_below_one(self):
         with pytest.raises(ValueError):
@@ -165,31 +166,31 @@ class TestSelectAlpha:
 
 class TestBruteForce:
     def test_zero_noise_max_prefers_grid_maximum(self):
-        d = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, 1.0, 0.0,
-                                        [1.0, 2.0, 4.0, 8.0], trials=30_000,
-                                        seed=5)
+        d, = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, [1.0], 0.0,
+                                         [1.0, 2.0, 4.0, 8.0], trials=30_000,
+                                         seed=5)
         assert d.alpha_star == 8.0
 
     def test_average_prefers_alpha_one(self):
-        for snr_db in [0.0, 6.0, 12.0]:
-            d = optimizer.brute_force_alpha(
-                RG, PoolingMode.average(), K, 10 ** (snr_db / 10.0), 1.0,
-                [1.0, 2.0, 4.0, 8.0, 16.0], trials=30_000, seed=6)
-            assert d.alpha_star == 1.0
+        decisions = optimizer.brute_force_alpha(
+            RG, PoolingMode.average(), K,
+            [10 ** (snr_db / 10.0) for snr_db in (0.0, 6.0, 12.0)], 1.0,
+            [1.0, 2.0, 4.0, 8.0, 16.0], trials=30_000, seed=6)
+        assert [d.alpha_star for d in decisions] == [1.0, 1.0, 1.0]
 
     def test_low_snr_max_stays_within_one_step_of_one(self):
         rho0 = optimizer.low_snr_threshold(K, E2_K12)
         grid = [1.0, 2.0, 4.0, 8.0, 16.0]
-        for ratio in [0.25, 0.5, rho0]:
-            d = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, ratio, 1.0,
-                                            grid, trials=30_000, seed=7)
-            assert d.alpha_star <= grid[1]
+        decisions = optimizer.brute_force_alpha(RG, PoolingMode.max(), K,
+                                                [0.25, 0.5, rho0], 1.0, grid,
+                                                trials=30_000, seed=7)
+        assert all(d.alpha_star <= grid[1] for d in decisions)
 
     def test_shared_draws_match_per_point_loop(self):
         grid = optimizer.default_alpha_grid(8)
         for mode in (PoolingMode.max(), PoolingMode.average()):
-            d = optimizer.brute_force_alpha(
-                RG, mode, K, 300.0, 1.0, grid, trials=20_000, seed=31,
+            d, = optimizer.brute_force_alpha(
+                RG, mode, K, [300.0], 1.0, grid, trials=20_000, seed=31,
                 betas=optimizer.BetaTable(RG, K, beta_trials=50_000, seed=31))
             best = (math.inf, math.inf)
             for alpha in grid:
@@ -207,10 +208,10 @@ class TestBruteForce:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            optimizer.brute_force_alpha(RG, PoolingMode.max(), K, 1.0, 0.0,
+            optimizer.brute_force_alpha(RG, PoolingMode.max(), K, [1.0], 0.0,
                                         [], trials=20_000)
         with pytest.raises(ValueError):
-            optimizer.brute_force_alpha(RG, PoolingMode.max(), K, 1.0, 0.0,
+            optimizer.brute_force_alpha(RG, PoolingMode.max(), K, [1.0], 0.0,
                                         [4.0, 2.0], trials=20_000)
 
 
@@ -264,13 +265,12 @@ class TestCalibration:
         assert fit.c2 == pytest.approx(0.5, abs=1e-9)
 
     def test_brute_force_reference_fit(self):
-        pairs = []
-        betas = optimizer.BetaTable(RG, K, seed=8)
-        for ratio in [1e3, 3e3, 1e4]:
-            brute = optimizer.brute_force_alpha(
-                RG, PoolingMode.max(), K, ratio, 1.0,
-                optimizer.default_alpha_grid(16), trials=20_000, seed=8, betas=betas)
-            pairs.append((ratio, brute.alpha_star))
+        ratios = [1e3, 3e3, 1e4]
+        brutes = optimizer.brute_force_alpha(
+            RG, PoolingMode.max(), K, ratios, 1.0,
+            optimizer.default_alpha_grid(16), trials=20_000, seed=8,
+            betas=optimizer.BetaTable(RG, K, seed=8))
+        pairs = [(ratio, brute.alpha_star) for ratio, brute in zip(ratios, brutes)]
         fit = optimizer.fit_calibration(pairs, K, E2_K12)
         assert math.isfinite(fit.fit_error) and fit.fit_error >= 0.0
 

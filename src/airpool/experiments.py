@@ -84,6 +84,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ConfigError(f"sweep.learning_rate must be finite and > 0, "
                               f"got {self.learning_rate}")
+        if self.experiment == "synthetic_e2e" and \
+                sensing.SyntheticDataset.train_size(self.n_samples) >= self.n_samples:
+            raise ConfigError(f"sweep.n_samples = {self.n_samples} leaves no test sample "
+                              f"in the {sensing.TRAIN_FRACTION:g} train/test split")
         # The premises of low_snr_threshold and closed_form_alpha, checked
         # before any draw; the power ratio is the one the runner computes.
         k, noise = self.system.k_sensors, self.system.subchannel_noise_w

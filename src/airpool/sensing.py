@@ -10,7 +10,7 @@ against feature error.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postproc
 
 DEFAULT_VIEWS = 4
 DEFAULT_FEATURES = 4
+TRAIN_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,15 @@ class SyntheticDataset:
         """Noiseless pooled feature vectors, (n, N)."""
         return true_pool(np.swapaxes(self.views, 1, 2), self.mode)
 
-    def split(self, train_fraction: float = 0.8) -> Tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def train_size(n_samples: int) -> int:
+        """Training rows in the split of n_samples; the rest are test rows."""
+        return int(round(TRAIN_FRACTION * n_samples))
+
+    def split(self) -> Tuple[np.ndarray, np.ndarray]:
         """Deterministic train/test index split (a seed-derived permutation)."""
         order = rng_from(self.generator_seed, 77).permutation(len(self))
-        cut = int(round(train_fraction * len(self)))
+        cut = self.train_size(len(self))
         return order[:cut], order[cut:]
 
 
@@ -108,27 +114,59 @@ def generate_dataset(n_samples: int, seed: int,
                             margin_gap=margin_gap)
 
 
+def _layer_views(flat: np.ndarray, shapes):
+    """Per-layer (weight matrix, bias vector) views of a flat vector laid out
+    layer by layer as (W, b)."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in shapes:
+        w_end = offset + fan_in * fan_out
+        weights.append(flat[offset:w_end].reshape(fan_in, fan_out))
+        biases.append(flat[w_end:w_end + fan_out])
+        offset = w_end + fan_out
+    return weights, biases
+
+
 class ShallowClassifier:
-    """Two tanh hidden layers and a softmax output, trained by plain SGD."""
+    """Two tanh hidden layers and a softmax output, trained by plain SGD.
+
+    `sizes` is (inputs, hidden 1, hidden 2, outputs). Every weight matrix
+    and bias vector is a view into the flat `params` vector, laid out layer
+    by layer as (W, b), and `gradients` writes into `grads` with the same
+    layout, so one SGD update is `params -= learning_rate * grads`.
+    """
 
     def __init__(self, sizes: Tuple[int, ...] = (DEFAULT_FEATURES, 5, 5, 2),
                  seed: int = 0):
+        sizes = tuple(sizes)
+        if len(sizes) != 4 or min(sizes) < 1:
+            raise ValueError(f"sizes must be four positive layer widths (inputs, "
+                             f"two hidden layers, outputs), got {sizes}")
         rng = rng_from(seed, 11)
-        self.sizes = tuple(sizes)
-        self.weights = [rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-                        for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
-        self.biases = [np.zeros(fan_out) for fan_out in sizes[1:]]
+        self.sizes = sizes
+        shapes = list(zip(sizes[:-1], sizes[1:]))
+        self.params = np.zeros(sum(fan_in * fan_out + fan_out
+                                   for fan_in, fan_out in shapes))
+        self.grads = np.zeros_like(self.params)
+        self.weights, self.biases = _layer_views(self.params, shapes)
+        self._grad_weights, self._grad_biases = _layer_views(self.grads, shapes)
+        for w, (fan_in, fan_out) in zip(self.weights, shapes):
+            w[...] = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
 
     # -- forward ----------------------------------------------------------
-    def _activations(self, x: np.ndarray) -> List[np.ndarray]:
-        acts = [np.atleast_2d(np.asarray(x, dtype=float))]
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(_softmax(z) if layer == len(self.weights) - 1 else np.tanh(z))
-        return acts
+    def _forward(self, x: np.ndarray):
+        """Both hidden activations and the softmax output for a 2-D x."""
+        w0, w1, w2 = self.weights
+        b0, b1, b2 = self.biases
+        h1 = np.tanh(x @ w0 + b0)
+        h2 = np.tanh(h1 @ w1 + b1)
+        z = h2 @ w2 + b2
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        e = np.exp(z)
+        e /= np.add.reduce(e, axis=1, keepdims=True)
+        return h1, h2, e
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self._activations(x)[-1]
+        return self._forward(np.atleast_2d(np.asarray(x, dtype=float)))[2]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_proba(x).argmax(axis=1)
@@ -142,31 +180,24 @@ class ShallowClassifier:
             return float(-np.mean(np.log(p[np.arange(len(labels)), labels])))
 
     # -- backward ---------------------------------------------------------
-    def gradients(self, x: np.ndarray, labels: np.ndarray):
-        """Mean cross-entropy gradients for every weight and bias."""
-        acts = self._activations(x)
-        n = len(acts[0])
-        onehot = np.eye(self.sizes[-1])[labels]
-        delta = (acts[-1] - onehot) / n
-        grads_w, grads_b = [], []
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grads_w.append(acts[layer].T @ delta)
-            grads_b.append(delta.sum(axis=0))
-            if layer > 0:
-                delta = (delta @ self.weights[layer].T) * (1.0 - acts[layer] ** 2)
-        return grads_w[::-1], grads_b[::-1]
-
-    def apply_gradients(self, grads_w, grads_b, learning_rate: float) -> None:
-        for w, gw in zip(self.weights, grads_w):
-            w -= learning_rate * gw
-        for b, gb in zip(self.biases, grads_b):
-            b -= learning_rate * gb
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    def gradients(self, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy gradient of a 2-D float batch x against its
+        one-hot targets, written into and returned as `grads`."""
+        w0, w1, w2 = self.weights
+        gw0, gw1, gw2 = self._grad_weights
+        gb0, gb1, gb2 = self._grad_biases
+        h1, h2, delta = self._forward(x)
+        delta -= onehot
+        delta /= len(x)
+        np.matmul(h2.T, delta, out=gw2)
+        np.add.reduce(delta, axis=0, out=gb2)
+        delta = (delta @ w2.T) * (1.0 - h2 * h2)
+        np.matmul(h1.T, delta, out=gw1)
+        np.add.reduce(delta, axis=0, out=gb1)
+        delta = (delta @ w1.T) * (1.0 - h1 * h1)
+        np.matmul(x.T, delta, out=gw0)
+        np.add.reduce(delta, axis=0, out=gb0)
+        return self.grads
 
 
 @dataclass(frozen=True)
@@ -182,23 +213,41 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
                      seed: int = 0) -> TrainingReport:
     """Mini-batch gradient descent on the noiselessly pooled features.
 
-    Deterministic given (dataset, seed). Raises if the loss turns non-finite,
-    reporting the last stable epoch.
+    Each epoch gathers the training rows and their one-hot targets once, in
+    a seed-derived order, and steps through contiguous batches of it.
+    Deterministic given (dataset, seed). Raises ValueError before the first
+    epoch for epochs or batch_size below 1, a learning rate that is not
+    finite and > 0, or a split with an empty side; raises ArithmeticError if
+    the loss turns non-finite, reporting the last stable epoch.
     """
-    pooled = dataset.pooled()
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     train_idx, test_idx = dataset.split()
+    if len(train_idx) == 0 or len(test_idx) == 0:
+        raise ValueError(f"n_samples = {len(dataset)} leaves an empty side in the "
+                         f"{TRAIN_FRACTION:g} train/test split")
+    pooled = dataset.pooled()
     x_train, y_train = pooled[train_idx], dataset.labels[train_idx]
     x_test, y_test = pooled[test_idx], dataset.labels[test_idx]
     clf = ShallowClassifier(sizes=(dataset.n_features, 5, 5, 2), seed=seed)
+    onehot_train = np.eye(clf.sizes[-1])[y_train]
+    params = clf.params
     shuffle_rng = rng_from(seed, 13)
+    n_train = len(x_train)
     loss = clf.loss(x_train, y_train)
     for epoch in range(epochs):
         last_stable = loss
-        order = shuffle_rng.permutation(len(x_train))
-        for start in range(0, len(order), batch_size):
-            batch = order[start:start + batch_size]
-            grads_w, grads_b = clf.gradients(x_train[batch], y_train[batch])
-            clf.apply_gradients(grads_w, grads_b, learning_rate)
+        order = shuffle_rng.permutation(n_train)
+        x_epoch, onehot_epoch = x_train[order], onehot_train[order]
+        for start in range(0, n_train, batch_size):
+            stop = start + batch_size
+            grads = clf.gradients(x_epoch[start:stop], onehot_epoch[start:stop])
+            grads *= learning_rate
+            params -= grads
         loss = clf.loss(x_train, y_train)
         if not math.isfinite(loss):
             raise ArithmeticError(
@@ -211,21 +260,20 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
 def gradient_check(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray,
                    epsilon: float = 1e-6) -> float:
     """Max relative error between backprop and central finite differences."""
-    grads_w, grads_b = clf.gradients(x, labels)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    grads = clf.gradients(x, np.eye(clf.sizes[-1])[labels])
+    params = clf.params
     worst = 0.0
-    for params, grads in ((clf.weights, grads_w), (clf.biases, grads_b)):
-        for p, g in zip(params, grads):
-            flat_p, flat_g = p.reshape(-1), np.asarray(g).reshape(-1)
-            for i in range(flat_p.size):
-                keep = flat_p[i]
-                flat_p[i] = keep + epsilon
-                up = clf.loss(x, labels)
-                flat_p[i] = keep - epsilon
-                down = clf.loss(x, labels)
-                flat_p[i] = keep
-                numeric = (up - down) / (2.0 * epsilon)
-                scale = max(abs(numeric), abs(flat_g[i]), 1e-8)
-                worst = max(worst, abs(numeric - flat_g[i]) / scale)
+    for i in range(params.size):
+        keep = params[i]
+        params[i] = keep + epsilon
+        up = clf.loss(x, labels)
+        params[i] = keep - epsilon
+        down = clf.loss(x, labels)
+        params[i] = keep
+        numeric = (up - down) / (2.0 * epsilon)
+        scale = max(abs(numeric), abs(grads[i]), 1e-8)
+        worst = max(worst, abs(numeric - grads[i]) / scale)
     return worst
 
 

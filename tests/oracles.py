@@ -8,14 +8,20 @@ composition must equal the aggregate form where float64 is healthy.
 
 The inverse of the regularized gamma function checks the forward
 `specfun.regularized_gamma_p` by round trip.
+
+The classifier's training loop as it was written before the flat
+parameter vector: a per-layer backprop over lists, a fancy-index gather
+and an `np.eye` per step, and one in-place update per weight and bias.
+The library's step must give the same bits.
 """
 
 import math
-from typing import NamedTuple
+from typing import List, NamedTuple
 
 import numpy as np
 
 from airpool._mc import rng_from
+from airpool.sensing import ShallowClassifier, SyntheticDataset
 from airpool.pooling import WEIGHTED_SUM, AirPoolConfig
 from airpool.specfun import ITERATION_CAP, regularized_gamma_p
 
@@ -108,3 +114,96 @@ def inverse_regularized_gamma_p_result(k: float, p: float) -> InverseResult:
 def inverse_regularized_gamma_p(k: float, p: float) -> float:
     """Inverse of P(k, .) at probability p, as a plain float."""
     return inverse_regularized_gamma_p_result(k, p).value
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _activations(clf: ShallowClassifier, x: np.ndarray) -> List[np.ndarray]:
+    acts = [np.atleast_2d(np.asarray(x, dtype=float))]
+    for layer, (w, b) in enumerate(zip(clf.weights, clf.biases)):
+        z = acts[-1] @ w + b
+        acts.append(_softmax(z) if layer == len(clf.weights) - 1 else np.tanh(z))
+    return acts
+
+
+def _loss(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray) -> float:
+    p = _activations(clf, x)[-1]
+    with np.errstate(divide="ignore"):
+        return float(-np.mean(np.log(p[np.arange(len(labels)), labels])))
+
+
+def gradients_reference(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy gradients as (per-layer weights, per-layer biases)."""
+    acts = _activations(clf, x)
+    n = len(acts[0])
+    onehot = np.eye(clf.sizes[-1])[labels]
+    delta = (acts[-1] - onehot) / n
+    grads_w, grads_b = [], []
+    for layer in range(len(clf.weights) - 1, -1, -1):
+        grads_w.append(acts[layer].T @ delta)
+        grads_b.append(delta.sum(axis=0))
+        if layer > 0:
+            delta = (delta @ clf.weights[layer].T) * (1.0 - acts[layer] ** 2)
+    return grads_w[::-1], grads_b[::-1]
+
+
+class TrainingReference(NamedTuple):
+    params: np.ndarray
+    final_loss: float
+    clean_accuracy: float
+
+
+def train_classifier_reference(dataset: SyntheticDataset, epochs: int = 200,
+                               learning_rate: float = 0.5, batch_size: int = 32,
+                               seed: int = 0) -> TrainingReference:
+    """The same training as `sensing.train_classifier`, step by step."""
+    pooled = dataset.pooled()
+    train_idx, test_idx = dataset.split()
+    x_train, y_train = pooled[train_idx], dataset.labels[train_idx]
+    x_test, y_test = pooled[test_idx], dataset.labels[test_idx]
+    clf = ShallowClassifier(sizes=(dataset.n_features, 5, 5, 2), seed=seed)
+    weights = [w.copy() for w in clf.weights]
+    biases = [b.copy() for b in clf.biases]
+    clf.weights, clf.biases = weights, biases   # off the flat vector
+    shuffle_rng = rng_from(seed, 13)
+    loss = _loss(clf, x_train, y_train)
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(len(x_train))
+        for start in range(0, len(order), batch_size):
+            batch = order[start:start + batch_size]
+            grads_w, grads_b = gradients_reference(clf, x_train[batch], y_train[batch])
+            for w, gw in zip(weights, grads_w):
+                w -= learning_rate * gw
+            for b, gb in zip(biases, grads_b):
+                b -= learning_rate * gb
+        loss = _loss(clf, x_train, y_train)
+    accuracy = float((_activations(clf, x_test)[-1].argmax(axis=1) == y_test).mean())
+    params = np.concatenate([part.reshape(-1) for w, b in zip(weights, biases)
+                             for part in (w, b)])
+    return TrainingReference(params=params, final_loss=loss, clean_accuracy=accuracy)
+
+
+def gradient_check_reference(clf: ShallowClassifier, x: np.ndarray,
+                             labels: np.ndarray, epsilon: float = 1e-6) -> float:
+    """Max relative error between backprop and central finite differences,
+    perturbing all weights, then all biases."""
+    grads_w, grads_b = gradients_reference(clf, x, labels)
+    worst = 0.0
+    for params, grads in ((clf.weights, grads_w), (clf.biases, grads_b)):
+        for p, g in zip(params, grads):
+            flat_p, flat_g = p.reshape(-1), np.asarray(g).reshape(-1)
+            for i in range(flat_p.size):
+                keep = flat_p[i]
+                flat_p[i] = keep + epsilon
+                up = _loss(clf, x, labels)
+                flat_p[i] = keep - epsilon
+                down = _loss(clf, x, labels)
+                flat_p[i] = keep
+                numeric = (up - down) / (2.0 * epsilon)
+                scale = max(abs(numeric), abs(flat_g[i]), 1e-8)
+                worst = max(worst, abs(numeric - flat_g[i]) / scale)
+    return worst

@@ -413,6 +413,8 @@ RANGE_ERRORS = {
         "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 5, 30")),
     "run-bound-k-1": ("k_sensors", ("bound_validation", "[system]\nk_sensors = 1")),
     "run-e2e-no-samples": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 0")),
+    "run-e2e-one-sample": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 1")),
+    "run-e2e-two-samples": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 2")),
     "run-e2e-no-trials-per-sample": (
         "trials_per_sample",
         ("synthetic_e2e", "[sweep]\nn_samples = 100\ntrials_per_sample = 0")),
@@ -551,6 +553,23 @@ class TestCliExitCodes:
             command = command or ["run"]
             argv = [command[0], "--config", str(path), *command[1:]]
         assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert re.search(rf"\b{named}\b", err)
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--samples", "2"], "n_samples"), (["--samples", "1"], "n_samples"),
+        (["--samples", "300", "--epochs", "-3"], "epochs"),
+        (["--samples", "300", "--learning-rate", "-1"], "learning_rate"),
+        (["--samples", "300", "--learning-rate", "nan"], "learning_rate")],
+        ids=lambda v: "_".join(v) if isinstance(v, list) else v)
+    def test_train_snn_out_of_range_is_a_config_error(self, argv, named, capsys,
+                                                      monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a rejected input reached a training step")
+
+        monkeypatch.setattr(sensing.ShallowClassifier, "gradients", no_step)
+        assert cli.main(["train-snn", *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert re.search(rf"\b{named}\b", err)

@@ -11,6 +11,7 @@ from airpool.optimizer import BetaTable
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
+from oracles import gradient_check_reference, train_classifier_reference
 
 RG = FeatureModel.rectified_gaussian()
 
@@ -88,12 +89,80 @@ class TestShallowClassifier:
         with pytest.raises(ArithmeticError, match="last stable loss"):
             sensing.train_classifier(ds, epochs=5, learning_rate=1000.0, seed=13)
 
+    @pytest.mark.parametrize("sizes", [(4, 5, 2), (4, 5, 5, 5, 2), (4, 0, 5, 2)])
+    def test_sizes_must_be_four_positive_widths(self, sizes):
+        with pytest.raises(ValueError, match="four positive layer widths"):
+            sensing.ShallowClassifier(sizes=sizes)
+
+    def test_parameters_are_views_of_the_flat_vector(self):
+        clf = sensing.ShallowClassifier(seed=8)
+        assert clf.params.size == 4 * 5 + 5 + 5 * 5 + 5 + 5 * 2 + 2
+        for part in (*clf.weights, *clf.biases):
+            assert np.shares_memory(part, clf.params)
+        assert not np.shares_memory(clf.grads, clf.params)
+
+    @pytest.mark.parametrize("n_samples,kwargs,named", [
+        (2, {}, "n_samples"),
+        (1, {}, "n_samples"),
+        (300, {"epochs": 0}, "epochs"),
+        (300, {"epochs": -3}, "epochs"),
+        (300, {"learning_rate": -1.0}, "learning_rate"),
+        (300, {"learning_rate": 0.0}, "learning_rate"),
+        (300, {"learning_rate": math.nan}, "learning_rate"),
+        (300, {"learning_rate": math.inf}, "learning_rate"),
+        (300, {"batch_size": 0}, "batch_size"),
+    ])
+    def test_bad_input_raises_before_the_first_step(self, n_samples, kwargs, named,
+                                                    monkeypatch):
+        def no_step(*args, **kw):
+            raise AssertionError("a rejected input reached a training step")
+
+        monkeypatch.setattr(sensing.ShallowClassifier, "gradients", no_step)
+        ds = sensing.generate_dataset(n_samples, seed=23)
+        with pytest.raises(ValueError, match=named):
+            sensing.train_classifier(ds, **kwargs)
+
+    def test_three_samples_train(self):
+        ds = sensing.generate_dataset(3, seed=23)
+        report = sensing.train_classifier(ds, epochs=2, seed=23)
+        assert report.clean_accuracy in (0.0, 1.0)
+
     def test_training_deterministic(self):
         ds = sensing.generate_dataset(800, seed=14)
         a = sensing.train_classifier(ds, epochs=30, learning_rate=0.5, seed=14)
         b = sensing.train_classifier(ds, epochs=30, learning_rate=0.5, seed=14)
         assert a.final_loss == b.final_loss
         assert a.clean_accuracy == b.clean_accuracy
+
+
+class TestTrainingOracle:
+    """The flat-vector step gives the same bits as the per-layer loop in
+    tests/oracles.py."""
+
+    @pytest.mark.parametrize("n_samples,seed,epochs,linear", [
+        (1500, 10, 40, False),     # 1200 training rows: the last batch is partial
+        (6000, 3, 5, False),
+        (2000, 11, 30, True),
+    ])
+    def test_training_equals_reference(self, n_samples, seed, epochs, linear):
+        ds = sensing.generate_dataset(n_samples, seed=seed, linear_labels=linear)
+        report = sensing.train_classifier(ds, epochs=epochs, learning_rate=0.5,
+                                          seed=seed)
+        want = train_classifier_reference(ds, epochs=epochs, learning_rate=0.5,
+                                          seed=seed)
+        assert np.array_equal(report.classifier.params, want.params)
+        assert report.final_loss == want.final_loss
+        assert report.clean_accuracy == want.clean_accuracy
+
+    def test_gradient_check_and_loss_bits(self):
+        ds = sensing.generate_dataset(1500, seed=10)
+        report = sensing.train_classifier(ds, epochs=40, learning_rate=0.5, seed=10)
+        x, labels = ds.pooled()[:10], ds.labels[:10]
+        assert sensing.gradient_check(report.classifier, x, labels) == \
+            gradient_check_reference(report.classifier, x, labels)
+        # Recorded before the flat-vector step; a numpy or BLAS change that
+        # moves these bits also moves the benchmark CSVs.
+        assert report.final_loss.hex() == "0x1.0d1b93cb6553fp-5"
 
 
 class TestEvaluateAccuracy:

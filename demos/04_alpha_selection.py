@@ -38,8 +38,7 @@ for ratio, brute in zip(brute_ratios, brutes):
 
 print("\ndispatcher decisions:")
 ratios = (0.5, 5.0, 1e3)
-decisions = optimizer.select_alpha(PoolingMode.max(), model, K, ratios, 1.0,
-                                   trials=40_000, seed=5,
+decisions = optimizer.select_alpha(model, K, ratios, 1.0, trials=40_000, seed=5,
                                    alpha_grid=optimizer.default_alpha_grid(16))
 for ratio, d in zip(ratios, decisions):
     print(f"  P/noise={ratio:>7.1f}: alpha*={d.alpha_star:.3f} [{d.method}]")

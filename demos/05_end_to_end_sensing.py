@@ -12,7 +12,7 @@ from airpool import optimizer, sensing
 from airpool.channel import db_to_linear
 from airpool.experiments import ExperimentConfig, run_experiment
 from airpool.features import FeatureModel
-from airpool.pooling import AirPoolConfig, PoolingMode
+from airpool.pooling import AirPoolConfig
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 SEED = 11
@@ -33,8 +33,8 @@ print(f"{'SNR (dB)':>9} {'alpha*':>7} {'method':>12} {'accuracy':>9} "
       f"{'feature error':>14}")
 snrs = (20.0, 15.0, 10.0, 5.0, 0.0)
 p_rxs = [db_to_linear(snr_db) for snr_db in snrs]
-decisions = optimizer.select_alpha(PoolingMode.max(), model, dataset.k_views, p_rxs,
-                                   1.0, trials=50_000, seed=SEED)
+decisions = optimizer.select_alpha(model, dataset.k_views, p_rxs, 1.0,
+                                   trials=50_000, seed=SEED)
 betas = optimizer.BetaTable(model, dataset.k_views, beta_trials=100_000, seed=SEED)
 betas.fill([d.alpha_star for d in decisions])
 for snr_db, p_rx, decision in zip(snrs, p_rxs, decisions):

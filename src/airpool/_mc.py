@@ -2,16 +2,36 @@
 errors.
 
 The seeding contract: every stochastic routine takes an integer ``seed`` and
-derives sub-streams with ``np.random.SeedSequence([seed, *key])``, so results
-are bit-reproducible for a fixed seed. SeedSequence pads entropy shorter than
-its four-word pool with zeros, so keys that differ only by trailing zeros
-name one stream: for a seed below 2**32, (seed,), (seed, 0) and (seed, 0, 0)
-are the same stream, and so are (seed, 1) and (seed, 1, 0). Only keys that
-differ in a non-zero entry give distinct streams.
+draws from the sub-stream ``rng_from(seed, *key)``, seeded by
+``np.random.SeedSequence([seed, *key])``, so results are bit-reproducible
+for a fixed seed. ``rng_from(seed)`` is ``np.random.default_rng(seed)``.
 
-Every estimator draws its trials in one piece from `estimator_rng` and
-reduces them with `mean_estimate` or `finite_mean`, so the sub-streams and
-the float operations of each estimate live here.
+The streams, by key:
+
+    (seed,)        `pooling.airpool_round` noise, the `sensing` dataset,
+                   `analysis.chi_error_check`, and bound_validation's
+                   reconfiguration features and margin-chain noise
+    (seed, 0)      `features.max_second_moment`, `features.optimal_beta_grid`
+    (seed, 0, 0)   `analysis.estimate_errors_grid`: error features, then
+                   the unit noise
+    (seed, 1, 0)   `analysis.approx_error_bounds`, average mode
+    (seed, 11)     `sensing.ShallowClassifier` initial weights
+    (seed, 13)     `sensing.train_classifier` epoch shuffles
+    (seed, 77)     `sensing.SyntheticDataset.split`
+    (seed, t)      `sensing.evaluate_accuracy`, the noise of trial t
+
+SeedSequence pads entropy shorter than its four-word pool with zeros, so
+keys that differ only by trailing zeros name one stream while they fit the
+pool: for a seed below 2**64, (seed,), (seed, 0) and (seed, 0, 0) are one
+stream, and so are (seed, 1) and (seed, 1, 0). The error features are then
+the E[fmax^2] features when the trial counts agree, and the first rows of
+the beta* draw. From 2**64 on the seed takes three words, so (seed, 0, 0)
+and (seed, 1, 0) overflow the pool and name streams of their own; each
+routine therefore keeps its key as written.
+
+Every estimator draws its trials in one piece and reduces them with
+`mean_estimate` or `finite_mean`, so the float operations of each estimate
+live here.
 """
 
 import math
@@ -32,18 +52,6 @@ class MonteCarloEstimate:
 def rng_from(seed: int, *key: int) -> np.random.Generator:
     """Generator for the sub-stream identified by (seed, *key)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
-
-
-def estimator_rng(seed: int, *key: int) -> np.random.Generator:
-    """Generator of a Monte Carlo estimator: the sub-stream (seed, *key, 0).
-
-    The trailing 0 is the index of the first chunk of the former worker
-    split. By the zero padding it names the stream of (seed, *key) whenever
-    both fit the pool (a seed below 2**32 and at most two key entries); it
-    is kept so that larger seeds keep their streams, and so every CSV its
-    bytes.
-    """
-    return rng_from(seed, *key, 0)
 
 
 def finite_mean(x: np.ndarray, estimator: str, what: str) -> float:

@@ -6,17 +6,9 @@ checks the error decomposition, generates noise/approximation tradeoff
 curves, and translates feature-space error into classification-accuracy
 lower bounds through the margin argument.
 
-Random streams of the error sweep (`estimate_errors_grid`), for a seed:
-the error features and the unit noise come from the sub-stream
-(seed, 0, 0); the average-mode approximation bound draws from (seed, 1, 0);
-the max-mode approximation bound scales E[fmax^2] of
-`features.max_second_moment`, drawn from (seed, 0), the stream whose first
-rows `features.optimal_beta_grid` also uses. These are not all distinct:
-SeedSequence pads short keys with zeros (see `_mc`), so (seed, 0, 0) is the
-stream (seed, 0). The error features are therefore the E[fmax^2] features
-when the trial counts agree, and the first rows of the beta* draw. Each
-error and bound estimate is one `_mc.mean_estimate` over its per-trial
-values.
+Every Monte Carlo routine here draws from a sub-stream listed in the table
+of `_mc`; each error and bound estimate is one `_mc.mean_estimate` over its
+per-trial values.
 
 The chi fit (`chi_error_check`) evaluates the chi CDF at all its sorted
 radii in one array call of `specfun.regularized_gamma_p`.
@@ -29,8 +21,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import features as feat
-from ._mc import MonteCarloEstimate, estimator_rng, mean_estimate, rng_from
-from .features import FeatureModel
+from ._mc import MonteCarloEstimate, mean_estimate, rng_from
+from .features import FeatureModel, MomentSet
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
                       postprocess, true_pool)
 from .specfun import regularized_gamma_p
@@ -86,11 +78,11 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     low-variance estimates. The features and the unit noise are drawn once
     and every configuration reuses them (common random numbers across the
     grid), scaling the unit noise by its own noise level; so does the
-    approximation bound (`approx_error_bounds` with key (1,)). The noise
-    bound comes from the closed form. Each result is bit-identical to the
-    same call on that configuration alone, so one sweep per pooling mode
-    serves every alpha search of an experiment, each on its slice. The
-    streams are listed in the module docstring.
+    approximation bound (`approx_error_bounds`). The noise bound comes from
+    the closed form. Each result is bit-identical to the same call on that
+    configuration alone, so one sweep per pooling mode serves every alpha
+    search of an experiment, each on its slice. The streams are listed in
+    `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
@@ -104,7 +96,7 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
-    rng = estimator_rng(seed, 0)
+    rng = rng_from(seed, 0, 0)
     f = model.draw(rng, (trials, k))
     unit_noise = rng.standard_normal(trials) if noisy else None
     g_true = true_pool(f, mode)
@@ -121,38 +113,26 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
                           mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid"),
                           mean_estimate((g_clean - g_true) ** 2, "estimate_errors_grid")))
     bounds = approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
-                                 trials=trials, seed=seed, key=(1,))
+                                 trials=trials, seed=seed)
     errors = []
     for (total, chan, appr), cfg, eps in zip(estimates, cfgs, bounds):
         errors.append(ErrorBreakdown(
             d_total=total.value, d_chan=chan.value, d_appr=appr.value,
             se_total=total.std_error, se_chan=chan.std_error,
             se_appr=appr.std_error,
-            noise_bound=noise_error_bound_from_moments(
-                cfg.alpha, cfg.moments.nu_sq, cfg.p_rx_w, cfg.noise_power_w),
+            noise_bound=noise_error_bound(cfg.moments, cfg.p_rx_w, cfg.noise_power_w),
             approx_bound=eps.value, approx_bound_se=eps.std_error,
             c0=decomposition_c0(cfg.mode, cfg.alpha)))
     return errors
 
 
-def noise_error_bound_from_moments(alpha: float, nu_sq: float, p_rx_w: float,
-                                   noise_power_w: float) -> float:
-    """Channel-noise error bound (sigma^2 nu_alpha^2 / P_rx)^(1/alpha), in logs."""
+def noise_error_bound(moments: MomentSet, p_rx_w: float, noise_power_w: float) -> float:
+    """Channel-noise error bound (sigma^2 nu_alpha^2 / P_rx)^(1/alpha), in
+    logs, with nu_alpha^2 and alpha from the normalization `moments`."""
     if noise_power_w == 0.0:
         return 0.0
-    ln_inner = math.log(noise_power_w) + math.log(nu_sq) - math.log(p_rx_w)
-    return math.exp(ln_inner / alpha)
-
-
-def noise_error_bound(model: FeatureModel, alpha: float, p_rx_w: float,
-                      noise_power_w: float) -> float:
-    """The channel-noise error bound with the analytic moments of `model`."""
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    if noise_power_w == 0.0:
-        return 0.0
-    return noise_error_bound_from_moments(
-        alpha, feat.normalization_moments(model, alpha).nu_sq, p_rx_w, noise_power_w)
+    ln_inner = math.log(noise_power_w) + math.log(moments.nu_sq) - math.log(p_rx_w)
+    return math.exp(ln_inner / moments.alpha)
 
 
 def noise_error_asymptote(alpha: float, p_rx_w: float, noise_power_w: float) -> float:
@@ -178,15 +158,15 @@ def max_approx_error_bound(alpha: float, k: int, e_fmax_sq: float) -> float:
 
 
 def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
-                        alphas: Sequence[float], trials: int, seed: int,
-                        key: tuple) -> List[MonteCarloEstimate]:
+                        alphas: Sequence[float], trials: int,
+                        seed: int) -> List[MonteCarloEstimate]:
     """Function-approximation error bound at every alpha of `alphas`, from
     one draw.
 
     Max pooling: `max_approx_error_bound`, with the second moment
-    estimated by `features.max_second_moment` from the sub-stream (seed, 0);
-    `key` is not used. Average pooling: E[(||f||_a / K - g_avg)^2],
-    estimated directly from the sub-stream (seed, *key, 0).
+    estimated by `features.max_second_moment` from the sub-stream (seed, 0).
+    Average pooling: E[(||f||_a / K - g_avg)^2], estimated directly from the
+    sub-stream (seed, 1, 0).
     """
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
@@ -197,7 +177,7 @@ def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
                                    max_approx_error_bound(alpha, k, est.std_error),
                                    est.trials) for alpha in alphas]
     if mode.kind == AVERAGE:
-        f = model.draw(estimator_rng(seed, *key), (trials, k))
+        f = model.draw(rng_from(seed, 1, 0), (trials, k))
         g_avg = f.mean(axis=1)
         norms = feat.RescaledNorms(f)
         bounds = {alpha: mean_estimate((norms(alpha) / k - g_avg) ** 2,
@@ -224,7 +204,8 @@ def tradeoff_curve(model: FeatureModel, k: int, p_rx_w: float,
     fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value
     rows = []
     for alpha in alpha_grid:
-        delta = noise_error_bound(model, alpha, p_rx_w, noise_power_w)
+        delta = noise_error_bound(feat.normalization_moments(model, alpha), p_rx_w,
+                                  noise_power_w)
         eps_m = max_approx_error_bound(alpha, k, fmax_sq)
         rows.append({
             "alpha": alpha,
@@ -284,22 +265,23 @@ class GoodnessOfFit:
         return self.statistic < self.critical_1pct
 
 
-def chi_error_check(k: int, n_dims: int, noise_power_w: float, p_rx_w: float,
-                    nu1_sq: float, trials: int = 100_000, seed: int = 0) -> GoodnessOfFit:
+def chi_error_check(cfg: AirPoolConfig, n_dims: int, trials: int = 100_000,
+                    seed: int = 0) -> GoodnessOfFit:
     """Check that the averaging error-vector norm follows a scaled chi law.
 
-    Simulates the per-dimension error xi/K of the averaging configuration,
-    forms the Euclidean norm over n_dims dimensions, and measures the
-    empirical-CDF max distance against chi with n_dims degrees of freedom
-    (evaluated through the regularized gamma function). The 1 percent
-    critical value is the asymptotic 1.6276/sqrt(trials).
+    Simulates the per-dimension error xi/beta of `cfg`, an averaging
+    configuration at alpha = 1 (so beta = K), forms the Euclidean norm over
+    n_dims dimensions, and measures the empirical-CDF max distance against chi
+    with n_dims degrees of freedom (evaluated through the regularized gamma
+    function). The 1 percent critical value is the asymptotic
+    1.6276/sqrt(trials).
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError("chi_error_check requires trials >= 10^4")
-    sigma_xi = math.sqrt(noise_power_w * nu1_sq / p_rx_w)
+    sigma_xi = math.sqrt(cfg.noise_sigma_sq)
     rng = rng_from(seed)
-    e = rng.standard_normal((trials, n_dims)) * (sigma_xi / k)
-    r = np.sqrt((e * e).sum(axis=1)) / (sigma_xi / k)
+    e = rng.standard_normal((trials, n_dims)) * (sigma_xi / cfg.beta)
+    r = np.sqrt((e * e).sum(axis=1)) / (sigma_xi / cfg.beta)
     r.sort()
     cdf = regularized_gamma_p(n_dims / 2.0, 0.5 * r * r)
     steps = np.arange(1, trials + 1) / trials

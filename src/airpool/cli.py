@@ -17,7 +17,6 @@ from . import experiments, optimizer, sensing
 from .channel import SystemParams, airpool_latency, db_to_linear, digital_latency
 from .experiments import ConfigError, ExperimentConfig, ExperimentResult
 from .features import FeatureModel
-from .pooling import PoolingMode
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -111,7 +110,7 @@ def _cmd_optimize_alpha(args) -> int:
     model = FeatureModel.rectified_gaussian()
     noise = 1.0
     p_bars = [db_to_linear(snr_db) * noise for snr_db in args.snr_db]
-    decisions = optimizer.select_alpha(PoolingMode.max(), model, args.k, p_bars, noise,
+    decisions = optimizer.select_alpha(model, args.k, p_bars, noise,
                                        trials=args.trials, seed=args.seed)
     for snr_db, decision in zip(args.snr_db, decisions):
         extra = f" ({decision.note})" if decision.note else ""

@@ -27,8 +27,9 @@ import numpy as np
 from . import analysis, features as feat, optimizer, sensing
 from .channel import SystemParams, airpool_latency, db_to_linear, digital_latency
 from .features import FeatureModel
-from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise,
-                      pool_noisy_and_clean, postprocess, powered_sum)
+from ._mc import rng_from
+from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postprocess,
+                      powered_sum, true_pool)
 from .svgchart import Series, render_line_chart
 
 EXPERIMENT_KINDS = ("latency_table", "tradeoff_curve", "bound_validation",
@@ -354,7 +355,8 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     p10 = 10.0 * noise
     gaussian = FeatureModel.rectified_gaussian()
     ratio64, ratio8 = (analysis.noise_error_asymptote(a, p10, noise)
-                       / analysis.noise_error_bound(gaussian, a, p10, noise) for a in (64.0, 8.0))
+                       / analysis.noise_error_bound(feat.normalization_moments(gaussian, a),
+                                                    p10, noise) for a in (64.0, 8.0))
     rows.append(_check(
         "asymptote-tightness", "max", 64.0, 10.0, ratio64, 1.05, 0.05 - abs(ratio64 - 1.0),
         abs(ratio64 - 1.0) <= 0.05 and abs(ratio64 - 1.0) < abs(ratio8 - 1.0)))
@@ -401,10 +403,10 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     """Exactness of zero-noise averaging, convergence of zero-noise max
     pooling, and the per-sample sandwich bound."""
     rows = []
-    rng = np.random.default_rng(cfg.seed)
-    f = model.draw(rng, (min(cfg.trials, 50_000), k))
+    f = model.draw(rng_from(cfg.seed), (min(cfg.trials, 50_000), k))
     avg_cfg = AirPoolConfig.for_average(model, k, 1.0, 0.0)
-    g_hat, _, g_true = pool_noisy_and_clean(f, avg_cfg, rng)
+    g_hat = postprocess(powered_sum(f, avg_cfg), avg_cfg)
+    g_true = true_pool(f, avg_cfg.mode)
     avg_err = float(np.max(np.abs(g_hat - g_true)
                            / np.where(g_true > 0, g_true, 1.0)))
     rows.append(_check("reconfig-average", "average", 1.0, "", avg_err, 1e-12,
@@ -412,14 +414,15 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     prev_err = math.inf
     sandwich_ok = True
     mean_rel = math.nan
+    fmax = true_pool(f, PoolingMode.max())
+    pos = fmax > 0
     for alpha in _RECONFIG_ALPHAS:
         max_cfg = optimizer.config_for(model, PoolingMode.max(), k, alpha,
                                        1.0, 0.0, betas)
-        g_hat, _, g_true = pool_noisy_and_clean(f, max_cfg, rng)
-        pos = g_true > 0
-        mean_rel = float(np.mean(np.abs(g_hat[pos] - g_true[pos]) / g_true[pos]))
-        sandwich_ok &= bool(np.all(g_hat >= g_true * k ** (-1.0 / alpha) - 1e-12)
-                            and np.all(g_hat <= g_true * k ** (1.0 / alpha) + 1e-12))
+        g_hat = postprocess(powered_sum(f, max_cfg), max_cfg)
+        mean_rel = float(np.mean(np.abs(g_hat[pos] - fmax[pos]) / fmax[pos]))
+        sandwich_ok &= bool(np.all(g_hat >= fmax * k ** (-1.0 / alpha) - 1e-12)
+                            and np.all(g_hat <= fmax * k ** (1.0 / alpha) + 1e-12))
         rows.append(_check("reconfig-max-monotone", "max", alpha, "", mean_rel, prev_err,
                            prev_err - mean_rel, mean_rel < prev_err))
         prev_err = mean_rel
@@ -444,7 +447,7 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
         pool_cfg = AirPoolConfig.for_average(model, dataset.k_views,
                                              db_to_linear(snr_db) * noise, noise)
         v_sum = powered_sum(per_dim, pool_cfg)
-        rng = np.random.default_rng(cfg.seed)
+        rng = rng_from(cfg.seed)
         hits, sq, n = 0, 0.0, 0
         for _ in range(10):
             g_hat = postprocess(aggregate_with_noise(v_sum, pool_cfg, rng),
@@ -459,10 +462,10 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
         se = math.sqrt(max(r_ap * (1.0 - r_ap), 1e-12) / n)
         rows.append(_check("margin-chain", "average", 1.0, snr_db, r_ap, bound,
                            r_ap - (bound - 2.0 * se)))
-    nu1_sq = feat.normalization_moments(model, 1.0).nu_sq
-    fit = analysis.chi_error_check(dataset.k_views, dataset.n_features, noise,
-                                   db_to_linear(10.0) * noise, nu1_sq,
-                                   trials=max(cfg.trials, 10_000), seed=cfg.seed)
+    chi_cfg = AirPoolConfig.for_average(model, dataset.k_views,
+                                        db_to_linear(10.0) * noise, noise)
+    fit = analysis.chi_error_check(chi_cfg, dataset.n_features, trials=cfg.trials,
+                                   seed=cfg.seed)
     rows.append(_check("chi-fit", "average", 1.0, 10.0, fit.statistic, fit.critical_1pct,
                        fit.critical_1pct - fit.statistic, fit.passed))
     return rows
@@ -533,8 +536,8 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
     k = dataset.k_views
     snrs = sorted(cfg.snr_grid_db, reverse=True)
     p_rxs = [db_to_linear(snr_db) * noise for snr_db in snrs]
-    decisions = optimizer.select_alpha(PoolingMode.max(), model, k, p_rxs, noise,
-                                       trials=max(cfg.trials, 10_000), seed=cfg.seed)
+    decisions = optimizer.select_alpha(model, k, p_rxs, noise, trials=cfg.trials,
+                                       seed=cfg.seed)
     betas = optimizer.BetaTable(model, k, beta_trials=200_000, seed=cfg.seed)
     betas.fill([d.alpha_star for d in decisions])
     for snr_db, p_rx, decision in zip(snrs, p_rxs, decisions):

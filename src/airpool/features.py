@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ._mc import MonteCarloEstimate, estimator_rng, finite_mean, mean_estimate
+from ._mc import MonteCarloEstimate, finite_mean, mean_estimate, rng_from
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -141,17 +141,35 @@ def moment_abs_power(model: FeatureModel, s: float) -> float:
 
 def normalization_moments(model: FeatureModel, alpha: float) -> MomentSet:
     """eta = E[f^alpha] and nu_sq = Var[f^alpha] for the given model, in
-    closed form (exact sample moments for the empirical model)."""
+    closed form (exact sample moments for the empirical model).
+
+    Raises OverflowError, naming the model, alpha and the moment, when
+    E[f^alpha] or E[f^(2 alpha)] exceeds float64 (the unit exponential above
+    alpha = 85.31), rather than returning inf or NaN.
+    """
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
     if alpha > ALPHA_MAX:
         raise ValueError(f"alpha must be <= {ALPHA_MAX}")
-    eta = moment_abs_power(model, alpha)
-    nu_sq = moment_abs_power(model, 2.0 * alpha) - eta * eta
+    eta, second = (_finite_moment(model, s, alpha) for s in (alpha, 2.0 * alpha))
+    nu_sq = second - eta * eta
     clamped = nu_sq < 0.0
     if clamped:
         nu_sq = 0.0
     return MomentSet(alpha=alpha, eta=eta, nu_sq=nu_sq, clamped=clamped)
+
+
+def _finite_moment(model: FeatureModel, s: float, alpha: float) -> float:
+    """moment_abs_power(model, s), or OverflowError when it is not finite."""
+    try:
+        with np.errstate(over="ignore"):
+            value = moment_abs_power(model, s)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowError(f"E[f^{s:g}] of the {model.kind} feature model overflows "
+                            f"float64 at alpha = {alpha:g}")
+    return value
 
 
 #: Rows per block of `PowerSums`: a (K, rows) block and the summation
@@ -276,7 +294,7 @@ def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
         raise ValueError("k must be >= 1")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    return mean_estimate(model.draw(estimator_rng(seed), (trials, k)).max(axis=1) ** 2,
+    return mean_estimate(model.draw(rng_from(seed, 0), (trials, k)).max(axis=1) ** 2,
                          "max_second_moment")
 
 
@@ -302,7 +320,7 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
         raise ValueError("alpha must be >= 1")
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
-    norms = RescaledNorms(model.draw(estimator_rng(seed), (trials, k)))
+    norms = RescaledNorms(model.draw(rng_from(seed, 0), (trials, k)))
     return [_beta_at(norms, k, alpha) for alpha in alphas]
 
 
@@ -314,7 +332,9 @@ def _beta_at(norms: RescaledNorms, k: int, alpha: float) -> MonteCarloEstimate:
     """
     norm = norms(alpha)
     a = norms.fmax * norm
-    b = norm * norm
+    # Squared in place: norm is not read again, and the first alpha's arrays
+    # set the peak memory of a beta* draw.
+    b = np.multiply(norm, norm, out=norm)
     n_done = len(a)
     mean_a, mean_b = (finite_mean(x, "optimal_beta_grid", "mean") for x in (a, b))
     second_a, second_b = (finite_mean(x * x, "optimal_beta_grid", "second moment")

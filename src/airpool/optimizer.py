@@ -16,12 +16,11 @@ import numpy as np
 
 from . import analysis, features as feat
 from .features import ALPHA_MAX, FeatureModel
-from .pooling import AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode
+from .pooling import MAX, AirPoolConfig, PoolingMode
 from .specfun import lambert_w0
 
 CLOSED_FORM = "closed_form"
 LOW_SNR_RULE = "low_snr_rule"
-AVERAGE_RULE = "average_rule"
 BRUTE_FORCE = "brute_force"
 
 
@@ -138,26 +137,24 @@ def closed_form_alpha(k: int, p_bar: float, noise_power: float,
         objective_value=surrogate_objective(alpha, k, p_bar, noise_power, e_fmax_sq))
 
 
-def select_alpha(mode: PoolingMode, model: FeatureModel, k: int,
-                 p_bars: Sequence[float], noise_power: float, trials: int = 200_000,
-                 seed: int = 0,
+def select_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
+                 noise_power: float, trials: int = 200_000, seed: int = 0,
                  alpha_grid: Optional[Sequence[float]] = None) -> List[AlphaDecision]:
-    """The alpha rule's decision at each power of `p_bars`.
+    """The max-pooling alpha rule's decision at each power of `p_bars`.
 
-    Averaging and weighted sums always take alpha = 1. Max pooling uses the
-    low-SNR rule below the critical ratio rho0, the closed form when its
-    premises hold, and falls back to brute force in the uncovered band
-    (rho0 < ratio <= K) or when K < 4. Every power shares one E[fmax^2]
-    draw and one beta* table, and the brute-force powers share one
-    alpha-major error sweep, each decision read from its slice.
+    Only max pooling has an alpha to choose: averaging and weighted sums
+    always take alpha = 1. The rule is the low-SNR rule below the critical
+    ratio rho0, the closed form when its premises hold, and brute force in
+    the uncovered band (rho0 < ratio <= K) or when K < 4. Every power
+    shares one E[fmax^2] draw and one beta* table, and the brute-force
+    powers share one alpha-major error sweep, each decision read from its
+    slice.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode.kind in (AVERAGE, WEIGHTED_SUM):
-        return [AlphaDecision(alpha_star=1.0, method=AVERAGE_RULE,
-                              objective_value=analysis.noise_error_bound(
-                                  model, 1.0, p_bar, noise_power)) for p_bar in p_bars]
-    trials = max(trials, 10_000)
+    if trials < feat.MIN_MC_TRIALS:
+        raise ValueError(f"select_alpha requires trials >= {feat.MIN_MC_TRIALS}, "
+                         f"got {trials}")
     e_fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value \
         if k > 1 else feat.moment_abs_power(model, 2.0)
     rho0 = low_snr_threshold(k, e_fmax_sq) if k >= 2 else math.inf
@@ -175,7 +172,8 @@ def select_alpha(mode: PoolingMode, model: FeatureModel, k: int,
             brute_powers.append((i, p_bar))
     if brute_powers:
         grid = alpha_grid if alpha_grid is not None else default_alpha_grid()
-        brutes = brute_force_alpha(model, mode, k, [p_bar for _, p_bar in brute_powers],
+        brutes = brute_force_alpha(model, PoolingMode.max(), k,
+                                   [p_bar for _, p_bar in brute_powers],
                                    noise_power, grid, trials, seed)
         for (i, p_bar), brute in zip(brute_powers, brutes):
             ratio = p_bar / noise_power
@@ -227,7 +225,7 @@ def config_for(model: FeatureModel, mode: PoolingMode, k: int, alpha: float,
         if betas is None or betas.model is not model or betas.k != k:
             raise ValueError("max pooling needs the beta table of this model and K")
         return AirPoolConfig.for_max(model, alpha, betas[alpha], p_rx, noise_power)
-    return AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise_power)
+    return AirPoolConfig.for_average(model, k, p_rx, noise_power, alpha)
 
 
 def lowest_error_alpha(alpha_grid: Sequence[float],

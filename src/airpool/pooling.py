@@ -71,12 +71,12 @@ class PoolingMode:
 class AirPoolConfig:
     """Tunable state of one pooling round.
 
-    Protocol configurations come from the `for_*` constructors, which pin the
-    defaults (average: alpha=1, beta=K; max: beta=beta*(alpha), which the
-    caller takes from an `optimizer.BetaTable`). The analysis sweeps
-    additionally build average-ground-truth configurations at alpha>1 via
-    `average_ground_truth`, where beta=K^alpha keeps the noiseless output
-    equal to ||f||_alpha / K.
+    Configurations come from the `for_*` constructors, which pin beta
+    (average: beta = K^alpha, the protocol's alpha = 1 by default; max:
+    beta = beta*(alpha), which the caller takes from an
+    `optimizer.BetaTable`). Averaging at alpha > 1 is an analysis
+    configuration: beta = K^alpha keeps its noiseless output equal to
+    ||f||_alpha / K.
     """
 
     mode: PoolingMode
@@ -105,10 +105,10 @@ class AirPoolConfig:
 
     @classmethod
     def for_average(cls, model: FeatureModel, k: int, p_rx_w: float,
-                    noise_power_w: float) -> "AirPoolConfig":
-        """Protocol averaging configuration: alpha = 1, beta = K."""
-        return cls(PoolingMode.average(), 1.0, float(k), p_rx_w, noise_power_w,
-                   feat.normalization_moments(model, 1.0))
+                    noise_power_w: float, alpha: float = 1.0) -> "AirPoolConfig":
+        """Averaging configuration at alpha: beta = K^alpha."""
+        return cls(PoolingMode.average(), alpha, float(k) ** alpha, p_rx_w,
+                   noise_power_w, feat.normalization_moments(model, alpha))
 
     @classmethod
     def for_max(cls, model: FeatureModel, alpha: float, beta: float, p_rx_w: float,
@@ -125,13 +125,6 @@ class AirPoolConfig:
         k = len(mode.weights)
         return cls(mode, 1.0, float(k), p_rx_w, noise_power_w,
                    weighted_sum_moments(model, mode.weights))
-
-    @classmethod
-    def average_ground_truth(cls, model: FeatureModel, k: int, alpha: float,
-                             p_rx_w: float, noise_power_w: float) -> "AirPoolConfig":
-        """Average-as-ground-truth analysis configuration: beta = K^alpha."""
-        return cls(PoolingMode.average(), alpha, float(k) ** alpha, p_rx_w,
-                   noise_power_w, feat.normalization_moments(model, alpha))
 
 
 def weighted_sum_moments(model: FeatureModel, weights: np.ndarray) -> MomentSet:
@@ -218,21 +211,3 @@ def airpool_round(features: np.ndarray, cfg: AirPoolConfig,
     v_sum = powered_sum(features.T, cfg)  # one entry per dimension
     v_hat = aggregate_with_noise(v_sum, cfg, rng_from(seed))
     return postprocess(v_hat, cfg)
-
-
-def pool_noisy_and_clean(features: np.ndarray, cfg: AirPoolConfig,
-                         rng: np.random.Generator):
-    """Paired noisy/noiseless/true pooled values for rows of draws.
-
-    `features` is (n, K). Returns (g_hat, g_clean, g_true) where g_hat and
-    g_clean share the same feature rows (only the noise differs), which keeps
-    the variance of error-decomposition estimates low.
-    """
-    features = np.asarray(features, dtype=float)
-    if cfg.moments.nu_sq <= 0.0:
-        raise ValueError("degenerate feature distribution: nu is zero")
-    v_sum = powered_sum(features, cfg)
-    g_clean = postprocess(v_sum, cfg)
-    g_hat = g_clean if cfg.noise_power_w == 0.0 else \
-        postprocess(aggregate_with_noise(v_sum, cfg, rng), cfg)
-    return g_hat, g_clean, true_pool(features, cfg.mode)

@@ -6,6 +6,9 @@ protocol lives here: sensor-side normalization, simultaneous transmission
 over the inverted channel, and server-side de-normalization. Its
 composition must equal the aggregate form where float64 is healthy.
 
+`pool_noisy_and_clean` pairs the noisy and noiseless outputs of one
+round on the same feature rows, for the error-decomposition oracles.
+
 The inverse of the regularized gamma function checks the forward
 `specfun.regularized_gamma_p` by round trip.
 
@@ -22,7 +25,8 @@ import numpy as np
 
 from airpool._mc import rng_from
 from airpool.sensing import ShallowClassifier, SyntheticDataset
-from airpool.pooling import WEIGHTED_SUM, AirPoolConfig
+from airpool.pooling import (WEIGHTED_SUM, AirPoolConfig, aggregate_with_noise,
+                             postprocess, powered_sum, true_pool)
 from airpool.specfun import ITERATION_CAP, regularized_gamma_p
 
 
@@ -67,6 +71,24 @@ def denormalize(y: np.ndarray, cfg: AirPoolConfig, k_sensors: int) -> np.ndarray
     """Aggregate estimate before post-processing: (nu/sqrt(Prx)) y + eta K."""
     return math.sqrt(cfg.moments.nu_sq) / math.sqrt(cfg.p_rx_w) \
         * np.asarray(y, dtype=float) + cfg.moments.eta * k_sensors
+
+
+def pool_noisy_and_clean(features: np.ndarray, cfg: AirPoolConfig,
+                         rng: np.random.Generator):
+    """Paired noisy/noiseless/true pooled values for rows of draws.
+
+    `features` is (n, K). Returns (g_hat, g_clean, g_true) where g_hat and
+    g_clean share the same feature rows (only the noise differs), which keeps
+    the variance of error-decomposition estimates low.
+    """
+    features = np.asarray(features, dtype=float)
+    if cfg.moments.nu_sq <= 0.0:
+        raise ValueError("degenerate feature distribution: nu is zero")
+    v_sum = powered_sum(features, cfg)
+    g_clean = postprocess(v_sum, cfg)
+    g_hat = g_clean if cfg.noise_power_w == 0.0 else \
+        postprocess(aggregate_with_noise(v_sum, cfg, rng), cfg)
+    return g_hat, g_clean, true_pool(features, cfg.mode)
 
 
 class InverseResult(NamedTuple):

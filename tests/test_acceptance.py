@@ -17,9 +17,9 @@ from airpool import analysis, features as feat, optimizer, sensing
 from airpool.channel import SystemParams, airpool_latency, db_to_linear, digital_latency
 from airpool.features import FeatureModel
 from airpool.pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise,
-                             pool_noisy_and_clean, postprocess, powered_sum)
+                             postprocess, powered_sum)
 from airpool import specfun
-from oracles import inverse_regularized_gamma_p
+from oracles import inverse_regularized_gamma_p, pool_noisy_and_clean
 
 SEED = 20260809
 RG = FeatureModel.rectified_gaussian()
@@ -100,8 +100,7 @@ def test_criterion_3_bound_suite():
                     cfg = optimizer.config_for(RG, PoolingMode.max(), K, alpha,
                                                p_rx, 1.0, betas)
                 else:
-                    cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, p_rx,
-                                                             1.0)
+                    cfg = AirPoolConfig.for_average(RG, K, p_rx, 1.0, alpha)
                 err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=trials,
                                                      seed=SEED)
                 ok_chan = err.d_chan <= err.noise_bound + 4.0 * err.se_chan
@@ -120,10 +119,9 @@ def test_criterion_3_bound_suite():
 def test_criterion_4_asymptote_tightness():
     t0 = time.time()
     p_rx, noise = 10.0, 1.0
-    r64 = analysis.noise_error_asymptote(64.0, p_rx, noise) / \
-        analysis.noise_error_bound(RG, 64.0, p_rx, noise)
-    r8 = analysis.noise_error_asymptote(8.0, p_rx, noise) / \
-        analysis.noise_error_bound(RG, 8.0, p_rx, noise)
+    r64, r8 = (analysis.noise_error_asymptote(a, p_rx, noise)
+               / analysis.noise_error_bound(feat.normalization_moments(RG, a), p_rx, noise)
+               for a in (64.0, 8.0))
     slope = analysis.noise_error_asymptote_derivative(64.0, p_rx, noise)
     ok = abs(r64 - 1.0) <= 0.05
     ok &= abs(r64 - 1.0) < abs(r8 - 1.0)
@@ -279,10 +277,9 @@ def test_criterion_7_margin_chain_and_chi_fit():
         ok &= point_ok
         details.append(f"{snr_db:g}dB: r_ap={r_ap:.4f}>=chain "
                        f"{r0 * p_inside:.4f}>={markov:.4f}")
-    fit = analysis.chi_error_check(dataset.k_views, dataset.n_features, 1.0,
-                                   db_to_linear(10.0),
-                                   feat.normalization_moments(RG, 1.0).nu_sq,
-                                   trials=100_000, seed=SEED)
+    fit = analysis.chi_error_check(
+        AirPoolConfig.for_average(RG, dataset.k_views, db_to_linear(10.0), 1.0),
+        dataset.n_features, trials=100_000, seed=SEED)
     ok &= fit.passed
     details.append(f"chi KS={fit.statistic:.4f} < {fit.critical_1pct:.4f}")
     assert _report("7 margin-chain+chi-fit", ok, "; ".join(details), t0, 300.0)
@@ -300,7 +297,7 @@ def test_criterion_8_synthetic_end_to_end(trained_task):
     prev = None
     betas = optimizer.BetaTable(RG, dataset.k_views, beta_trials=200_000, seed=SEED)
     snrs = (20.0, 15.0, 10.0, 5.0, 0.0)
-    decisions = optimizer.select_alpha(PoolingMode.max(), RG, dataset.k_views,
+    decisions = optimizer.select_alpha(RG, dataset.k_views,
                                        [db_to_linear(snr_db) for snr_db in snrs], 1.0,
                                        trials=100_000, seed=SEED)
     for snr_db, decision in zip(snrs, decisions):

@@ -10,8 +10,9 @@ from airpool import analysis, features as feat, optimizer
 from airpool._mc import rng_from
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
-from airpool.pooling import AirPoolConfig, PoolingMode, pool_noisy_and_clean
+from airpool.pooling import AirPoolConfig, PoolingMode
 from airpool.specfun import ln_gamma, regularized_gamma_p
+from oracles import pool_noisy_and_clean
 
 RG = FeatureModel.rectified_gaussian()
 K = 12
@@ -36,7 +37,7 @@ def snr_config(mode_kind, alpha, snr_db, seed=0):
     if mode_kind == "max":
         beta = optimizer.BetaTable(RG, K, beta_trials=300_000, seed=seed)[alpha]
         return AirPoolConfig.for_max(RG, alpha, beta, p_rx, 1.0)
-    return AirPoolConfig.average_ground_truth(RG, K, alpha, p_rx, 1.0)
+    return AirPoolConfig.for_average(RG, K, p_rx, 1.0, alpha)
 
 
 class TestEstimateErrors:
@@ -91,17 +92,20 @@ class TestDecompositionConstant:
 class TestNoiseBound:
     def test_alpha_one_value(self):
         nu1_sq = 0.5 - 1.0 / (2.0 * math.pi)
-        got = analysis.noise_error_bound(RG, 1.0, p_rx_w=4.0, noise_power_w=1.0)
+        got = analysis.noise_error_bound(feat.normalization_moments(RG, 1.0),
+                                         p_rx_w=4.0, noise_power_w=1.0)
         assert got == pytest.approx(nu1_sq / 4.0, rel=1e-12)
 
     def test_gamma_form_matches_generic(self):
         for alpha in np.linspace(1.0, 64.0, 40):
-            a = analysis.noise_error_bound(RG, float(alpha), 2.0, 0.3)
+            a = analysis.noise_error_bound(feat.normalization_moments(RG, float(alpha)),
+                                           2.0, 0.3)
             b = gamma_form_noise_bound(float(alpha), 2.0, 0.3)
             assert abs(a - b) <= 1e-10 * abs(a)
 
     def test_zero_noise(self):
-        assert analysis.noise_error_bound(RG, 4.0, 1.0, 0.0) == 0.0
+        assert analysis.noise_error_bound(feat.normalization_moments(RG, 4.0), 1.0,
+                                          0.0) == 0.0
         assert gamma_form_noise_bound(4.0, 1.0, 0.0) == 0.0
 
     def test_scalar_root_difference_inequality(self):
@@ -157,7 +161,8 @@ def dense_error_moments(model, cfg, k, trials, seed):
 
 
 def dense_average_approx_bound(model, k, alpha, trials, seed):
-    """Per-alpha oracle of the average-mode approximation bound (key (1,))."""
+    """Per-alpha oracle of the average-mode approximation bound, drawn from
+    the stream (seed, 1, 0)."""
     f = model.draw(rng_from(seed, 1, 0), (trials, k))
     fmax = f.max(axis=1)
     norm = np.zeros(trials)
@@ -221,18 +226,18 @@ class TestEstimateErrorsGrid:
 class TestApproxBound:
     def test_single_sensor_is_zero(self):
         est, = analysis.approx_error_bounds(RG, PoolingMode.max(), 1, [8.0],
-                                            trials=20_000, seed=6, key=())
+                                            trials=20_000, seed=6)
         assert est.value == 0.0
 
     def test_vanishes_for_huge_alpha(self):
         e2 = feat.max_second_moment(RG, K, trials=100_000, seed=7)
         est, = analysis.approx_error_bounds(RG, PoolingMode.max(), K, [1e6],
-                                            trials=100_000, seed=7, key=())
+                                            trials=100_000, seed=7)
         assert est.value <= 1e-5 * e2.value
 
     def test_average_zero_at_alpha_one(self):
         est, = analysis.approx_error_bounds(RG, PoolingMode.average(), K, [1.0],
-                                            trials=20_000, seed=8, key=())
+                                            trials=20_000, seed=8)
         assert est.value <= 1e-28
 
 
@@ -297,16 +302,14 @@ class TestAccuracyBounds:
 
 class TestChiErrorCheck:
     def test_matched_parameters_pass(self):
-        fit = analysis.chi_error_check(k=4, n_dims=4, noise_power_w=1.0,
-                                       p_rx_w=4.0, nu1_sq=0.34, trials=100_000,
-                                       seed=13)
+        cfg = AirPoolConfig.for_average(RG, 4, p_rx_w=4.0, noise_power_w=1.0)
+        fit = analysis.chi_error_check(cfg, n_dims=4, trials=100_000, seed=13)
         assert fit.passed
         assert fit.statistic < fit.critical_1pct
 
     def test_single_dimension_half_normal(self):
-        fit = analysis.chi_error_check(k=3, n_dims=1, noise_power_w=0.5,
-                                       p_rx_w=2.0, nu1_sq=0.34, trials=100_000,
-                                       seed=14)
+        cfg = AirPoolConfig.for_average(RG, 3, p_rx_w=2.0, noise_power_w=0.5)
+        fit = analysis.chi_error_check(cfg, n_dims=1, trials=100_000, seed=14)
         assert fit.passed
 
     def test_noise_power_scaling(self):

@@ -223,7 +223,7 @@ class TestBoundValidationGate:
             for snr_db in cfg.snr_grid_db:
                 p_rx = db_to_linear(snr_db) * noise
                 for point in (
-                        AirPoolConfig.average_ground_truth(model, k, alpha, p_rx, noise),
+                        AirPoolConfig.for_average(model, k, p_rx, noise, alpha),
                         AirPoolConfig(PoolingMode.max(), alpha, beta, p_rx, noise,
                                       feat.normalization_moments(model, alpha))):
                     err, = analysis.estimate_errors_grid(model, [point], k,
@@ -272,9 +272,8 @@ class TestBoundValidationGate:
 def shrink_noise_bound(monkeypatch):
     """Put every closed-form noise bound far below the measured noise error,
     so the gate's failure path runs."""
-    bound = analysis.noise_error_bound_from_moments
-    monkeypatch.setattr(analysis, "noise_error_bound_from_moments",
-                        lambda *args: 1e-6 * bound(*args))
+    bound = analysis.noise_error_bound
+    monkeypatch.setattr(analysis, "noise_error_bound", lambda *args: 1e-6 * bound(*args))
 
 
 def per_point_rows(err, mode_name, alpha, snr_db):
@@ -397,6 +396,28 @@ class TestBenchmarkCsvBytes:
         _, paths = experiments.run_experiment(parse_config(path))
         assert _sha(paths["csv"]) == want
 
+    # Seeds of two and three 32-bit words; from 2**64 on, (seed, 0, 0) and
+    # (seed, 1, 0) name streams of their own (see `_mc`).
+    LARGE_SEED_SHA256 = {
+        ("alpha_search", 2 ** 32 + 5):
+            "264da5c75fd1b0f0750fef68add628d188b0517623bb7237c78989c8bea1da0f",
+        ("alpha_search", 2 ** 64 + 3):
+            "e4e0cc3b5de5f72e27af0a5c8848fec30e2910c4cc023c370d773cab578b5e63",
+        ("bound_gate", 2 ** 32 + 5):
+            "812656f31252fad7457b006f43271e77c6555dca9ded2001d3fd724cc63232a3",
+        ("bound_gate", 2 ** 64 + 3):
+            "97e4f20f42e85d7dfb372a7b462441758889799578f6cb69593e4909bbe40748",
+    }
+
+    @pytest.mark.parametrize("workload,seed", sorted(LARGE_SEED_SHA256))
+    def test_tiny_csv_at_large_seed(self, workload, seed, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its dir
+        runner = load_benchmark_runner()
+        path = tmp_path / "bench.ini"
+        path.write_text(runner.config_text(workload, "tiny", seed, str(tmp_path / "out")))
+        _, paths = experiments.run_experiment(parse_config(path))
+        assert _sha(paths["csv"]) == self.LARGE_SEED_SHA256[workload, seed]
+
 
 # Inputs outside their documented range, each with the field its error
 # message names: a config body for `run` (or for the subcommand and options
@@ -433,6 +454,7 @@ RANGE_ERRORS = {
     "latency-q-bits-0": ("q_bits", ["latency", "--q-bits", "0"]),
     "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
     "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
+    "optimize-alpha-trials-5": ("trials", ["optimize-alpha", "--trials", "5"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
@@ -620,6 +642,7 @@ class TestCliExitCodes:
         assert cli.main(["run", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error: OverflowError")
+        assert "exponential_unit" in err and "alpha = 128" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_latency_command(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from airpool import features as feat
-from airpool._mc import (MonteCarloEstimate, estimator_rng, finite_mean, mean_estimate,
-                         rng_from)
+from airpool._mc import MonteCarloEstimate, finite_mean, mean_estimate, rng_from
 from airpool.features import FeatureModel
 
 RG = FeatureModel.rectified_gaussian()
@@ -30,13 +30,32 @@ class TestSampling:
             return rng.random(8).tobytes()
 
         seed = 7
-        assert head(estimator_rng(seed, 0)) == head(estimator_rng(seed)) \
-            == head(rng_from(seed, 0)) == head(rng_from(seed))
-        assert head(estimator_rng(seed, 1)) == head(rng_from(seed, 1))
+        assert head(rng_from(seed, 0, 0)) == head(rng_from(seed, 0)) \
+            == head(rng_from(seed))
+        assert head(rng_from(seed, 1, 0)) == head(rng_from(seed, 1))
         assert head(rng_from(seed, 1)) != head(rng_from(seed))
-        fmax_sq = RG.draw(estimator_rng(seed, 0), (10_000, 4)).max(axis=1) ** 2
+        fmax_sq = RG.draw(rng_from(seed, 0, 0), (10_000, 4)).max(axis=1) ** 2
         assert feat.max_second_moment(RG, 4, trials=10_000, seed=seed) \
             == mean_estimate(fmax_sq, "max_second_moment")
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 70])
+    def test_seed_stream_is_default_rng(self, seed):
+        # The stream (seed,) of `rng_from` is numpy's default_rng(seed), also
+        # where the seed takes two or three words.
+        assert rng_from(seed).random(8).tobytes() \
+            == np.random.default_rng(seed).random(8).tobytes()
+
+    def test_zero_keys_split_from_three_word_seeds(self):
+        # From 2**64 on the seed takes three words, and (seed, 0, 0) no
+        # longer fits SeedSequence's pool: the error sweep's stream differs
+        # from the stream (seed, 0) of E[fmax^2] and beta*.
+        def head(rng):
+            return rng.random(8).tobytes()
+
+        seed = 2 ** 64 + 3
+        assert head(rng_from(seed, 0)) == head(rng_from(seed))
+        assert head(rng_from(seed, 0, 0)) != head(rng_from(seed, 0))
+        assert head(rng_from(seed, 1, 0)) != head(rng_from(seed, 1))
 
     def test_rectified_gaussian_draw_matches_clipped_normal(self):
         draws = RG.draw(np.random.default_rng(6), (1000, 4))
@@ -127,10 +146,30 @@ class TestMoments:
     def test_monte_carlo_overflow_raises(self):
         # f^128 of a unit exponential reaches 1e150, so its square overflows;
         # `mean_estimate` names the estimator instead of returning inf.
-        v = FeatureModel.exponential_unit().draw(estimator_rng(1), 1_000_000) ** 128.0
+        v = FeatureModel.exponential_unit().draw(rng_from(1, 0), 1_000_000) ** 128.0
         with np.errstate(over="ignore"), \
                 pytest.raises(ArithmeticError, match="some_estimator: .*second moment"):
             mean_estimate(v, "some_estimator")
+
+    @pytest.mark.parametrize("alpha", [1.0, 85.0, 86.0, 128.0])
+    @pytest.mark.parametrize("model", [RG, FeatureModel.uniform01(),
+                                       FeatureModel.exponential_unit(),
+                                       FeatureModel.empirical([0.5, 20.0])],
+                             ids=lambda m: m.kind)
+    def test_moments_finite_or_overflow_error(self, model, alpha):
+        # Gamma(2 alpha + 1) of the unit exponential passes float64 above
+        # alpha = 85.31, and 20^(2 alpha) of the empirical samples at 128.
+        overflows = {("exponential_unit", 86.0), ("exponential_unit", 128.0),
+                     ("empirical", 128.0)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (model.kind, alpha) in overflows:
+                with pytest.raises(OverflowError, match=rf"E\[f\^{2 * alpha:g}\] of the "
+                                   rf"{model.kind} feature model .* alpha = {alpha:g}$"):
+                    feat.normalization_moments(model, alpha)
+                return
+            ms = feat.normalization_moments(model, alpha)
+        assert all(math.isfinite(v) for v in (ms.eta, ms.nu_sq))
 
     def test_degenerate_empirical_all_zero(self):
         ms = feat.normalization_moments(FeatureModel.empirical([0.0, 0.0, 0.0]), 1.0)

@@ -102,37 +102,28 @@ class TestLowSnrThreshold:
 
 
 class TestSelectAlpha:
-    def test_average_rule(self):
-        d, = optimizer.select_alpha(PoolingMode.average(), RG, K, [1e4], 1.0)
-        assert d.alpha_star == 1.0 and d.method == optimizer.AVERAGE_RULE
-
-    def test_weighted_sum_uses_average_rule(self):
-        d, = optimizer.select_alpha(PoolingMode.weighted_sum([0.5, 0.5]), RG, 2,
-                                    [1e4], 1.0)
-        assert d.alpha_star == 1.0 and d.method == optimizer.AVERAGE_RULE
-
     def test_low_snr_rule(self):
-        d, = optimizer.select_alpha(PoolingMode.max(), RG, K, [0.5], 1.0,
+        d, = optimizer.select_alpha(RG, K, [0.5], 1.0,
                                     trials=50_000, seed=1)
         assert d.alpha_star == 1.0 and d.method == optimizer.LOW_SNR_RULE
         assert d.rho0 == pytest.approx(
             optimizer.low_snr_threshold(K, E2_K12), rel=0.02)
 
     def test_closed_form_dispatch(self):
-        d, = optimizer.select_alpha(PoolingMode.max(), RG, K, [1e3], 1.0,
+        d, = optimizer.select_alpha(RG, K, [1e3], 1.0,
                                     trials=100_000, seed=2)
         assert d.method == optimizer.CLOSED_FORM
         assert d.alpha_star == pytest.approx(3.27, abs=0.03)
 
     def test_uncovered_band_falls_back_to_brute_force(self):
-        d, = optimizer.select_alpha(PoolingMode.max(), RG, K, [5.0], 1.0,
+        d, = optimizer.select_alpha(RG, K, [5.0], 1.0,
                                     trials=20_000, seed=3,
                                     alpha_grid=[1.0, 2.0, 4.0])
         assert d.method == optimizer.BRUTE_FORCE
         assert "premises" in d.note
 
     def test_small_k_falls_back_to_brute_force(self):
-        d, = optimizer.select_alpha(PoolingMode.max(), RG, 3, [1e3], 1.0,
+        d, = optimizer.select_alpha(RG, 3, [1e3], 1.0,
                                     trials=20_000, seed=4,
                                     alpha_grid=[1.0, 2.0, 4.0, 8.0])
         assert d.method == optimizer.BRUTE_FORCE
@@ -142,14 +133,14 @@ class TestSelectAlpha:
         # power, and each decision equals the decision at that power alone.
         p_bars = [0.5, 5.0, 6.0, 1e3, 1e4]
         kwargs = dict(trials=10_000, seed=6, alpha_grid=[1.0, 2.0, 4.0])
-        alone = [optimizer.select_alpha(PoolingMode.max(), RG, K, [p], 1.0, **kwargs)[0]
+        alone = [optimizer.select_alpha(RG, K, [p], 1.0, **kwargs)[0]
                  for p in p_bars]
         draws = []
         draw = FeatureModel.draw
         monkeypatch.setattr(FeatureModel, "draw",
                             lambda self, rng, shape: draws.append(shape) or
                             draw(self, rng, shape))
-        shared = optimizer.select_alpha(PoolingMode.max(), RG, K, p_bars, 1.0, **kwargs)
+        shared = optimizer.select_alpha(RG, K, p_bars, 1.0, **kwargs)
         assert shared == alone
         assert [d.method for d in shared] == [optimizer.LOW_SNR_RULE, optimizer.BRUTE_FORCE,
                                               optimizer.BRUTE_FORCE, optimizer.CLOSED_FORM,
@@ -200,7 +191,7 @@ class TestBruteForce:
                     cfg = AirPoolConfig(mode, alpha, beta.value, 300.0, 1.0,
                                         feat.normalization_moments(RG, alpha))
                 else:
-                    cfg = AirPoolConfig.average_ground_truth(RG, K, alpha, 300.0, 1.0)
+                    cfg = AirPoolConfig.for_average(RG, K, 300.0, 1.0, alpha)
                 err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000,
                                                      seed=31)
                 best = min(best, (err.d_total, alpha))

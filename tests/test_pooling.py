@@ -10,7 +10,8 @@ from airpool import features as feat, pooling
 from airpool.features import FeatureModel
 from airpool.optimizer import BetaTable
 from airpool.pooling import AirPoolConfig, PoolingMode
-from oracles import denormalize, preprocess_and_modulate, transmit_over_mac
+from oracles import (denormalize, pool_noisy_and_clean, preprocess_and_modulate,
+                     transmit_over_mac)
 
 RG = FeatureModel.rectified_gaussian()
 
@@ -43,7 +44,7 @@ class TestConfigInvariants:
         assert cfg.alpha == 1.0 and cfg.beta == 12.0
 
     def test_average_ground_truth_beta(self):
-        cfg = AirPoolConfig.average_ground_truth(RG, 12, 3.0, 1.0, 0.1)
+        cfg = AirPoolConfig.for_average(RG, 12, 1.0, 0.1, alpha=3.0)
         assert cfg.beta == pytest.approx(12.0 ** 3.0)
 
     def test_max_beta_in_range(self):
@@ -200,7 +201,7 @@ class TestSandwichProperty:
         k = 12
         cfg = max_config(k, alpha)
         f = RG.draw(np.random.default_rng(8), (5000, k))
-        _, g_clean, g_true = pooling.pool_noisy_and_clean(
+        _, g_clean, g_true = pool_noisy_and_clean(
             f, cfg, np.random.default_rng(0))
         lo = g_true * k ** (-1.0 / alpha)
         hi = g_true * k ** (1.0 / alpha)
@@ -214,7 +215,7 @@ class TestSandwichProperty:
         prev_mean, prev_se = None, None
         for alpha in alphas:
             cfg = max_config(k, alpha, seed=3)
-            _, g_clean, g_true = pooling.pool_noisy_and_clean(
+            _, g_clean, g_true = pool_noisy_and_clean(
                 f, cfg, np.random.default_rng(0))
             sq = (g_clean - g_true) ** 2
             mean = sq.mean()
@@ -243,7 +244,7 @@ class TestWeightedSum:
         weights = np.array([0.1, 0.2, 0.7])
         cfg = AirPoolConfig.for_weighted_sum(RG, weights, 1.0, 0.0)
         f = RG.draw(np.random.default_rng(11), (100, 3))
-        g_hat, g_clean, g_true = pooling.pool_noisy_and_clean(
+        g_hat, g_clean, g_true = pool_noisy_and_clean(
             f, cfg, np.random.default_rng(0))
         np.testing.assert_allclose(g_clean, g_true, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(g_hat, g_true, rtol=1e-10, atol=1e-12)

@@ -13,7 +13,7 @@ The streams, by key:
                    reconfiguration features and margin-chain noise
     (seed, 0)      `features.max_second_moment`, `features.optimal_beta_grid`
     (seed, 0, 0)   `analysis.estimate_errors_grid`: error features, then
-                   the unit noise
+                   the unit noise after their last block
     (seed, 1, 0)   `analysis.approx_error_bounds`, average mode
     (seed, 11)     `sensing.ShallowClassifier` initial weights
     (seed, 13)     `sensing.train_classifier` epoch shuffles
@@ -29,9 +29,12 @@ the beta* draw. From 2**64 on the seed takes three words, so (seed, 0, 0)
 and (seed, 1, 0) overflow the pool and name streams of their own; each
 routine therefore keeps its key as written.
 
-Every estimator draws its trials in one piece and reduces them with
-`mean_estimate` or `finite_mean`, so the float operations of each estimate
-live here.
+The estimators that power their features (beta*, the error sweep and the
+averaging bound) draw them one block of rows at a time
+(`features.draw_blocks`), which stacks to the one-shot draw of the same
+stream; the others draw in one piece. Every estimator reduces its per-trial
+values with `mean_estimate` or `finite_mean`, so the float operations of
+each estimate live here.
 """
 
 import math

@@ -78,11 +78,13 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     low-variance estimates. The features and the unit noise are drawn once
     and every configuration reuses them (common random numbers across the
     grid), scaling the unit noise by its own noise level; so does the
-    approximation bound (`approx_error_bounds`). The noise bound comes from
-    the closed form. Each result is bit-identical to the same call on that
-    configuration alone, so one sweep per pooling mode serves every alpha
-    search of an experiment, each on its slice. The streams are listed in
-    `_mc`.
+    approximation bound (`approx_error_bounds`). The features are drawn one
+    block of rows at a time into a compact `features.PowerSums`, which keeps
+    the true pool of each row; the unit noise follows the last block in the
+    same generator. The noise bound comes from the closed form. Each result
+    is bit-identical to the same call on that configuration alone, so one
+    sweep per pooling mode serves every alpha search of an experiment, each
+    on its slice. The streams are listed in `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
@@ -97,10 +99,10 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         raise ValueError("degenerate feature distribution: nu is zero")
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
     rng = rng_from(seed, 0, 0)
-    f = model.draw(rng, (trials, k))
+    powered_sums = feat.PowerSums(feat.draw_blocks(model, rng, trials, k),
+                                  [lambda f: true_pool(f, mode)])
+    g_true, = powered_sums.row_stats
     unit_noise = rng.standard_normal(trials) if noisy else None
-    g_true = true_pool(f, mode)
-    powered_sums = feat.PowerSums(f)
     v_alpha = None
     estimates = []  # (D, D_chan, D_appr) per configuration
     for cfg in cfgs:
@@ -166,7 +168,8 @@ def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
     Max pooling: `max_approx_error_bound`, with the second moment
     estimated by `features.max_second_moment` from the sub-stream (seed, 0).
     Average pooling: E[(||f||_a / K - g_avg)^2], estimated directly from the
-    sub-stream (seed, 1, 0).
+    sub-stream (seed, 1, 0), drawn one block of rows at a time into a
+    compact `features.RescaledNorms` that keeps each row's mean g_avg.
     """
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
@@ -177,9 +180,9 @@ def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
                                    max_approx_error_bound(alpha, k, est.std_error),
                                    est.trials) for alpha in alphas]
     if mode.kind == AVERAGE:
-        f = model.draw(rng_from(seed, 1, 0), (trials, k))
-        g_avg = f.mean(axis=1)
-        norms = feat.RescaledNorms(f)
+        norms = feat.RescaledNorms(feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k),
+                                   [lambda f: f.mean(axis=1)])
+        g_avg, = norms.row_stats
         bounds = {alpha: mean_estimate((norms(alpha) / k - g_avg) ** 2,
                                        "approx_error_bounds")
                   for alpha in dict.fromkeys(alphas)}

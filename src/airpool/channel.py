@@ -11,7 +11,7 @@ the receive power directly as SNR x noise, so no fading gains are drawn.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 def db_to_linear(x_db: float) -> float:
@@ -30,6 +30,9 @@ class SystemParams:
     noise_figure_db: float = 4.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.k_sensors < 1 or self.n_subchannels < 1:
             raise ValueError("k_sensors and n_subchannels must be >= 1")
         if self.n_features < 0:

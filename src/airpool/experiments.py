@@ -69,6 +69,10 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENT_KINDS:
             raise ConfigError(f"experiment.kind must be one of {EXPERIMENT_KINDS}, "
                               f"got {self.experiment!r}")
+        for f in fields(self):  # the float fields are all [sweep] keys
+            if f.type in (float, Tuple[float, ...]) and \
+                    not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"sweep.{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.snr_grid_db or not self.alpha_grid:
             raise ConfigError("sweep grids must be nonempty")
         if not all(1.0 <= a <= feat.ALPHA_MAX for a in self.alpha_grid):
@@ -82,9 +86,8 @@ class ExperimentConfig:
         for name in ("n_samples", "epochs", "trials_per_sample", "q_bits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"sweep.{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ConfigError(f"sweep.learning_rate must be finite and > 0, "
-                              f"got {self.learning_rate}")
+        if self.learning_rate <= 0.0:
+            raise ConfigError(f"sweep.learning_rate must be > 0, got {self.learning_rate}")
         if self.experiment == "synthetic_e2e" and \
                 sensing.SyntheticDataset.train_size(self.n_samples) >= self.n_samples:
             raise ConfigError(f"sweep.n_samples = {self.n_samples} leaves no test sample "

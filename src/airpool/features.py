@@ -15,7 +15,7 @@ and beta* are estimated by Monte Carlo.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -172,62 +172,87 @@ def _finite_moment(model: FeatureModel, s: float, alpha: float) -> float:
     return value
 
 
-#: Rows per block of `PowerSums`: a (K, rows) block and the summation
-#: scratch stay in a core's L2 cache while they are powered and summed.
+#: Rows per block of a Monte Carlo feature draw (`draw_blocks`): a (K, rows)
+#: block and the summation scratch of `PowerSums` stay in a core's L2 cache
+#: while they are powered and summed.
 _BLOCK_ROWS = 4096
 #: numpy's pairwise summation sums runs of up to this many with eight
 #: accumulators and halves longer runs (PW_BLOCKSIZE in numpy's loops).
 _PAIRWISE_RUN = 128
 
 
-class PowerSums:
-    """Row sums of x ** alpha for many alpha >= 1 over one (n, K) array x >= 0.
+def draw_blocks(model: FeatureModel, rng: np.random.Generator, n: int,
+                k: int) -> Iterator[np.ndarray]:
+    """model.draw(rng, (n, k)) as consecutive (rows, k) blocks of at most
+    `_BLOCK_ROWS` rows, drawn one at a time.
 
-    x is taken over, so the caller must not use it afterwards. It is split
-    into blocks of `_BLOCK_ROWS` rows, and each block is stored transposed,
-    as (K, rows), in the memory it already occupies. Per block, a
-    block-local int32 index keeps the entries that are neither 0.0 nor
-    1.0, with their values: both are fixed points of pow, so only the other
-    entries are powered and written back (libm pow is slowest at 0, which
-    is about half of a rectified Gaussian draw, and the rescaled row maxima
-    are 1.0). The K rows of a block are then added elementwise in numpy's
-    pairwise order, while the block is in cache, so the sums are
-    bit-identical to ``(x ** alpha).sum(axis=1)`` of a C-ordered x.
+    Every model draws its entries in C order from the generator's stream, so
+    the blocks stacked are the one-shot draw, and the generator ends in the
+    same state.
+    """
+    for start in range(0, n, _BLOCK_ROWS):
+        yield model.draw(rng, (min(_BLOCK_ROWS, n - start), k))
+
+
+class PowerSums:
+    """Row sums of x ** alpha for many alpha >= 1 over an (n, K) array x >= 0,
+    given as consecutive blocks of rows, without holding x.
+
+    Each function of `row_stats` maps a block to one value per row, and may
+    change the block in place. They run in order on each block before it is
+    compacted, and the attribute `row_stats` holds their results over all
+    rows. A block is then kept as one block-local int32 index, in its
+    transposed (K, rows) layout, of its exact 1.0 entries followed by its
+    other non-zero entries, with the values of the latter: 0.0 and 1.0 are
+    fixed points of pow (libm pow is slowest at 0, which is about half of a
+    rectified Gaussian draw, and the rescaled row maxima are 1.0). Per alpha
+    and per block, one reused dense (K, rows) scratch is zeroed (if the
+    block has zeros), the ones and the powers of the other values are
+    scattered in, and its K rows are added elementwise in numpy's pairwise
+    order while they are in cache, so the sums are bit-identical to
+    ``(x ** alpha).sum(axis=1)``. A -0.0 entry lands as 0.0; numpy sums a
+    row of zeros of either sign to 0.0 too.
     """
 
-    def __init__(self, x: np.ndarray):
-        x = np.ascontiguousarray(x)
-        n, k = x.shape
-        flat = x.reshape(-1)
-        self._blocks = []  # (first row, (K, rows) view, index, values)
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = min(_BLOCK_ROWS, n - start)
-            # Adding 0.0 turns any -0.0 into 0.0 while transposing, so that
-            # no partial sum is -0.0 and numpy's final 0.0 + sum is a no-op.
-            transposed = np.add(x[start:start + rows].T, 0.0, order="C")
-            block = flat[start * k:(start + rows) * k].reshape(k, rows)
-            block[...] = transposed
-            index = np.flatnonzero((transposed != 0.0) & (transposed != 1.0))
-            self._blocks.append((start, block, index.astype(np.int32),
-                                 transposed.reshape(-1)[index]))
-        self._n = n
-        # Scratch that every block and alpha reuses: a fresh 160 KB array per
+    def __init__(self, blocks: Iterable[np.ndarray],
+                 row_stats: Sequence[Callable[[np.ndarray], np.ndarray]] = ()):
+        self._blocks = []  # (first row, rows, number of ones, index, values)
+        stats = [[] for _ in row_stats]
+        n = k = 0
+        for x in blocks:
+            for part, stat in zip(stats, row_stats):
+                part.append(stat(x))
+            t = np.ascontiguousarray(x.T).reshape(-1)
+            ones = t == 1.0
+            others = np.flatnonzero((t != 0.0) & ~ones)
+            values = t[others]
+            index = np.concatenate([np.flatnonzero(ones), others], dtype=np.int32,
+                                   casting="same_kind")
+            self._blocks.append((n, len(x), len(index) - len(others), index, values))
+            n, k = n + len(x), x.shape[1]
+        self.row_stats = [np.concatenate(part) for part in stats]
+        self._n, self._k = n, k
+        # Scratch that every block and alpha reuses: a fresh 400 KB array per
         # block lies above glibc's mmap threshold, and its page faults double
         # the time of pow. numpy would also cast the int32 index to a fresh
         # intp array before each scatter.
+        rows = max((b[1] for b in self._blocks), default=0)
         most = max((len(b[3]) for b in self._blocks), default=0)
+        self._dense, self._scratch = np.empty(k * rows), np.empty((14, rows))
         self._powers, self._intp_index = np.empty(most), np.empty(most, dtype=np.intp)
-        self._scratch = np.empty((14, min(n, _BLOCK_ROWS)))
 
     def __call__(self, alpha: float) -> np.ndarray:
         sums = np.empty(self._n)
-        for start, block, index, values in self._blocks:
-            m = len(index)
+        for start, rows, n_ones, index, values in self._blocks:
+            dense, m = self._dense[:self._k * rows], len(index)
+            if m < len(dense):  # the block has zeros
+                dense.fill(0.0)
+            self._powers[:n_ones] = 1.0
+            np.power(values, alpha, out=self._powers[n_ones:m])
             np.copyto(self._intp_index[:m], index)
-            block.reshape(-1)[self._intp_index[:m]] = np.power(
-                values, alpha, out=self._powers[:m])
-            rows = block.shape[1]
-            _pairwise_sum(block, sums[start:start + rows], self._scratch[:, :rows])
+            dense[self._intp_index[:m]] = self._powers[:m]
+            _pairwise_sum(dense.reshape(self._k, rows), sums[start:start + rows],
+                          self._scratch[:, :rows])
         return sums
 
 
@@ -269,21 +294,32 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
 
 
 class RescaledNorms:
-    """Row-wise l_alpha norms of one (n, K) draw f >= 0, for many alpha.
+    """Row-wise l_alpha norms of an (n, K) draw f >= 0, given as consecutive
+    blocks of rows, for many alpha.
 
     Each norm is fmax * (sum (f/fmax)^alpha)^(1/alpha): factoring out the row
     maximum keeps the powers in [0, 1], so the result stays finite for large
-    alpha where the naive sum would overflow. All-zero rows map to 0. The
-    ratios f/fmax are computed once, in place: f is taken over.
+    alpha where the naive sum would overflow. All-zero rows map to 0. Each
+    block is divided by its row maxima in place, after the `row_stats` of
+    `PowerSums` have read it; `fmax` holds the maxima and `row_stats` the
+    other results.
     """
 
-    def __init__(self, f: np.ndarray):
-        self.fmax = f.max(axis=1)
-        np.divide(f, self.fmax[:, None], out=f, where=(self.fmax > 0)[:, None])
-        self._sums = PowerSums(f)
+    def __init__(self, blocks: Iterable[np.ndarray],
+                 row_stats: Sequence[Callable[[np.ndarray], np.ndarray]] = ()):
+        self._sums = PowerSums(blocks, (*row_stats, _rescale_rows))
+        *self.row_stats, self.fmax = self._sums.row_stats
 
     def __call__(self, alpha: float) -> np.ndarray:
         return self.fmax * self._sums(alpha) ** (1.0 / alpha)
+
+
+def _rescale_rows(f: np.ndarray) -> np.ndarray:
+    """Divides each row of f >= 0 by its maximum in place (all-zero rows stay
+    zero) and returns the maxima."""
+    fmax = f.max(axis=1)
+    np.divide(f, fmax[:, None], out=f, where=(fmax > 0)[:, None])
+    return fmax
 
 
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
@@ -310,9 +346,11 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     violation beyond four standard errors raises, as it would indicate a
     numeric fault.
 
-    The features are drawn from the sub-stream (seed, 0) and rescaled once;
-    every alpha then reuses them (common random numbers across the grid).
-    Each estimate is bit-identical to drawing anew for that alpha alone.
+    The features are drawn from the sub-stream (seed, 0) one block of rows
+    at a time, and each block is rescaled and compacted (`RescaledNorms`),
+    so the dense (trials, K) array never exists. Every alpha then reuses
+    them (common random numbers across the grid). Each estimate is
+    bit-identical to drawing the whole array anew for that alpha alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -320,7 +358,7 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
         raise ValueError("alpha must be >= 1")
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
-    norms = RescaledNorms(model.draw(rng_from(seed, 0), (trials, k)))
+    norms = RescaledNorms(draw_blocks(model, rng_from(seed, 0), trials, k))
     return [_beta_at(norms, k, alpha) for alpha in alphas]
 
 

@@ -446,6 +446,18 @@ RANGE_ERRORS = {
     "run-e2e-negative-learning-rate": (
         "learning_rate", ("synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = -1")),
     "run-latency-q-bits-0": ("q_bits", ("latency_table", "[sweep]\nq_bits = 0")),
+    # Non-finite values are rejected before any draw, naming the key.
+    **{f"run-{kind}-snr-{text}": ("snr_grid_db", (kind, f"[sweep]\nsnr_grid_db = {text}"))
+       for kind in ("tradeoff_curve", "bound_validation", "alpha_optimality",
+                    "latency_table")
+       for text in ("nan", "inf", "-inf")},
+    "run-bound-noise-figure-inf": (
+        "noise_figure_db", ("bound_validation", "[system]\nnoise_figure_db = inf")),
+    "run-tradeoff-noise-density-nan": (
+        "noise_density_dbm_per_hz",
+        ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = nan")),
+    "run-latency-bandwidth-inf": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = inf")),
+    "run-latency-bandwidth-nan": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = nan")),
     "run-e2e-trials-override-5": (
         "trials", ("synthetic_e2e", "[sweep]\nn_samples = 300", "run", "--trials", "5")),
     "validate-bounds-trials-override-5": (

@@ -135,10 +135,10 @@ class TestSelectAlpha:
         kwargs = dict(trials=10_000, seed=6, alpha_grid=[1.0, 2.0, 4.0])
         alone = [optimizer.select_alpha(RG, K, [p], 1.0, **kwargs)[0]
                  for p in p_bars]
-        draws = []
+        calls = []
         draw = FeatureModel.draw
         monkeypatch.setattr(FeatureModel, "draw",
-                            lambda self, rng, shape: draws.append(shape) or
+                            lambda self, rng, shape: calls.append((rng, shape)) or
                             draw(self, rng, shape))
         shared = optimizer.select_alpha(RG, K, p_bars, 1.0, **kwargs)
         assert shared == alone
@@ -148,7 +148,15 @@ class TestSelectAlpha:
         # E[fmax^2], one beta* draw for the grid, then one error sweep for
         # both brute-force powers: its error features and its approximation
         # bound.
-        assert draws == [(10_000, K), (400_000, K), (10_000, K), (10_000, K)]
+        # Consecutive blocks from one generator are one draw.
+        draws = []
+        for rng, (rows, k) in calls:
+            if draws and draws[-1][0] is rng:
+                draws[-1][1] += rows
+            else:
+                draws.append([rng, rows, k])
+        assert [(rows, k) for _, rows, k in draws] == [(10_000, K), (400_000, K),
+                                                       (10_000, K), (10_000, K)]
 
     def test_never_below_one(self):
         with pytest.raises(ValueError):

@@ -29,8 +29,8 @@ the beta* draw. From 2**64 on the seed takes three words, so (seed, 0, 0)
 and (seed, 1, 0) overflow the pool and name streams of their own; each
 routine therefore keeps its key as written.
 
-The estimators that power their features (beta*, the error sweep and the
-averaging bound) draw them one block of rows at a time
+The feature estimators (E[fmax^2], beta*, the error sweep and the
+averaging bound) draw their features one block of rows at a time
 (`features.draw_blocks`), which stacks to the one-shot draw of the same
 stream; the others draw in one piece. Every estimator reduces its per-trial
 values with `mean_estimate` or `finite_mean`, so the float operations of

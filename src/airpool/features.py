@@ -206,12 +206,11 @@ class PowerSums:
     other non-zero entries, with the values of the latter: 0.0 and 1.0 are
     fixed points of pow (libm pow is slowest at 0, which is about half of a
     rectified Gaussian draw, and the rescaled row maxima are 1.0). Per alpha
-    and per block, one reused dense (K, rows) scratch is zeroed (if the
-    block has zeros), the ones and the powers of the other values are
-    scattered in, and its K rows are added elementwise in numpy's pairwise
-    order while they are in cache, so the sums are bit-identical to
-    ``(x ** alpha).sum(axis=1)``. A -0.0 entry lands as 0.0; numpy sums a
-    row of zeros of either sign to 0.0 too.
+    and per block, one reused dense (K, rows) scratch is zeroed, the ones
+    and the powers of the other values are scattered in, and its K rows are
+    added elementwise in numpy's pairwise order while they are in cache, so
+    the sums are bit-identical to ``(x ** alpha).sum(axis=1)``. A -0.0 entry
+    lands as 0.0; numpy sums a row of zeros of either sign to 0.0 too.
     """
 
     def __init__(self, blocks: Iterable[np.ndarray],
@@ -241,12 +240,12 @@ class PowerSums:
         self._dense, self._scratch = np.empty(k * rows), np.empty((14, rows))
         self._powers, self._intp_index = np.empty(most), np.empty(most, dtype=np.intp)
 
-    def __call__(self, alpha: float) -> np.ndarray:
-        sums = np.empty(self._n)
+    def __call__(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The n row sums at alpha, written into `out` if given."""
+        sums = np.empty(self._n) if out is None else out
         for start, rows, n_ones, index, values in self._blocks:
             dense, m = self._dense[:self._k * rows], len(index)
-            if m < len(dense):  # the block has zeros
-                dense.fill(0.0)
+            dense.fill(0.0)
             self._powers[:n_ones] = 1.0
             np.power(values, alpha, out=self._powers[n_ones:m])
             np.copyto(self._intp_index[:m], index)
@@ -310,8 +309,12 @@ class RescaledNorms:
         self._sums = PowerSums(blocks, (*row_stats, _rescale_rows))
         *self.row_stats, self.fmax = self._sums.row_stats
 
-    def __call__(self, alpha: float) -> np.ndarray:
-        return self.fmax * self._sums(alpha) ** (1.0 / alpha)
+    def __call__(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The n norms at alpha, written into `out` if given."""
+        norm = self._sums(alpha, out)
+        norm **= 1.0 / alpha
+        norm *= self.fmax
+        return norm
 
 
 def _rescale_rows(f: np.ndarray) -> np.ndarray:
@@ -325,13 +328,14 @@ def _rescale_rows(f: np.ndarray) -> np.ndarray:
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
                       seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[max_k f_k^2] with its standard error, from
-    the sub-stream (seed, 0)."""
+    the sub-stream (seed, 0), drawn one block of rows at a time."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if trials < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    return mean_estimate(model.draw(rng_from(seed, 0), (trials, k)).max(axis=1) ** 2,
-                         "max_second_moment")
+    blocks = draw_blocks(model, rng_from(seed, 0), trials, k)
+    fmax = np.concatenate([x.max(axis=1) for x in blocks])
+    return mean_estimate(fmax ** 2, "max_second_moment")
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
@@ -359,25 +363,27 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
     norms = RescaledNorms(draw_blocks(model, rng_from(seed, 0), trials, k))
-    return [_beta_at(norms, k, alpha) for alpha in alphas]
+    work = np.empty((3, trials))
+    return [_beta_at(norms, k, alpha, work) for alpha in alphas]
 
 
-def _beta_at(norms: RescaledNorms, k: int, alpha: float) -> MonteCarloEstimate:
+def _beta_at(norms: RescaledNorms, k: int, alpha: float,
+             work: np.ndarray) -> MonteCarloEstimate:
     """beta* and its delta-method standard error at one alpha.
 
-    A function of its own, so that this alpha's arrays are freed before the
-    next alpha allocates its own.
+    Every n-sized array lives in the three rows of `work`, which the whole
+    grid reuses: fresh arrays of this size would each be mapped anew, unless
+    an earlier larger allocation happened to raise glibc's mmap threshold.
     """
-    norm = norms(alpha)
-    a = norms.fmax * norm
-    # Squared in place: norm is not read again, and the first alpha's arrays
-    # set the peak memory of a beta* draw.
+    norm, a, product = work
+    norms(alpha, out=norm)
+    np.multiply(norms.fmax, norm, out=a)
     b = np.multiply(norm, norm, out=norm)
     n_done = len(a)
     mean_a, mean_b = (finite_mean(x, "optimal_beta_grid", "mean") for x in (a, b))
-    second_a, second_b = (finite_mean(x * x, "optimal_beta_grid", "second moment")
-                          for x in (a, b))
-    cross = finite_mean(a * b, "optimal_beta_grid", "cross moment")
+    second_a, second_b = (finite_mean(np.multiply(x, x, out=product), "optimal_beta_grid",
+                                      "second moment") for x in (a, b))
+    cross = finite_mean(np.multiply(a, b, out=product), "optimal_beta_grid", "cross moment")
     u = mean_a / mean_b
     # Delta method for the ratio of correlated means.
     var_a = max(second_a - mean_a ** 2, 0.0)

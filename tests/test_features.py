@@ -315,6 +315,25 @@ class TestPowerSums:
         self.assert_equal_to_oracle(np.asfortranarray(x) if fortran else x, [alpha])
 
 
+def test_norms_written_into_out_without_allocating():
+    # `optimal_beta_grid` reuses its n-sized arrays across the grid, so its
+    # speed does not hang on whether an earlier, larger array raised glibc's
+    # mmap threshold. Asked for `out`, a call allocates nothing row-sized.
+    n = 3 * feat._BLOCK_ROWS + 7
+    f = RG.draw(rng_from(5), (n, 12))
+    norms = feat.RescaledNorms(row_blocks(f))
+    for alpha in [1.0, 2.0, 3.7, 128.0]:
+        out = np.empty(n)
+        tracemalloc.start()
+        try:
+            got = norms(alpha, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is out and peak < n
+        assert got.tobytes() == norms(alpha).tobytes() == dense_lp_norm(f, alpha).tobytes()
+
+
 def rescaled_norm(f, alpha):
     """One alpha of `RescaledNorms`, on blocks copied from f (it rescales
     them in place)."""
@@ -425,6 +444,15 @@ class TestMaxSecondMoment:
         a = feat.max_second_moment(RG, 4, trials=200_000, seed=11)
         b = feat.max_second_moment(RG, 4, trials=400_000, seed=12)
         assert abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("k", [2, 12])
+    def test_bit_identical_to_one_shot_draw(self, model, k):
+        # Drawn block by block, the row maxima are those of the one-shot draw.
+        trials, seed = 3 * feat._BLOCK_ROWS + 1, 17
+        fmax = model.draw(rng_from(seed, 0), (trials, k)).max(axis=1)
+        assert feat.max_second_moment(model, k, trials=trials, seed=seed) \
+            == mean_estimate(fmax ** 2, "max_second_moment")
 
     def test_quadrature_oracle_k12(self):
         ref, err = integrate.quad(

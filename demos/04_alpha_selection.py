@@ -19,7 +19,10 @@ OUT = os.path.join(os.path.dirname(__file__), "out")
 K = 12
 model = FeatureModel.rectified_gaussian()
 
-e2 = features.max_second_moment(model, K, trials=400_000, seed=5).value
+# One draw serves E[fmax^2] and the error sweeps' 40,000-trial estimate.
+e2_est, e2_sweep = features.max_second_moment_prefixes(model, K, [400_000, 40_000],
+                                                       seed=5)
+e2 = e2_est.value
 rho0 = optimizer.low_snr_threshold(K, e2)
 print(f"E[max-feature^2] for K={K}: {e2:.4f}")
 print(f"critical power ratio rho0 = {rho0:.3f}  "
@@ -30,7 +33,8 @@ betas = optimizer.BetaTable(model, K, seed=5)  # beta* shared by every search
 brute_ratios = (1e2, 1e3, 1e4)
 brutes = optimizer.brute_force_alpha(
     model, PoolingMode.max(), K, brute_ratios, 1.0,
-    optimizer.default_alpha_grid(24), trials=40_000, seed=5, betas=betas)
+    optimizer.default_alpha_grid(24), trials=40_000, seed=5, betas=betas,
+    e_fmax_sq=e2_sweep)
 for ratio, brute in zip(brute_ratios, brutes):
     closed = optimizer.closed_form_alpha(K, ratio, 1.0, e2).alpha_star
     root = optimizer.bisection_alpha(K, ratio, 1.0, e2)

@@ -14,9 +14,10 @@ The chi fit (`chi_error_check`) evaluates the chi CDF at all its sorted
 radii in one array call of `specfun.regularized_gamma_p`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,63 +69,82 @@ class ErrorBreakdown:
 
 
 def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
-                         k: int, trials: int, seed: int) -> List[ErrorBreakdown]:
+                         k: int, trials: int, seed: int,
+                         e_fmax_sq: Optional[MonteCarloEstimate] = None
+                         ) -> List[ErrorBreakdown]:
     """Paired Monte Carlo estimates of D, D_chan and D_appr, with their
     bounds, for every configuration of a sweep.
 
-    The configurations must share one pooling mode (max or average); their
-    alpha and power may differ. The noisy and noiseless pipelines run on
-    identical feature draws, so the decomposition checks see correlated,
-    low-variance estimates. The features and the unit noise are drawn once
-    and every configuration reuses them (common random numbers across the
-    grid), scaling the unit noise by its own noise level; so does the
-    approximation bound (`approx_error_bounds`). The features are drawn one
-    block of rows at a time into a compact `features.PowerSums`, which keeps
-    the true pool of each row; the unit noise follows the last block in the
-    same generator. The noise bound comes from the closed form. Each result
-    is bit-identical to the same call on that configuration alone, so one
-    sweep per pooling mode serves every alpha search of an experiment, each
-    on its slice. The streams are listed in `_mc`.
+    The configurations may mix max and average pooling, alpha and power.
+    The noisy and noiseless pipelines run on identical feature draws, so the
+    decomposition checks see correlated, low-variance estimates. The
+    features and the unit noise are drawn once and every configuration
+    reuses them (common random numbers across the grid and both modes),
+    scaling the unit noise by its own noise level. The features are drawn
+    one block of rows at a time into a compact `features.PowerSums`, which
+    keeps the true pool of each row for each mode present; the unit noise
+    follows the last block in the same generator.
+
+    The configurations are processed grouped by alpha, so each distinct
+    alpha is powered once and only one alpha's arrays are live, and the
+    clean pipeline and its D_appr are computed once per (mode, alpha,
+    beta); the results come back in input order. The noise bound comes from
+    the closed form, the approximation bound from `approx_error_bounds`,
+    which takes `e_fmax_sq`, the E[fmax^2] estimate at `trials`, required
+    when any configuration is max pooling. Each result is bit-identical to
+    the same call on that configuration alone, so one sweep serves every
+    check and alpha search of an experiment, each on its slice. The streams
+    are listed in `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
     if not cfgs:
         return []
-    mode = cfgs[0].mode
-    if mode.kind not in (AVERAGE, MAX):
+    modes = {cfg.mode.kind: cfg.mode for cfg in cfgs}
+    if not modes.keys() <= {AVERAGE, MAX}:
         raise ValueError("approximation bound is defined for max and average modes")
-    if any(cfg.mode.kind != mode.kind for cfg in cfgs):
-        raise ValueError("an error sweep needs one pooling mode")
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
+    bounds = {}  # (mode, alpha) -> approximation bound
+    for kind, mode in modes.items():
+        alphas = list(dict.fromkeys(cfg.alpha for cfg in cfgs if cfg.mode.kind == kind))
+        bounds.update(zip([(kind, alpha) for alpha in alphas], approx_error_bounds(
+            model, mode, k, alphas, trials=trials, seed=seed, e_fmax_sq=e_fmax_sq)))
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
     rng = rng_from(seed, 0, 0)
     powered_sums = feat.PowerSums(feat.draw_blocks(model, rng, trials, k),
-                                  [lambda f: true_pool(f, mode)])
-    g_true, = powered_sums.row_stats
+                                  [functools.partial(true_pool, mode=mode)
+                                   for mode in modes.values()])
+    g_true = dict(zip(modes, powered_sums.row_stats))
     unit_noise = rng.standard_normal(trials) if noisy else None
-    v_alpha = None
-    estimates = []  # (D, D_chan, D_appr) per configuration
-    for cfg in cfgs:
-        if cfg.alpha != v_alpha:  # consecutive configurations often share alpha
-            v_alpha, v_sum = cfg.alpha, powered_sums(cfg.alpha)
-        g_clean = postprocess(v_sum, cfg)
-        g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
-            v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
-        estimates.append((mean_estimate((g_hat - g_true) ** 2, "estimate_errors_grid"),
-                          mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid"),
-                          mean_estimate((g_clean - g_true) ** 2, "estimate_errors_grid")))
-    bounds = approx_error_bounds(model, mode, k, [cfg.alpha for cfg in cfgs],
-                                 trials=trials, seed=seed)
-    errors = []
-    for (total, chan, appr), cfg, eps in zip(estimates, cfgs, bounds):
-        errors.append(ErrorBreakdown(
-            d_total=total.value, d_chan=chan.value, d_appr=appr.value,
-            se_total=total.std_error, se_chan=chan.std_error,
-            se_appr=appr.std_error,
-            noise_bound=noise_error_bound(cfg.moments, cfg.p_rx_w, cfg.noise_power_w),
-            approx_bound=eps.value, approx_bound_se=eps.std_error,
-            c0=decomposition_c0(cfg.mode, cfg.alpha)))
+    by_alpha: Dict[float, List[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        by_alpha.setdefault(cfg.alpha, []).append(i)
+    v_sum = np.empty(trials)
+    errors: List[Optional[ErrorBreakdown]] = [None] * len(cfgs)
+    for alpha, indices in by_alpha.items():
+        powered_sums(alpha, out=v_sum)
+        clean = {}  # (mode, beta) -> (g_clean, D_appr)
+        for i in indices:
+            cfg = cfgs[i]
+            kind = cfg.mode.kind
+            if (kind, cfg.beta) not in clean:
+                g_clean = postprocess(v_sum, cfg)
+                clean[kind, cfg.beta] = g_clean, mean_estimate(
+                    (g_clean - g_true[kind]) ** 2, "estimate_errors_grid")
+            g_clean, appr = clean[kind, cfg.beta]
+            g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
+                v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
+            total = mean_estimate((g_hat - g_true[kind]) ** 2, "estimate_errors_grid")
+            chan = mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid")
+            eps = bounds[kind, alpha]
+            errors[i] = ErrorBreakdown(
+                d_total=total.value, d_chan=chan.value, d_appr=appr.value,
+                se_total=total.std_error, se_chan=chan.std_error,
+                se_appr=appr.std_error,
+                noise_bound=noise_error_bound(cfg.moments, cfg.p_rx_w, cfg.noise_power_w),
+                approx_bound=eps.value, approx_bound_se=eps.std_error,
+                c0=decomposition_c0(cfg.mode, cfg.alpha))
     return errors
 
 
@@ -160,25 +180,28 @@ def max_approx_error_bound(alpha: float, k: int, e_fmax_sq: float) -> float:
 
 
 def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
-                        alphas: Sequence[float], trials: int,
-                        seed: int) -> List[MonteCarloEstimate]:
-    """Function-approximation error bound at every alpha of `alphas`, from
-    one draw.
+                        alphas: Sequence[float], trials: int, seed: int,
+                        e_fmax_sq: Optional[MonteCarloEstimate] = None
+                        ) -> List[MonteCarloEstimate]:
+    """Function-approximation error bound at every alpha of `alphas`.
 
-    Max pooling: `max_approx_error_bound`, with the second moment
-    estimated by `features.max_second_moment` from the sub-stream (seed, 0).
-    Average pooling: E[(||f||_a / K - g_avg)^2], estimated directly from the
-    sub-stream (seed, 1, 0), drawn one block of rows at a time into a
-    compact `features.RescaledNorms` that keeps each row's mean g_avg.
+    Max pooling: `max_approx_error_bound` of `e_fmax_sq`, the caller's
+    estimate of E[fmax^2] (`features.max_second_moment` at `trials` from
+    the sub-stream (seed, 0), or a prefix of a larger draw of it, which
+    gives the same bits); it is required here.
+    Average pooling: E[(||f||_a / K - g_avg)^2], estimated directly from one
+    draw of the sub-stream (seed, 1, 0), drawn one block of rows at a time
+    into a compact `features.RescaledNorms` that keeps each row's mean g_avg.
     """
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
     if mode.kind == MAX:
-        est = feat.max_second_moment(model, k, trials=trials, seed=seed) \
-            if k > 1 else MonteCarloEstimate(0.0, 0.0, 0)
-        return [MonteCarloEstimate(max_approx_error_bound(alpha, k, est.value),
-                                   max_approx_error_bound(alpha, k, est.std_error),
-                                   est.trials) for alpha in alphas]
+        if e_fmax_sq is None:
+            raise ValueError("the max-pooling approximation bound needs the "
+                             "E[fmax^2] estimate")
+        return [MonteCarloEstimate(max_approx_error_bound(alpha, k, e_fmax_sq.value),
+                                   max_approx_error_bound(alpha, k, e_fmax_sq.std_error),
+                                   e_fmax_sq.trials) for alpha in alphas]
     if mode.kind == AVERAGE:
         norms = feat.RescaledNorms(feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k),
                                    [lambda f: f.mean(axis=1)])

@@ -329,13 +329,26 @@ def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
                       seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[max_k f_k^2] with its standard error, from
     the sub-stream (seed, 0), drawn one block of rows at a time."""
+    return max_second_moment_prefixes(model, k, [trials], seed)[0]
+
+
+def max_second_moment_prefixes(model: FeatureModel, k: int, trials: Sequence[int],
+                               seed: int = 0) -> List[MonteCarloEstimate]:
+    """`max_second_moment` at every trial count of `trials`, from one draw of
+    the largest.
+
+    Each estimate is the mean over a prefix of that draw: every model draws
+    its entries in order from the stream, so the first n rows are the draw
+    of n rows and each estimate is bit-identical to its own call. Only the
+    estimates outlive the call, not the per-trial values.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if trials < MIN_MC_TRIALS:
+    if min(trials) < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    blocks = draw_blocks(model, rng_from(seed, 0), trials, k)
-    fmax = np.concatenate([x.max(axis=1) for x in blocks])
-    return mean_estimate(fmax ** 2, "max_second_moment")
+    blocks = draw_blocks(model, rng_from(seed, 0), max(trials), k)
+    fmax_sq = np.concatenate([x.max(axis=1) for x in blocks]) ** 2
+    return [mean_estimate(fmax_sq[:n], "max_second_moment") for n in trials]
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, features as feat
+from ._mc import MonteCarloEstimate
 from .features import ALPHA_MAX, FeatureModel
 from .pooling import MAX, AirPoolConfig, PoolingMode
 from .specfun import lambert_w0
@@ -155,8 +156,10 @@ def select_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"select_alpha requires trials >= {feat.MIN_MC_TRIALS}, "
                          f"got {trials}")
-    e_fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value \
-        if k > 1 else feat.moment_abs_power(model, 2.0)
+    # With one sensor fmax^2 is f^2, whose mean is exact.
+    fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed) if k > 1 \
+        else MonteCarloEstimate(feat.moment_abs_power(model, 2.0), 0.0, 0)
+    e_fmax_sq = fmax_sq.value
     rho0 = low_snr_threshold(k, e_fmax_sq) if k >= 2 else math.inf
     decisions: List[Optional[AlphaDecision]] = [None] * len(p_bars)
     brute_powers = []
@@ -174,7 +177,7 @@ def select_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
         grid = alpha_grid if alpha_grid is not None else default_alpha_grid()
         brutes = brute_force_alpha(model, PoolingMode.max(), k,
                                    [p_bar for _, p_bar in brute_powers],
-                                   noise_power, grid, trials, seed)
+                                   noise_power, grid, trials, seed, e_fmax_sq=fmax_sq)
         for (i, p_bar), brute in zip(brute_powers, brutes):
             ratio = p_bar / noise_power
             note = "k < 4" if k < 4 else f"rho0 < p_bar/noise <= K ({ratio:.3g} <= {k})"
@@ -243,7 +246,8 @@ def lowest_error_alpha(alpha_grid: Sequence[float],
 def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
                       p_bars: Sequence[float], noise_power: float,
                       alpha_grid: Sequence[float], trials: int = 100_000,
-                      seed: int = 0, betas: Optional[BetaTable] = None) -> List[AlphaDecision]:
+                      seed: int = 0, betas: Optional[BetaTable] = None,
+                      e_fmax_sq: Optional[MonteCarloEstimate] = None) -> List[AlphaDecision]:
     """Linear search for the alpha minimizing the empirical pooling error,
     one decision per received power in `p_bars`.
 
@@ -252,7 +256,9 @@ def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
     its own when None) comes from one draw. The error features are drawn
     once and shared by every (alpha, power) pair of one alpha-major sweep,
     each error bit-identical to its own run; `lowest_error_alpha` picks the
-    minimum of each power's slice.
+    minimum of each power's slice. Max pooling needs `e_fmax_sq`, the
+    caller's E[fmax^2] estimate at `trials` (`features.max_second_moment`),
+    for the approximation bounds.
     """
     grid = [float(a) for a in alpha_grid]
     if not grid or sorted(grid) != grid:
@@ -264,7 +270,8 @@ def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
         betas.fill(grid)
     cfgs = [config_for(model, mode, k, alpha, p_bar, noise_power, betas)
             for alpha in grid for p_bar in p_bars]
-    errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed)
+    errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed,
+                                           e_fmax_sq=e_fmax_sq)
     return [lowest_error_alpha(grid, errors[j::len(p_bars)]) for j in range(len(p_bars))]
 
 

@@ -329,14 +329,24 @@ def measure_linear_margin(dataset: SyntheticDataset, seed: int = 0,
     """
     pooled = dataset.pooled()
     y = dataset.labels.astype(float)
+    n = len(y)
     w = np.zeros(pooled.shape[1])
     b = 0.0
     decay = 1e-4
+    z, r = np.empty(n), np.empty(n)
     for _ in range(epochs):
-        z = pooled @ w + b
-        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        gw = pooled.T @ (p - y) / len(y) + decay * w
-        gb = float((p - y).mean())
+        np.matmul(pooled, w, out=z)
+        z += b
+        # r = p - y with p = 1 / (1 + exp(-clip(z, -500, 500))), in place.
+        np.maximum(z, -500.0, out=r)
+        np.minimum(r, 500.0, out=r)
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        r += 1.0
+        np.divide(1.0, r, out=r)
+        r -= y
+        gw = pooled.T @ r / n + decay * w
+        gb = float(np.add.reduce(r) / n)
         w -= learning_rate * gw
         b -= learning_rate * gb
     z = pooled @ w + b

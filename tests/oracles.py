@@ -16,6 +16,10 @@ The classifier's training loop as it was written before the flat
 parameter vector: a per-layer backprop over lists, a fancy-index gather
 and an `np.eye` per step, and one in-place update per weight and bias.
 The library's step must give the same bits.
+
+The logistic fit of `sensing.measure_linear_margin` as it was written
+before its loop worked in place: a fresh array per operation, `np.clip`
+and `.mean()`. The library's fit must give the same bits.
 """
 
 import math
@@ -229,3 +233,22 @@ def gradient_check_reference(clf: ShallowClassifier, x: np.ndarray,
                 scale = max(abs(numeric), abs(flat_g[i]), 1e-8)
                 worst = max(worst, abs(numeric - flat_g[i]) / scale)
     return worst
+
+
+def linear_margin_fit_reference(dataset: SyntheticDataset, epochs: int,
+                                learning_rate: float):
+    """The weights and bias of the logistic fit of
+    `sensing.measure_linear_margin`, one expression per step."""
+    pooled = dataset.pooled()
+    y = dataset.labels.astype(float)
+    w = np.zeros(pooled.shape[1])
+    b = 0.0
+    decay = 1e-4
+    for _ in range(epochs):
+        z = pooled @ w + b
+        p = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        gw = pooled.T @ (p - y) / len(y) + decay * w
+        gb = float((p - y).mean())
+        w -= learning_rate * gw
+        b -= learning_rate * gb
+    return w, b

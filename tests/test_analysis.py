@@ -60,7 +60,9 @@ class TestEstimateErrors:
 
     def test_max_mode_decomposition_constant(self):
         cfg = snr_config("max", 8.0, 6.0)
-        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=3)[0]
+        e2 = feat.max_second_moment(RG, K, trials=50_000, seed=3)
+        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=3,
+                                            e_fmax_sq=e2)[0]
         assert err.c0 == 2
         assert err.decomposition_slack() >= 0.0
 
@@ -188,13 +190,14 @@ class TestEstimateErrorsGrid:
         betas = optimizer.BetaTable(RG, k, beta_trials=20_000, seed=seed)
         cfgs = [optimizer.config_for(RG, mode, k, alpha, 10.0, noise, betas)
                 for alpha in self.GRID]
-        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=seed)
+        e2 = feat.max_second_moment(RG, k, trials=10_000, seed=seed)
+        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=seed,
+                                             e_fmax_sq=e2)
         for cfg, err in zip(cfgs, errs):
             got = (err.d_total, err.d_chan, err.d_appr,
                    err.se_total, err.se_chan, err.se_appr)
             assert got == dense_error_moments(RG, cfg, k, 10_000, seed)
             if mode_kind == "max":
-                e2 = feat.max_second_moment(RG, k, trials=10_000, seed=seed)
                 scale = 1.0 - k ** (-1.0 / cfg.alpha)
                 ref = (scale * e2.value, scale * e2.std_error)
             else:
@@ -212,27 +215,51 @@ class TestEstimateErrorsGrid:
         cfgs = [optimizer.config_for(RG, mode, K, alpha, db_to_linear(snr_db),
                                      0.0 if snr_db == 6.0 else 1.0, betas)
                 for alpha, snr_db in points]
-        errs = analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=4)
+        e2 = feat.max_second_moment(RG, K, trials=10_000, seed=4)
+        errs = analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=4,
+                                             e_fmax_sq=e2)
         for cfg, err in zip(cfgs, errs):
-            assert err == analysis.estimate_errors_grid(RG, [cfg], K, trials=10_000, seed=4)[0]
+            assert err == analysis.estimate_errors_grid(RG, [cfg], K, trials=10_000,
+                                                        seed=4, e_fmax_sq=e2)[0]
 
-    def test_mixed_modes_rejected(self):
-        cfgs = [AirPoolConfig.for_average(RG, K, 1.0, 0.0),
-                snr_config("max", 4.0, 6.0)]
-        with pytest.raises(ValueError):
-            analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=0)
+    @pytest.mark.parametrize("k", [3, 12])
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_mixed_modes_match_per_mode_calls(self, k, noise):
+        # Both modes share the draw, the unit noise and each alpha's powered
+        # sums; interleaved modes, alphas and powers, with repeats, give each
+        # mode's own sweep field for field, in input order.
+        betas = optimizer.BetaTable(RG, k, beta_trials=20_000, seed=5)
+        points = [("max", 4.0, 10.0), ("average", 1.0, 10.0), ("average", 4.0, 3.0),
+                  ("max", 1.0, 0.5), ("max", 4.0, 3.0), ("average", 16.0, 10.0),
+                  ("max", 128.0, 10.0), ("average", 4.0, 10.0), ("max", 4.0, 10.0)]
+        cfgs = [optimizer.config_for(RG, PoolingMode(kind), k, alpha, p_rx, noise, betas)
+                for kind, alpha, p_rx in points]
+        e2 = feat.max_second_moment(RG, k, trials=10_000, seed=5)
+        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=5,
+                                             e_fmax_sq=e2)
+        for kind in ("max", "average"):
+            own = [cfg for cfg in cfgs if cfg.mode.kind == kind]
+            assert [err for cfg, err in zip(cfgs, errs) if cfg.mode.kind == kind] \
+                == analysis.estimate_errors_grid(RG, own, k, trials=10_000, seed=5,
+                                                 e_fmax_sq=e2)
+
+    def test_max_mode_needs_the_fmax_estimate(self):
+        with pytest.raises(ValueError, match="E\\[fmax\\^2\\]"):
+            analysis.estimate_errors_grid(RG, [snr_config("max", 4.0, 6.0)], K,
+                                          trials=10_000, seed=0)
 
 
 class TestApproxBound:
     def test_single_sensor_is_zero(self):
-        est, = analysis.approx_error_bounds(RG, PoolingMode.max(), 1, [8.0],
-                                            trials=20_000, seed=6)
+        est, = analysis.approx_error_bounds(
+            RG, PoolingMode.max(), 1, [8.0], trials=20_000, seed=6,
+            e_fmax_sq=feat.max_second_moment(RG, 1, trials=20_000, seed=6))
         assert est.value == 0.0
 
     def test_vanishes_for_huge_alpha(self):
         e2 = feat.max_second_moment(RG, K, trials=100_000, seed=7)
         est, = analysis.approx_error_bounds(RG, PoolingMode.max(), K, [1e6],
-                                            trials=100_000, seed=7)
+                                            trials=100_000, seed=7, e_fmax_sq=e2)
         assert est.value <= 1e-5 * e2.value
 
     def test_average_zero_at_alpha_one(self):

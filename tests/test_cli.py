@@ -11,9 +11,11 @@ import os
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from airpool import analysis, cli, experiments, features as feat, optimizer, sensing
+from airpool._mc import rng_from
 from airpool.channel import SystemParams, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
 from airpool.features import FeatureModel
@@ -196,6 +198,88 @@ class TestBoundValidationGate:
                 "sandwich", "average-argmin", "low-snr-argmin",
                 "margin-chain", "chi-fit"} <= checks
 
+    def test_one_sweep_one_power_per_alpha_one_fmax_draw(self, tmp_path, monkeypatch):
+        # Both pooling modes share one error sweep, which powers each
+        # distinct alpha once; E[fmax^2] and the max-mode approximation bound
+        # read one (seed, 0) draw besides the beta* table's.
+        seed = 3
+        sweeps, sweep_sums, powered, keys, in_beta_table = [], [], [], [], []
+        errors_grid, init, call = (analysis.estimate_errors_grid, feat.PowerSums.__init__,
+                                   feat.PowerSums.__call__)
+        rng_from, beta_grid = feat.rng_from, feat.optimal_beta_grid
+
+        def counting_errors_grid(*args, **kwargs):
+            sweeps.append(len(args[1]))
+            return errors_grid(*args, **kwargs)
+
+        def counting_init(self, blocks, row_stats=()):
+            if feat._rescale_rows not in row_stats:  # not a RescaledNorms
+                sweep_sums.append(self)
+            init(self, blocks, row_stats)
+
+        def counting_call(self, alpha, out=None):
+            if any(self is sums for sums in sweep_sums):
+                powered.append(alpha)
+            return call(self, alpha, out)
+
+        def counting_rng_from(*key):
+            keys.append((key, bool(in_beta_table)))
+            return rng_from(*key)
+
+        def counting_beta_grid(*args, **kwargs):
+            in_beta_table.append(True)
+            try:
+                return beta_grid(*args, **kwargs)
+            finally:
+                in_beta_table.pop()
+
+        monkeypatch.setattr(analysis, "estimate_errors_grid", counting_errors_grid)
+        monkeypatch.setattr(feat.PowerSums, "__init__", counting_init)
+        monkeypatch.setattr(feat.PowerSums, "__call__", counting_call)
+        for module in (feat, analysis):
+            monkeypatch.setattr(module, "rng_from", counting_rng_from)
+        monkeypatch.setattr(feat, "optimal_beta_grid", counting_beta_grid)
+        cfg = ExperimentConfig(experiment="bound_validation", trials=10_000,
+                               system=SystemParams(k_sensors=4),
+                               snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
+                               seed=seed, output_dir=str(tmp_path))
+        result, _ = experiments.run_experiment(cfg)
+        assert result.failures == 0
+        # (3 grid alphas x 2 SNRs + 3 argmin alphas) x 2 modes.
+        assert sweeps == [18]
+        assert len(sweep_sums) == 1
+        assert sorted(powered) == [1.0, 2.0, 4.0, 16.0]
+        assert [key for key, beta in keys if beta] == [(seed, 0)]
+        # Besides the chi fit's (seed,): E[fmax^2], the sweep and the
+        # averaging bound, one draw each.
+        assert sorted(key for key, beta in keys if not beta) \
+            == [(seed,), (seed, 0), (seed, 0, 0), (seed, 1, 0)]
+
+    def test_sandwich_holds_where_the_powered_maximum_underflows(self):
+        # Seed 1611 draws a row whose maximum, about 7e-6, powers to 0.0 at
+        # alpha = 64; the protocol-form estimate of that row is then 0.0,
+        # below fmax K^(-1/64), though no bound is violated.
+        k, seed = 12, 1611
+        model = FeatureModel.rectified_gaussian()
+        fmax = model.draw(rng_from(seed), (50_000, k)).max(axis=1)
+        assert np.any((fmax > 0.0) & (fmax ** 64 == 0.0))
+        cfg = ExperimentConfig(experiment="bound_validation", trials=100_000,
+                               system=SystemParams(k_sensors=k), seed=seed)
+        rows = experiments._reconfigurability_checks(
+            model, k, cfg, optimizer.BetaTable(model, k, seed=seed))
+        sandwich, = [row for row in rows if row["check"] == "sandwich"]
+        assert sandwich["passed"] and sandwich["measured"] == 0.0
+
+    def test_quick_config_csv_is_pinned(self, tmp_path):
+        # Its trials = 20000 is below the 100,000-trial E[fmax^2] draw, so the
+        # max-mode approximation bounds read a prefix of that draw.
+        cfg = parse_config(os.path.join(ROOT, "configs", "bounds_quick.ini"))
+        cfg.output_dir = str(tmp_path)
+        result, paths = experiments.run_experiment(cfg)
+        assert result.failures == 0
+        assert _sha(paths["csv"]) \
+            == "5612d7e9b970d1666e515b0b19e0e1cc2db856d5f1e415fae8deaaa489110223"
+
     def test_noise_bound_violation_fails_named_check(self, tmp_path, monkeypatch):
         shrink_noise_bound(monkeypatch)
         cfg = ExperimentConfig(experiment="bound_validation", trials=20_000,
@@ -206,8 +290,8 @@ class TestBoundValidationGate:
         assert "noise-bound" in failing
 
     def test_grid_rows_match_per_point_loop(self, tmp_path):
-        # One error sweep per mode over a grid that mixes SNRs gives the
-        # rows of drawing every (mode, alpha, SNR) point on its own.
+        # One error sweep over both modes and a grid that mixes SNRs gives
+        # the rows of drawing every (mode, alpha, SNR) point on its own.
         k, seed, trials = 4, 3, 10_000
         cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
                                system=SystemParams(k_sensors=k),
@@ -216,6 +300,7 @@ class TestBoundValidationGate:
         result, _ = experiments.run_experiment(cfg)
         model = FeatureModel.rectified_gaussian()
         noise = cfg.system.subchannel_noise_w
+        e2 = feat.max_second_moment(model, k, trials=trials, seed=seed)
         expected = []
         for alpha in cfg.alpha_grid:
             beta = feat.optimal_beta_grid(model, k, [alpha], trials=400_000,
@@ -226,16 +311,17 @@ class TestBoundValidationGate:
                         AirPoolConfig.for_average(model, k, p_rx, noise, alpha),
                         AirPoolConfig(PoolingMode.max(), alpha, beta, p_rx, noise,
                                       feat.normalization_moments(model, alpha))):
-                    err, = analysis.estimate_errors_grid(model, [point], k,
-                                                         trials=trials, seed=seed)
+                    err, = analysis.estimate_errors_grid(model, [point], k, trials=trials,
+                                                         seed=seed, e_fmax_sq=e2)
                     expected += per_point_rows(err, point.mode.kind, alpha, snr_db)
         assert result.rows[:len(expected)] == expected
         assert len(expected) == 36
 
     @pytest.mark.parametrize("snr_grid_db", [(0.0, 12.0), (12.0, 0.0)])
     def test_argmin_rows_match_per_sweep_search(self, tmp_path, monkeypatch, snr_grid_db):
-        # The argmin configurations ride at the end of each mode's error
-        # sweep; each decision equals a brute-force search drawn on its own.
+        # The argmin configurations ride at the end of each mode's part of
+        # the error sweep; each decision equals a brute-force search drawn on
+        # its own.
         k, seed, trials = 4, 3, 10_000
         decisions = []
         lowest_error_alpha = optimizer.lowest_error_alpha
@@ -261,7 +347,8 @@ class TestBoundValidationGate:
             noise, grid, trials=trials, seed=seed)
         low_snr, = optimizer.brute_force_alpha(
             model, PoolingMode.max(), k, [0.5 * optimizer.low_snr_threshold(k, e2) * noise],
-            noise, grid, trials=trials, seed=seed)
+            noise, grid, trials=trials, seed=seed,
+            e_fmax_sq=feat.max_second_moment(model, k, trials=trials, seed=seed))
         assert shared == decisions
         rows = {r["check"]: r for r in result.rows if r["check"].endswith("-argmin")}
         assert (rows["average-argmin"]["measured"], rows["average-argmin"]["snr_db"]) \
@@ -315,8 +402,9 @@ class TestAlphaOptimality:
                                           seed=seed)[0].value
             point = AirPoolConfig(PoolingMode.max(), alpha, beta, p_bar, noise,
                                   feat.normalization_moments(model, alpha))
-            err, = analysis.estimate_errors_grid(model, [point], k, trials=trials,
-                                                 seed=seed)
+            err, = analysis.estimate_errors_grid(
+                model, [point], k, trials=trials, seed=seed,
+                e_fmax_sq=feat.max_second_moment(model, k, trials=trials, seed=seed))
             assert (row["alpha_closed"], row["d_closed"]) == (alpha, err.d_total)
             assert alpha not in optimizer.default_alpha_grid(48)
 
@@ -338,8 +426,9 @@ class TestAlphaOptimality:
             p_bar = db_to_linear(row["snr_db"]) * noise
             cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar,
                                          noise, betas) for alpha in grid]
-            errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials,
-                                                   seed=seed)
+            errors = analysis.estimate_errors_grid(
+                model, cfgs, k, trials=trials, seed=seed,
+                e_fmax_sq=feat.max_second_moment(model, k, trials=trials, seed=seed))
             brute = optimizer.lowest_error_alpha(grid, errors)
             assert (row["alpha_bruteforce"], row["d_bruteforce"]) \
                 == (brute.alpha_star, brute.objective_value)

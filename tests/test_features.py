@@ -454,6 +454,19 @@ class TestMaxSecondMoment:
         assert feat.max_second_moment(model, k, trials=trials, seed=seed) \
             == mean_estimate(fmax ** 2, "max_second_moment")
 
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_prefixes_bit_identical_to_own_draws(self, model):
+        # Prefixes that end inside a block and on a block boundary, in any
+        # order and with a repeat: each is the draw of that many trials.
+        block = feat._BLOCK_ROWS
+        counts = [3 * block + 1, 10_000, 3 * block, 3 * block + 1]
+        assert feat.max_second_moment_prefixes(model, 5, counts, seed=23) \
+            == [feat.max_second_moment(model, 5, trials=n, seed=23) for n in counts]
+
+    def test_prefixes_reject_a_short_count(self):
+        with pytest.raises(ValueError):
+            feat.max_second_moment_prefixes(RG, 4, [100_000, 100], seed=0)
+
     def test_quadrature_oracle_k12(self):
         ref, err = integrate.quad(
             lambda x: x * x * 12.0 * stats.norm.cdf(x) ** 11 * stats.norm.pdf(x),

@@ -146,8 +146,8 @@ class TestSelectAlpha:
                                               optimizer.BRUTE_FORCE, optimizer.CLOSED_FORM,
                                               optimizer.CLOSED_FORM]
         # E[fmax^2], one beta* draw for the grid, then one error sweep for
-        # both brute-force powers: its error features and its approximation
-        # bound.
+        # both brute-force powers, whose approximation bound takes the
+        # E[fmax^2] estimate instead of drawing it again.
         # Consecutive blocks from one generator are one draw.
         draws = []
         for rng, (rows, k) in calls:
@@ -156,7 +156,7 @@ class TestSelectAlpha:
             else:
                 draws.append([rng, rows, k])
         assert [(rows, k) for _, rows, k in draws] == [(10_000, K), (400_000, K),
-                                                       (10_000, K), (10_000, K)]
+                                                       (10_000, K)]
 
     def test_never_below_one(self):
         with pytest.raises(ValueError):
@@ -165,9 +165,9 @@ class TestSelectAlpha:
 
 class TestBruteForce:
     def test_zero_noise_max_prefers_grid_maximum(self):
-        d, = optimizer.brute_force_alpha(RG, PoolingMode.max(), K, [1.0], 0.0,
-                                         [1.0, 2.0, 4.0, 8.0], trials=30_000,
-                                         seed=5)
+        d, = optimizer.brute_force_alpha(
+            RG, PoolingMode.max(), K, [1.0], 0.0, [1.0, 2.0, 4.0, 8.0], trials=30_000,
+            seed=5, e_fmax_sq=feat.max_second_moment(RG, K, trials=30_000, seed=5))
         assert d.alpha_star == 8.0
 
     def test_average_prefers_alpha_one(self):
@@ -180,17 +180,19 @@ class TestBruteForce:
     def test_low_snr_max_stays_within_one_step_of_one(self):
         rho0 = optimizer.low_snr_threshold(K, E2_K12)
         grid = [1.0, 2.0, 4.0, 8.0, 16.0]
-        decisions = optimizer.brute_force_alpha(RG, PoolingMode.max(), K,
-                                                [0.25, 0.5, rho0], 1.0, grid,
-                                                trials=30_000, seed=7)
+        decisions = optimizer.brute_force_alpha(
+            RG, PoolingMode.max(), K, [0.25, 0.5, rho0], 1.0, grid, trials=30_000,
+            seed=7, e_fmax_sq=feat.max_second_moment(RG, K, trials=30_000, seed=7))
         assert all(d.alpha_star <= grid[1] for d in decisions)
 
     def test_shared_draws_match_per_point_loop(self):
         grid = optimizer.default_alpha_grid(8)
+        e2 = feat.max_second_moment(RG, K, trials=20_000, seed=31)
         for mode in (PoolingMode.max(), PoolingMode.average()):
             d, = optimizer.brute_force_alpha(
                 RG, mode, K, [300.0], 1.0, grid, trials=20_000, seed=31,
-                betas=optimizer.BetaTable(RG, K, beta_trials=50_000, seed=31))
+                betas=optimizer.BetaTable(RG, K, beta_trials=50_000, seed=31),
+                e_fmax_sq=e2)
             best = (math.inf, math.inf)
             for alpha in grid:
                 if mode.kind == "max":
@@ -201,7 +203,7 @@ class TestBruteForce:
                 else:
                     cfg = AirPoolConfig.for_average(RG, K, 300.0, 1.0, alpha)
                 err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000,
-                                                     seed=31)
+                                                     seed=31, e_fmax_sq=e2)
                 best = min(best, (err.d_total, alpha))
             assert (d.alpha_star, d.objective_value) == (best[1], best[0])
 
@@ -268,7 +270,8 @@ class TestCalibration:
         brutes = optimizer.brute_force_alpha(
             RG, PoolingMode.max(), K, ratios, 1.0,
             optimizer.default_alpha_grid(16), trials=20_000, seed=8,
-            betas=optimizer.BetaTable(RG, K, seed=8))
+            betas=optimizer.BetaTable(RG, K, seed=8),
+            e_fmax_sq=feat.max_second_moment(RG, K, trials=20_000, seed=8))
         pairs = [(ratio, brute.alpha_star) for ratio, brute in zip(ratios, brutes)]
         fit = optimizer.fit_calibration(pairs, K, E2_K12)
         assert math.isfinite(fit.fit_error) and fit.fit_error >= 0.0

@@ -11,7 +11,8 @@ from airpool.optimizer import BetaTable
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
-from oracles import gradient_check_reference, train_classifier_reference
+from oracles import (gradient_check_reference, linear_margin_fit_reference,
+                     train_classifier_reference)
 
 RG = FeatureModel.rectified_gaussian()
 
@@ -207,6 +208,16 @@ class TestLinearMargin:
                                       mode=PoolingMode.average())
         mm = sensing.measure_linear_margin(ds, seed=0)
         assert 0.8 * planted <= mm.margin <= 1.2 * planted
+
+    @pytest.mark.parametrize("seed,learning_rate", [(19, 2.0), (23, 2000.0)])
+    def test_fit_bit_identical_to_reference_loop(self, seed, learning_rate):
+        # A rate of 2000 drives |z| past the clip at 500.
+        ds = sensing.generate_dataset(1500, seed=seed, linear_labels=True,
+                                      margin_gap=0.2, mode=PoolingMode.average())
+        mm = sensing.measure_linear_margin(ds, seed=0, epochs=300,
+                                           learning_rate=learning_rate)
+        w, b = linear_margin_fit_reference(ds, 300, learning_rate)
+        assert mm.weight.tobytes() == w.tobytes() and mm.bias == b
 
     def test_margin_positive_on_correct_subset(self):
         ds = sensing.generate_dataset(1500, seed=19, linear_labels=True,

@@ -112,7 +112,7 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
             model, mode, k, alphas, trials=trials, seed=seed, e_fmax_sq=e_fmax_sq)))
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
     rng = rng_from(seed, 0, 0)
-    powered_sums = feat.PowerSums(feat.draw_blocks(model, rng, trials, k),
+    powered_sums = feat.PowerSums(feat.draw_blocks(model, rng, trials, k), trials,
                                   [functools.partial(true_pool, mode=mode)
                                    for mode in modes.values()])
     g_true = dict(zip(modes, powered_sums.row_stats))
@@ -204,7 +204,7 @@ def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
                                    e_fmax_sq.trials) for alpha in alphas]
     if mode.kind == AVERAGE:
         norms = feat.RescaledNorms(feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k),
-                                   [lambda f: f.mean(axis=1)])
+                                   trials, [lambda f: f.mean(axis=1)])
         g_avg, = norms.row_stats
         bounds = {alpha: mean_estimate((norms(alpha) / k - g_avg) ** 2,
                                        "approx_error_bounds")

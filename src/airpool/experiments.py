@@ -416,7 +416,7 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     rows = []
     blocks = list(feat.draw_blocks(model, rng_from(cfg.seed), min(cfg.trials, 50_000), k))
     f = np.concatenate(blocks)  # the one-shot draw; `norms` rescales the blocks
-    norms = feat.RescaledNorms(blocks)
+    norms = feat.RescaledNorms(blocks, len(f))
     avg_cfg = AirPoolConfig.for_average(model, k, 1.0, 0.0)
     g_hat = postprocess(powered_sum(f, avg_cfg), avg_cfg)
     g_true = true_pool(f, avg_cfg.mode)

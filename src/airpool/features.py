@@ -196,40 +196,46 @@ def draw_blocks(model: FeatureModel, rng: np.random.Generator, n: int,
 
 class PowerSums:
     """Row sums of x ** alpha for many alpha >= 1 over an (n, K) array x >= 0,
-    given as consecutive blocks of rows, without holding x.
+    given as consecutive blocks of its n rows, without holding x.
 
     Each function of `row_stats` maps a block to one value per row, and may
     change the block in place. They run in order on each block before it is
     compacted, and the attribute `row_stats` holds their results over all
-    rows. A block is then kept as one block-local int32 index, in its
-    transposed (K, rows) layout, of its exact 1.0 entries followed by its
-    other non-zero entries, with the values of the latter: 0.0 and 1.0 are
-    fixed points of pow (libm pow is slowest at 0, which is about half of a
-    rectified Gaussian draw, and the rescaled row maxima are 1.0). Per alpha
-    and per block, one reused dense (K, rows) scratch is zeroed, the ones
-    and the powers of the other values are scattered in, and its K rows are
-    added elementwise in numpy's pairwise order while they are in cache, so
-    the sums are bit-identical to ``(x ** alpha).sum(axis=1)``. A -0.0 entry
-    lands as 0.0; numpy sums a row of zeros of either sign to 0.0 too.
+    rows, each written into one n-sized array as the blocks arrive: per-block
+    results joined at the end would leave their freed memory as holes in the
+    heap, resident at the beta* peak that follows. A block is then kept as
+    one block-local int32 index, in its transposed (K, rows) layout, of its
+    exact 1.0 entries followed by its other non-zero entries, with the
+    values of the latter: 0.0 and 1.0 are fixed points of pow (libm pow is
+    slowest at 0, which is about half of a rectified Gaussian draw, and the
+    rescaled row maxima are 1.0). Per alpha and per block, one reused dense
+    (K, rows) scratch is zeroed, the ones and the powers of the other values
+    are scattered in, and its K rows are added elementwise in numpy's
+    pairwise order while they are in cache, so the sums are bit-identical to
+    ``(x ** alpha).sum(axis=1)``. A -0.0 entry lands as 0.0; numpy sums a
+    row of zeros of either sign to 0.0 too.
     """
 
-    def __init__(self, blocks: Iterable[np.ndarray],
+    def __init__(self, blocks: Iterable[np.ndarray], n: int,
                  row_stats: Sequence[Callable[[np.ndarray], np.ndarray]] = ()):
         self._blocks = []  # (first row, rows, number of ones, index, values)
-        stats = [[] for _ in row_stats]
-        n = k = 0
+        self.row_stats = [np.empty(n) for _ in row_stats]
+        done = k = 0
         for x in blocks:
-            for part, stat in zip(stats, row_stats):
-                part.append(stat(x))
+            if done + len(x) > n:
+                raise ValueError(f"the blocks hold more than n = {n} rows")
+            for stats, stat in zip(self.row_stats, row_stats):
+                stats[done:done + len(x)] = stat(x)
             t = np.ascontiguousarray(x.T).reshape(-1)
             ones = t == 1.0
             others = np.flatnonzero((t != 0.0) & ~ones)
             values = t[others]
             index = np.concatenate([np.flatnonzero(ones), others], dtype=np.int32,
                                    casting="same_kind")
-            self._blocks.append((n, len(x), len(index) - len(others), index, values))
-            n, k = n + len(x), x.shape[1]
-        self.row_stats = [np.concatenate(part) for part in stats]
+            self._blocks.append((done, len(x), len(index) - len(others), index, values))
+            done, k = done + len(x), x.shape[1]
+        if done != n:
+            raise ValueError(f"the blocks hold {done} rows, not n = {n}")
         self._n, self._k = n, k
         # Scratch that every block and alpha reuses: a fresh 400 KB array per
         # block lies above glibc's mmap threshold, and its page faults double
@@ -294,7 +300,7 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
 
 class RescaledNorms:
     """Row-wise l_alpha norms of an (n, K) draw f >= 0, given as consecutive
-    blocks of rows, for many alpha.
+    blocks of its n rows, for many alpha.
 
     Each norm is fmax * (sum (f/fmax)^alpha)^(1/alpha): factoring out the row
     maximum keeps the powers in [0, 1], so the result stays finite for large
@@ -304,9 +310,9 @@ class RescaledNorms:
     other results.
     """
 
-    def __init__(self, blocks: Iterable[np.ndarray],
+    def __init__(self, blocks: Iterable[np.ndarray], n: int,
                  row_stats: Sequence[Callable[[np.ndarray], np.ndarray]] = ()):
-        self._sums = PowerSums(blocks, (*row_stats, _rescale_rows))
+        self._sums = PowerSums(blocks, n, (*row_stats, _rescale_rows))
         *self.row_stats, self.fmax = self._sums.row_stats
 
     def __call__(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -347,8 +353,8 @@ def max_second_moment_prefixes(model: FeatureModel, k: int, trials: Sequence[int
     if min(trials) < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
     blocks = draw_blocks(model, rng_from(seed, 0), max(trials), k)
-    fmax_sq = np.concatenate([x.max(axis=1) for x in blocks]) ** 2
-    return [mean_estimate(fmax_sq[:n], "max_second_moment") for n in trials]
+    fmax = np.concatenate([x.max(axis=1) for x in blocks])
+    return [mean_estimate(fmax[:n] ** 2, "max_second_moment") for n in trials]
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
@@ -375,7 +381,7 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
         raise ValueError("alpha must be >= 1")
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
-    norms = RescaledNorms(draw_blocks(model, rng_from(seed, 0), trials, k))
+    norms = RescaledNorms(draw_blocks(model, rng_from(seed, 0), trials, k), trials)
     work = np.empty((3, trials))
     return [_beta_at(norms, k, alpha, work) for alpha in alphas]
 

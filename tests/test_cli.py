@@ -212,10 +212,10 @@ class TestBoundValidationGate:
             sweeps.append(len(args[1]))
             return errors_grid(*args, **kwargs)
 
-        def counting_init(self, blocks, row_stats=()):
+        def counting_init(self, blocks, n, row_stats=()):
             if feat._rescale_rows not in row_stats:  # not a RescaledNorms
                 sweep_sums.append(self)
-            init(self, blocks, row_stats)
+            init(self, blocks, n, row_stats)
 
         def counting_call(self, alpha, out=None):
             if any(self is sums for sums in sweep_sums):

@@ -275,7 +275,7 @@ class TestPowerSums:
     ALPHAS = [1.0, 2.0, 3.7, 128.0]
 
     def assert_equal_to_oracle(self, x, alphas=ALPHAS):
-        sums = feat.PowerSums(row_blocks(x))
+        sums = feat.PowerSums(row_blocks(x), len(x))
         for alpha in alphas:
             got, want = sums(alpha), dense_power_sums(x, alpha)
             assert got.tobytes() == want.tobytes(), (x.shape, alpha)
@@ -303,6 +303,21 @@ class TestPowerSums:
         x[7, ::2] = -0.0
         self.assert_equal_to_oracle(x, [3.0])
 
+    @pytest.mark.parametrize("n", [feat._BLOCK_ROWS + 4, feat._BLOCK_ROWS + 6])
+    def test_row_count_must_match_the_blocks(self, n):
+        x = power_sums_input(feat._BLOCK_ROWS + 5, 3, seed=6)
+        with pytest.raises(ValueError, match="rows"):
+            feat.PowerSums(row_blocks(x), n, [lambda f: f.max(axis=1)])
+
+    def test_row_stats_span_every_block(self):
+        x = power_sums_input(2 * feat._BLOCK_ROWS + 9, 7, seed=8)
+        sums = feat.PowerSums(row_blocks(x), len(x),
+                              [lambda f: f.max(axis=1), lambda f: f.mean(axis=1)])
+        fmax, mean = sums.row_stats
+        assert fmax.tobytes() == x.max(axis=1).tobytes()
+        assert mean.tobytes() == np.concatenate(
+            [block.mean(axis=1) for block in row_blocks(x)]).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3 * feat._BLOCK_ROWS), k=st.integers(1, 300),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -321,7 +336,7 @@ def test_norms_written_into_out_without_allocating():
     # mmap threshold. Asked for `out`, a call allocates nothing row-sized.
     n = 3 * feat._BLOCK_ROWS + 7
     f = RG.draw(rng_from(5), (n, 12))
-    norms = feat.RescaledNorms(row_blocks(f))
+    norms = feat.RescaledNorms(row_blocks(f), n)
     for alpha in [1.0, 2.0, 3.7, 128.0]:
         out = np.empty(n)
         tracemalloc.start()
@@ -337,7 +352,8 @@ def test_norms_written_into_out_without_allocating():
 def rescaled_norm(f, alpha):
     """One alpha of `RescaledNorms`, on blocks copied from f (it rescales
     them in place)."""
-    return feat.RescaledNorms(row_blocks(np.array(np.atleast_2d(f), dtype=float)))(alpha)
+    f = np.array(np.atleast_2d(f), dtype=float)
+    return feat.RescaledNorms(row_blocks(f), len(f))(alpha)
 
 
 def dense_lp_norm(f, alpha):

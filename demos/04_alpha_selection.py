@@ -13,16 +13,13 @@ import os
 from airpool import features, optimizer
 from airpool.experiments import ExperimentConfig, run_experiment
 from airpool.features import FeatureModel
-from airpool.pooling import PoolingMode
 
 OUT = os.path.join(os.path.dirname(__file__), "out")
 K = 12
 model = FeatureModel.rectified_gaussian()
 
-# One draw serves E[fmax^2] and the error sweeps' 40,000-trial estimate.
-e2_est, e2_sweep = features.max_second_moment_prefixes(model, K, [400_000, 40_000],
-                                                       seed=5)
-e2 = e2_est.value
+# The closed form, the root and rho0 read E[fmax^2]; brute force needs none.
+e2 = features.max_second_moment(model, K, trials=400_000, seed=5).value
 rho0 = optimizer.low_snr_threshold(K, e2)
 print(f"E[max-feature^2] for K={K}: {e2:.4f}")
 print(f"critical power ratio rho0 = {rho0:.3f}  "
@@ -31,10 +28,9 @@ print(f"critical power ratio rho0 = {rho0:.3f}  "
 print(f"{'P/noise':>9} {'closed form':>12} {'root':>8} {'brute force':>12}")
 betas = optimizer.BetaTable(model, K, seed=5)  # beta* shared by every search
 brute_ratios = (1e2, 1e3, 1e4)
-brutes = optimizer.brute_force_alpha(
-    model, PoolingMode.max(), K, brute_ratios, 1.0,
-    optimizer.default_alpha_grid(24), trials=40_000, seed=5, betas=betas,
-    e_fmax_sq=e2_sweep)
+brutes = optimizer.brute_force_alpha(model, K, brute_ratios, 1.0,
+                                     optimizer.default_alpha_grid(24), trials=40_000,
+                                     seed=5, betas=betas)
 for ratio, brute in zip(brute_ratios, brutes):
     closed = optimizer.closed_form_alpha(K, ratio, 1.0, e2).alpha_star
     root = optimizer.bisection_alpha(K, ratio, 1.0, e2)

@@ -15,7 +15,7 @@ The streams, by key:
                    `features.max_second_moment`), `features.optimal_beta_grid`
     (seed, 0, 0)   `analysis.estimate_errors_grid`: error features, then
                    the unit noise after their last block
-    (seed, 1, 0)   `analysis.approx_error_bounds`, average mode
+    (seed, 1, 0)   `analysis.average_approx_error_bounds`
     (seed, 11)     `sensing.ShallowClassifier` initial weights
     (seed, 13)     `sensing.train_classifier` epoch shuffles
     (seed, 77)     `sensing.SyntheticDataset.split`
@@ -30,10 +30,9 @@ the beta* draw. From 2**64 on the seed takes three words, so (seed, 0, 0)
 and (seed, 1, 0) overflow the pool and name streams of their own; each
 routine therefore keeps its key as written.
 
-An experiment draws E[fmax^2] once, at max(trials, 100000), and reads the
-estimate at `trials` that its max-pooling approximation bounds take
-(`analysis.approx_error_bounds`) from a prefix of that draw; each prefix is
-the draw of that many trials, so the bits are those of drawing it anew.
+An experiment draws E[fmax^2] once, at max(trials, 100000); the bound gate
+reads its max-pooling approximation bounds' estimate at `trials` from a
+prefix of that draw, which has the bits of drawing it anew.
 
 The feature estimators (E[fmax^2], beta*, the error sweep and the
 averaging bound) draw their features one block of rows at a time

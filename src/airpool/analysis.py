@@ -48,32 +48,24 @@ def decomposition_c0(mode: PoolingMode, alpha: float) -> int:
 
 @dataclass(frozen=True)
 class ErrorBreakdown:
-    """Monte Carlo error estimates for one configuration, with bounds."""
+    """Monte Carlo estimates of D, D_chan and D_appr for one configuration."""
 
-    d_total: float
-    d_chan: float
-    d_appr: float
-    se_total: float
-    se_chan: float
-    se_appr: float
-    noise_bound: float          # closed-form bound on d_chan
-    approx_bound: float         # bound on d_appr for the active mode
-    approx_bound_se: float
-    c0: int
+    total: MonteCarloEstimate
+    chan: MonteCarloEstimate
+    appr: MonteCarloEstimate
 
-    def decomposition_slack(self, n_sigma: float = N_SIGMA) -> float:
-        """c0 (d_chan + d_appr) + n_sigma SE - d_total; >= 0 when the bound holds."""
-        combined = math.sqrt(self.se_total ** 2
-                             + self.c0 ** 2 * (self.se_chan ** 2 + self.se_appr ** 2))
-        return self.c0 * (self.d_chan + self.d_appr) + n_sigma * combined - self.d_total
+
+def decomposition_slack(err: ErrorBreakdown, c0: int, n_sigma: float = N_SIGMA) -> float:
+    """c0 (D_chan + D_appr) + n_sigma SE - D; >= 0 when the bound holds."""
+    combined = math.sqrt(err.total.std_error ** 2
+                         + c0 ** 2 * (err.chan.std_error ** 2 + err.appr.std_error ** 2))
+    return c0 * (err.chan.value + err.appr.value) + n_sigma * combined - err.total.value
 
 
 def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
-                         k: int, trials: int, seed: int,
-                         e_fmax_sq: Optional[MonteCarloEstimate] = None
-                         ) -> List[ErrorBreakdown]:
-    """Paired Monte Carlo estimates of D, D_chan and D_appr, with their
-    bounds, for every configuration of a sweep.
+                         k: int, trials: int, seed: int) -> List[ErrorBreakdown]:
+    """Paired Monte Carlo estimates of D, D_chan and D_appr for every
+    configuration of a sweep.
 
     The configurations may mix max and average pooling, alpha and power.
     The noisy and noiseless pipelines run on identical feature draws, so the
@@ -88,12 +80,8 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     The configurations are processed grouped by alpha, so each distinct
     alpha is powered once and only one alpha's arrays are live, and the
     clean pipeline and its D_appr are computed once per (mode, alpha,
-    beta); the results come back in input order. The noise bound comes from
-    the closed form, the approximation bound from `approx_error_bounds`,
-    which takes `e_fmax_sq`, the E[fmax^2] estimate at `trials`, required
-    when any configuration is max pooling. Each result is bit-identical to
-    the same call on that configuration alone, so one sweep serves every
-    check and alpha search of an experiment, each on its slice. The streams
+    beta); the results come back in input order. Each result is
+    bit-identical to the same call on that configuration alone. The streams
     are listed in `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
@@ -102,14 +90,9 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         return []
     modes = {cfg.mode.kind: cfg.mode for cfg in cfgs}
     if not modes.keys() <= {AVERAGE, MAX}:
-        raise ValueError("approximation bound is defined for max and average modes")
+        raise ValueError("estimate_errors_grid takes max and average configurations")
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
-    bounds = {}  # (mode, alpha) -> approximation bound
-    for kind, mode in modes.items():
-        alphas = list(dict.fromkeys(cfg.alpha for cfg in cfgs if cfg.mode.kind == kind))
-        bounds.update(zip([(kind, alpha) for alpha in alphas], approx_error_bounds(
-            model, mode, k, alphas, trials=trials, seed=seed, e_fmax_sq=e_fmax_sq)))
     noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
     rng = rng_from(seed, 0, 0)
     powered_sums = feat.PowerSums(feat.draw_blocks(model, rng, trials, k), trials,
@@ -135,16 +118,9 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
             g_clean, appr = clean[kind, cfg.beta]
             g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
                 v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
-            total = mean_estimate((g_hat - g_true[kind]) ** 2, "estimate_errors_grid")
-            chan = mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid")
-            eps = bounds[kind, alpha]
             errors[i] = ErrorBreakdown(
-                d_total=total.value, d_chan=chan.value, d_appr=appr.value,
-                se_total=total.std_error, se_chan=chan.std_error,
-                se_appr=appr.std_error,
-                noise_bound=noise_error_bound(cfg.moments, cfg.p_rx_w, cfg.noise_power_w),
-                approx_bound=eps.value, approx_bound_se=eps.std_error,
-                c0=decomposition_c0(cfg.mode, cfg.alpha))
+                mean_estimate((g_hat - g_true[kind]) ** 2, "estimate_errors_grid"),
+                mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid"), appr)
     return errors
 
 
@@ -179,38 +155,19 @@ def max_approx_error_bound(alpha: float, k: int, e_fmax_sq: float) -> float:
     return (1.0 - k ** (-1.0 / alpha)) * e_fmax_sq
 
 
-def approx_error_bounds(model: FeatureModel, mode: PoolingMode, k: int,
-                        alphas: Sequence[float], trials: int, seed: int,
-                        e_fmax_sq: Optional[MonteCarloEstimate] = None
-                        ) -> List[MonteCarloEstimate]:
-    """Function-approximation error bound at every alpha of `alphas`.
-
-    Max pooling: `max_approx_error_bound` of `e_fmax_sq`, the caller's
-    estimate of E[fmax^2] (`features.max_second_moment` at `trials` from
-    the sub-stream (seed, 0), or a prefix of a larger draw of it, which
-    gives the same bits); it is required here.
-    Average pooling: E[(||f||_a / K - g_avg)^2], estimated directly from one
-    draw of the sub-stream (seed, 1, 0), drawn one block of rows at a time
-    into a compact `features.RescaledNorms` that keeps each row's mean g_avg.
-    """
+def average_approx_error_bounds(model: FeatureModel, k: int, alphas: Sequence[float],
+                                trials: int, seed: int) -> List[MonteCarloEstimate]:
+    """Averaging approximation bound E[(||f||_a / K - g_avg)^2] at every alpha
+    of `alphas`, from one draw of the sub-stream (seed, 1, 0), drawn one
+    block of rows at a time into a compact `features.RescaledNorms` that
+    keeps each row's mean g_avg. The max form is `max_approx_error_bound`."""
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
-    if mode.kind == MAX:
-        if e_fmax_sq is None:
-            raise ValueError("the max-pooling approximation bound needs the "
-                             "E[fmax^2] estimate")
-        return [MonteCarloEstimate(max_approx_error_bound(alpha, k, e_fmax_sq.value),
-                                   max_approx_error_bound(alpha, k, e_fmax_sq.std_error),
-                                   e_fmax_sq.trials) for alpha in alphas]
-    if mode.kind == AVERAGE:
-        norms = feat.RescaledNorms(feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k),
-                                   trials, [lambda f: f.mean(axis=1)])
-        g_avg, = norms.row_stats
-        bounds = {alpha: mean_estimate((norms(alpha) / k - g_avg) ** 2,
-                                       "approx_error_bounds")
-                  for alpha in dict.fromkeys(alphas)}
-        return [bounds[alpha] for alpha in alphas]
-    raise ValueError("approximation bound is defined for max and average modes")
+    norms = feat.RescaledNorms(feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k),
+                               trials, [lambda f: f.mean(axis=1)])
+    g_avg, = norms.row_stats
+    return [mean_estimate((norms(alpha) / k - g_avg) ** 2, "average_approx_error_bounds")
+            for alpha in alphas]
 
 
 def tradeoff_curve(model: FeatureModel, k: int, p_rx_w: float,

@@ -10,6 +10,7 @@ arguments), 3 numeric error (an ArithmeticError such as an overflow).
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -38,6 +39,12 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if "trials" in overrides and "trials" not in experiments._READS[cfg.experiment]:
         raise ConfigError(f"--trials: {cfg.experiment} does not read trials")
     return dataclasses.replace(cfg, **overrides)
+
+
+def _check_snr_db(args) -> None:
+    """ConfigError naming --snr-db unless every value is finite."""
+    if not all(math.isfinite(snr_db) for snr_db in args.snr_db):
+        raise ConfigError(f"--snr-db values must be finite, got {args.snr_db}")
 
 
 def _error_exit(exc: Exception) -> int:
@@ -90,6 +97,7 @@ def _cmd_validate_bounds(args) -> int:
 
 
 def _cmd_latency(args) -> int:
+    _check_snr_db(args)
     params = SystemParams(k_sensors=args.k, n_features=args.n_features,
                           bandwidth_hz=args.bandwidth_hz)
     print(f"over-the-air pooling: {airpool_latency(params) * 1e3:.4f} ms "
@@ -109,6 +117,7 @@ def _cmd_latency(args) -> int:
 def _cmd_optimize_alpha(args) -> int:
     model = FeatureModel.rectified_gaussian()
     noise = 1.0
+    _check_snr_db(args)
     p_bars = [db_to_linear(snr_db) * noise for snr_db in args.snr_db]
     decisions = optimizer.select_alpha(model, args.k, p_bars, noise,
                                        trials=args.trials, seed=args.seed)

@@ -10,7 +10,7 @@ lives here so the CSV stays reproducible).
 A Monte Carlo experiment makes one `analysis.estimate_errors_grid` sweep over
 every pooling mode it checks, reads each brute-force argmin from a slice of
 it, takes beta* from one `optimizer.BetaTable` that it owns, and draws
-E[fmax^2] once (`features.max_second_moment_prefixes`).
+E[fmax^2] once. Only the bound gate computes the error bounds.
 """
 
 import configparser
@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, features as feat, optimizer, sensing
 from .channel import SystemParams, airpool_latency, db_to_linear, digital_latency
 from .features import FeatureModel
-from ._mc import rng_from
+from ._mc import MonteCarloEstimate, rng_from
 from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postprocess,
                       powered_sum, true_pool)
 from .svgchart import Series, render_line_chart
@@ -96,7 +96,7 @@ class ExperimentConfig:
         # The premises of low_snr_threshold and closed_form_alpha, checked
         # before any draw; the power ratio is the one the runner computes.
         k, noise = self.system.k_sensors, self.system.subchannel_noise_w
-        k_min = {"bound_validation": 2, "alpha_optimality": 4}.get(self.experiment, 1)
+        k_min = 4 if self.experiment in ("bound_validation", "alpha_optimality") else 1
         if k < k_min:
             raise ConfigError(f"system.k_sensors must be >= {k_min} for {self.experiment}, "
                               f"got {k}")
@@ -315,18 +315,22 @@ def _check(check: str, mode: str, alpha, snr_db, measured: float, bound: float,
             "passed": slack >= 0.0 if passed is None else passed}
 
 
-def _grid_point_rows(err: analysis.ErrorBreakdown, mode_name: str, alpha: float,
-                     snr_db: float) -> List[Dict]:
-    """Noise, approximation and decomposition checks of one grid point."""
-    eps_tol = analysis.N_SIGMA * math.hypot(err.se_appr, err.approx_bound_se)
-    point = (mode_name, alpha, snr_db)
+def _grid_point_rows(err: analysis.ErrorBreakdown, point: AirPoolConfig,
+                     eps: MonteCarloEstimate, snr_db: float) -> List[Dict]:
+    """Noise, approximation and decomposition checks of one grid point, whose
+    approximation bound is `eps`."""
+    noise_bound = analysis.noise_error_bound(point.moments, point.p_rx_w,
+                                             point.noise_power_w)
+    c0 = analysis.decomposition_c0(point.mode, point.alpha)
+    eps_tol = analysis.N_SIGMA * math.hypot(err.appr.std_error, eps.std_error)
+    where = (point.mode.kind, point.alpha, snr_db)
     return [
-        _check("noise-bound", *point, err.d_chan, err.noise_bound,
-               err.noise_bound + analysis.N_SIGMA * err.se_chan - err.d_chan),
-        _check("approx-bound", *point, err.d_appr, err.approx_bound,
-               err.approx_bound + eps_tol - err.d_appr),
-        _check("decomposition", *point, err.d_total, err.c0 * (err.d_chan + err.d_appr),
-               err.decomposition_slack()),
+        _check("noise-bound", *where, err.chan.value, noise_bound,
+               noise_bound + analysis.N_SIGMA * err.chan.std_error - err.chan.value),
+        _check("approx-bound", *where, err.appr.value, eps.value,
+               eps.value + eps_tol - err.appr.value),
+        _check("decomposition", *where, err.total.value,
+               c0 * (err.chan.value + err.appr.value), analysis.decomposition_slack(err, c0)),
     ]
 
 
@@ -348,14 +352,19 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     cfgs = [optimizer.config_for(model, mode, k, alpha, p_rx, noise, betas)
             for mode in (PoolingMode.average(), PoolingMode.max())
             for alpha, p_rx in grid + [(a, argmin_p_rx[mode.kind]) for a in _ARGMIN_GRID]]
-    sweep = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials,
-                                          seed=cfg.seed, e_fmax_sq=e2_sweep)
+    sweep = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials, seed=cfg.seed)
     half = len(cfgs) // 2
     errors = {"average": sweep[:half], "max": sweep[half:]}
+    avg_eps = dict(zip(cfg.alpha_grid, analysis.average_approx_error_bounds(
+        model, k, cfg.alpha_grid, trials=cfg.trials, seed=cfg.seed)))
     rows: List[Dict] = []
     for i, (alpha, snr_db) in enumerate(points):
-        for mode_name in ("average", "max"):
-            rows.extend(_grid_point_rows(errors[mode_name][i], mode_name, alpha, snr_db))
+        for j in (i, half + i):  # average, then max
+            eps = avg_eps[alpha] if j < half else MonteCarloEstimate(
+                analysis.max_approx_error_bound(alpha, k, e2_sweep.value),
+                analysis.max_approx_error_bound(alpha, k, e2_sweep.std_error),
+                e2_sweep.trials)
+            rows.extend(_grid_point_rows(sweep[j], cfgs[j], eps, snr_db))
 
     # Closed-form cross checks that need no Monte Carlo.
     p10 = 10.0 * noise
@@ -493,10 +502,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     noise = cfg.system.subchannel_noise_w
     k = cfg.system.k_sensors
     model = cfg.feature_model()
-    # Only the two estimates, not the draw, live on across the beta* table.
-    e2_est, e2_sweep = feat.max_second_moment_prefixes(
-        model, k, [max(cfg.trials, 100_000), cfg.trials], seed=cfg.seed)
-    e2 = e2_est.value
+    e2 = feat.max_second_moment(model, k, max(cfg.trials, 100_000), cfg.seed).value
     grid = optimizer.default_alpha_grid(48)
     p_bars = [db_to_linear(snr_db) * noise for snr_db in cfg.snr_grid_db]
     closed_alphas = [optimizer.closed_form_alpha(k, p_bar, noise, e2)
@@ -510,7 +516,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar, noise, betas)
             for alpha, p_bar in sweep]
     errors = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials,
-                                           seed=cfg.seed, e_fmax_sq=e2_sweep)
+                                           seed=cfg.seed)
     n_grid = len(grid) * len(p_bars)
     rows = []
     for i, (snr_db, p_bar, closed) in enumerate(zip(cfg.snr_grid_db, p_bars,
@@ -520,7 +526,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
             "snr_db": snr_db, "alpha_closed": closed.alpha_star,
             "alpha_bisection": optimizer.bisection_alpha(k, p_bar, noise, e2),
             "alpha_bruteforce": brute.alpha_star,
-            "d_closed": errors[n_grid + i].d_total, "d_bruteforce": brute.objective_value,
+            "d_closed": errors[n_grid + i].total.value, "d_bruteforce": brute.objective_value,
             "seed": cfg.seed,
         })
     result = ExperimentResult(

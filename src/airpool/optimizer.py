@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import analysis, features as feat
-from ._mc import MonteCarloEstimate
 from .features import ALPHA_MAX, FeatureModel
 from .pooling import MAX, AirPoolConfig, PoolingMode
 from .specfun import lambert_w0
@@ -157,9 +156,8 @@ def select_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
         raise ValueError(f"select_alpha requires trials >= {feat.MIN_MC_TRIALS}, "
                          f"got {trials}")
     # With one sensor fmax^2 is f^2, whose mean is exact.
-    fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed) if k > 1 \
-        else MonteCarloEstimate(feat.moment_abs_power(model, 2.0), 0.0, 0)
-    e_fmax_sq = fmax_sq.value
+    e_fmax_sq = feat.max_second_moment(model, k, trials=trials, seed=seed).value if k > 1 \
+        else feat.moment_abs_power(model, 2.0)
     rho0 = low_snr_threshold(k, e_fmax_sq) if k >= 2 else math.inf
     decisions: List[Optional[AlphaDecision]] = [None] * len(p_bars)
     brute_powers = []
@@ -175,9 +173,8 @@ def select_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
             brute_powers.append((i, p_bar))
     if brute_powers:
         grid = alpha_grid if alpha_grid is not None else default_alpha_grid()
-        brutes = brute_force_alpha(model, PoolingMode.max(), k,
-                                   [p_bar for _, p_bar in brute_powers],
-                                   noise_power, grid, trials, seed, e_fmax_sq=fmax_sq)
+        brutes = brute_force_alpha(model, k, [p_bar for _, p_bar in brute_powers],
+                                   noise_power, grid, trials, seed)
         for (i, p_bar), brute in zip(brute_powers, brutes):
             ratio = p_bar / noise_power
             note = "k < 4" if k < 4 else f"rho0 < p_bar/noise <= K ({ratio:.3g} <= {k})"
@@ -238,27 +235,23 @@ def lowest_error_alpha(alpha_grid: Sequence[float],
     Ties break toward the smaller alpha; the reduction is a lexicographic
     (error, alpha) minimum, so the result does not depend on grid order.
     """
-    best = min((err.d_total, float(alpha)) for alpha, err in zip(alpha_grid, errors))
+    best = min((err.total.value, float(alpha)) for alpha, err in zip(alpha_grid, errors))
     return AlphaDecision(alpha_star=best[1], method=BRUTE_FORCE,
                          objective_value=best[0])
 
 
-def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
-                      p_bars: Sequence[float], noise_power: float,
-                      alpha_grid: Sequence[float], trials: int = 100_000,
-                      seed: int = 0, betas: Optional[BetaTable] = None,
-                      e_fmax_sq: Optional[MonteCarloEstimate] = None) -> List[AlphaDecision]:
-    """Linear search for the alpha minimizing the empirical pooling error,
-    one decision per received power in `p_bars`.
+def brute_force_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
+                      noise_power: float, alpha_grid: Sequence[float],
+                      trials: int = 100_000, seed: int = 0,
+                      betas: Optional[BetaTable] = None) -> List[AlphaDecision]:
+    """Linear search for the max-pooling alpha minimizing the empirical
+    pooling error, one decision per received power in `p_bars`.
 
-    beta is re-derived per grid point (beta*(alpha) for max, K^alpha for
-    average); beta* for every grid alpha missing from `betas` (a table of
-    its own when None) comes from one draw. The error features are drawn
-    once and shared by every (alpha, power) pair of one alpha-major sweep,
-    each error bit-identical to its own run; `lowest_error_alpha` picks the
-    minimum of each power's slice. Max pooling needs `e_fmax_sq`, the
-    caller's E[fmax^2] estimate at `trials` (`features.max_second_moment`),
-    for the approximation bounds.
+    beta*(alpha) for every grid alpha missing from `betas` (a table of its
+    own when None) comes from one draw. The error features are drawn once
+    and shared by every (alpha, power) pair of one alpha-major sweep, each
+    error bit-identical to its own run; `lowest_error_alpha` picks the
+    minimum of each power's slice.
     """
     grid = [float(a) for a in alpha_grid]
     if not grid or sorted(grid) != grid:
@@ -266,12 +259,10 @@ def brute_force_alpha(model: FeatureModel, mode: PoolingMode, k: int,
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"brute_force_alpha requires trials >= {feat.MIN_MC_TRIALS}")
     betas = betas if betas is not None else BetaTable(model, k, seed=seed)
-    if mode.kind == MAX:
-        betas.fill(grid)
-    cfgs = [config_for(model, mode, k, alpha, p_bar, noise_power, betas)
+    betas.fill(grid)
+    cfgs = [config_for(model, PoolingMode.max(), k, alpha, p_bar, noise_power, betas)
             for alpha in grid for p_bar in p_bars]
-    errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed,
-                                           e_fmax_sq=e_fmax_sq)
+    errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed)
     return [lowest_error_alpha(grid, errors[j::len(p_bars)]) for j in range(len(p_bars))]
 
 

@@ -9,6 +9,9 @@ composition must equal the aggregate form where float64 is healthy.
 `pool_noisy_and_clean` pairs the noisy and noiseless outputs of one
 round on the same feature rows, for the error-decomposition oracles.
 
+`dense_average_approx_bound` draws the averaging approximation bound's
+features whole and powers them densely, per alpha.
+
 The inverse of the regularized gamma function checks the forward
 `specfun.regularized_gamma_p` by round trip.
 
@@ -32,6 +35,21 @@ from airpool.sensing import ShallowClassifier, SyntheticDataset
 from airpool.pooling import (WEIGHTED_SUM, AirPoolConfig, aggregate_with_noise,
                              postprocess, powered_sum, true_pool)
 from airpool.specfun import ITERATION_CAP, regularized_gamma_p
+
+
+def dense_average_approx_bound(model, k, alpha, trials, seed):
+    """Per-alpha oracle of the average-mode approximation bound, drawn from
+    the stream (seed, 1, 0)."""
+    f = model.draw(rng_from(seed, 1, 0), (trials, k))
+    fmax = f.max(axis=1)
+    norm = np.zeros(trials)
+    pos = fmax > 0
+    norm[pos] = fmax[pos] * ((f[pos] / fmax[pos, None]) ** alpha).sum(
+        axis=1) ** (1.0 / alpha)
+    x = (norm / k - f.mean(axis=1)) ** 2
+    mean = float(x.sum()) / trials
+    return mean, math.sqrt(max(float((x * x).sum()) / trials - mean * mean, 0.0)
+                           / trials)
 
 
 def preprocess_and_modulate(features: np.ndarray, cfg: AirPoolConfig) -> np.ndarray:

@@ -12,7 +12,7 @@ from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
 from airpool.specfun import ln_gamma, regularized_gamma_p
-from oracles import pool_noisy_and_clean
+from oracles import dense_average_approx_bound, pool_noisy_and_clean
 
 RG = FeatureModel.rectified_gaussian()
 K = 12
@@ -46,9 +46,9 @@ class TestEstimateErrors:
     def test_average_zero_noise_is_exact(self):
         cfg = AirPoolConfig.for_average(RG, K, 1.0, 0.0)
         err = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000, seed=1)[0]
-        assert err.d_total <= 1e-28
-        assert err.d_chan <= 1e-28
-        assert err.d_appr <= 1e-28
+        assert err.total.value <= 1e-28
+        assert err.chan.value <= 1e-28
+        assert err.appr.value <= 1e-28
 
     def test_average_noisy_matches_noise_model(self):
         # At alpha=1 the estimate is the true average plus xi/K, apart from
@@ -56,22 +56,20 @@ class TestEstimateErrors:
         cfg = AirPoolConfig.for_average(RG, K, db_to_linear(12.0), 1.0)
         err = analysis.estimate_errors_grid(RG, [cfg], K, trials=100_000, seed=2)[0]
         theory = cfg.noise_sigma_sq / K ** 2
-        assert abs(err.d_total - theory) <= 4.0 * err.se_total + 0.02 * theory
+        assert abs(err.total.value - theory) <= 4.0 * err.total.std_error + 0.02 * theory
 
     def test_max_mode_decomposition_constant(self):
         cfg = snr_config("max", 8.0, 6.0)
-        e2 = feat.max_second_moment(RG, K, trials=50_000, seed=3)
-        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=3,
-                                            e_fmax_sq=e2)[0]
-        assert err.c0 == 2
-        assert err.decomposition_slack() >= 0.0
+        err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=3)[0]
+        assert analysis.decomposition_c0(cfg.mode, cfg.alpha) == 2
+        assert analysis.decomposition_slack(err, 2) >= 0.0
 
     def test_average_alpha_one_decomposition_is_equality(self):
         cfg = AirPoolConfig.for_average(RG, K, db_to_linear(6.0), 1.0)
         err = analysis.estimate_errors_grid(RG, [cfg], K, trials=50_000, seed=4)[0]
-        assert err.c0 == 1
-        assert err.d_appr == 0.0
-        assert err.d_total == pytest.approx(err.d_chan, rel=1e-12)
+        assert analysis.decomposition_c0(cfg.mode, cfg.alpha) == 1
+        assert err.appr.value == 0.0
+        assert err.total.value == pytest.approx(err.chan.value, rel=1e-12)
 
     def test_trial_floor_enforced(self):
         cfg = AirPoolConfig.for_average(RG, K, 1.0, 0.0)
@@ -162,21 +160,6 @@ def dense_error_moments(model, cfg, k, trials, seed):
     return tuple(means) + tuple(ses)
 
 
-def dense_average_approx_bound(model, k, alpha, trials, seed):
-    """Per-alpha oracle of the average-mode approximation bound, drawn from
-    the stream (seed, 1, 0)."""
-    f = model.draw(rng_from(seed, 1, 0), (trials, k))
-    fmax = f.max(axis=1)
-    norm = np.zeros(trials)
-    pos = fmax > 0
-    norm[pos] = fmax[pos] * ((f[pos] / fmax[pos, None]) ** alpha).sum(
-        axis=1) ** (1.0 / alpha)
-    x = (norm / k - f.mean(axis=1)) ** 2
-    mean = float(x.sum()) / trials
-    return mean, math.sqrt(max(float((x * x).sum()) / trials - mean * mean, 0.0)
-                           / trials)
-
-
 class TestEstimateErrorsGrid:
     GRID = [1.0, 2.0, 5.5, 128.0]
 
@@ -190,19 +173,11 @@ class TestEstimateErrorsGrid:
         betas = optimizer.BetaTable(RG, k, beta_trials=20_000, seed=seed)
         cfgs = [optimizer.config_for(RG, mode, k, alpha, 10.0, noise, betas)
                 for alpha in self.GRID]
-        e2 = feat.max_second_moment(RG, k, trials=10_000, seed=seed)
-        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=seed,
-                                             e_fmax_sq=e2)
+        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=seed)
         for cfg, err in zip(cfgs, errs):
-            got = (err.d_total, err.d_chan, err.d_appr,
-                   err.se_total, err.se_chan, err.se_appr)
+            got = (err.total.value, err.chan.value, err.appr.value,
+                   err.total.std_error, err.chan.std_error, err.appr.std_error)
             assert got == dense_error_moments(RG, cfg, k, 10_000, seed)
-            if mode_kind == "max":
-                scale = 1.0 - k ** (-1.0 / cfg.alpha)
-                ref = (scale * e2.value, scale * e2.std_error)
-            else:
-                ref = dense_average_approx_bound(RG, k, cfg.alpha, 10_000, seed)
-            assert (err.approx_bound, err.approx_bound_se) == ref
 
     @pytest.mark.parametrize("mode_kind", ["max", "average"])
     def test_mixed_snr_grid_matches_per_point_calls(self, mode_kind):
@@ -215,12 +190,10 @@ class TestEstimateErrorsGrid:
         cfgs = [optimizer.config_for(RG, mode, K, alpha, db_to_linear(snr_db),
                                      0.0 if snr_db == 6.0 else 1.0, betas)
                 for alpha, snr_db in points]
-        e2 = feat.max_second_moment(RG, K, trials=10_000, seed=4)
-        errs = analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=4,
-                                             e_fmax_sq=e2)
+        errs = analysis.estimate_errors_grid(RG, cfgs, K, trials=10_000, seed=4)
         for cfg, err in zip(cfgs, errs):
             assert err == analysis.estimate_errors_grid(RG, [cfg], K, trials=10_000,
-                                                        seed=4, e_fmax_sq=e2)[0]
+                                                        seed=4)[0]
 
     @pytest.mark.parametrize("k", [3, 12])
     @pytest.mark.parametrize("noise", [0.0, 1.0])
@@ -234,38 +207,44 @@ class TestEstimateErrorsGrid:
                   ("max", 128.0, 10.0), ("average", 4.0, 10.0), ("max", 4.0, 10.0)]
         cfgs = [optimizer.config_for(RG, PoolingMode(kind), k, alpha, p_rx, noise, betas)
                 for kind, alpha, p_rx in points]
-        e2 = feat.max_second_moment(RG, k, trials=10_000, seed=5)
-        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=5,
-                                             e_fmax_sq=e2)
+        errs = analysis.estimate_errors_grid(RG, cfgs, k, trials=10_000, seed=5)
         for kind in ("max", "average"):
             own = [cfg for cfg in cfgs if cfg.mode.kind == kind]
             assert [err for cfg, err in zip(cfgs, errs) if cfg.mode.kind == kind] \
-                == analysis.estimate_errors_grid(RG, own, k, trials=10_000, seed=5,
-                                                 e_fmax_sq=e2)
+                == analysis.estimate_errors_grid(RG, own, k, trials=10_000, seed=5)
 
-    def test_max_mode_needs_the_fmax_estimate(self):
-        with pytest.raises(ValueError, match="E\\[fmax\\^2\\]"):
-            analysis.estimate_errors_grid(RG, [snr_config("max", 4.0, 6.0)], K,
-                                          trials=10_000, seed=0)
+    def test_weighted_sum_rejected(self):
+        # The sweep powers raw features, which a weighted sum does not send.
+        cfg = AirPoolConfig.for_weighted_sum(RG, [0.5, 0.5], 1.0, 0.0)
+        with pytest.raises(ValueError, match="max and average"):
+            analysis.estimate_errors_grid(RG, [cfg], 2, trials=10_000, seed=0)
 
 
 class TestApproxBound:
     def test_single_sensor_is_zero(self):
-        est, = analysis.approx_error_bounds(
-            RG, PoolingMode.max(), 1, [8.0], trials=20_000, seed=6,
-            e_fmax_sq=feat.max_second_moment(RG, 1, trials=20_000, seed=6))
-        assert est.value == 0.0
+        e2 = feat.max_second_moment(RG, 1, trials=20_000, seed=6).value
+        assert analysis.max_approx_error_bound(8.0, 1, e2) == 0.0
 
     def test_vanishes_for_huge_alpha(self):
-        e2 = feat.max_second_moment(RG, K, trials=100_000, seed=7)
-        est, = analysis.approx_error_bounds(RG, PoolingMode.max(), K, [1e6],
-                                            trials=100_000, seed=7, e_fmax_sq=e2)
-        assert est.value <= 1e-5 * e2.value
+        e2 = feat.max_second_moment(RG, K, trials=100_000, seed=7).value
+        assert analysis.max_approx_error_bound(1e6, K, e2) <= 1e-5 * e2
 
     def test_average_zero_at_alpha_one(self):
-        est, = analysis.approx_error_bounds(RG, PoolingMode.average(), K, [1.0],
-                                            trials=20_000, seed=8)
+        est, = analysis.average_approx_error_bounds(RG, K, [1.0], trials=20_000, seed=8)
         assert est.value <= 1e-28
+
+    @pytest.mark.parametrize("k", [3, 12])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_average_bit_identical_to_dense_oracle(self, k, seed):
+        alphas = [1.0, 2.0, 5.5, 128.0]
+        ests = analysis.average_approx_error_bounds(RG, k, alphas, trials=10_000, seed=seed)
+        for alpha, est in zip(alphas, ests):
+            assert (est.value, est.std_error) \
+                == dense_average_approx_bound(RG, k, alpha, 10_000, seed)
+
+    def test_alpha_below_one_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            analysis.average_approx_error_bounds(RG, K, [0.5], trials=10_000, seed=0)
 
 
 class TestTradeoffCurve:

@@ -20,6 +20,7 @@ from airpool.channel import SystemParams, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
+from oracles import dense_average_approx_bound
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -201,11 +202,14 @@ class TestBoundValidationGate:
     def test_one_sweep_one_power_per_alpha_one_fmax_draw(self, tmp_path, monkeypatch):
         # Both pooling modes share one error sweep, which powers each
         # distinct alpha once; E[fmax^2] and the max-mode approximation bound
-        # read one (seed, 0) draw besides the beta* table's.
+        # read one (seed, 0) draw besides the beta* table's, and one
+        # averaging-bound call covers the grid alphas, not the argmin grid.
         seed = 3
         sweeps, sweep_sums, powered, keys, in_beta_table = [], [], [], [], []
+        avg_bounds = []
         errors_grid, init, call = (analysis.estimate_errors_grid, feat.PowerSums.__init__,
                                    feat.PowerSums.__call__)
+        average_bounds = analysis.average_approx_error_bounds
         rng_from, beta_grid = feat.rng_from, feat.optimal_beta_grid
 
         def counting_errors_grid(*args, **kwargs):
@@ -221,6 +225,10 @@ class TestBoundValidationGate:
             if any(self is sums for sums in sweep_sums):
                 powered.append(alpha)
             return call(self, alpha, out)
+
+        def recording_average_bounds(model, k, alphas, trials, seed):
+            avg_bounds.append(list(alphas))
+            return average_bounds(model, k, alphas, trials, seed)
 
         def counting_rng_from(*key):
             keys.append((key, bool(in_beta_table)))
@@ -239,6 +247,7 @@ class TestBoundValidationGate:
         for module in (feat, analysis):
             monkeypatch.setattr(module, "rng_from", counting_rng_from)
         monkeypatch.setattr(feat, "optimal_beta_grid", counting_beta_grid)
+        monkeypatch.setattr(analysis, "average_approx_error_bounds", recording_average_bounds)
         cfg = ExperimentConfig(experiment="bound_validation", trials=10_000,
                                system=SystemParams(k_sensors=4),
                                snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
@@ -247,6 +256,7 @@ class TestBoundValidationGate:
         assert result.failures == 0
         # (3 grid alphas x 2 SNRs + 3 argmin alphas) x 2 modes.
         assert sweeps == [18]
+        assert avg_bounds == [[1.0, 4.0, 16.0]]
         assert len(sweep_sums) == 1
         assert sorted(powered) == [1.0, 2.0, 4.0, 16.0]
         assert [key for key, beta in keys if beta] == [(seed, 0)]
@@ -312,8 +322,8 @@ class TestBoundValidationGate:
                         AirPoolConfig(PoolingMode.max(), alpha, beta, p_rx, noise,
                                       feat.normalization_moments(model, alpha))):
                     err, = analysis.estimate_errors_grid(model, [point], k, trials=trials,
-                                                         seed=seed, e_fmax_sq=e2)
-                    expected += per_point_rows(err, point.mode.kind, alpha, snr_db)
+                                                         seed=seed)
+                    expected += per_point_rows(err, point, snr_db, model, k, trials, seed, e2)
         assert result.rows[:len(expected)] == expected
         assert len(expected) == 36
 
@@ -342,13 +352,13 @@ class TestBoundValidationGate:
         noise = cfg.system.subchannel_noise_w
         e2 = feat.max_second_moment(model, k, trials=100_000, seed=seed).value
         grid = (1.0, 2.0, 4.0)
-        average, = optimizer.brute_force_alpha(
-            model, PoolingMode.average(), k, [db_to_linear(snr_grid_db[0]) * noise],
-            noise, grid, trials=trials, seed=seed)
+        average = optimizer.lowest_error_alpha(grid, analysis.estimate_errors_grid(
+            model, [AirPoolConfig.for_average(model, k, db_to_linear(snr_grid_db[0]) * noise,
+                                              noise, alpha) for alpha in grid],
+            k, trials=trials, seed=seed))
         low_snr, = optimizer.brute_force_alpha(
-            model, PoolingMode.max(), k, [0.5 * optimizer.low_snr_threshold(k, e2) * noise],
-            noise, grid, trials=trials, seed=seed,
-            e_fmax_sq=feat.max_second_moment(model, k, trials=trials, seed=seed))
+            model, k, [0.5 * optimizer.low_snr_threshold(k, e2) * noise], noise, grid,
+            trials=trials, seed=seed)
         assert shared == decisions
         rows = {r["check"]: r for r in result.rows if r["check"].endswith("-argmin")}
         assert (rows["average-argmin"]["measured"], rows["average-argmin"]["snr_db"]) \
@@ -363,22 +373,29 @@ def shrink_noise_bound(monkeypatch):
     monkeypatch.setattr(analysis, "noise_error_bound", lambda *args: 1e-6 * bound(*args))
 
 
-def per_point_rows(err, mode_name, alpha, snr_db):
-    """The noise, approximation and decomposition rows of one grid point."""
-    eps_tol = 4.0 * math.hypot(err.se_appr, err.approx_bound_se)
-    slack = err.decomposition_slack()
-    point = {"mode": mode_name, "alpha": alpha, "snr_db": snr_db}
+def per_point_rows(err, cfg, snr_db, model, k, trials, seed, e2):
+    """The noise, approximation and decomposition rows of one grid point
+    `cfg`: the bounds from the bound functions (max pooling from the
+    E[fmax^2] estimate `e2`) and the dense averaging oracle."""
+    d_total, d_chan, d_appr = err.total.value, err.chan.value, err.appr.value
+    noise_bound = analysis.noise_error_bound(cfg.moments, cfg.p_rx_w, cfg.noise_power_w)
+    if cfg.mode.kind == "max":
+        eps, eps_se = (analysis.max_approx_error_bound(cfg.alpha, k, x)
+                       for x in (e2.value, e2.std_error))
+    else:
+        eps, eps_se = dense_average_approx_bound(model, k, cfg.alpha, trials, seed)
+    c0 = analysis.decomposition_c0(cfg.mode, cfg.alpha)
+    eps_tol = 4.0 * math.hypot(err.appr.std_error, eps_se)
+    slack = analysis.decomposition_slack(err, c0)
+    point = {"mode": cfg.mode.kind, "alpha": cfg.alpha, "snr_db": snr_db}
     return [
-        {"check": "noise-bound", **point, "measured": err.d_chan,
-         "bound": err.noise_bound,
-         "slack": err.noise_bound + 4.0 * err.se_chan - err.d_chan,
-         "passed": err.d_chan <= err.noise_bound + 4.0 * err.se_chan},
-        {"check": "approx-bound", **point, "measured": err.d_appr,
-         "bound": err.approx_bound, "slack": err.approx_bound + eps_tol - err.d_appr,
-         "passed": err.d_appr <= err.approx_bound + eps_tol},
-        {"check": "decomposition", **point, "measured": err.d_total,
-         "bound": err.c0 * (err.d_chan + err.d_appr), "slack": slack,
-         "passed": slack >= 0.0},
+        {"check": "noise-bound", **point, "measured": d_chan, "bound": noise_bound,
+         "slack": noise_bound + 4.0 * err.chan.std_error - d_chan,
+         "passed": d_chan <= noise_bound + 4.0 * err.chan.std_error},
+        {"check": "approx-bound", **point, "measured": d_appr,
+         "bound": eps, "slack": eps + eps_tol - d_appr, "passed": d_appr <= eps + eps_tol},
+        {"check": "decomposition", **point, "measured": d_total,
+         "bound": c0 * (d_chan + d_appr), "slack": slack, "passed": slack >= 0.0},
     ]
 
 
@@ -402,10 +419,8 @@ class TestAlphaOptimality:
                                           seed=seed)[0].value
             point = AirPoolConfig(PoolingMode.max(), alpha, beta, p_bar, noise,
                                   feat.normalization_moments(model, alpha))
-            err, = analysis.estimate_errors_grid(
-                model, [point], k, trials=trials, seed=seed,
-                e_fmax_sq=feat.max_second_moment(model, k, trials=trials, seed=seed))
-            assert (row["alpha_closed"], row["d_closed"]) == (alpha, err.d_total)
+            err, = analysis.estimate_errors_grid(model, [point], k, trials=trials, seed=seed)
+            assert (row["alpha_closed"], row["d_closed"]) == (alpha, err.total.value)
             assert alpha not in optimizer.default_alpha_grid(48)
 
     def test_brute_force_columns_match_per_snr_sweep(self, tmp_path):
@@ -426,13 +441,50 @@ class TestAlphaOptimality:
             p_bar = db_to_linear(row["snr_db"]) * noise
             cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar,
                                          noise, betas) for alpha in grid]
-            errors = analysis.estimate_errors_grid(
-                model, cfgs, k, trials=trials, seed=seed,
-                e_fmax_sq=feat.max_second_moment(model, k, trials=trials, seed=seed))
+            errors = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=seed)
             brute = optimizer.lowest_error_alpha(grid, errors)
             assert (row["alpha_bruteforce"], row["d_bruteforce"]) \
                 == (brute.alpha_star, brute.objective_value)
         assert [r["snr_db"] for r in result.rows] == [15.0, 25.0, 35.0]
+
+    def test_error_sweeps_compute_no_bound(self, tmp_path, monkeypatch):
+        # The alpha searches only measure errors: every bound function raises
+        # inside an error sweep, and the searches still run. (The closed
+        # form's surrogate objective reads the max-pooling bound outside the
+        # sweep.)
+        in_sweep, sweeps = [], []
+        errors_grid = analysis.estimate_errors_grid
+
+        def sweep(*args, **kwargs):
+            in_sweep.append(True)
+            sweeps.append(len(args[1]))
+            try:
+                return errors_grid(*args, **kwargs)
+            finally:
+                in_sweep.pop()
+
+        def raising_in_sweep(bound):
+            def call(*args, **kwargs):
+                if in_sweep:
+                    raise AssertionError(f"{bound.__name__} ran inside an error sweep")
+                return bound(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(analysis, "estimate_errors_grid", sweep)
+        for name in ("noise_error_bound", "max_approx_error_bound",
+                     "average_approx_error_bounds"):
+            monkeypatch.setattr(analysis, name, raising_in_sweep(getattr(analysis, name)))
+        model = FeatureModel.rectified_gaussian()
+        decision, = optimizer.brute_force_alpha(model, 4, [5.0], 1.0, [1.0, 2.0, 4.0],
+                                                trials=10_000, seed=2,
+                                                betas=optimizer.BetaTable(
+                                                    model, 4, beta_trials=20_000, seed=2))
+        assert decision.method == optimizer.BRUTE_FORCE
+        cfg = ExperimentConfig(experiment="alpha_optimality", trials=10_000,
+                               system=SystemParams(k_sensors=4), snr_grid_db=(20.0,),
+                               seed=2, output_dir=str(tmp_path))
+        result, _ = experiments.run_experiment(cfg)
+        assert len(result.rows) == 1 and sweeps == [3, 49]
 
 
 def load_benchmark_runner():
@@ -522,6 +574,7 @@ RANGE_ERRORS = {
     "run-alpha-optimality-snr-not-above-k": (
         "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 5, 30")),
     "run-bound-k-1": ("k_sensors", ("bound_validation", "[system]\nk_sensors = 1")),
+    "run-bound-k-3": ("k_sensors", ("bound_validation", "[system]\nk_sensors = 3")),
     "run-e2e-no-samples": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 0")),
     "run-e2e-one-sample": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 1")),
     "run-e2e-two-samples": ("n_samples", ("synthetic_e2e", "[sweep]\nn_samples = 2")),
@@ -556,6 +609,10 @@ RANGE_ERRORS = {
     "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
     "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
     "optimize-alpha-trials-5": ("trials", ["optimize-alpha", "--trials", "5"]),
+    "optimize-alpha-snr-nan": (
+        "snr-db", ["optimize-alpha", "--snr-db", "nan", "--trials", "10000"]),
+    "optimize-alpha-snr-inf": ("snr-db", ["optimize-alpha", "--snr-db", "inf"]),
+    "latency-snr-nan": ("snr-db", ["latency", "--snr-db", "nan"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each

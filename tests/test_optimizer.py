@@ -146,8 +146,7 @@ class TestSelectAlpha:
                                               optimizer.BRUTE_FORCE, optimizer.CLOSED_FORM,
                                               optimizer.CLOSED_FORM]
         # E[fmax^2], one beta* draw for the grid, then one error sweep for
-        # both brute-force powers, whose approximation bound takes the
-        # E[fmax^2] estimate instead of drawing it again.
+        # both brute-force powers, which computes no bound.
         # Consecutive blocks from one generator are one draw.
         draws = []
         for rng, (rows, k) in calls:
@@ -165,55 +164,46 @@ class TestSelectAlpha:
 
 class TestBruteForce:
     def test_zero_noise_max_prefers_grid_maximum(self):
-        d, = optimizer.brute_force_alpha(
-            RG, PoolingMode.max(), K, [1.0], 0.0, [1.0, 2.0, 4.0, 8.0], trials=30_000,
-            seed=5, e_fmax_sq=feat.max_second_moment(RG, K, trials=30_000, seed=5))
+        d, = optimizer.brute_force_alpha(RG, K, [1.0], 0.0, [1.0, 2.0, 4.0, 8.0],
+                                         trials=30_000, seed=5)
         assert d.alpha_star == 8.0
 
     def test_average_prefers_alpha_one(self):
-        decisions = optimizer.brute_force_alpha(
-            RG, PoolingMode.average(), K,
-            [10 ** (snr_db / 10.0) for snr_db in (0.0, 6.0, 12.0)], 1.0,
-            [1.0, 2.0, 4.0, 8.0, 16.0], trials=30_000, seed=6)
-        assert [d.alpha_star for d in decisions] == [1.0, 1.0, 1.0]
+        # The averaging search is a sweep and `lowest_error_alpha`, as in the
+        # bound gate.
+        grid = [1.0, 2.0, 4.0, 8.0, 16.0]
+        for snr_db in (0.0, 6.0, 12.0):
+            cfgs = [AirPoolConfig.for_average(RG, K, 10 ** (snr_db / 10.0), 1.0, alpha)
+                    for alpha in grid]
+            errors = analysis.estimate_errors_grid(RG, cfgs, K, trials=30_000, seed=6)
+            assert optimizer.lowest_error_alpha(grid, errors).alpha_star == 1.0
 
     def test_low_snr_max_stays_within_one_step_of_one(self):
         rho0 = optimizer.low_snr_threshold(K, E2_K12)
         grid = [1.0, 2.0, 4.0, 8.0, 16.0]
-        decisions = optimizer.brute_force_alpha(
-            RG, PoolingMode.max(), K, [0.25, 0.5, rho0], 1.0, grid, trials=30_000,
-            seed=7, e_fmax_sq=feat.max_second_moment(RG, K, trials=30_000, seed=7))
+        decisions = optimizer.brute_force_alpha(RG, K, [0.25, 0.5, rho0], 1.0, grid,
+                                                trials=30_000, seed=7)
         assert all(d.alpha_star <= grid[1] for d in decisions)
 
     def test_shared_draws_match_per_point_loop(self):
         grid = optimizer.default_alpha_grid(8)
-        e2 = feat.max_second_moment(RG, K, trials=20_000, seed=31)
-        for mode in (PoolingMode.max(), PoolingMode.average()):
-            d, = optimizer.brute_force_alpha(
-                RG, mode, K, [300.0], 1.0, grid, trials=20_000, seed=31,
-                betas=optimizer.BetaTable(RG, K, beta_trials=50_000, seed=31),
-                e_fmax_sq=e2)
-            best = (math.inf, math.inf)
-            for alpha in grid:
-                if mode.kind == "max":
-                    beta, = feat.optimal_beta_grid(RG, K, [alpha], trials=50_000,
-                                                   seed=31)
-                    cfg = AirPoolConfig(mode, alpha, beta.value, 300.0, 1.0,
-                                        feat.normalization_moments(RG, alpha))
-                else:
-                    cfg = AirPoolConfig.for_average(RG, K, 300.0, 1.0, alpha)
-                err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000,
-                                                     seed=31, e_fmax_sq=e2)
-                best = min(best, (err.d_total, alpha))
-            assert (d.alpha_star, d.objective_value) == (best[1], best[0])
+        d, = optimizer.brute_force_alpha(
+            RG, K, [300.0], 1.0, grid, trials=20_000, seed=31,
+            betas=optimizer.BetaTable(RG, K, beta_trials=50_000, seed=31))
+        best = (math.inf, math.inf)
+        for alpha in grid:
+            beta, = feat.optimal_beta_grid(RG, K, [alpha], trials=50_000, seed=31)
+            cfg = AirPoolConfig(PoolingMode.max(), alpha, beta.value, 300.0, 1.0,
+                                feat.normalization_moments(RG, alpha))
+            err, = analysis.estimate_errors_grid(RG, [cfg], K, trials=20_000, seed=31)
+            best = min(best, (err.total.value, alpha))
+        assert (d.alpha_star, d.objective_value) == (best[1], best[0])
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            optimizer.brute_force_alpha(RG, PoolingMode.max(), K, [1.0], 0.0,
-                                        [], trials=20_000)
+            optimizer.brute_force_alpha(RG, K, [1.0], 0.0, [], trials=20_000)
         with pytest.raises(ValueError):
-            optimizer.brute_force_alpha(RG, PoolingMode.max(), K, [1.0], 0.0,
-                                        [4.0, 2.0], trials=20_000)
+            optimizer.brute_force_alpha(RG, K, [1.0], 0.0, [4.0, 2.0], trials=20_000)
 
 
 class TestBetaMemo:
@@ -268,10 +258,8 @@ class TestCalibration:
     def test_brute_force_reference_fit(self):
         ratios = [1e3, 3e3, 1e4]
         brutes = optimizer.brute_force_alpha(
-            RG, PoolingMode.max(), K, ratios, 1.0,
-            optimizer.default_alpha_grid(16), trials=20_000, seed=8,
-            betas=optimizer.BetaTable(RG, K, seed=8),
-            e_fmax_sq=feat.max_second_moment(RG, K, trials=20_000, seed=8))
+            RG, K, ratios, 1.0, optimizer.default_alpha_grid(16), trials=20_000, seed=8,
+            betas=optimizer.BetaTable(RG, K, seed=8))
         pairs = [(ratio, brute.alpha_star) for ratio, brute in zip(ratios, brutes)]
         fit = optimizer.fit_calibration(pairs, K, E2_K12)
         assert math.isfinite(fit.fit_error) and fit.fit_error >= 0.0

@@ -47,6 +47,29 @@ def _check_snr_db(args) -> None:
         raise ConfigError(f"--snr-db values must be finite, got {args.snr_db}")
 
 
+def _snr_db_as_values(argv):
+    """argv with every token after --snr-db that float() accepts kept as a
+    value: argparse's negative-number pattern takes only digits and a point,
+    so it reads -1e3 or -inf as an unknown option. A leading space makes
+    argparse take such a token as a value, and float() strips it."""
+    marked, in_snr_db = [], False
+    for token in argv:
+        if in_snr_db and _is_float(token):
+            marked.append(" " + token if token.startswith("-") else token)
+        else:
+            in_snr_db = token == "--snr-db"
+            marked.append(token)
+    return marked
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _error_exit(exc: Exception) -> int:
     """Print the one-line message of a config or numeric error; its exit code."""
     if isinstance(exc, (ConfigError, ValueError)):
@@ -182,7 +205,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_train_snn)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_snr_db_as_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, ValueError, ArithmeticError) as exc:

@@ -421,10 +421,14 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     The sandwich is checked on the rescaled form ||f||_a beta^(-1/a) of the
     max-pooling estimate (`features.RescaledNorms`): in the protocol form
     the powered row of a small non-zero maximum underflows to 0.0 at large
-    alpha (f^64 below f = 1.6e-5), which would read as a violation."""
+    alpha (f^64 below f = 1.6e-5), which would read as a violation. The
+    protocol form's powered sums come from `features.PowerSums` over the
+    blocks before they are rescaled, with the bits of `powered_sum` on the
+    one-shot draw and without powering its zeros."""
     rows = []
     blocks = list(feat.draw_blocks(model, rng_from(cfg.seed), min(cfg.trials, 50_000), k))
     f = np.concatenate(blocks)  # the one-shot draw; `norms` rescales the blocks
+    powers = feat.PowerSums(blocks, len(f))
     norms = feat.RescaledNorms(blocks, len(f))
     avg_cfg = AirPoolConfig.for_average(model, k, 1.0, 0.0)
     g_hat = postprocess(powered_sum(f, avg_cfg), avg_cfg)
@@ -441,7 +445,7 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     for alpha in _RECONFIG_ALPHAS:
         max_cfg = optimizer.config_for(model, PoolingMode.max(), k, alpha,
                                        1.0, 0.0, betas)
-        g_hat = postprocess(powered_sum(f, max_cfg), max_cfg)
+        g_hat = postprocess(powers(alpha), max_cfg)
         mean_rel = float(np.mean(np.abs(g_hat[pos] - fmax[pos]) / fmax[pos]))
         g_rescaled = norms(alpha) * max_cfg.beta ** (-1.0 / alpha)
         sandwich_ok &= bool(np.all(g_rescaled >= fmax * k ** (-1.0 / alpha) - 1e-12)

@@ -204,11 +204,13 @@ class PowerSums:
     rows, each written into one n-sized array as the blocks arrive: per-block
     results joined at the end would leave their freed memory as holes in the
     heap, resident at the beta* peak that follows. A block is then kept as
-    one block-local int32 index, in its transposed (K, rows) layout, of its
-    exact 1.0 entries followed by its other non-zero entries, with the
-    values of the latter: 0.0 and 1.0 are fixed points of pow (libm pow is
+    one block-local index, in its transposed (K, rows) layout, of its exact
+    1.0 entries followed by its other non-zero entries, with the values of
+    the latter: 0.0 and 1.0 are fixed points of pow (libm pow is
     slowest at 0, which is about half of a rectified Gaussian draw, and the
-    rescaled row maxima are 1.0). Per alpha and per block, one reused dense
+    rescaled row maxima are 1.0). The index takes the narrowest unsigned
+    dtype that holds K * rows - 1: uint16 up to K = 16 at 4096 rows, uint32
+    above. Per alpha and per block, one reused dense
     (K, rows) scratch is zeroed, the ones and the powers of the other values
     are scattered in, and its K rows are added elementwise in numpy's
     pairwise order while they are in cache, so the sums are bit-identical to
@@ -230,8 +232,9 @@ class PowerSums:
             ones = t == 1.0
             others = np.flatnonzero((t != 0.0) & ~ones)
             values = t[others]
-            index = np.concatenate([np.flatnonzero(ones), others], dtype=np.int32,
-                                   casting="same_kind")
+            # Every entry lies below t.size, so the cast cannot wrap.
+            index = np.concatenate([np.flatnonzero(ones), others],
+                                   dtype=np.min_scalar_type(t.size - 1), casting="unsafe")
             self._blocks.append((done, len(x), len(index) - len(others), index, values))
             done, k = done + len(x), x.shape[1]
         if done != n:
@@ -239,7 +242,7 @@ class PowerSums:
         self._n, self._k = n, k
         # Scratch that every block and alpha reuses: a fresh 400 KB array per
         # block lies above glibc's mmap threshold, and its page faults double
-        # the time of pow. numpy would also cast the int32 index to a fresh
+        # the time of pow. numpy would also cast the narrow index to a fresh
         # intp array before each scatter.
         rows = max((b[1] for b in self._blocks), default=0)
         most = max((len(b[3]) for b in self._blocks), default=0)
@@ -382,7 +385,7 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
     norms = RescaledNorms(draw_blocks(model, rng_from(seed, 0), trials, k), trials)
-    work = np.empty((3, trials))
+    work = np.empty((2, trials))
     return [_beta_at(norms, k, alpha, work) for alpha in alphas]
 
 
@@ -390,19 +393,23 @@ def _beta_at(norms: RescaledNorms, k: int, alpha: float,
              work: np.ndarray) -> MonteCarloEstimate:
     """beta* and its delta-method standard error at one alpha.
 
-    Every n-sized array lives in the three rows of `work`, which the whole
+    Every n-sized array lives in the two rows of `work`, which the whole
     grid reuses: fresh arrays of this size would each be mapped anew, unless
     an earlier larger allocation happened to raise glibc's mmap threshold.
+    a = fmax * norm is squared in place and then computed again (the same
+    operation, so the same bits) to leave room for b = norm^2.
     """
-    norm, a, product = work
+    norm, a = work
     norms(alpha, out=norm)
     np.multiply(norms.fmax, norm, out=a)
+    mean_a = finite_mean(a, "optimal_beta_grid", "mean")
+    second_a = finite_mean(np.multiply(a, a, out=a), "optimal_beta_grid", "second moment")
+    np.multiply(norms.fmax, norm, out=a)
     b = np.multiply(norm, norm, out=norm)
+    mean_b = finite_mean(b, "optimal_beta_grid", "mean")
+    cross = finite_mean(np.multiply(a, b, out=a), "optimal_beta_grid", "cross moment")
+    second_b = finite_mean(np.multiply(b, b, out=b), "optimal_beta_grid", "second moment")
     n_done = len(a)
-    mean_a, mean_b = (finite_mean(x, "optimal_beta_grid", "mean") for x in (a, b))
-    second_a, second_b = (finite_mean(np.multiply(x, x, out=product), "optimal_beta_grid",
-                                      "second moment") for x in (a, b))
-    cross = finite_mean(np.multiply(a, b, out=product), "optimal_beta_grid", "cross moment")
     u = mean_a / mean_b
     # Delta method for the ratio of correlated means.
     var_a = max(second_a - mean_a ** 2, 0.0)

@@ -204,9 +204,10 @@ class TestBoundValidationGate:
         # distinct alpha once; E[fmax^2] and the max-mode approximation bound
         # read one (seed, 0) draw besides the beta* table's, and one
         # averaging-bound call covers the grid alphas, not the argmin grid.
+        # The reconfiguration check powers its own 50k-row draw.
         seed = 3
         sweeps, sweep_sums, powered, keys, in_beta_table = [], [], [], [], []
-        avg_bounds = []
+        avg_bounds, in_sweep, other_sums, other_powered = [], [], [], []
         errors_grid, init, call = (analysis.estimate_errors_grid, feat.PowerSums.__init__,
                                    feat.PowerSums.__call__)
         average_bounds = analysis.average_approx_error_bounds
@@ -214,16 +215,22 @@ class TestBoundValidationGate:
 
         def counting_errors_grid(*args, **kwargs):
             sweeps.append(len(args[1]))
-            return errors_grid(*args, **kwargs)
+            in_sweep.append(True)
+            try:
+                return errors_grid(*args, **kwargs)
+            finally:
+                in_sweep.pop()
 
         def counting_init(self, blocks, n, row_stats=()):
             if feat._rescale_rows not in row_stats:  # not a RescaledNorms
-                sweep_sums.append(self)
+                (sweep_sums if in_sweep else other_sums).append(self)
             init(self, blocks, n, row_stats)
 
         def counting_call(self, alpha, out=None):
             if any(self is sums for sums in sweep_sums):
                 powered.append(alpha)
+            if any(self is sums for sums in other_sums):
+                other_powered.append(alpha)
             return call(self, alpha, out)
 
         def recording_average_bounds(model, k, alphas, trials, seed):
@@ -259,6 +266,7 @@ class TestBoundValidationGate:
         assert avg_bounds == [[1.0, 4.0, 16.0]]
         assert len(sweep_sums) == 1
         assert sorted(powered) == [1.0, 2.0, 4.0, 16.0]
+        assert len(other_sums) == 1 and other_powered == list(experiments._RECONFIG_ALPHAS)
         assert [key for key, beta in keys if beta] == [(seed, 0)]
         # Besides the chi fit's (seed,): E[fmax^2], the sweep and the
         # averaging bound, one draw each.
@@ -613,6 +621,9 @@ RANGE_ERRORS = {
         "snr-db", ["optimize-alpha", "--snr-db", "nan", "--trials", "10000"]),
     "optimize-alpha-snr-inf": ("snr-db", ["optimize-alpha", "--snr-db", "inf"]),
     "latency-snr-nan": ("snr-db", ["latency", "--snr-db", "nan"]),
+    # argparse alone would read -inf as an unknown option.
+    "latency-snr-minus-inf": ("snr-db", ["latency", "--snr-db", "6", "-inf"]),
+    "optimize-alpha-snr-minus-inf": ("snr-db", ["optimize-alpha", "--snr-db", "-inf"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
@@ -807,6 +818,14 @@ class TestCliExitCodes:
         assert cli.main(["latency", "--snr-db", "6", "10", "16"]) == 0
         out = capsys.readouterr().out
         assert "1.7911" in out
+
+    def test_negative_snr_db_with_exponent(self, capsys):
+        # argparse's negative-number pattern takes only digits and a point.
+        assert cli.main(["latency", "--snr-db", "-1e1", "-3", "--q-bits", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "at -10 dB" in out and "at -3 dB" in out
+        assert cli.main(["optimize-alpha", "--snr-db", "-1e3", "--trials", "10000"]) == 0
+        assert "snr=-1000 dB" in capsys.readouterr().out
 
     def test_optimize_alpha_command(self, capsys):
         assert cli.main(["optimize-alpha", "--k", "12", "--snr-db", "30",

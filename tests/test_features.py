@@ -286,7 +286,9 @@ class TestPowerSums:
         for k in range(1, 261):
             self.assert_equal_to_oracle(power_sums_input(40, k, seed=k))
 
-    @pytest.mark.parametrize("k", [1, 5, 8, 12, 17, 128, 129, 200, 260])
+    # At K = 16 a 4096-row block's index ends at 65535, the largest uint16;
+    # K = 17 is the first 32-bit index.
+    @pytest.mark.parametrize("k", [1, 5, 8, 12, 16, 17, 128, 129, 200, 260])
     @pytest.mark.parametrize("blocks", [0.5, 1.0, 2.75])
     def test_across_blocks(self, k, blocks):
         n = int(blocks * feat._BLOCK_ROWS)
@@ -417,14 +419,15 @@ class TestOptimalBetaGrid:
         assert peak([2.0, 8.0, 32.0]) <= 1.02 * peak([2.0])
 
     @pytest.mark.parametrize("model, bound", [
-        (RG, 1.5), (FeatureModel.uniform01(), 2.25),
-        (FeatureModel.exponential_unit(), 2.25)], ids=lambda v: getattr(v, "kind", v))
+        (RG, 0.9), (FeatureModel.uniform01(), 1.55),
+        (FeatureModel.exponential_unit(), 1.55)], ids=lambda v: getattr(v, "kind", v))
     def test_peak_memory_below_dense_draw_multiple(self, model, bound):
-        # The features are drawn and compacted one block at a time, so the
-        # peak stays a small multiple of the dense (trials, K) draw, which
-        # is never held: about 1.03x for the rectified Gaussian (half its
-        # entries are 0.0) and 1.79x for the models without zeros. Holding
-        # the dense draw read 1.98x and 2.74x.
+        # The features are drawn and compacted one block at a time, with a
+        # uint16 block-local index at K = 12, and beta* works in two n-sized
+        # rows, so the peak stays a small multiple of the dense (trials, K)
+        # draw, which is never held: about 0.83x for the rectified Gaussian
+        # (half its entries are 0.0) and 1.46x for the models without zeros.
+        # Holding the dense draw read 1.98x and 2.74x.
         trials, k = 400_000, 12
         tracemalloc.start()
         try:

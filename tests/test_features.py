@@ -420,7 +420,8 @@ class TestOptimalBetaGrid:
 
     @pytest.mark.parametrize("model, bound", [
         (RG, 0.9), (FeatureModel.uniform01(), 1.55),
-        (FeatureModel.exponential_unit(), 1.55)], ids=lambda v: getattr(v, "kind", v))
+        (FeatureModel.exponential_unit(), 1.55)],
+        ids=[RG.kind, feat.UNIFORM01, feat.EXPONENTIAL_UNIT])  # no bound in the name
     def test_peak_memory_below_dense_draw_multiple(self, model, bound):
         # The features are drawn and compacted one block at a time, with a
         # uint16 block-local index at K = 12, and beta* works in two n-sized

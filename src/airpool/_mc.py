@@ -37,15 +37,24 @@ prefix of that draw, which has the bits of drawing it anew.
 The feature estimators (E[fmax^2], beta*, the error sweep and the
 averaging bound) draw their features one block of rows at a time
 (`features.draw_blocks`), which stacks to the one-shot draw of the same
-stream; the others draw in one piece. Every estimator reduces its per-trial
-values with `mean_estimate` or `finite_mean`, so the float operations of
-each estimate live here.
+stream; the others draw in one piece. The blocks are the largest nodes of
+numpy's pairwise-sum tree over the trials that hold at most
+`features._BLOCK_ROWS` rows (`pairwise_nodes`), so a per-trial value can be
+summed block by block with the bits of summing it over all trials at once
+(`PairwiseSum`): beta* holds no per-trial array. Every estimator reduces
+its per-trial values with `mean_estimate`, or its sums with `finite_mean`,
+so the float operations of each estimate live here.
 """
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
+
+#: numpy's pairwise summation sums runs of up to this many terms with eight
+#: accumulators and halves longer runs (PW_BLOCKSIZE in numpy's loops).
+PAIRWISE_RUN = 128
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,11 @@ def rng_from(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def finite_mean(x: np.ndarray, estimator: str, what: str) -> float:
-    """float(x.sum()) / len(x), or ArithmeticError naming the estimator and
-    the moment when that is not finite, rather than leaking inf or NaN into
-    a result."""
-    value = float(x.sum()) / len(x)
+def finite_mean(total: float, n: int, estimator: str, what: str) -> float:
+    """float(total) / n for the sum `total` of n samples, or ArithmeticError
+    naming the estimator and the moment when that is not finite, rather than
+    leaking inf or NaN into a result."""
+    value = float(total) / n
     if not math.isfinite(value):
         raise ArithmeticError(
             f"{estimator}: Monte Carlo {what} is not finite ({value}); "
@@ -78,6 +87,79 @@ def mean_estimate(x: np.ndarray, estimator: str) -> MonteCarloEstimate:
     """Mean of the samples x with the standard error
     sqrt(max(E[x^2] - E[x]^2, 0) / n)."""
     n = len(x)
-    mean = finite_mean(x, estimator, "mean")
-    second = finite_mean(x * x, estimator, "second moment")
+    mean = finite_mean(x.sum(), n, estimator, "mean")
+    second = finite_mean((x * x).sum(), n, estimator, "second moment")
     return MonteCarloEstimate(mean, math.sqrt(max(second - mean * mean, 0.0) / n), n)
+
+
+def pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of n > `PAIRWISE_RUN` terms:
+    at half of it, rounded down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def pairwise_nodes(n: int, most: int) -> List[int]:
+    """The term counts, in order, of the largest nodes of numpy's
+    pairwise-sum tree over n terms that hold at most `most` terms
+    (most >= `PAIRWISE_RUN`, so every node is a whole run or a split one).
+    Consecutive blocks of these sizes tile the n terms."""
+    if n <= most:
+        return [n]
+    half = pairwise_half(n)
+    return pairwise_nodes(half, most) + pairwise_nodes(n - half, most)
+
+
+class PairwiseSum:
+    """numpy's sum over the last axis, x.sum(axis=-1), of n terms that arrive
+    as consecutive blocks, the nodes `pairwise_nodes(n, most)`; only one sum
+    per node is kept.
+
+    `add` reduces a block to its node sum with numpy's own sum, and `total`
+    adds the node sums up the top of the tree, as numpy's pairwise_sum would
+    add the two halves of each larger run, then adds that to 0.0, numpy's
+    initial value of a sum. The node sums carry that 0.0 too, which turns a
+    -0.0 into 0.0; the sign of a zero changes a float sum only when the sum
+    is zero, and the final 0.0 makes that 0.0 in both. So the total is
+    bit-identical to the one-shot sum; `add` may take any leading axes, and
+    each line of terms along the last one is summed on its own.
+
+    Two traps in the ways to vectorize this, measured with numpy 2.4:
+    `np.add.reduceat` along a middle axis does not add in sequence (its
+    sums of m = 16 to 300 terms differed from sequential adds), while
+    `np.add.reduce` over a leading axis does; and `np.power(s,
+    exponents[:, None])` with an array exponent gives other bits than one
+    scalar exponent per row (at 0.5, where the scalar takes a square root),
+    so the callers power row by row.
+    """
+
+    def __init__(self, n: int, most: int):
+        self._n, self._most = n, most
+        self._nodes = pairwise_nodes(n, most)
+        self._done = 0
+        self._sums = None  # one row per node, allocated at the first block
+
+    def add(self, terms: np.ndarray) -> None:
+        """Takes the next block of terms along the last axis."""
+        done = self._done
+        if done == len(self._nodes) or terms.shape[-1] != self._nodes[done]:
+            raise ValueError(f"a block of {terms.shape[-1]} terms is not node {done} of "
+                             f"the pairwise tree over {self._n} terms")
+        if self._sums is None:
+            self._sums = np.empty((len(self._nodes), *terms.shape[:-1]))
+        np.add.reduce(terms, axis=-1, out=self._sums[done, ...])
+        self._done += 1
+
+    def total(self) -> np.ndarray:
+        """The sum of all n terms, once every block is in."""
+        if self._done != len(self._nodes):
+            raise ValueError(f"{self._done} of {len(self._nodes)} blocks are in")
+        sums = iter(self._sums)
+
+        def node(m: int) -> np.ndarray:
+            if m <= self._most:
+                return next(sums)
+            half = pairwise_half(m)
+            return node(half) + node(m - half)
+
+        return 0.0 + node(self._n)

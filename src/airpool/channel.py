@@ -56,6 +56,19 @@ def airpool_latency(params: SystemParams) -> float:
     return params.n_features / params.bandwidth_hz
 
 
+def digital_rate(k: int, snr_rx: float) -> float:
+    """Spectral efficiency log2(1 + K * SNR_rx) of the digital baseline in
+    bit/s/Hz, or ValueError unless it is positive: a K * SNR_rx of at most
+    half an ulp of 1.0 (2**-53) rounds the rate to 0."""
+    if snr_rx <= 0:
+        raise ValueError("snr_rx must be positive (linear)")
+    rate = math.log2(1.0 + snr_rx * k)
+    if rate <= 0.0:
+        raise ValueError(f"snr_rx = {snr_rx:g} is too small: log2(1 + K * snr_rx) "
+                         f"rounds to 0 at K = {k}")
+    return rate
+
+
 def digital_latency(params: SystemParams, q_bits: int, snr_rx: float) -> float:
     """Latency of the orthogonal-access digital baseline in seconds.
 
@@ -64,7 +77,5 @@ def digital_latency(params: SystemParams, q_bits: int, snr_rx: float) -> float:
     """
     if q_bits < 1:
         raise ValueError("q_bits must be >= 1")
-    if snr_rx <= 0:
-        raise ValueError("snr_rx must be positive (linear)")
-    rate = math.log2(1.0 + snr_rx * params.k_sensors)
+    rate = digital_rate(params.k_sensors, snr_rx)
     return params.k_sensors * params.n_features * q_bits / (params.bandwidth_hz * rate)

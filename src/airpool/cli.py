@@ -15,7 +15,8 @@ import os
 import sys
 
 from . import experiments, optimizer, sensing
-from .channel import SystemParams, airpool_latency, db_to_linear, digital_latency
+from .channel import (SystemParams, airpool_latency, db_to_linear, digital_latency,
+                      digital_rate)
 from .experiments import ConfigError, ExperimentConfig, ExperimentResult
 from .features import FeatureModel
 
@@ -123,6 +124,11 @@ def _cmd_latency(args) -> int:
     _check_snr_db(args)
     params = SystemParams(k_sensors=args.k, n_features=args.n_features,
                           bandwidth_hz=args.bandwidth_hz)
+    for snr_db in args.snr_db:
+        try:
+            digital_rate(params.k_sensors, db_to_linear(snr_db))
+        except ValueError as exc:
+            raise ConfigError(f"--snr-db {snr_db:g}: {exc}")
     print(f"over-the-air pooling: {airpool_latency(params) * 1e3:.4f} ms "
           f"(independent of K and SNR)")
     for snr_db in args.snr_db:

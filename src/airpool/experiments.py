@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import analysis, features as feat, optimizer, sensing
-from .channel import SystemParams, airpool_latency, db_to_linear, digital_latency
+from .channel import (SystemParams, airpool_latency, db_to_linear, digital_latency,
+                      digital_rate)
 from .features import FeatureModel
 from ._mc import MonteCarloEstimate, rng_from
 from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postprocess,
@@ -100,6 +101,12 @@ class ExperimentConfig:
         if k < k_min:
             raise ConfigError(f"system.k_sensors must be >= {k_min} for {self.experiment}, "
                               f"got {k}")
+        if self.experiment == "latency_table":
+            for snr_db in self.snr_grid_db:
+                try:
+                    digital_rate(k, db_to_linear(snr_db))
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.snr_grid_db: {snr_db:g} dB: {exc}")
         if self.experiment == "alpha_optimality" and not all(
                 db_to_linear(s) * noise / noise > k for s in self.snr_grid_db):
             raise ConfigError(f"sweep.snr_grid_db: alpha_optimality needs every SNR above "
@@ -151,6 +158,10 @@ def _read_section(parser, name: str, path, kind: str) -> dict:
         except ValueError:
             what = "a float list" if cast is _float_list else cast.__name__
             raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {what}")
+        if kind == "tradeoff_curve" and field_name == "snr_grid_db" \
+                and len(values[field_name]) > 1:
+            raise ConfigError(f"{path}: [{name}] {key}: tradeoff_curve reads one SNR, "
+                              f"got {values[field_name]}")
     return values
 
 

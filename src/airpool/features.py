@@ -15,11 +15,12 @@ and beta* are estimated by Monte Carlo.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._mc import MonteCarloEstimate, finite_mean, mean_estimate, rng_from
+from ._mc import (PAIRWISE_RUN, MonteCarloEstimate, PairwiseSum, finite_mean, mean_estimate,
+                  pairwise_half, pairwise_nodes, rng_from)
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -172,26 +173,81 @@ def _finite_moment(model: FeatureModel, s: float, alpha: float) -> float:
     return value
 
 
-#: Rows per block of a Monte Carlo feature draw (`draw_blocks`): a (K, rows)
-#: block and the summation scratch of `PowerSums` stay in a core's L2 cache
-#: while they are powered and summed.
+#: The most rows in a block of a Monte Carlo feature draw (`draw_blocks`): a
+#: (K, rows) block and the summation scratch of `PowerSums` stay in a core's
+#: L2 cache while they are powered and summed.
 _BLOCK_ROWS = 4096
-#: numpy's pairwise summation sums runs of up to this many with eight
-#: accumulators and halves longer runs (PW_BLOCKSIZE in numpy's loops).
-_PAIRWISE_RUN = 128
 
 
 def draw_blocks(model: FeatureModel, rng: np.random.Generator, n: int,
                 k: int) -> Iterator[np.ndarray]:
-    """model.draw(rng, (n, k)) as consecutive (rows, k) blocks of at most
-    `_BLOCK_ROWS` rows, drawn one at a time.
+    """model.draw(rng, (n, k)) as consecutive (rows, k) blocks, drawn one at
+    a time: the largest nodes of numpy's pairwise-sum tree over the n rows
+    that hold at most `_BLOCK_ROWS` rows (`_mc.pairwise_nodes`; 128 blocks
+    of 3,120 or 3,128 rows at n = 400,000), so a per-row value sums block by
+    block to the bits of its one-shot sum (`_mc.PairwiseSum`).
 
     Every model draws its entries in C order from the generator's stream, so
     the blocks stacked are the one-shot draw, and the generator ends in the
     same state.
     """
-    for start in range(0, n, _BLOCK_ROWS):
-        yield model.draw(rng, (min(_BLOCK_ROWS, n - start), k))
+    for rows in pairwise_nodes(n, _BLOCK_ROWS):
+        yield model.draw(rng, (rows, k))
+
+
+def _compact(x: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
+    """A block x >= 0 as (number of ones, index, values): one block-local
+    index, in the transposed (K, rows) layout, of its exact 1.0 entries
+    followed by its other non-zero entries, and the values of the latter.
+    0.0 and 1.0 are fixed points of pow (libm pow is slowest at 0, which is
+    about half of a rectified Gaussian draw, and the rescaled row maxima are
+    1.0). The index takes the narrowest unsigned dtype that holds
+    K * rows - 1: uint16 up to K = 16 at 4096 rows, uint32 above."""
+    t = np.ascontiguousarray(x.T).reshape(-1)
+    ones = t == 1.0
+    others = np.flatnonzero((t != 0.0) & ~ones)
+    # Every entry lies below t.size, so the cast cannot wrap.
+    index = np.concatenate([np.flatnonzero(ones), others],
+                           dtype=np.min_scalar_type(t.size - 1), casting="unsafe")
+    return len(index) - len(others), index, t[others]
+
+
+class _RowSums:
+    """Row sums of the powers of compacted (`_compact`) blocks of K columns,
+    up to `rows` rows and `entries` stored entries, in scratch that every
+    block and alpha reuses: a fresh 400 KB array per block lies above
+    glibc's mmap threshold, and its page faults double the time of pow.
+
+    Per alpha and block, the dense (K, rows) scratch is zeroed, the ones and
+    the powers of the other values are scattered in, and its K rows are
+    added elementwise in numpy's pairwise order while they are in cache, so
+    the sums are bit-identical to ``(x ** alpha).sum(axis=1)``. A -0.0 entry
+    lands as 0.0; numpy sums a row of zeros of either sign to 0.0 too.
+    """
+
+    def __init__(self, k: int, rows: int, entries: int):
+        self._k = k
+        self._dense, self._scratch = np.empty(k * rows), np.empty((14, rows))
+        self._powers, self._index = np.empty(entries), np.empty(entries, dtype=np.intp)
+
+    def cast(self, index: np.ndarray) -> np.ndarray:
+        """A block's narrow index as intp, in the reused scratch: numpy would
+        cast it to a fresh intp array before every scatter."""
+        wide = self._index[:len(index)]
+        np.copyto(wide, index)
+        return wide
+
+    def __call__(self, n_ones: int, index: np.ndarray, values: np.ndarray, alpha: float,
+                 out: np.ndarray) -> None:
+        """out = the row sums at alpha of the block (n_ones, `cast(index)`,
+        values) of len(out) rows."""
+        rows, m = len(out), len(index)
+        dense, powers = self._dense[:self._k * rows], self._powers[:m]
+        dense.fill(0.0)
+        powers[:n_ones] = 1.0
+        np.power(values, alpha, out=powers[n_ones:])
+        dense[index] = powers
+        _pairwise_sum(dense.reshape(self._k, rows), out, self._scratch[:, :rows])
 
 
 class PowerSums:
@@ -200,22 +256,11 @@ class PowerSums:
 
     Each function of `row_stats` maps a block to one value per row, and may
     change the block in place. They run in order on each block before it is
-    compacted, and the attribute `row_stats` holds their results over all
-    rows, each written into one n-sized array as the blocks arrive: per-block
-    results joined at the end would leave their freed memory as holes in the
-    heap, resident at the beta* peak that follows. A block is then kept as
-    one block-local index, in its transposed (K, rows) layout, of its exact
-    1.0 entries followed by its other non-zero entries, with the values of
-    the latter: 0.0 and 1.0 are fixed points of pow (libm pow is
-    slowest at 0, which is about half of a rectified Gaussian draw, and the
-    rescaled row maxima are 1.0). The index takes the narrowest unsigned
-    dtype that holds K * rows - 1: uint16 up to K = 16 at 4096 rows, uint32
-    above. Per alpha and per block, one reused dense
-    (K, rows) scratch is zeroed, the ones and the powers of the other values
-    are scattered in, and its K rows are added elementwise in numpy's
-    pairwise order while they are in cache, so the sums are bit-identical to
-    ``(x ** alpha).sum(axis=1)``. A -0.0 entry lands as 0.0; numpy sums a
-    row of zeros of either sign to 0.0 too.
+    compacted (`_compact`), and the attribute `row_stats` holds their results
+    over all rows, each written into one n-sized array as the blocks arrive:
+    per-block results joined at the end would leave their freed memory as
+    holes in the heap. Each call sums every block through one `_RowSums`,
+    casting each block's narrow index to intp as it goes.
     """
 
     def __init__(self, blocks: Iterable[np.ndarray], n: int,
@@ -228,48 +273,30 @@ class PowerSums:
                 raise ValueError(f"the blocks hold more than n = {n} rows")
             for stats, stat in zip(self.row_stats, row_stats):
                 stats[done:done + len(x)] = stat(x)
-            t = np.ascontiguousarray(x.T).reshape(-1)
-            ones = t == 1.0
-            others = np.flatnonzero((t != 0.0) & ~ones)
-            values = t[others]
-            # Every entry lies below t.size, so the cast cannot wrap.
-            index = np.concatenate([np.flatnonzero(ones), others],
-                                   dtype=np.min_scalar_type(t.size - 1), casting="unsafe")
-            self._blocks.append((done, len(x), len(index) - len(others), index, values))
+            self._blocks.append((done, len(x), *_compact(x)))
             done, k = done + len(x), x.shape[1]
         if done != n:
             raise ValueError(f"the blocks hold {done} rows, not n = {n}")
-        self._n, self._k = n, k
-        # Scratch that every block and alpha reuses: a fresh 400 KB array per
-        # block lies above glibc's mmap threshold, and its page faults double
-        # the time of pow. numpy would also cast the narrow index to a fresh
-        # intp array before each scatter.
-        rows = max((b[1] for b in self._blocks), default=0)
-        most = max((len(b[3]) for b in self._blocks), default=0)
-        self._dense, self._scratch = np.empty(k * rows), np.empty((14, rows))
-        self._powers, self._intp_index = np.empty(most), np.empty(most, dtype=np.intp)
+        self._n = n
+        self._row_sums = _RowSums(k, max((b[1] for b in self._blocks), default=0),
+                                  max((len(b[3]) for b in self._blocks), default=0))
 
     def __call__(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The n row sums at alpha, written into `out` if given."""
         sums = np.empty(self._n) if out is None else out
         for start, rows, n_ones, index, values in self._blocks:
-            dense, m = self._dense[:self._k * rows], len(index)
-            dense.fill(0.0)
-            self._powers[:n_ones] = 1.0
-            np.power(values, alpha, out=self._powers[n_ones:m])
-            np.copyto(self._intp_index[:m], index)
-            dense[self._intp_index[:m]] = self._powers[:m]
-            _pairwise_sum(dense.reshape(self._k, rows), sums[start:start + rows],
-                          self._scratch[:, :rows])
+            self._row_sums(n_ones, self._row_sums.cast(index), values, alpha,
+                           sums[start:start + rows])
         return sums
 
 
 def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """out = the sum over the first axis of terms, elementwise, in the order
     of numpy's pairwise_sum: fewer than 8 terms in sequence; up to
-    `_PAIRWISE_RUN` terms in 8 strided accumulators, combined as
+    `PAIRWISE_RUN` terms in 8 strided accumulators, combined as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in
-    sequence; longer runs as the sum of two halves split at a multiple of 8.
+    sequence; longer runs as the sum of two halves split at a multiple of 8
+    (`pairwise_half`).
 
     The 14 rows of scratch hold the accumulators and their tree.
     """
@@ -278,7 +305,7 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
         np.copyto(out, terms[0])
         for term in terms[1:]:
             np.add(out, term, out=out)
-    elif n <= _PAIRWISE_RUN:
+    elif n <= PAIRWISE_RUN:
         run = n - n % 8
         acc = terms[:8]
         if run > 8:
@@ -293,8 +320,7 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
         for term in terms[run:]:
             np.add(out, term, out=out)
     else:
-        half = n // 2
-        half -= half % 8
+        half = pairwise_half(n)
         _pairwise_sum(terms[:half], out, scratch)
         second = np.empty_like(out)
         _pairwise_sum(terms[half:], second, scratch)
@@ -372,11 +398,15 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     violation beyond four standard errors raises, as it would indicate a
     numeric fault.
 
-    The features are drawn from the sub-stream (seed, 0) one block of rows
-    at a time, and each block is rescaled and compacted (`RescaledNorms`),
-    so the dense (trials, K) array never exists. Every alpha then reuses
-    them (common random numbers across the grid). Each estimate is
-    bit-identical to drawing the whole array anew for that alpha alone.
+    The features are drawn from the sub-stream (seed, 0) in one pass, one
+    block of rows at a time (`draw_blocks`). Each block is rescaled by its
+    row maxima and compacted once, and then every alpha (common random
+    numbers across the grid) takes its rescaled norms, a = fmax ||f||_a,
+    b = ||f||_a^2, a^2, ab and b^2 on the block, in six block-sized rows that
+    the whole pass reuses, and sums the last five to the block's node sums
+    (`_mc.PairwiseSum`). So no array of `trials` rows exists, and each
+    estimate is bit-identical to drawing the whole array anew for that alpha
+    alone.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -384,38 +414,45 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
         raise ValueError("alpha must be >= 1")
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
-    norms = RescaledNorms(draw_blocks(model, rng_from(seed, 0), trials, k), trials)
-    work = np.empty((2, trials))
-    return [_beta_at(norms, k, alpha, work) for alpha in alphas]
+    sums = [PairwiseSum(trials, _BLOCK_ROWS) for _ in alphas]
+    most = max(pairwise_nodes(trials, _BLOCK_ROWS))
+    row_sums = _RowSums(k, most, k * most)
+    work = np.empty(6 * most)
+    for x in draw_blocks(model, rng_from(seed, 0), trials, k):
+        rows, fmax = len(x), _rescale_rows(x)
+        n_ones, index, values = _compact(x)
+        index = row_sums.cast(index)
+        stats = work[:6 * rows].reshape(6, rows)
+        norm, a, b, aa, ab, bb = stats
+        for alpha, alpha_sums in zip(alphas, sums):
+            row_sums(n_ones, index, values, alpha, norm)
+            norm **= 1.0 / alpha
+            norm *= fmax
+            np.multiply(fmax, norm, out=a)
+            np.multiply(norm, norm, out=b)
+            np.multiply(a, a, out=aa)
+            np.multiply(a, b, out=ab)
+            np.multiply(b, b, out=bb)
+            alpha_sums.add(stats[1:])
+    return [_beta_from_sums(k, alpha, trials, *alpha_sums.total())
+            for alpha, alpha_sums in zip(alphas, sums)]
 
 
-def _beta_at(norms: RescaledNorms, k: int, alpha: float,
-             work: np.ndarray) -> MonteCarloEstimate:
-    """beta* and its delta-method standard error at one alpha.
-
-    Every n-sized array lives in the two rows of `work`, which the whole
-    grid reuses: fresh arrays of this size would each be mapped anew, unless
-    an earlier larger allocation happened to raise glibc's mmap threshold.
-    a = fmax * norm is squared in place and then computed again (the same
-    operation, so the same bits) to leave room for b = norm^2.
-    """
-    norm, a = work
-    norms(alpha, out=norm)
-    np.multiply(norms.fmax, norm, out=a)
-    mean_a = finite_mean(a, "optimal_beta_grid", "mean")
-    second_a = finite_mean(np.multiply(a, a, out=a), "optimal_beta_grid", "second moment")
-    np.multiply(norms.fmax, norm, out=a)
-    b = np.multiply(norm, norm, out=norm)
-    mean_b = finite_mean(b, "optimal_beta_grid", "mean")
-    cross = finite_mean(np.multiply(a, b, out=a), "optimal_beta_grid", "cross moment")
-    second_b = finite_mean(np.multiply(b, b, out=b), "optimal_beta_grid", "second moment")
-    n_done = len(a)
+def _beta_from_sums(k: int, alpha: float, n: int, sum_a: float, sum_b: float,
+                    sum_aa: float, sum_ab: float, sum_bb: float) -> MonteCarloEstimate:
+    """beta* and its delta-method standard error at one alpha, from the sums
+    over n trials of a = fmax ||f||_a, b = ||f||_a^2, a^2, ab and b^2."""
+    mean_a = finite_mean(sum_a, n, "optimal_beta_grid", "mean")
+    second_a = finite_mean(sum_aa, n, "optimal_beta_grid", "second moment")
+    mean_b = finite_mean(sum_b, n, "optimal_beta_grid", "mean")
+    cross = finite_mean(sum_ab, n, "optimal_beta_grid", "cross moment")
+    second_b = finite_mean(sum_bb, n, "optimal_beta_grid", "second moment")
     u = mean_a / mean_b
     # Delta method for the ratio of correlated means.
     var_a = max(second_a - mean_a ** 2, 0.0)
     var_b = max(second_b - mean_b ** 2, 0.0)
     cov_ab = cross - mean_a * mean_b
-    var_u = max(var_a - 2.0 * u * cov_ab + u * u * var_b, 0.0) / (mean_b ** 2 * n_done)
+    var_u = max(var_a - 2.0 * u * cov_ab + u * u * var_b, 0.0) / (mean_b ** 2 * n)
     se_u = math.sqrt(var_u)
     u_lo, u_hi = k ** (-1.0 / alpha), 1.0
     if u > u_hi + 4.0 * se_u or u < u_lo - 4.0 * se_u:
@@ -423,4 +460,4 @@ def _beta_at(norms: RescaledNorms, k: int, alpha: float,
             f"beta* estimate inconsistent with 1 <= beta* <= K: u={u}, se={se_u}")
     beta = u ** (-alpha)
     se_beta = alpha * u ** (-alpha - 1.0) * se_u
-    return MonteCarloEstimate(float(beta), float(se_beta), n_done)
+    return MonteCarloEstimate(float(beta), float(se_beta), n)

@@ -596,6 +596,12 @@ RANGE_ERRORS = {
     "run-e2e-negative-learning-rate": (
         "learning_rate", ("synthetic_e2e", "[sweep]\nn_samples = 300\nlearning_rate = -1")),
     "run-latency-q-bits-0": ("q_bits", ("latency_table", "[sweep]\nq_bits = 0")),
+    # log2(1 + K * 1e-100) rounds to 0: the digital rate would divide by zero.
+    "run-latency-snr-minus-1e3": (
+        "snr_grid_db", ("latency_table", "[sweep]\nsnr_grid_db = -1e3")),
+    # tradeoff_curve evaluates one SNR; more would be silently dropped.
+    "run-tradeoff-three-snrs": (
+        "snr_grid_db", ("tradeoff_curve", "[sweep]\nsnr_grid_db = 10, 20, 30")),
     # Non-finite values are rejected before any draw, naming the key.
     **{f"run-{kind}-snr-{text}": ("snr_grid_db", (kind, f"[sweep]\nsnr_grid_db = {text}"))
        for kind in ("tradeoff_curve", "bound_validation", "alpha_optimality",
@@ -624,6 +630,7 @@ RANGE_ERRORS = {
     # argparse alone would read -inf as an unknown option.
     "latency-snr-minus-inf": ("snr-db", ["latency", "--snr-db", "6", "-inf"]),
     "optimize-alpha-snr-minus-inf": ("snr-db", ["optimize-alpha", "--snr-db", "-inf"]),
+    "latency-snr-minus-1e3": ("snr-db", ["latency", "--snr-db", "6", "-1e3"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
@@ -667,7 +674,8 @@ READ_KEYS = {
     "latency_table": [("system", "k_sensors", "12"), ("system", "n_features", "100"),
                       ("system", "bandwidth_hz", "10e6"), ("sweep", "snr_grid_db", "6"),
                       ("sweep", "q_bits", "6")],
-    "tradeoff_curve": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12"),
+    "tradeoff_curve": [*[entry if entry[1] != "snr_grid_db" else ("sweep", "snr_grid_db", "20")
+                         for entry in _MONTE_CARLO_KEYS], ("system", "k_sensors", "12"),
                        ("sweep", "alpha_grid", "1, 2")],
     "bound_validation": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12"),
                          ("sweep", "alpha_grid", "1, 2")],
@@ -826,6 +834,14 @@ class TestCliExitCodes:
         assert "at -10 dB" in out and "at -3 dB" in out
         assert cli.main(["optimize-alpha", "--snr-db", "-1e3", "--trials", "10000"]) == 0
         assert "snr=-1000 dB" in capsys.readouterr().out
+
+    def test_latency_snr_that_rounds_the_rate_to_zero(self, capsys):
+        # log2(1 + 12e-100) is 0: one line naming the option and the value,
+        # before anything is printed.
+        assert cli.main(["latency", "--snr-db", "-1e3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("config error: --snr-db -1000: ")
 
     def test_optimize_alpha_command(self, capsys):
         assert cli.main(["optimize-alpha", "--k", "12", "--snr-db", "30",

@@ -13,8 +13,9 @@ The streams, by key:
                    reconfiguration features and margin-chain noise
     (seed, 0)      `features.max_second_moment_prefixes` (and
                    `features.max_second_moment`), `features.optimal_beta_grid`
-    (seed, 0, 0)   `analysis.estimate_errors_grid`: error features, then
-                   the unit noise after their last block
+    (seed, 0, 0)   `analysis.estimate_errors_grid`: error features; the
+                   unit noise follows their last block, and a second
+                   generator of the stream runs through them to reach it
     (seed, 1, 0)   `analysis.average_approx_error_bounds`
     (seed, 11)     `sensing.ShallowClassifier` initial weights
     (seed, 13)     `sensing.train_classifier` epoch shuffles
@@ -34,15 +35,17 @@ An experiment draws E[fmax^2] once, at max(trials, 100000); the bound gate
 reads its max-pooling approximation bounds' estimate at `trials` from a
 prefix of that draw, which has the bits of drawing it anew.
 
-The feature estimators (E[fmax^2], beta*, the error sweep and the
-averaging bound) draw their features one block of rows at a time
-(`features.draw_blocks`), which stacks to the one-shot draw of the same
-stream; the others draw in one piece. The blocks are the largest nodes of
-numpy's pairwise-sum tree over the trials that hold at most
-`features._BLOCK_ROWS` rows (`pairwise_nodes`), so a per-trial value can be
-summed block by block with the bits of summing it over all trials at once
-(`PairwiseSum`): beta* holds no per-trial array. Every estimator reduces
-its per-trial values with `mean_estimate`, or its sums with `finite_mean`,
+The feature estimators (E[fmax^2], beta*, the error sweep, the averaging
+bound) and the reconfiguration checks draw their features one block of
+rows at a time (`features.draw_blocks`), which stacks to the one-shot draw
+of the same stream. The blocks are the largest nodes of numpy's
+pairwise-sum tree over the trials that hold at most
+`features._BLOCK_ROWS` rows (`pairwise_nodes`), so a per-trial value sums
+block by block to the bits of its one-shot sum (`PairwiseSum`). beta*, the
+error sweep and the averaging bound make one pass: per block, per-trial
+statistics, one powering per alpha (`features._RowSums`), and one `add` of
+the stacked statistics; only the sweep's unit noise has `trials` rows.
+Estimates come from `mean_estimate`, `estimate_from_sums` or `finite_mean`,
 so the float operations of each estimate live here.
 """
 
@@ -84,11 +87,16 @@ def finite_mean(total: float, n: int, estimator: str, what: str) -> float:
 
 
 def mean_estimate(x: np.ndarray, estimator: str) -> MonteCarloEstimate:
-    """Mean of the samples x with the standard error
-    sqrt(max(E[x^2] - E[x]^2, 0) / n)."""
-    n = len(x)
-    mean = finite_mean(x.sum(), n, estimator, "mean")
-    second = finite_mean((x * x).sum(), n, estimator, "second moment")
+    """Mean of the samples x with its standard error (`estimate_from_sums`)."""
+    return estimate_from_sums(x.sum(), (x * x).sum(), len(x), estimator)
+
+
+def estimate_from_sums(sum_x: float, sum_xx: float, n: int,
+                       estimator: str) -> MonteCarloEstimate:
+    """Mean of n samples x from the sums of x and of x * x, with the standard
+    error sqrt(max(E[x^2] - E[x]^2, 0) / n)."""
+    mean = finite_mean(sum_x, n, estimator, "mean")
+    second = finite_mean(sum_xx, n, estimator, "second moment")
     return MonteCarloEstimate(mean, math.sqrt(max(second - mean * mean, 0.0) / n), n)
 
 

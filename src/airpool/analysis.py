@@ -7,14 +7,14 @@ curves, and translates feature-space error into classification-accuracy
 lower bounds through the margin argument.
 
 Every Monte Carlo routine here draws from a sub-stream listed in the table
-of `_mc`; each error and bound estimate is one `_mc.mean_estimate` over its
-per-trial values.
+of `_mc`. The error sweep and the averaging bound make one pass over their
+draw, block by block, and each estimate comes from its streamed sums
+(`_mc.estimate_from_sums`).
 
-The chi fit (`chi_error_check`) evaluates the chi CDF at all its sorted
-radii in one array call of `specfun.regularized_gamma_p`.
+The chi fit (`chi_error_check`) evaluates the chi CDF at its sorted radii
+in one array call of `specfun.regularized_gamma_p` per block of 4,096.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import features as feat
-from ._mc import MonteCarloEstimate, mean_estimate, rng_from
+from ._mc import MonteCarloEstimate, PairwiseSum, estimate_from_sums, rng_from
 from .features import FeatureModel, MomentSet
 from .pooling import (AVERAGE, MAX, WEIGHTED_SUM, AirPoolConfig, PoolingMode,
                       postprocess, true_pool)
@@ -72,17 +72,16 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     decomposition checks see correlated, low-variance estimates. The
     features and the unit noise are drawn once and every configuration
     reuses them (common random numbers across the grid and both modes),
-    scaling the unit noise by its own noise level. The features are drawn
-    one block of rows at a time into a compact `features.PowerSums`, which
-    keeps the true pool of each row for each mode present; the unit noise
-    follows the last block in the same generator.
+    scaling the unit noise by its own noise level.
 
-    The configurations are processed grouped by alpha, so each distinct
-    alpha is powered once and only one alpha's arrays are live, and the
-    clean pipeline and its D_appr are computed once per (mode, alpha,
-    beta); the results come back in input order. Each result is
-    bit-identical to the same call on that configuration alone. The streams
-    are listed in `_mc`.
+    One pass over the features, block by block (`features.draw_blocks`):
+    per block and distinct alpha, one powering (`features._RowSums`), the
+    clean pipeline once per (mode, beta), and the squared errors of every
+    configuration and their squares stacked into one `_mc.PairwiseSum`. The
+    unit noise, the only array of `trials` rows, follows the last feature
+    block in the stream (seed, 0, 0), which a second generator runs through
+    to reach it. Each result, in input order, is bit-identical to the same
+    call on that configuration alone. The streams are listed in `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
@@ -93,34 +92,49 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         raise ValueError("estimate_errors_grid takes max and average configurations")
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
-    noisy = any(cfg.noise_power_w != 0.0 for cfg in cfgs)
-    rng = rng_from(seed, 0, 0)
-    powered_sums = feat.PowerSums(feat.draw_blocks(model, rng, trials, k), trials,
-                                  [functools.partial(true_pool, mode=mode)
-                                   for mode in modes.values()])
-    g_true = dict(zip(modes, powered_sums.row_stats))
-    unit_noise = rng.standard_normal(trials) if noisy else None
+    unit_noise = None
+    if any(cfg.noise_power_w != 0.0 for cfg in cfgs):
+        rng = rng_from(seed, 0, 0)
+        for _ in feat.draw_blocks(model, rng, trials, k):
+            pass
+        unit_noise = rng.standard_normal(trials)
     by_alpha: Dict[float, List[int]] = {}
     for i, cfg in enumerate(cfgs):
         by_alpha.setdefault(cfg.alpha, []).append(i)
-    v_sum = np.empty(trials)
+    sums = {alpha: PairwiseSum(trials, feat._BLOCK_ROWS) for alpha in by_alpha}
+    row_sums = feat._RowSums(k, trials)
+    v_sum = np.empty(row_sums.most)
+    work = np.empty(6 * row_sums.most * max(map(len, by_alpha.values())))
+    start = 0
+    for x in feat.draw_blocks(model, rng_from(seed, 0, 0), trials, k):
+        rows, g_true = len(x), {kind: true_pool(x, mode) for kind, mode in modes.items()}
+        noise = None if unit_noise is None else unit_noise[start:start + rows]
+        start += rows
+        row_sums.load(x)
+        for alpha, indices in by_alpha.items():
+            v = row_sums(alpha, v_sum[:rows])
+            clean = {}  # (mode, beta) -> g_clean
+            sq = work[:6 * rows * len(indices)].reshape(len(indices), 3, 2, rows)
+            for i, terms in zip(indices, sq):
+                cfg = cfgs[i]
+                key, g_ref = (cfg.mode.kind, cfg.beta), g_true[cfg.mode.kind]
+                if key not in clean:
+                    clean[key] = postprocess(v, cfg)
+                g_clean = clean[key]
+                g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
+                    v + math.sqrt(cfg.noise_sigma_sq) * noise, cfg)
+                for (g, ref), e in zip(
+                        ((g_hat, g_ref), (g_hat, g_clean), (g_clean, g_ref)), terms[:, 0]):
+                    np.subtract(g, ref, out=e)
+            e2, e4 = sq[..., 0, :], sq[..., 1, :]
+            np.square(e2, out=e2)
+            np.multiply(e2, e2, out=e4)
+            sums[alpha].add(sq)
     errors: List[Optional[ErrorBreakdown]] = [None] * len(cfgs)
     for alpha, indices in by_alpha.items():
-        powered_sums(alpha, out=v_sum)
-        clean = {}  # (mode, beta) -> (g_clean, D_appr)
-        for i in indices:
-            cfg = cfgs[i]
-            kind = cfg.mode.kind
-            if (kind, cfg.beta) not in clean:
-                g_clean = postprocess(v_sum, cfg)
-                clean[kind, cfg.beta] = g_clean, mean_estimate(
-                    (g_clean - g_true[kind]) ** 2, "estimate_errors_grid")
-            g_clean, appr = clean[kind, cfg.beta]
-            g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
-                v_sum + math.sqrt(cfg.noise_sigma_sq) * unit_noise, cfg)
-            errors[i] = ErrorBreakdown(
-                mean_estimate((g_hat - g_true[kind]) ** 2, "estimate_errors_grid"),
-                mean_estimate((g_hat - g_clean) ** 2, "estimate_errors_grid"), appr)
+        for i, moments in zip(indices, sums[alpha].total()):
+            errors[i] = ErrorBreakdown(*(estimate_from_sums(
+                s, ss, trials, "estimate_errors_grid") for s, ss in moments))
     return errors
 
 
@@ -158,16 +172,33 @@ def max_approx_error_bound(alpha: float, k: int, e_fmax_sq: float) -> float:
 def average_approx_error_bounds(model: FeatureModel, k: int, alphas: Sequence[float],
                                 trials: int, seed: int) -> List[MonteCarloEstimate]:
     """Averaging approximation bound E[(||f||_a / K - g_avg)^2] at every alpha
-    of `alphas`, from one draw of the sub-stream (seed, 1, 0), drawn one
-    block of rows at a time into a compact `features.RescaledNorms` that
-    keeps each row's mean g_avg. The max form is `max_approx_error_bound`."""
+    of `alphas`, from one pass over a draw of the sub-stream (seed, 1, 0),
+    one block of rows at a time: each block's row means g_avg are taken, the
+    block is rescaled by its row maxima (`features._rescale_rows`) and
+    loaded into `features._RowSums`, and every alpha's squared errors and
+    their squares are reduced to the block's node sums (`_mc.PairwiseSum`).
+    The max form is `max_approx_error_bound`."""
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
-    norms = feat.RescaledNorms(feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k),
-                               trials, [lambda f: f.mean(axis=1)])
-    g_avg, = norms.row_stats
-    return [mean_estimate((norms(alpha) / k - g_avg) ** 2, "average_approx_error_bounds")
-            for alpha in alphas]
+    row_sums, sums = feat._RowSums(k, trials), PairwiseSum(trials, feat._BLOCK_ROWS)
+    work = np.empty(2 * len(alphas) * row_sums.most)
+    for x in feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k):
+        rows, g_avg = len(x), x.mean(axis=1)
+        fmax = feat._rescale_rows(x)
+        row_sums.load(x)
+        sq = work[:2 * len(alphas) * rows].reshape(len(alphas), 2, rows)
+        e2, e4 = sq[:, 0], sq[:, 1]
+        for alpha, norm in zip(alphas, e2):
+            row_sums(alpha, norm)
+            norm **= 1.0 / alpha
+            norm *= fmax
+            norm /= k
+            norm -= g_avg
+        np.square(e2, out=e2)
+        np.multiply(e2, e2, out=e4)
+        sums.add(sq)
+    return [estimate_from_sums(*pair, trials, "average_approx_error_bounds")
+            for pair in sums.total()]
 
 
 def tradeoff_curve(model: FeatureModel, k: int, p_rx_w: float,
@@ -257,16 +288,22 @@ def chi_error_check(cfg: AirPoolConfig, n_dims: int, trials: int = 100_000,
     n_dims dimensions, and measures the empirical-CDF max distance against chi
     with n_dims degrees of freedom (evaluated through the regularized gamma
     function). The 1 percent critical value is the asymptotic
-    1.6276/sqrt(trials).
+    1.6276/sqrt(trials). The errors are drawn, and the CDF is evaluated at
+    the sorted norms, one block of rows at a time (the blocks of the draw
+    stack to the one-shot draw), so only the norms are held.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError("chi_error_check requires trials >= 10^4")
-    sigma_xi = math.sqrt(cfg.noise_sigma_sq)
-    rng = rng_from(seed)
-    e = rng.standard_normal((trials, n_dims)) * (sigma_xi / cfg.beta)
-    r = np.sqrt((e * e).sum(axis=1)) / (sigma_xi / cfg.beta)
+    scale = math.sqrt(cfg.noise_sigma_sq) / cfg.beta
+    rng, r, gaps = rng_from(seed), np.empty(trials), []
+    blocks = [(a, min(a + feat._BLOCK_ROWS, trials))
+              for a in range(0, trials, feat._BLOCK_ROWS)]
+    for a, b in blocks:
+        e = rng.standard_normal((b - a, n_dims)) * scale
+        r[a:b] = np.sqrt((e * e).sum(axis=1)) / scale
     r.sort()
-    cdf = regularized_gamma_p(n_dims / 2.0, 0.5 * r * r)
-    steps = np.arange(1, trials + 1) / trials
-    ks = float(np.max(np.maximum(np.abs(steps - cdf), np.abs(steps - 1.0 / trials - cdf))))
-    return GoodnessOfFit(ks, 1.6276 / math.sqrt(trials), trials)
+    for a, b in blocks:
+        cdf = regularized_gamma_p(n_dims / 2.0, 0.5 * r[a:b] * r[a:b])
+        steps = np.arange(a + 1, b + 1) / trials
+        gaps.append(np.max(np.maximum(np.abs(steps - cdf), np.abs(steps - 1.0 / trials - cdf))))
+    return GoodnessOfFit(float(np.max(gaps)), 1.6276 / math.sqrt(trials), trials)

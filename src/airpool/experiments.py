@@ -83,6 +83,8 @@ class ExperimentConfig:
         if self.feature_kind not in (*_MODEL_KINDS, "empirical"):
             raise ConfigError(f"feature_model.kind must be one of "
                               f"{sorted(_MODEL_KINDS) + ['empirical']}, got {self.feature_kind!r}")
+        if self.seed < 0:
+            raise ConfigError(f"[experiment] seed must be >= 0, got {self.seed}")
         if self.experiment != "latency_table" and self.trials < 10_000:
             raise ConfigError("experiment.trials must be >= 10000 for Monte Carlo runs")
         for name in ("n_samples", "epochs", "trials_per_sample", "q_bits"):
@@ -116,7 +118,11 @@ class ExperimentConfig:
         if self.feature_kind == "empirical":
             if not self.feature_file:
                 raise ConfigError("feature_model.sample_file is required for kind=empirical")
-            return FeatureModel.from_file(self.feature_file)
+            try:
+                return FeatureModel.from_file(self.feature_file)
+            except OSError as exc:
+                raise ConfigError(f"[feature_model] sample_file {self.feature_file!r}: "
+                                  f"{exc.strerror}")
         return _MODEL_KINDS[self.feature_kind]()
 
 
@@ -228,8 +234,8 @@ def write_csv(result: ExperimentResult, path) -> str:
 
 
 def write_outputs(result: ExperimentResult, out_dir, chart: Optional[dict]) -> dict:
-    """Write CSV, SVG, and metadata sidecar; returns the artifact paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write CSV, SVG, and metadata sidecar into the existing out_dir;
+    returns the artifact paths."""
     base = os.path.join(out_dir, result.experiment)
     csv_path, svg_path, meta_path = (base + ext for ext in (".csv", ".svg", ".meta.json"))
     content_hash = write_csv(result, csv_path)
@@ -429,38 +435,48 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     """Exactness of zero-noise averaging, convergence of zero-noise max
     pooling, and the per-sample sandwich bound.
 
-    The sandwich is checked on the rescaled form ||f||_a beta^(-1/a) of the
-    max-pooling estimate (`features.RescaledNorms`): in the protocol form
-    the powered row of a small non-zero maximum underflows to 0.0 at large
-    alpha (f^64 below f = 1.6e-5), which would read as a violation. The
-    protocol form's powered sums come from `features.PowerSums` over the
-    blocks before they are rescaled, with the bits of `powered_sum` on the
-    one-shot draw and without powering its zeros."""
-    rows = []
-    blocks = list(feat.draw_blocks(model, rng_from(cfg.seed), min(cfg.trials, 50_000), k))
-    f = np.concatenate(blocks)  # the one-shot draw; `norms` rescales the blocks
-    powers = feat.PowerSums(blocks, len(f))
-    norms = feat.RescaledNorms(blocks, len(f))
+    One pass over up to 50,000 rows, block by block: maxima and the
+    sandwich's `all` are exact per block, and the mean relative error keeps
+    the rows with fmax > 0 per alpha for one mean at the end, with the
+    one-shot bits. The protocol form powers the raw block (`_RowSums`, the
+    bits of `powered_sum`); the sandwich is checked on the rescaled form
+    ||f||_a beta^(-1/a), since in the protocol form a small non-zero row
+    maximum powers to 0.0 at large alpha (f^64 below f = 1.6e-5), which
+    would read as a violation."""
+    n = min(cfg.trials, 50_000)
     avg_cfg = AirPoolConfig.for_average(model, k, 1.0, 0.0)
-    g_hat = postprocess(powered_sum(f, avg_cfg), avg_cfg)
-    g_true = true_pool(f, avg_cfg.mode)
-    avg_err = float(np.max(np.abs(g_hat - g_true)
-                           / np.where(g_true > 0, g_true, 1.0)))
-    rows.append(_check("reconfig-average", "average", 1.0, "", avg_err, 1e-12,
-                       1e-12 - avg_err))
-    prev_err = math.inf
+    max_cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, 1.0, 0.0, betas)
+                for alpha in _RECONFIG_ALPHAS]
+    row_sums = feat._RowSums(k, n)
+    v_sum = np.empty(row_sums.most)
+    avg_errs, rel_errs = [], [[] for _ in max_cfgs]
     sandwich_ok = True
+    for f in feat.draw_blocks(model, rng_from(cfg.seed), n, k):
+        g_hat = postprocess(powered_sum(f, avg_cfg), avg_cfg)
+        g_true = true_pool(f, avg_cfg.mode)
+        avg_errs.append(np.max(np.abs(g_hat - g_true) / np.where(g_true > 0, g_true, 1.0)))
+        row_sums.load(f)
+        fmax = feat._rescale_rows(f)
+        pos = fmax > 0
+        v = v_sum[:len(f)]
+        for max_cfg, rel in zip(max_cfgs, rel_errs):
+            g_hat = postprocess(row_sums(max_cfg.alpha, v), max_cfg)
+            rel.append(np.abs(g_hat[pos] - fmax[pos]) / fmax[pos])
+        row_sums.load(f)
+        for max_cfg in max_cfgs:
+            alpha = max_cfg.alpha
+            norm = row_sums(alpha, v)
+            norm **= 1.0 / alpha
+            norm *= fmax
+            g_rescaled = norm * max_cfg.beta ** (-1.0 / alpha)
+            sandwich_ok &= bool(np.all(g_rescaled >= fmax * k ** (-1.0 / alpha) - 1e-12)
+                                and np.all(g_rescaled <= fmax * k ** (1.0 / alpha) + 1e-12))
+    avg_err = float(np.max(avg_errs))
+    rows = [_check("reconfig-average", "average", 1.0, "", avg_err, 1e-12, 1e-12 - avg_err)]
+    prev_err = math.inf
     mean_rel = math.nan
-    fmax = true_pool(f, PoolingMode.max())
-    pos = fmax > 0
-    for alpha in _RECONFIG_ALPHAS:
-        max_cfg = optimizer.config_for(model, PoolingMode.max(), k, alpha,
-                                       1.0, 0.0, betas)
-        g_hat = postprocess(powers(alpha), max_cfg)
-        mean_rel = float(np.mean(np.abs(g_hat[pos] - fmax[pos]) / fmax[pos]))
-        g_rescaled = norms(alpha) * max_cfg.beta ** (-1.0 / alpha)
-        sandwich_ok &= bool(np.all(g_rescaled >= fmax * k ** (-1.0 / alpha) - 1e-12)
-                            and np.all(g_rescaled <= fmax * k ** (1.0 / alpha) + 1e-12))
+    for alpha, rel in zip(_RECONFIG_ALPHAS, rel_errs):
+        mean_rel = float(np.mean(np.concatenate(rel)))
         rows.append(_check("reconfig-max-monotone", "max", alpha, "", mean_rel, prev_err,
                            prev_err - mean_rel, mean_rel < prev_err))
         prev_err = mean_rel
@@ -628,7 +644,14 @@ _READS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentResult, dict]:
-    """Run the configured experiment and write its artifacts."""
+    """Run the configured experiment and write its artifacts. The output
+    directory is made first, so a path that cannot be one (an existing
+    file, say) is a config error before anything is drawn."""
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[experiment] output_dir {cfg.output_dir!r}: cannot make the "
+                          f"directory: {exc.strerror}")
     result, chart = _RUNNERS[cfg.experiment](cfg)
     paths = write_outputs(result, cfg.output_dir, chart)
     return result, paths

@@ -15,7 +15,7 @@ and beta* are estimated by Monte Carlo.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -174,7 +174,7 @@ def _finite_moment(model: FeatureModel, s: float, alpha: float) -> float:
 
 
 #: The most rows in a block of a Monte Carlo feature draw (`draw_blocks`): a
-#: (K, rows) block and the summation scratch of `PowerSums` stay in a core's
+#: (K, rows) block and the summation scratch of `_RowSums` stay in a core's
 #: L2 cache while they are powered and summed.
 _BLOCK_ROWS = 4096
 
@@ -195,99 +195,53 @@ def draw_blocks(model: FeatureModel, rng: np.random.Generator, n: int,
         yield model.draw(rng, (rows, k))
 
 
-def _compact(x: np.ndarray) -> Tuple[int, np.ndarray, np.ndarray]:
-    """A block x >= 0 as (number of ones, index, values): one block-local
-    index, in the transposed (K, rows) layout, of its exact 1.0 entries
-    followed by its other non-zero entries, and the values of the latter.
-    0.0 and 1.0 are fixed points of pow (libm pow is slowest at 0, which is
-    about half of a rectified Gaussian draw, and the rescaled row maxima are
-    1.0). The index takes the narrowest unsigned dtype that holds
-    K * rows - 1: uint16 up to K = 16 at 4096 rows, uint32 above."""
-    t = np.ascontiguousarray(x.T).reshape(-1)
-    ones = t == 1.0
-    others = np.flatnonzero((t != 0.0) & ~ones)
-    # Every entry lies below t.size, so the cast cannot wrap.
-    index = np.concatenate([np.flatnonzero(ones), others],
-                           dtype=np.min_scalar_type(t.size - 1), casting="unsafe")
-    return len(index) - len(others), index, t[others]
-
-
 class _RowSums:
-    """Row sums of the powers of compacted (`_compact`) blocks of K columns,
-    up to `rows` rows and `entries` stored entries, in scratch that every
-    block and alpha reuses: a fresh 400 KB array per block lies above
-    glibc's mmap threshold, and its page faults double the time of pow.
+    """Row sums of x ** alpha for many alpha >= 1, one (rows, K) block
+    x >= 0 of `draw_blocks` over n rows at a time, in scratch that every
+    block and alpha reuses (a fresh 400 KB array per block lies above
+    glibc's mmap threshold, and its page faults double the time of pow).
 
-    Per alpha and block, the dense (K, rows) scratch is zeroed, the ones and
-    the powers of the other values are scattered in, and its K rows are
-    added elementwise in numpy's pairwise order while they are in cache, so
-    the sums are bit-identical to ``(x ** alpha).sum(axis=1)``. A -0.0 entry
-    lands as 0.0; numpy sums a row of zeros of either sign to 0.0 too.
+    `load` keeps the block's transposed (K, rows) layout as the index of its
+    exact 1.0 entries, then of its other non-zero ones, and their values:
+    0.0 and 1.0 are fixed points of pow, which is slowest at 0 (about half
+    of a rectified Gaussian draw; rescaled row maxima are 1.0). A call
+    scatters the ones and powers into zeroed dense scratch and adds its K
+    rows in numpy's pairwise order while in cache: the bits of
+    ``(x ** alpha).sum(axis=1)``. A -0.0 entry lands as 0.0; numpy sums a
+    row of zeros of either sign to 0.0 too.
     """
 
-    def __init__(self, k: int, rows: int, entries: int):
-        self._k = k
+    def __init__(self, k: int, n: int):
+        self.most = rows = max(pairwise_nodes(n, _BLOCK_ROWS))  # the largest block
+        self._k, self._rows, self._ones, self._entries = k, 0, 0, 0
         self._dense, self._scratch = np.empty(k * rows), np.empty((14, rows))
-        self._powers, self._index = np.empty(entries), np.empty(entries, dtype=np.intp)
+        self._values, self._powers = np.empty(k * rows), np.empty(k * rows)
+        self._index = np.empty(k * rows, dtype=np.intp)
 
-    def cast(self, index: np.ndarray) -> np.ndarray:
-        """A block's narrow index as intp, in the reused scratch: numpy would
-        cast it to a fresh intp array before every scatter."""
-        wide = self._index[:len(index)]
-        np.copyto(wide, index)
-        return wide
+    def load(self, x: np.ndarray) -> None:
+        """Keeps the (rows, K) block x >= 0 for the next calls, in its own
+        scratch: the caller may change x afterwards."""
+        rows = len(x)
+        t = self._dense[:self._k * rows]
+        np.copyto(t.reshape(self._k, rows), x.T)
+        ones = t == 1.0
+        others = np.flatnonzero((t != 0.0) & ~ones)
+        self._rows, self._ones = rows, np.count_nonzero(ones)
+        self._entries = self._ones + len(others)
+        np.concatenate([np.flatnonzero(ones), others], out=self._index[:self._entries])
+        # mode="clip" lets take write into out unbuffered; `others` is in range.
+        np.take(t, others, out=self._values[:len(others)], mode="clip")
 
-    def __call__(self, n_ones: int, index: np.ndarray, values: np.ndarray, alpha: float,
-                 out: np.ndarray) -> None:
-        """out = the row sums at alpha of the block (n_ones, `cast(index)`,
-        values) of len(out) rows."""
-        rows, m = len(out), len(index)
+    def __call__(self, alpha: float, out: np.ndarray) -> np.ndarray:
+        """out = the row sums at alpha of the loaded block; returns out."""
+        rows, n_ones, m = self._rows, self._ones, self._entries
         dense, powers = self._dense[:self._k * rows], self._powers[:m]
         dense.fill(0.0)
         powers[:n_ones] = 1.0
-        np.power(values, alpha, out=powers[n_ones:])
-        dense[index] = powers
+        np.power(self._values[:m - n_ones], alpha, out=powers[n_ones:])
+        dense[self._index[:m]] = powers
         _pairwise_sum(dense.reshape(self._k, rows), out, self._scratch[:, :rows])
-
-
-class PowerSums:
-    """Row sums of x ** alpha for many alpha >= 1 over an (n, K) array x >= 0,
-    given as consecutive blocks of its n rows, without holding x.
-
-    Each function of `row_stats` maps a block to one value per row, and may
-    change the block in place. They run in order on each block before it is
-    compacted (`_compact`), and the attribute `row_stats` holds their results
-    over all rows, each written into one n-sized array as the blocks arrive:
-    per-block results joined at the end would leave their freed memory as
-    holes in the heap. Each call sums every block through one `_RowSums`,
-    casting each block's narrow index to intp as it goes.
-    """
-
-    def __init__(self, blocks: Iterable[np.ndarray], n: int,
-                 row_stats: Sequence[Callable[[np.ndarray], np.ndarray]] = ()):
-        self._blocks = []  # (first row, rows, number of ones, index, values)
-        self.row_stats = [np.empty(n) for _ in row_stats]
-        done = k = 0
-        for x in blocks:
-            if done + len(x) > n:
-                raise ValueError(f"the blocks hold more than n = {n} rows")
-            for stats, stat in zip(self.row_stats, row_stats):
-                stats[done:done + len(x)] = stat(x)
-            self._blocks.append((done, len(x), *_compact(x)))
-            done, k = done + len(x), x.shape[1]
-        if done != n:
-            raise ValueError(f"the blocks hold {done} rows, not n = {n}")
-        self._n = n
-        self._row_sums = _RowSums(k, max((b[1] for b in self._blocks), default=0),
-                                  max((len(b[3]) for b in self._blocks), default=0))
-
-    def __call__(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The n row sums at alpha, written into `out` if given."""
-        sums = np.empty(self._n) if out is None else out
-        for start, rows, n_ones, index, values in self._blocks:
-            self._row_sums(n_ones, self._row_sums.cast(index), values, alpha,
-                           sums[start:start + rows])
-        return sums
+        return out
 
 
 def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
@@ -327,34 +281,11 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
         np.add(out, second, out=out)
 
 
-class RescaledNorms:
-    """Row-wise l_alpha norms of an (n, K) draw f >= 0, given as consecutive
-    blocks of its n rows, for many alpha.
-
-    Each norm is fmax * (sum (f/fmax)^alpha)^(1/alpha): factoring out the row
-    maximum keeps the powers in [0, 1], so the result stays finite for large
-    alpha where the naive sum would overflow. All-zero rows map to 0. Each
-    block is divided by its row maxima in place, after the `row_stats` of
-    `PowerSums` have read it; `fmax` holds the maxima and `row_stats` the
-    other results.
-    """
-
-    def __init__(self, blocks: Iterable[np.ndarray], n: int,
-                 row_stats: Sequence[Callable[[np.ndarray], np.ndarray]] = ()):
-        self._sums = PowerSums(blocks, n, (*row_stats, _rescale_rows))
-        *self.row_stats, self.fmax = self._sums.row_stats
-
-    def __call__(self, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The n norms at alpha, written into `out` if given."""
-        norm = self._sums(alpha, out)
-        norm **= 1.0 / alpha
-        norm *= self.fmax
-        return norm
-
-
 def _rescale_rows(f: np.ndarray) -> np.ndarray:
     """Divides each row of f >= 0 by its maximum in place (all-zero rows stay
-    zero) and returns the maxima."""
+    zero) and returns the maxima. The l_alpha norm of a row is then
+    fmax * (sum (f/fmax)^alpha)^(1/alpha), whose powers lie in [0, 1], so it
+    stays finite at large alpha where the plain sum would overflow."""
     fmax = f.max(axis=1)
     np.divide(f, fmax[:, None], out=f, where=(fmax > 0)[:, None])
     return fmax
@@ -400,11 +331,11 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
 
     The features are drawn from the sub-stream (seed, 0) in one pass, one
     block of rows at a time (`draw_blocks`). Each block is rescaled by its
-    row maxima and compacted once, and then every alpha (common random
-    numbers across the grid) takes its rescaled norms, a = fmax ||f||_a,
-    b = ||f||_a^2, a^2, ab and b^2 on the block, in six block-sized rows that
-    the whole pass reuses, and sums the last five to the block's node sums
-    (`_mc.PairwiseSum`). So no array of `trials` rows exists, and each
+    row maxima and loaded into `_RowSums` once, and then every alpha (common
+    random numbers across the grid) takes its rescaled norms,
+    a = fmax ||f||_a, b = ||f||_a^2, a^2, ab and b^2 on the block, in six
+    block-sized rows that the whole pass reuses, and sums the last five to
+    the block's node sums (`_mc.PairwiseSum`). So no array of `trials` rows exists, and each
     estimate is bit-identical to drawing the whole array anew for that alpha
     alone.
     """
@@ -415,17 +346,15 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     if k == 1 or not alphas:
         return [MonteCarloEstimate(1.0, 0.0, 0) for _ in alphas]
     sums = [PairwiseSum(trials, _BLOCK_ROWS) for _ in alphas]
-    most = max(pairwise_nodes(trials, _BLOCK_ROWS))
-    row_sums = _RowSums(k, most, k * most)
-    work = np.empty(6 * most)
+    row_sums = _RowSums(k, trials)
+    work = np.empty(6 * row_sums.most)
     for x in draw_blocks(model, rng_from(seed, 0), trials, k):
         rows, fmax = len(x), _rescale_rows(x)
-        n_ones, index, values = _compact(x)
-        index = row_sums.cast(index)
+        row_sums.load(x)
         stats = work[:6 * rows].reshape(6, rows)
         norm, a, b, aa, ab, bb = stats
         for alpha, alpha_sums in zip(alphas, sums):
-            row_sums(n_ones, index, values, alpha, norm)
+            row_sums(alpha, norm)
             norm **= 1.0 / alpha
             norm *= fmax
             np.multiply(fmax, norm, out=a)

@@ -9,8 +9,10 @@ composition must equal the aggregate form where float64 is healthy.
 `pool_noisy_and_clean` pairs the noisy and noiseless outputs of one
 round on the same feature rows, for the error-decomposition oracles.
 
-`dense_average_approx_bound` draws the averaging approximation bound's
-features whole and powers them densely, per alpha.
+`dense_errors_grid` and `dense_average_approx_bound` draw the features of
+the error sweep and of the averaging approximation bound whole, the sweep's
+unit noise after them, and power the features densely, per configuration
+or alpha.
 
 The inverse of the regularized gamma function checks the forward
 `specfun.regularized_gamma_p` by round trip.
@@ -30,11 +32,40 @@ from typing import List, NamedTuple
 
 import numpy as np
 
-from airpool._mc import rng_from
+from airpool._mc import MonteCarloEstimate, rng_from
+from airpool.analysis import ErrorBreakdown
 from airpool.sensing import ShallowClassifier, SyntheticDataset
 from airpool.pooling import (WEIGHTED_SUM, AirPoolConfig, aggregate_with_noise,
                              postprocess, powered_sum, true_pool)
 from airpool.specfun import ITERATION_CAP, regularized_gamma_p
+
+
+def dense_estimate(x) -> MonteCarloEstimate:
+    """Mean of the samples x with its standard error, written out."""
+    n = len(x)
+    mean = float(x.sum()) / n
+    return MonteCarloEstimate(
+        mean, math.sqrt(max(float((x * x).sum()) / n - mean * mean, 0.0) / n), n)
+
+
+def dense_errors_grid(model, cfgs, k, trials, seed) -> List[ErrorBreakdown]:
+    """Oracle of `analysis.estimate_errors_grid`: the one-shot draw of the
+    stream (seed, 0, 0), then its unit noise when a configuration is noisy,
+    and dense powers per configuration."""
+    rng = rng_from(seed, 0, 0)
+    f = model.draw(rng, (trials, k))
+    noise = rng.standard_normal(trials) if any(cfg.noise_power_w != 0.0 for cfg in cfgs) \
+        else None
+    errors = []
+    for cfg in cfgs:
+        v_sum, g_true = powered_sum(f, cfg), true_pool(f, cfg.mode)
+        g_clean = postprocess(v_sum, cfg)
+        g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
+            v_sum + math.sqrt(cfg.noise_sigma_sq) * noise, cfg)
+        errors.append(ErrorBreakdown(dense_estimate((g_hat - g_true) ** 2),
+                                     dense_estimate((g_hat - g_clean) ** 2),
+                                     dense_estimate((g_clean - g_true) ** 2)))
+    return errors
 
 
 def dense_average_approx_bound(model, k, alpha, trials, seed):

@@ -2,17 +2,18 @@
 margin-based accuracy translation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from airpool import analysis, features as feat, optimizer
-from airpool._mc import rng_from
+from airpool._mc import MonteCarloEstimate, rng_from
 from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
 from airpool.specfun import ln_gamma, regularized_gamma_p
-from oracles import dense_average_approx_bound, pool_noisy_and_clean
+from oracles import dense_average_approx_bound, dense_errors_grid, pool_noisy_and_clean
 
 RG = FeatureModel.rectified_gaussian()
 K = 12
@@ -218,6 +219,57 @@ class TestEstimateErrorsGrid:
         cfg = AirPoolConfig.for_weighted_sum(RG, [0.5, 0.5], 1.0, 0.0)
         with pytest.raises(ValueError, match="max and average"):
             analysis.estimate_errors_grid(RG, [cfg], 2, trials=10_000, seed=0)
+
+
+MODELS = [RG, FeatureModel.uniform01(), FeatureModel.exponential_unit(),
+          FeatureModel.empirical([0.0, 0.0, 0.3, 1.0, 2.5, 0.0, 4.0])]
+
+
+class TestStreamedAgainstDenseOracles:
+    """The error sweep and the averaging bound make one pass over their draw,
+    block by block; their estimates, signed zeros included, are those of the
+    dense one-shot oracles."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("k", [5, 12, 17])
+    @pytest.mark.parametrize("trials", [12_345, 20_000])
+    def test_errors_grid(self, model, k, trials):
+        cfgs = [cfg for alpha in (1.0, 2.0, 7.5, 64.0) for noise in (0.0, 1.0)
+                for cfg in (AirPoolConfig.for_max(model, alpha, math.sqrt(k), 10.0, noise),
+                            AirPoolConfig.for_average(model, k, 10.0, noise, alpha))]
+        got = analysis.estimate_errors_grid(model, cfgs, k, trials=trials, seed=9)
+        assert repr(got) == repr(dense_errors_grid(model, cfgs, k, trials, 9))
+        quiet = [cfg for cfg in cfgs if cfg.noise_power_w == 0.0]
+        got = analysis.estimate_errors_grid(model, quiet, k, trials=trials, seed=9)
+        assert repr(got) == repr(dense_errors_grid(model, quiet, k, trials, 9))
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    @pytest.mark.parametrize("k", [5, 12, 17])
+    @pytest.mark.parametrize("trials", [12_345, 20_000])
+    def test_average_approx_error_bounds(self, model, k, trials):
+        alphas = [1.0, 2.0, 7.5, 64.0, 128.0]
+        got = analysis.average_approx_error_bounds(model, k, alphas, trials=trials, seed=9)
+        assert repr(got) == repr([
+            MonteCarloEstimate(*dense_average_approx_bound(model, k, alpha, trials, 9), trials)
+            for alpha in alphas])
+
+    def test_error_sweep_peak_memory_below_dense_draw(self):
+        # One pass, one block of rows at a time: besides the unit noise (a
+        # twelfth of the dense draw here), only block-sized rows are held,
+        # about 0.39x of the dense (trials, K) draw. Holding the compacted
+        # draw and trials-sized rows of true pools, powered sums and errors
+        # read 1.56x.
+        trials, k = 100_000, 12
+        cfgs = [cfg for alpha in (1.0, 4.0, 16.0)
+                for cfg in (AirPoolConfig.for_max(RG, alpha, 2.0, 10.0, 1.0),
+                            AirPoolConfig.for_average(RG, k, 10.0, 1.0, alpha))]
+        tracemalloc.start()
+        try:
+            analysis.estimate_errors_grid(RG, cfgs, k, trials=trials, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * trials * k * 8
 
 
 class TestApproxBound:

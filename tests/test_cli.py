@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from airpool import analysis, cli, experiments, features as feat, optimizer, sensing
-from airpool._mc import rng_from
+from airpool._mc import pairwise_nodes, rng_from
 from airpool.channel import SystemParams, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
 from airpool.features import FeatureModel
@@ -201,16 +201,17 @@ class TestBoundValidationGate:
 
     def test_one_sweep_one_power_per_alpha_one_fmax_draw(self, tmp_path, monkeypatch):
         # Both pooling modes share one error sweep, which powers each
-        # distinct alpha once; E[fmax^2] and the max-mode approximation bound
-        # read one (seed, 0) draw besides the beta* table's, and one
-        # averaging-bound call covers the grid alphas, not the argmin grid.
-        # The reconfiguration check powers its own 50k-row draw.
-        seed = 3
-        sweeps, sweep_sums, powered, keys, in_beta_table = [], [], [], [], []
-        avg_bounds, in_sweep, other_sums, other_powered = [], [], [], []
-        errors_grid, init, call = (analysis.estimate_errors_grid, feat.PowerSums.__init__,
-                                   feat.PowerSums.__call__)
-        average_bounds = analysis.average_approx_error_bounds
+        # distinct alpha once per block; E[fmax^2] and the max-mode
+        # approximation bound read one (seed, 0) draw besides the beta*
+        # table's, and one averaging-bound call covers the grid alphas, not
+        # the argmin grid. The reconfiguration check powers its own
+        # 10k-row draw, raw and then rescaled.
+        seed, trials = 3, 10_000
+        sweeps, keys, in_beta_table, avg_bounds, in_sweep = [], [], [], [], []
+        loads = {}  # the caller of each `_RowSums` -> the alphas of each load
+        errors_grid, average_bounds = (analysis.estimate_errors_grid,
+                                       analysis.average_approx_error_bounds)
+        init, load, call = feat._RowSums.__init__, feat._RowSums.load, feat._RowSums.__call__
         rng_from, beta_grid = feat.rng_from, feat.optimal_beta_grid
 
         def counting_errors_grid(*args, **kwargs):
@@ -221,21 +222,28 @@ class TestBoundValidationGate:
             finally:
                 in_sweep.pop()
 
-        def counting_init(self, blocks, n, row_stats=()):
-            if feat._rescale_rows not in row_stats:  # not a RescaledNorms
-                (sweep_sums if in_sweep else other_sums).append(self)
-            init(self, blocks, n, row_stats)
-
-        def counting_call(self, alpha, out=None):
-            if any(self is sums for sums in sweep_sums):
-                powered.append(alpha)
-            if any(self is sums for sums in other_sums):
-                other_powered.append(alpha)
-            return call(self, alpha, out)
-
         def recording_average_bounds(model, k, alphas, trials, seed):
             avg_bounds.append(list(alphas))
-            return average_bounds(model, k, alphas, trials, seed)
+            in_sweep.append(False)
+            try:
+                return average_bounds(model, k, alphas, trials, seed)
+            finally:
+                in_sweep.pop()
+
+        def counting_init(self, k, n):
+            caller = "beta" if in_beta_table else \
+                {(): "reconfig", (True,): "sweep", (False,): "average"}[tuple(in_sweep)]
+            assert caller not in loads
+            self.caller, loads[caller] = caller, []
+            init(self, k, n)
+
+        def counting_load(self, x):
+            loads[self.caller].append([])
+            load(self, x)
+
+        def counting_call(self, alpha, out):
+            loads[self.caller][-1].append(alpha)
+            return call(self, alpha, out)
 
         def counting_rng_from(*key):
             keys.append((key, bool(in_beta_table)))
@@ -249,13 +257,14 @@ class TestBoundValidationGate:
                 in_beta_table.pop()
 
         monkeypatch.setattr(analysis, "estimate_errors_grid", counting_errors_grid)
-        monkeypatch.setattr(feat.PowerSums, "__init__", counting_init)
-        monkeypatch.setattr(feat.PowerSums, "__call__", counting_call)
+        monkeypatch.setattr(analysis, "average_approx_error_bounds", recording_average_bounds)
+        monkeypatch.setattr(feat._RowSums, "__init__", counting_init)
+        monkeypatch.setattr(feat._RowSums, "load", counting_load)
+        monkeypatch.setattr(feat._RowSums, "__call__", counting_call)
         for module in (feat, analysis):
             monkeypatch.setattr(module, "rng_from", counting_rng_from)
         monkeypatch.setattr(feat, "optimal_beta_grid", counting_beta_grid)
-        monkeypatch.setattr(analysis, "average_approx_error_bounds", recording_average_bounds)
-        cfg = ExperimentConfig(experiment="bound_validation", trials=10_000,
+        cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
                                system=SystemParams(k_sensors=4),
                                snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
                                seed=seed, output_dir=str(tmp_path))
@@ -264,14 +273,17 @@ class TestBoundValidationGate:
         # (3 grid alphas x 2 SNRs + 3 argmin alphas) x 2 modes.
         assert sweeps == [18]
         assert avg_bounds == [[1.0, 4.0, 16.0]]
-        assert len(sweep_sums) == 1
-        assert sorted(powered) == [1.0, 2.0, 4.0, 16.0]
-        assert len(other_sums) == 1 and other_powered == list(experiments._RECONFIG_ALPHAS)
+        blocks = len(pairwise_nodes(trials, feat._BLOCK_ROWS))
+        assert [sorted(alphas) for alphas in loads["sweep"]] \
+            == [[1.0, 2.0, 4.0, 16.0]] * blocks
+        assert loads["average"] == [[1.0, 4.0, 16.0]] * blocks
+        assert loads["reconfig"] == [list(experiments._RECONFIG_ALPHAS)] * 2 * blocks
         assert [key for key, beta in keys if beta] == [(seed, 0)]
         # Besides the chi fit's (seed,): E[fmax^2], the sweep and the
-        # averaging bound, one draw each.
+        # averaging bound, one draw each, and the sweep's stream once more
+        # to reach the unit noise that follows its features.
         assert sorted(key for key, beta in keys if not beta) \
-            == [(seed,), (seed, 0), (seed, 0, 0), (seed, 1, 0)]
+            == [(seed,), (seed, 0), (seed, 0, 0), (seed, 0, 0), (seed, 1, 0)]
 
     def test_sandwich_holds_where_the_powered_maximum_underflows(self):
         # Seed 1611 draws a row whose maximum, about 7e-6, powers to 0.0 at
@@ -619,6 +631,13 @@ RANGE_ERRORS = {
     "validate-bounds-trials-override-5": (
         "trials", ("bound_validation", "[sweep]\nsnr_grid_db = 0, 6, 12\nalpha_grid = 1, 4, 16",
                    "validate-bounds", "--trials", "5")),
+    # A body line before any section header belongs to [experiment].
+    "run-bound-negative-seed": ("seed", ("bound_validation", "seed = -1")),
+    "run-bound-output-dir-is-a-file": (
+        "output_dir", ("bound_validation", f"output_dir = {os.path.abspath(__file__)}")),
+    "run-tradeoff-missing-sample-file": (
+        "sample_file", ("tradeoff_curve", "[feature_model]\nkind = empirical\n"
+                                          "sample_file = /nonexistent/features.txt")),
     "latency-q-bits-0": ("q_bits", ["latency", "--q-bits", "0"]),
     "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
     "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
@@ -746,9 +765,9 @@ class TestCliExitCodes:
         if isinstance(argv, tuple):
             kind, body, *command = argv
             trials = "" if kind == "latency_table" else "trials = 10000\n"
+            out = "" if "output_dir" in body else f"output_dir = {tmp_path / 'out'}\n"
             path = tmp_path / "exp.ini"
-            path.write_text(f"[experiment]\nkind = {kind}\n{trials}"
-                            f"output_dir = {tmp_path / 'out'}\n\n{body}\n")
+            path.write_text(f"[experiment]\nkind = {kind}\n{trials}{out}\n{body}\n")
             command = command or ["run"]
             argv = [command[0], "--config", str(path), *command[1:]]
         assert cli.main(argv) == 2

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from airpool import features as feat
-from airpool._mc import MonteCarloEstimate, finite_mean, mean_estimate, rng_from
+from airpool._mc import (MonteCarloEstimate, finite_mean, mean_estimate, pairwise_nodes,
+                         rng_from)
 from airpool.features import FeatureModel
 
 RG = FeatureModel.rectified_gaussian()
@@ -261,23 +262,35 @@ def power_sums_input(n, k, seed, zeros=0.3, ones=0.1):
 
 
 def row_blocks(x):
-    """Copies of consecutive `_BLOCK_ROWS`-row blocks of x, in x's memory
-    order, as `features.draw_blocks` would yield them."""
-    return [x[start:start + feat._BLOCK_ROWS].copy(order="K")
-            for start in range(0, len(x), feat._BLOCK_ROWS)]
+    """Copies of consecutive blocks of x's rows, in x's memory order, of the
+    sizes `features.draw_blocks` yields."""
+    starts = np.cumsum([0] + pairwise_nodes(len(x), feat._BLOCK_ROWS))
+    return [x[start:stop].copy(order="K") for start, stop in zip(starts, starts[1:])]
+
+
+def block_power_sums(x, alphas):
+    """The row sums of x ** alpha at each alpha through `_RowSums`, loading
+    one block of x at a time."""
+    row_sums = feat._RowSums(x.shape[1], len(x))
+    sums, start = {alpha: np.empty(len(x)) for alpha in alphas}, 0
+    for block in row_blocks(x):
+        row_sums.load(block)
+        for alpha in alphas:
+            row_sums(alpha, sums[alpha][start:start + len(block)])
+        start += len(block)
+    return sums
 
 
 class TestPowerSums:
-    """`PowerSums` sums by blocks of rows, column by column, in numpy's
-    pairwise order; these pin it to numpy's own row sums, so a numpy that
-    sums in another order fails here."""
+    """`_RowSums` sums the powers of a block of rows column by column, in
+    numpy's pairwise order; these pin it to numpy's own row sums, so a numpy
+    that sums in another order fails here."""
 
     ALPHAS = [1.0, 2.0, 3.7, 128.0]
 
     def assert_equal_to_oracle(self, x, alphas=ALPHAS):
-        sums = feat.PowerSums(row_blocks(x), len(x))
-        for alpha in alphas:
-            got, want = sums(alpha), dense_power_sums(x, alpha)
+        for alpha, got in block_power_sums(x, alphas).items():
+            want = dense_power_sums(x, alpha)
             assert got.tobytes() == want.tobytes(), (x.shape, alpha)
 
     def test_every_k_to_260_within_one_block(self):
@@ -286,8 +299,7 @@ class TestPowerSums:
         for k in range(1, 261):
             self.assert_equal_to_oracle(power_sums_input(40, k, seed=k))
 
-    # At K = 16 a 4096-row block's index ends at 65535, the largest uint16;
-    # K = 17 is the first 32-bit index.
+    # At K = 16 a 4096-row block holds 2**16 entries, at K = 17 more.
     @pytest.mark.parametrize("k", [1, 5, 8, 12, 16, 17, 128, 129, 200, 260])
     @pytest.mark.parametrize("blocks", [0.5, 1.0, 2.75])
     def test_across_blocks(self, k, blocks):
@@ -305,20 +317,15 @@ class TestPowerSums:
         x[7, ::2] = -0.0
         self.assert_equal_to_oracle(x, [3.0])
 
-    @pytest.mark.parametrize("n", [feat._BLOCK_ROWS + 4, feat._BLOCK_ROWS + 6])
-    def test_row_count_must_match_the_blocks(self, n):
-        x = power_sums_input(feat._BLOCK_ROWS + 5, 3, seed=6)
-        with pytest.raises(ValueError, match="rows"):
-            feat.PowerSums(row_blocks(x), n, [lambda f: f.max(axis=1)])
-
-    def test_row_stats_span_every_block(self):
-        x = power_sums_input(2 * feat._BLOCK_ROWS + 9, 7, seed=8)
-        sums = feat.PowerSums(row_blocks(x), len(x),
-                              [lambda f: f.max(axis=1), lambda f: f.mean(axis=1)])
-        fmax, mean = sums.row_stats
-        assert fmax.tobytes() == x.max(axis=1).tobytes()
-        assert mean.tobytes() == np.concatenate(
-            [block.mean(axis=1) for block in row_blocks(x)]).tobytes()
+    def test_a_load_keeps_no_reference_to_the_block(self):
+        # The reconfiguration checks rescale a block in place after loading
+        # it raw; the loaded copy must not change with it.
+        x = power_sums_input(1000, 6, seed=5)
+        row_sums, got = feat._RowSums(6, len(x)), np.empty(len(x))
+        want = dense_power_sums(x, 2.0)
+        row_sums.load(x)
+        x.fill(7.0)
+        assert row_sums(2.0, got).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 3 * feat._BLOCK_ROWS), k=st.integers(1, 300),
@@ -332,30 +339,20 @@ class TestPowerSums:
         self.assert_equal_to_oracle(np.asfortranarray(x) if fortran else x, [alpha])
 
 
-def test_norms_written_into_out_without_allocating():
-    # A caller can reuse one n-sized array across alphas, so its speed does
-    # not hang on whether an earlier, larger array raised glibc's mmap
-    # threshold. Asked for `out`, a call allocates nothing row-sized.
-    n = 3 * feat._BLOCK_ROWS + 7
-    f = RG.draw(rng_from(5), (n, 12))
-    norms = feat.RescaledNorms(row_blocks(f), n)
-    for alpha in [1.0, 2.0, 3.7, 128.0]:
-        out = np.empty(n)
-        tracemalloc.start()
-        try:
-            got = norms(alpha, out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got is out and peak < n
-        assert got.tobytes() == norms(alpha).tobytes() == dense_lp_norm(f, alpha).tobytes()
-
-
 def rescaled_norm(f, alpha):
-    """One alpha of `RescaledNorms`, on blocks copied from f (it rescales
-    them in place)."""
+    """The l_alpha norm of each row of f, from blocks copied from f: each is
+    rescaled by its row maxima (`_rescale_rows`, in place) and its powers
+    summed by `_RowSums`."""
     f = np.array(np.atleast_2d(f), dtype=float)
-    return feat.RescaledNorms(row_blocks(f), len(f))(alpha)
+    row_sums, norms = feat._RowSums(f.shape[1], len(f)), []
+    for block in row_blocks(f):
+        fmax = feat._rescale_rows(block)
+        row_sums.load(block)
+        norm = row_sums(alpha, np.empty(len(block)))
+        norm **= 1.0 / alpha
+        norm *= fmax
+        norms.append(norm)
+    return np.concatenate(norms)
 
 
 def dense_lp_norm(f, alpha):
@@ -411,7 +408,7 @@ class TestOptimalBetaGrid:
     def test_bit_identical_at_trials_off_the_multiples_of_8(self, model, k):
         # 12,345 trials are blocks of 3,080, 3,088 and 3,089 rows: the
         # pairwise tree ends in a run whose length is no multiple of 8. At
-        # K = 27 a block's index no longer fits uint16.
+        # K = 27 a block holds more than 2**16 entries.
         grid = feat.optimal_beta_grid(model, k, self.GRID, trials=12_345, seed=4)
         for alpha, est in zip(self.GRID, grid):
             assert est == dense_optimal_beta(model, k, alpha, 12_345, 4)

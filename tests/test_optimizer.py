@@ -146,8 +146,9 @@ class TestSelectAlpha:
                                               optimizer.BRUTE_FORCE, optimizer.CLOSED_FORM,
                                               optimizer.CLOSED_FORM]
         # E[fmax^2], one beta* draw for the grid, then one error sweep for
-        # both brute-force powers, which computes no bound.
-        # Consecutive blocks from one generator are one draw.
+        # both brute-force powers, which computes no bound; it runs a second
+        # generator of its stream through the features to reach the unit
+        # noise. Consecutive blocks from one generator are one draw.
         draws = []
         for rng, (rows, k) in calls:
             if draws and draws[-1][0] is rng:
@@ -155,7 +156,7 @@ class TestSelectAlpha:
             else:
                 draws.append([rng, rows, k])
         assert [(rows, k) for _, rows, k in draws] == [(10_000, K), (400_000, K),
-                                                       (10_000, K)]
+                                                       (10_000, K), (10_000, K)]
 
     def test_never_below_one(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ the receive power directly as SNR x noise, so no fading gains are drawn.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 def db_to_linear(x_db: float) -> float:
@@ -30,30 +30,32 @@ class SystemParams:
     noise_figure_db: float = 4.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.k_sensors < 1 or self.n_subchannels < 1:
-            raise ValueError("k_sensors and n_subchannels must be >= 1")
-        if self.n_features < 0:
-            raise ValueError("n_features must be >= 0")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
-
-    @property
-    def noise_density_w_per_hz(self) -> float:
-        """Noise spectral density times the noise figure, in W/Hz."""
-        return db_to_linear(self.noise_density_dbm_per_hz - 30.0) * db_to_linear(self.noise_figure_db)
+        for name, ok, text in (("k_sensors", lambda v: v >= 1, ">= 1"),
+                               ("n_features", lambda v: v >= 0, ">= 0 (0: nothing to send)"),
+                               ("bandwidth_hz", lambda v: 0.0 < v < math.inf, "finite and > 0"),
+                               ("n_subchannels", lambda v: v >= 1, ">= 1"),
+                               ("noise_density_dbm_per_hz", math.isfinite, "finite"),
+                               ("noise_figure_db", math.isfinite, "finite")):
+            if not ok(getattr(self, name)):
+                raise ValueError(f"{name} must be {text}, got {getattr(self, name)}")
 
     @property
     def subchannel_noise_w(self) -> float:
-        """Per-sub-channel noise power: density x figure x B/M."""
-        return self.noise_density_w_per_hz * self.bandwidth_hz / self.n_subchannels
+        """Per-sub-channel noise power in W: noise density x noise figure x B/M."""
+        return (db_to_linear(self.noise_density_dbm_per_hz - 30.0)
+                * db_to_linear(self.noise_figure_db) * self.bandwidth_hz / self.n_subchannels)
 
 
 def airpool_latency(params: SystemParams) -> float:
     """Air latency of over-the-air pooling in seconds: N / B (no K term)."""
-    return params.n_features / params.bandwidth_hz
+    return _seconds(params.n_features, params.bandwidth_hz)
+
+
+def _seconds(symbols, per_second: float) -> float:
+    seconds = symbols / per_second
+    if seconds == math.inf:
+        raise OverflowError(f"latency {symbols:g} / {per_second:g} overflows float64")
+    return seconds
 
 
 def digital_rate(k: int, snr_rx: float) -> float:
@@ -78,4 +80,4 @@ def digital_latency(params: SystemParams, q_bits: int, snr_rx: float) -> float:
     if q_bits < 1:
         raise ValueError("q_bits must be >= 1")
     rate = digital_rate(params.k_sensors, snr_rx)
-    return params.k_sensors * params.n_features * q_bits / (params.bandwidth_hz * rate)
+    return _seconds(params.k_sensors * params.n_features * q_bits, params.bandwidth_hz * rate)

@@ -9,6 +9,7 @@ arguments), 3 numeric error (an ArithmeticError such as an overflow).
 """
 
 import argparse
+import csv
 import dataclasses
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 from . import experiments, optimizer, sensing
 from .channel import (SystemParams, airpool_latency, db_to_linear, digital_latency,
                       digital_rate)
-from .experiments import ConfigError, ExperimentConfig, ExperimentResult
+from .experiments import ConfigError, ExperimentConfig
 from .features import FeatureModel
 
 EXIT_OK = 0
@@ -37,7 +38,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     overrides = {name: getattr(args, option) for name, option in
                  (("seed", "seed"), ("trials", "trials"), ("output_dir", "out"))
                  if getattr(args, option, None) is not None}
-    if "trials" in overrides and "trials" not in experiments._READS[cfg.experiment]:
+    if "trials" in overrides and \
+            cfg.experiment not in experiments.CONFIG_KEYS["experiment", "trials"].read_by:
         raise ConfigError(f"--trials: {cfg.experiment} does not read trials")
     return dataclasses.replace(cfg, **overrides)
 
@@ -80,15 +82,12 @@ def _error_exit(exc: Exception) -> int:
     return EXIT_NUMERIC_ERROR
 
 
-def _print_table(result: ExperimentResult) -> None:
-    widths = [max(len(str(c)), *(len(experiments._fmt_value(r.get(c, "")))
-                                 for r in result.rows)) for c in result.columns]
-    header = "  ".join(str(c).ljust(w) for c, w in zip(result.columns, widths))
-    print(header)
-    print("-" * len(header))
-    for row in result.rows:
-        print("  ".join(experiments._fmt_value(row.get(c, "")).ljust(w)
-                        for c, w in zip(result.columns, widths)))
+def _print_table(csv_path) -> None:
+    with open(csv_path, newline="") as fh:
+        table = list(csv.reader(fh))
+    widths = [max(map(len, cells)) for cells in zip(*table)]
+    header, *rows = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in table]
+    print("\n".join([header, "-" * len(header), *rows]))
 
 
 def _cmd_run(args) -> int:
@@ -105,12 +104,12 @@ def _cmd_validate_bounds(args) -> int:
     if args.config:
         cfg = experiments.parse_config(args.config)
         if cfg.experiment != "bound_validation":
-            raise ConfigError(f"{args.config}: validate-bounds takes a bound_validation "
-                              f"config, got kind = {cfg.experiment}")
+            raise ConfigError.at("experiment", "kind", f"validate-bounds takes bound_validation, "
+                                                       f"got {cfg.experiment}")
     else:
         cfg = ExperimentConfig(experiment="bound_validation")
-    result, _ = experiments.run_experiment(_apply_overrides(cfg, args))
-    _print_table(result)
+    result, paths = experiments.run_experiment(_apply_overrides(cfg, args))
+    _print_table(paths["csv"])
     total = len(result.rows)
     if result.failures:
         failing = sorted({r["check"] for r in result.rows if not r["passed"]})

@@ -20,8 +20,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields, asdict
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, asdict
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +47,71 @@ _MODEL_KINDS = {
 class ConfigError(Exception):
     """Raised for unparsable or invalid experiment configuration."""
 
+    @classmethod
+    def at(cls, section: str, key: str, text: str) -> "ConfigError":
+        """The one form of every config key error: `[section] key: text`."""
+        return cls(f"[{section}] {key}: {text}")
+
+
+def _float_list(raw: str) -> Tuple[float, ...]:
+    return tuple(float(part) for part in raw.replace(",", " ").split())
+
+
+class Key(NamedTuple):
+    """One config key: the field it sets (of SystemParams for [system]; none for
+    `workers`), its parser, the kinds that read it, and its range: a predicate, its text."""
+
+    field: Optional[str]
+    parse: Callable[[str], Any]
+    read_by: FrozenSet[str]
+    ok: Optional[Callable[[Any], bool]] = None
+    range: str = ""
+
+    def check(self, section: str, key: str, value) -> None:
+        if self.ok is not None and not self.ok(value):
+            raise ConfigError.at(section, key, f"must be {self.range}, got {value!r}")
+
+
+_ANY = frozenset(EXPERIMENT_KINDS)
+_MC = _ANY - {"latency_table"}  # the Monte Carlo kinds
+_E2E = frozenset({"synthetic_e2e"})
+
+# Every key of every section. Any other key, or one the configured kind does
+# not read, is an error, so neither a typo nor a key that changes nothing is
+# accepted. Generated benchmark configs say `workers = 1`.
+CONFIG_KEYS: Dict[Tuple[str, str], Key] = {
+    ("experiment", "kind"): Key("experiment", str.strip, _ANY, EXPERIMENT_KINDS.__contains__,
+                                f"one of {', '.join(EXPERIMENT_KINDS)}"),
+    ("experiment", "trials"): Key("trials", int, _MC),
+    ("experiment", "seed"): Key("seed", int, _ANY, lambda v: v >= 0, ">= 0"),
+    ("experiment", "output_dir"): Key("output_dir", str.strip, _ANY),
+    ("experiment", "workers"): Key(None, int, _ANY, lambda v: v == 1,
+                                   "1 (parallel workers were removed)"),
+    ("system", "k_sensors"): Key("k_sensors", int, _ANY - _E2E),  # the dataset fixes K = 4
+    ("system", "n_features"): Key("n_features", int, _ANY - _MC),
+    ("system", "bandwidth_hz"): Key("bandwidth_hz", float, _ANY),
+    ("system", "n_subchannels"): Key("n_subchannels", int, _MC),
+    ("system", "noise_density_dbm_per_hz"): Key("noise_density_dbm_per_hz", float, _MC),
+    ("system", "noise_figure_db"): Key("noise_figure_db", float, _MC),
+    ("feature_model", "kind"): Key("feature_kind", str.strip, _MC,
+                                   (*_MODEL_KINDS, "empirical").__contains__,
+                                   f"one of {', '.join(_MODEL_KINDS)}, empirical"),
+    ("feature_model", "sample_file"): Key("feature_file", str.strip, _MC),
+    ("sweep", "snr_grid_db"): Key("snr_grid_db", _float_list, _ANY,
+                                  lambda g: bool(g) and all(map(math.isfinite, g)),
+                                  "a nonempty list of finite values"),
+    ("sweep", "alpha_grid"): Key("alpha_grid", _float_list,
+                                 frozenset({"tradeoff_curve", "bound_validation"}),
+                                 lambda g: bool(g) and all(1.0 <= a <= feat.ALPHA_MAX for a in g),
+                                 f"a nonempty list of values in [1, {feat.ALPHA_MAX:g}]"),
+    ("sweep", "q_bits"): Key("q_bits", int, _ANY - _MC, lambda v: v >= 1, ">= 1"),
+    ("sweep", "n_samples"): Key("n_samples", int, _E2E, lambda v: v >= 1, ">= 1"),
+    ("sweep", "epochs"): Key("epochs", int, _E2E, lambda v: v >= 1, ">= 1"),
+    ("sweep", "learning_rate"): Key("learning_rate", float, _E2E, lambda v: 0.0 < v < math.inf,
+                                    "finite and > 0"),
+    ("sweep", "trials_per_sample"): Key("trials_per_sample", int, _E2E, lambda v: v >= 1, ">= 1"),
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -68,139 +133,89 @@ class ExperimentConfig:
     trials_per_sample: int = 20
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise ConfigError(f"experiment.kind must be one of {EXPERIMENT_KINDS}, "
-                              f"got {self.experiment!r}")
-        for f in fields(self):  # the float fields are all [sweep] keys
-            if f.type in (float, Tuple[float, ...]) and \
-                    not np.all(np.isfinite(getattr(self, f.name))):
-                raise ConfigError(f"sweep.{f.name} must be finite, got {getattr(self, f.name)}")
-        if not self.snr_grid_db or not self.alpha_grid:
-            raise ConfigError("sweep grids must be nonempty")
-        if not all(1.0 <= a <= feat.ALPHA_MAX for a in self.alpha_grid):
-            raise ConfigError(f"sweep.alpha_grid values must lie in [1, {feat.ALPHA_MAX:g}], "
-                              f"got {self.alpha_grid}")
-        if self.feature_kind not in (*_MODEL_KINDS, "empirical"):
-            raise ConfigError(f"feature_model.kind must be one of "
-                              f"{sorted(_MODEL_KINDS) + ['empirical']}, got {self.feature_kind!r}")
-        if self.seed < 0:
-            raise ConfigError(f"[experiment] seed must be >= 0, got {self.seed}")
-        if self.experiment != "latency_table" and self.trials < 10_000:
-            raise ConfigError("experiment.trials must be >= 10000 for Monte Carlo runs")
-        for name in ("n_samples", "epochs", "trials_per_sample", "q_bits"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"sweep.{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0.0:
-            raise ConfigError(f"sweep.learning_rate must be > 0, got {self.learning_rate}")
-        if self.experiment == "synthetic_e2e" and \
+        for (section, key), entry in CONFIG_KEYS.items():
+            if section != "system" and entry.field is not None:  # [system]: SystemParams
+                entry.check(section, key, getattr(self, entry.field))
+        # Cross-key rules. K >= 4 and SNR > K are premises of the closed-form alpha.
+        kind, k, noise = self.experiment, self.system.k_sensors, self.system.subchannel_noise_w
+        if kind in _MC and (self.feature_kind == "empirical") != bool(self.feature_file):
+            raise ConfigError.at("feature_model", "sample_file", f"must be given exactly when "
+                                 f"kind = empirical, got kind = {self.feature_kind}")
+        if kind in _MC and self.trials < feat.MIN_MC_TRIALS:
+            raise ConfigError.at("experiment", "trials", f"must be >= {feat.MIN_MC_TRIALS} "
+                                 f"for {kind}, got {self.trials}")
+        if kind in ("bound_validation", "alpha_optimality") and k < 4:
+            raise ConfigError.at("system", "k_sensors", f"must be >= 4 for {kind}, got {k}")
+        if kind == "synthetic_e2e" and \
                 sensing.SyntheticDataset.train_size(self.n_samples) >= self.n_samples:
-            raise ConfigError(f"sweep.n_samples = {self.n_samples} leaves no test sample "
-                              f"in the {sensing.TRAIN_FRACTION:g} train/test split")
-        # The premises of low_snr_threshold and closed_form_alpha, checked
-        # before any draw; the power ratio is the one the runner computes.
-        k, noise = self.system.k_sensors, self.system.subchannel_noise_w
-        k_min = 4 if self.experiment in ("bound_validation", "alpha_optimality") else 1
-        if k < k_min:
-            raise ConfigError(f"system.k_sensors must be >= {k_min} for {self.experiment}, "
-                              f"got {k}")
-        if self.experiment == "latency_table":
+            raise ConfigError.at("sweep", "n_samples", f"{self.n_samples} leaves no test sample "
+                                 f"in the {sensing.TRAIN_FRACTION:g} train/test split")
+        if kind == "alpha_optimality" and not all(
+                db_to_linear(s) * noise / noise > k for s in self.snr_grid_db):
+            raise ConfigError.at("sweep", "snr_grid_db", f"alpha_optimality needs every SNR "
+                                 f"above K = {k} in linear terms, got {self.snr_grid_db}")
+        if kind == "latency_table":
             for snr_db in self.snr_grid_db:
                 try:
                     digital_rate(k, db_to_linear(snr_db))
                 except ValueError as exc:
-                    raise ConfigError(f"sweep.snr_grid_db: {snr_db:g} dB: {exc}")
-        if self.experiment == "alpha_optimality" and not all(
-                db_to_linear(s) * noise / noise > k for s in self.snr_grid_db):
-            raise ConfigError(f"sweep.snr_grid_db: alpha_optimality needs every SNR above "
-                              f"K = {k} in linear terms, got {self.snr_grid_db}")
+                    raise ConfigError.at("sweep", "snr_grid_db", f"{snr_db:g} dB: {exc}")
+        if kind == "tradeoff_curve" and (len(self.alpha_grid) < 2 or
+                                         sorted(self.alpha_grid) != list(self.alpha_grid)):
+            raise ConfigError.at("sweep", "alpha_grid", f"tradeoff_curve needs an ascending "
+                                 f"grid of at least 2 values, got {self.alpha_grid}")
 
     def feature_model(self) -> FeatureModel:
-        if self.feature_kind == "empirical":
-            if not self.feature_file:
-                raise ConfigError("feature_model.sample_file is required for kind=empirical")
-            try:
-                return FeatureModel.from_file(self.feature_file)
-            except OSError as exc:
-                raise ConfigError(f"[feature_model] sample_file {self.feature_file!r}: "
-                                  f"{exc.strerror}")
-        return _MODEL_KINDS[self.feature_kind]()
-
-
-def _float_list(raw: str) -> Tuple[float, ...]:
-    return tuple(float(part) for part in raw.replace(",", " ").split())
-
-
-# Every key of every section: the ExperimentConfig field it sets and its
-# parser. The [system] keys are the SystemParams fields. Anything else in a
-# config file is an error, so a typo is never silently ignored.
-_SECTIONS = {
-    "experiment": {"kind": ("experiment", str.strip), "trials": ("trials", int),
-                   "seed": ("seed", int), "output_dir": ("output_dir", str.strip),
-                   "workers": ("workers", int)},
-    "system": {f.name: (f.name, f.type) for f in fields(SystemParams)},
-    "feature_model": {"kind": ("feature_kind", str.strip),
-                      "sample_file": ("feature_file", str.strip)},
-    "sweep": {"snr_grid_db": ("snr_grid_db", _float_list),
-              "alpha_grid": ("alpha_grid", _float_list), "q_bits": ("q_bits", int),
-              "n_samples": ("n_samples", int), "epochs": ("epochs", int),
-              "learning_rate": ("learning_rate", float),
-              "trials_per_sample": ("trials_per_sample", int)},
-}
-
-
-def _read_section(parser, name: str, path, kind: str) -> dict:
-    """The typed values of one section, keyed by the field each one sets."""
-    keys = _SECTIONS[name]
-    values = {}
-    for key, raw in parser[name].items():
-        if key not in keys:
-            raise ConfigError(f"{path}: [{name}] unknown key {key!r}; expected one of "
-                              f"{', '.join(keys)}")
-        field_name, cast = keys[key]
-        if kind in _READS and field_name not in _READS[kind]:
-            raise ConfigError(f"{path}: [{name}] {key}: {kind} does not read this key")
+        if self.feature_kind != "empirical":
+            return _MODEL_KINDS[self.feature_kind]()
         try:
-            values[field_name] = cast(raw)
-        except ValueError:
-            what = "a float list" if cast is _float_list else cast.__name__
-            raise ConfigError(f"[{name}] {key}: cannot parse {raw!r} as {what}")
-        if kind == "tradeoff_curve" and field_name == "snr_grid_db" \
-                and len(values[field_name]) > 1:
-            raise ConfigError(f"{path}: [{name}] {key}: tradeoff_curve reads one SNR, "
-                              f"got {values[field_name]}")
-    return values
+            return FeatureModel.from_file(self.feature_file)
+        except (OSError, ValueError) as exc:  # unreadable, or a line that is no feature
+            raise ConfigError.at("feature_model", "sample_file", f"{self.feature_file!r}: "
+                                 f"{exc.strerror if isinstance(exc, OSError) else exc}")
 
 
 def parse_config(path) -> ExperimentConfig:
     """Read the flat key-value experiment config with section headers."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No header names the section "", so [DEFAULT] is an unknown section too.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                       default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}")
     if not read:
         raise ConfigError(f"{path}: file not found or empty")
-    if parser.defaults():
-        raise ConfigError(f"{path}: a [DEFAULT] section is not supported")
-    for name in parser.sections():
-        if name not in _SECTIONS:
-            raise ConfigError(f"{path}: unknown section [{name}]; expected one of "
-                              f"{', '.join(_SECTIONS)}")
-    if "experiment" not in parser:
-        raise ConfigError(f"{path}: missing [experiment] section")
-    kind = parser["experiment"].get("kind", "").strip()
-    values = {name: _read_section(parser, name, path, kind) for name in parser.sections()}
+    sections = dict.fromkeys(section for section, _ in CONFIG_KEYS)
+    kind = parser.get("experiment", "kind", fallback="").strip()
+    config, system = {"experiment": kind}, {}
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"{path}: unknown section [{section}]; expected one of "
+                              f"{', '.join(sections)}")
+        for key, raw in parser[section].items():
+            entry = CONFIG_KEYS.get((section, key))
+            if entry is None:
+                raise ConfigError.at(section, key, "unknown key; expected one of " + ", ".join(
+                    name for where, name in CONFIG_KEYS if where == section))
+            if kind in _ANY and kind not in entry.read_by:
+                raise ConfigError.at(section, key, f"{kind} does not read this key")
+            try:
+                value = entry.parse(raw)
+            except ValueError as exc:
+                raise ConfigError.at(section, key, f"cannot parse {raw!r}: {exc}")
+            entry.check(section, key, value)
+            if entry.field is not None:
+                (system if section == "system" else config)[entry.field] = value
+    # On the file's value: a tradeoff_curve that omits the key reads 0 dB.
+    if kind == "tradeoff_curve" and len(config.get("snr_grid_db", ())) > 1:
+        raise ConfigError.at("sweep", "snr_grid_db",
+                             f"tradeoff_curve reads one SNR, got {config['snr_grid_db']}")
     try:
-        system = SystemParams(**values.pop("system", {}))
-    except ValueError as exc:
-        raise ConfigError(f"[system]: {exc}")
-    kwargs = {"experiment": ""}
-    for section in values.values():
-        kwargs.update(section)
-    if kwargs.pop("workers", 1) != 1:  # generated benchmark configs say `workers = 1`
-        raise ConfigError("[experiment] workers: parallel workers were removed; "
-                          "only workers = 1 is accepted")
-    return ExperimentConfig(system=system, **kwargs)
+        params = SystemParams(**system)
+    except ValueError as exc:  # its message names the field first
+        raise ConfigError.at("system", *str(exc).split(" ", 1))
+    return ExperimentConfig(system=params, **config)
 
 
 @dataclass
@@ -289,13 +304,11 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
     p_rx = db_to_linear(snr_db) * noise
     rows: List[Dict] = []
     series: List[Series] = []
-    model_kinds = [cfg.feature_kind] if cfg.feature_kind == "empirical" else \
-        list(_MODEL_KINDS)
+    models = {"empirical": cfg.feature_model} if cfg.feature_kind == "empirical" else _MODEL_KINDS
     k = cfg.system.k_sensors
-    for kind in model_kinds:
-        model = cfg.feature_model() if kind == "empirical" else _MODEL_KINDS[kind]()
+    for kind, make_model in models.items():
         curve, diagnostics = analysis.tradeoff_curve(
-            model, k, p_rx, noise, list(cfg.alpha_grid),
+            make_model(), k, p_rx, noise, list(cfg.alpha_grid),
             trials=cfg.trials, seed=cfg.seed)
         for row, diag in zip(curve, [";".join(diagnostics)] + [""] * (len(curve) - 1)):
             rows.append({"model": kind, "snr_db": snr_db, **row,
@@ -625,24 +638,6 @@ _RUNNERS = {
     "synthetic_e2e": run_synthetic_e2e,
 }
 
-# The fields each runner reads. A config key that sets any other field is
-# an error, so no key is accepted that changes nothing. `workers` stays
-# readable because generated benchmark configs say `workers = 1`.
-_EVERY = {"experiment", "seed", "output_dir", "workers"}
-_MONTE_CARLO = {*_EVERY, "trials", "bandwidth_hz", "n_subchannels",
-                "noise_density_dbm_per_hz", "noise_figure_db", "feature_kind",
-                "feature_file", "snr_grid_db"}
-_READS = {
-    "latency_table": {*_EVERY, "k_sensors", "n_features", "bandwidth_hz", "snr_grid_db",
-                      "q_bits"},
-    "tradeoff_curve": {*_MONTE_CARLO, "k_sensors", "alpha_grid"},
-    "bound_validation": {*_MONTE_CARLO, "k_sensors", "alpha_grid"},
-    "alpha_optimality": {*_MONTE_CARLO, "k_sensors"},
-    "synthetic_e2e": {*_MONTE_CARLO, "n_samples", "epochs", "learning_rate",
-                      "trials_per_sample"},  # the dataset fixes K = 4
-}
-
-
 def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentResult, dict]:
     """Run the configured experiment and write its artifacts. The output
     directory is made first, so a path that cannot be one (an existing
@@ -650,8 +645,8 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentResult, dict]:
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"[experiment] output_dir {cfg.output_dir!r}: cannot make the "
-                          f"directory: {exc.strerror}")
+        raise ConfigError.at("experiment", "output_dir", f"cannot make the directory "
+                             f"{cfg.output_dir!r}: {exc.strerror}")
     result, chart = _RUNNERS[cfg.experiment](cfg)
     paths = write_outputs(result, cfg.output_dir, chart)
     return result, paths

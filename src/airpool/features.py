@@ -312,9 +312,12 @@ def max_second_moment_prefixes(model: FeatureModel, k: int, trials: Sequence[int
         raise ValueError("k must be >= 1")
     if min(trials) < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    blocks = draw_blocks(model, rng_from(seed, 0), max(trials), k)
-    fmax = np.concatenate([x.max(axis=1) for x in blocks])
-    return [mean_estimate(fmax[:n] ** 2, "max_second_moment") for n in trials]
+    fmax_sq, end = np.empty(max(trials)), 0
+    for x in draw_blocks(model, rng_from(seed, 0), max(trials), k):
+        end += len(x)
+        x.max(axis=1, out=fmax_sq[end - len(x):end])
+    np.square(fmax_sq, out=fmax_sq)  # in place: the peak holds one trials-sized array fewer
+    return [mean_estimate(fmax_sq[:n], "max_second_moment") for n in trials]
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],

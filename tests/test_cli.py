@@ -1,10 +1,12 @@
 """Config parsing, experiment artifacts, reproducibility, and CLI exit
 codes."""
 
+import contextlib
 import csv
 import glob
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -13,6 +15,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from airpool import analysis, cli, experiments, features as feat, optimizer, sensing
 from airpool._mc import pairwise_nodes, rng_from
@@ -589,7 +592,7 @@ RANGE_ERRORS = {
     "run-tradeoff-alpha-descending": (
         "alpha_grid", ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2")),
     "run-tradeoff-misspelled-model": (
-        "feature_model.kind", ("tradeoff_curve", "[feature_model]\nkind = unifrom01")),
+        r"feature_model\] kind", ("tradeoff_curve", "[feature_model]\nkind = unifrom01")),
     "run-alpha-optimality-k-2": ("k_sensors", ("alpha_optimality", "[system]\nk_sensors = 2")),
     "run-alpha-optimality-snr-not-above-k": (
         "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 5, 30")),
@@ -638,6 +641,19 @@ RANGE_ERRORS = {
     "run-tradeoff-missing-sample-file": (
         "sample_file", ("tradeoff_curve", "[feature_model]\nkind = empirical\n"
                                           "sample_file = /nonexistent/features.txt")),
+    # A sample_file is read only for kind = empirical.
+    "run-tradeoff-unread-sample-file": (
+        "sample_file", ("tradeoff_curve", "[feature_model]\nkind = uniform01\n"
+                                          "sample_file = /nonexistent/x.txt")),
+    "run-alpha-optimality-only-sample-file": (
+        "sample_file", ("alpha_optimality", "[feature_model]\nsample_file = /nonexistent/x.txt")),
+    "run-bound-sample-file-not-decimal": (
+        "sample_file", ("bound_validation", "[feature_model]\nkind = empirical\n"
+                                            f"sample_file = {os.path.abspath(__file__)}")),
+    "run-bound-empty-alpha-grid": ("alpha_grid", ("bound_validation", "[sweep]\nalpha_grid =")),
+    "run-latency-empty-snr-grid": ("snr_grid_db", ("latency_table", "[sweep]\nsnr_grid_db =")),
+    # A % in a value is a character, not an interpolation.
+    "run-latency-percent-in-seed": ("seed", ("latency_table", "seed = 5%")),
     "latency-q-bits-0": ("q_bits", ["latency", "--q-bits", "0"]),
     "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
     "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
@@ -749,12 +765,166 @@ class TestExperimentKeys:
         assert err.startswith("config error: --trials: latency_table does not read")
         assert not out.exists()
 
+    def test_readme_key_table_matches_the_schema(self):
+        # The README's table: a header of sections, then one row per kind
+        # whose cells list the keys it reads in each section.
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            lines = [line for line in fh if line.startswith("| `")]
+        header, *rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                         for line in lines if "`[experiment]`" in line
+                         or line.split("|")[1].strip(" `") in experiments.EXPERIMENT_KINDS]
+        sections = [re.fullmatch(r"`\[(\w+)\]`", cell).group(1) for cell in header[1:]]
+        documented = {row[0].strip("`"): {(section, key) for section, cell in
+                                          zip(sections, row[1:])
+                                          for key in re.findall(r"`(\w+)`", cell)}
+                      for row in rows}
+        assert documented == {
+            kind: {where for where, entry in experiments.CONFIG_KEYS.items()
+                   if kind in entry.read_by} for kind in experiments.EXPERIMENT_KINDS}
+
     @pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
     def test_every_read_key_is_accepted(self, kind, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text(config_body(kind, READ_KEYS[kind], tmp_path / "out"))
         cfg = parse_config(path)
         assert (cfg.experiment, cfg.seed) == (kind, 1)
+
+
+class Sentinel(Exception):
+    """Raised by the patched draw and training step; `cli.main` lets it through."""
+
+
+def _raise_sentinel(*args, **kwargs):
+    raise Sentinel
+
+
+# The grammar of a config file, built from experiments.CONFIG_KEYS: every key
+# draws a value by its parser, tame (finite and mostly in range) or wild
+# (extreme, non-finite or unparsable). trials, k_sensors and n_samples stay
+# small even when wild: with the draw patched away, a huge one could still
+# size an array before the sentinel is reached, and such an allocation can
+# take the machine's memory.
+_FLOATS = st.floats(-1e3, 1e8).map(repr)
+_GRID = st.lists(st.floats(1.0, 128.0).map(repr), min_size=1, max_size=3).map(", ".join)
+_TAME = {int: st.integers(0, 64).map(str), float: _FLOATS, experiments._float_list: _GRID}
+_SIZES = {("experiment", "trials"): ["-1", "0", "9999", "10000", "20000"],
+          ("system", "k_sensors"): ["-1", "0", "1", "3", "4", "12"],
+          ("sweep", "n_samples"): ["-1", "0", "1", "2", "3", "300"]}
+_WILD_FLOATS = st.sampled_from(["0", "-0.0", "5e-324", "1e-308", "1e308", "-1e308",
+                                "nan", "inf", "-inf"])
+_WILD = {int: st.sampled_from(["-1", str(2 ** 64), str(10 ** 400)]), float: _WILD_FLOATS,
+         experiments._float_list: st.lists(st.one_of(_FLOATS, _WILD_FLOATS), max_size=3)
+         .map(", ".join)}
+_UNPARSABLE = st.sampled_from(["", "abc", "1.5.2", "%(x)s", "1e", "0x10", "- 1"])
+_FAULTS = [None, "wild", "unparsable", "unread", "misspelled key", "misspelled section"]
+
+
+def _key_values(out, files, wild):
+    """A strategy for each (section, key): by its parser, tame or wild."""
+    strategies = {where: (_WILD if wild else _TAME).get(entry.parse) for where, entry in
+                  experiments.CONFIG_KEYS.items()}
+    strategies.update({
+        **{where: st.sampled_from(sizes) for where, sizes in _SIZES.items()},
+        ("experiment", "kind"): st.sampled_from([*experiments.EXPERIMENT_KINDS, "latency"]),
+        ("experiment", "workers"): st.just("2" if wild else "1"),
+        ("experiment", "output_dir"): st.just(files["good"] if wild else out),
+        ("feature_model", "kind"): st.sampled_from(
+            ["unifrom01"] if wild else [*experiments._MODEL_KINDS, "empirical"]),
+        ("feature_model", "sample_file"): st.sampled_from(
+            [files["missing"], files["not-decimal"], files["directory"]] if wild
+            else [files["good"]]),
+    })
+    return strategies
+
+
+@st.composite
+def config_files(draw, out, files):
+    """(kind, sections): tame values for keys the kind reads, then at most
+    one fault: a wild or unparsable value, a key the kind does not read, or
+    a misspelled key or section."""
+    tame, wild = _key_values(out, files, False), _key_values(out, files, True)
+    kind = draw(tame["experiment", "kind"])
+    keys = experiments.CONFIG_KEYS
+    # A kind out of range skips the unread-key check, as if it read every key.
+    read = [where for where, entry in keys.items() if where != ("experiment", "kind")
+            and kind in {*entry.read_by, "latency"}]
+    sections = {"experiment": {"kind": kind, "output_dir": out}}
+    if kind in keys["experiment", "trials"].read_by:
+        sections["experiment"]["trials"] = "10000"
+    for section, key in draw(st.lists(st.sampled_from(read), unique=True, max_size=5)):
+        sections.setdefault(section, {})[key] = draw(tame[section, key])
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "wild" or (fault == "unread" and kind != "latency"):
+        section, key = draw(st.sampled_from(sorted(set(read) if fault == "wild" else
+                                                   set(keys) - set(read))))
+        sections.setdefault(section, {})[key] = draw(wild[section, key])
+    section = draw(st.sampled_from(sorted(sections)))
+    key = draw(st.sampled_from(sorted(sections[section])))
+    if fault == "unparsable":
+        sections[section][key] = draw(_UNPARSABLE)
+    elif fault == "misspelled key":
+        sections[section][key[::-1]] = sections[section].pop(key)
+    elif fault == "misspelled section":
+        sections[section + "s"] = sections.pop(section)
+    return kind, sections
+
+
+class TestConfigGrammar:
+    """Every config file the grammar writes ends in one line and its exit
+    code: a config error naming `[section] key`, a numeric error, or a run
+    that reaches its first draw or training step (the sentinel). Only
+    latency_table, which draws nothing, may finish; its cells are finite."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("grammar")
+        (root / "samples.txt").write_text("0.5\n1.5\n2.0\n")
+        return {"good": str(root / "samples.txt"), "missing": str(root / "missing.txt"),
+                "not-decimal": os.path.abspath(__file__), "directory": str(root)}
+
+    @pytest.fixture(scope="class")
+    def out(self, tmp_path_factory):
+        return str(tmp_path_factory.mktemp("grammar-out"))
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_config_ends_in_one_line(self, data, files, out):
+        kind, sections = data.draw(config_files(out, files))
+        path = os.path.join(out, "exp.ini")
+        with open(path, "w") as fh:
+            fh.write("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
+                             for name, lines in sections.items()))
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            mp.setattr(FeatureModel, "draw", _raise_sentinel)
+            mp.setattr(sensing, "train_classifier", _raise_sentinel)
+            mp.chdir(out)  # a relative output_dir such as "abc" is made here
+            try:
+                code = cli.main(["run", "--config", path])
+            except Sentinel:
+                return
+        err = err.getvalue()
+        assert err.count("\n") == (code != 0), err
+        if code == 0:
+            assert kind == "latency_table"
+            with open(os.path.join(out, sections["experiment"]["output_dir"],
+                                   "latency_table.csv")) as fh:
+                rows = list(csv.DictReader(fh))
+            assert all(math.isfinite(float(row[c])) for row in rows
+                       for c in ("snr_db", "latency_ms") if row[c])
+        elif code == 2:
+            named = re.match(r"config error: \[(\w+)\] (\w+): ", err)
+            if named:
+                section, key = named.groups()
+                assert (section, key) in experiments.CONFIG_KEYS \
+                    or key in sections.get(section, {}), err
+            else:
+                section, = re.match(r"config error: .*: unknown section \[(\w+)\]", err).groups()
+                assert section in sections, err
+        else:
+            assert code == 3 and err.startswith("numeric error: "), err
 
 
 class TestCliExitCodes:
@@ -840,6 +1010,18 @@ class TestCliExitCodes:
         assert err.startswith("numeric error: OverflowError")
         assert "exponential_unit" in err and "alpha = 128" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_latency_that_overflows_is_a_numeric_error(self, tmp_path, capsys):
+        # N / B overflows to inf at B = 1e-308 Hz: one line and exit 3, never
+        # a CSV of infinities.
+        path = tmp_path / "exp.ini"
+        path.write_text(LATENCY_CFG.format(out=tmp_path / "out").replace("10e6", "1e-308"))
+        for argv in (["run", "--config", str(path)], ["latency", "--bandwidth-hz", "1e-308"]):
+            assert cli.main(argv) == 3
+            out, err = capsys.readouterr()
+            assert err.startswith("numeric error: OverflowError: latency 17911 / 1e-308")
+            assert out == "" and err.count("\n") == 1
+        assert not (tmp_path / "out" / "latency_table.csv").exists()
 
     def test_latency_command(self, capsys):
         assert cli.main(["latency", "--snr-db", "6", "10", "16"]) == 0

@@ -55,11 +55,11 @@ class ErrorBreakdown:
     appr: MonteCarloEstimate
 
 
-def decomposition_slack(err: ErrorBreakdown, c0: int, n_sigma: float = N_SIGMA) -> float:
-    """c0 (D_chan + D_appr) + n_sigma SE - D; >= 0 when the bound holds."""
+def decomposition_slack(err: ErrorBreakdown, c0: int) -> float:
+    """c0 (D_chan + D_appr) + N_SIGMA SE - D; >= 0 when the bound holds."""
     combined = math.sqrt(err.total.std_error ** 2
                          + c0 ** 2 * (err.chan.std_error ** 2 + err.appr.std_error ** 2))
-    return c0 * (err.chan.value + err.appr.value) + n_sigma * combined - err.total.value
+    return c0 * (err.chan.value + err.appr.value) + N_SIGMA * combined - err.total.value
 
 
 def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],

@@ -137,7 +137,15 @@ class ExperimentConfig:
             if section != "system" and entry.field is not None:  # [system]: SystemParams
                 entry.check(section, key, getattr(self, entry.field))
         # Cross-key rules. K >= 4 and SNR > K are premises of the closed-form alpha.
-        kind, k, noise = self.experiment, self.system.k_sensors, self.system.subchannel_noise_w
+        kind, k = self.experiment, self.system.k_sensors
+        if kind in _MC:  # the kinds that read the noise power
+            try:
+                noise = self.system.subchannel_noise_w
+            except OverflowError:  # 10 ** (dB / 10) beyond float64
+                noise = math.inf
+            if not 0.0 < noise < math.inf:
+                raise ConfigError.at("system", "noise_density_dbm_per_hz", f"must give a finite "
+                                     f"noise power > 0, got {noise:g} W per sub-channel")
         if kind in _MC and (self.feature_kind == "empirical") != bool(self.feature_file):
             raise ConfigError.at("feature_model", "sample_file", f"must be given exactly when "
                                  f"kind = empirical, got kind = {self.feature_kind}")
@@ -207,10 +215,16 @@ def parse_config(path) -> ExperimentConfig:
             entry.check(section, key, value)
             if entry.field is not None:
                 (system if section == "system" else config)[entry.field] = value
-    # On the file's value: a tradeoff_curve that omits the key reads 0 dB.
+    # On the file's values: a tradeoff_curve that omits snr_grid_db reads 0 dB.
     if kind == "tradeoff_curve" and len(config.get("snr_grid_db", ())) > 1:
         raise ConfigError.at("sweep", "snr_grid_db",
                              f"tradeoff_curve reads one SNR, got {config['snr_grid_db']}")
+    if kind == "tradeoff_curve" and config.get("feature_kind", "empirical") != "empirical":
+        raise ConfigError.at("feature_model", "kind", "tradeoff_curve writes every built-in "
+                             f"model unless empirical, got {config['feature_kind']}")
+    if kind == "alpha_optimality" and "snr_grid_db" not in config:
+        raise ConfigError.at("sweep", "snr_grid_db", "alpha_optimality requires this key: "
+                             "the default grid's 0 dB is above no K >= 4")
     try:
         params = SystemParams(**system)
     except ValueError as exc:  # its message names the field first
@@ -506,7 +520,7 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
     dataset = sensing.generate_dataset(1500, cfg.seed, linear_labels=True,
                                        margin_gap=0.2,
                                        mode=PoolingMode.average(), model=model)
-    margin_model = sensing.measure_linear_margin(dataset, seed=cfg.seed)
+    margin_model = sensing.measure_linear_margin(dataset)
     per_dim = np.swapaxes(dataset.views, 1, 2)
     pooled = dataset.pooled()
     r0 = margin_model.clean_accuracy

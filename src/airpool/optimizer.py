@@ -72,21 +72,21 @@ def stationarity_residual(alpha: float, k: int, p_bar: float, noise_power: float
     return lhs - rhs
 
 
-def bisection_alpha(k: int, p_bar: float, noise_power: float, e_fmax_sq: float,
-                    lo: float = 1.0, hi: float = ALPHA_MAX,
-                    iterations: int = 200) -> float:
-    """Root of the stationarity condition by bisection on [lo, hi].
+def bisection_alpha(k: int, p_bar: float, noise_power: float, e_fmax_sq: float) -> float:
+    """Root of the stationarity condition by 200 bisection steps on
+    [1, ALPHA_MAX].
 
     The residual is negative left of the optimum and positive right of it;
-    if it is already positive at `lo` the constrained optimum is alpha = lo.
+    if it is already positive at 1 the constrained optimum is alpha = 1.
     """
+    lo, hi = 1.0, ALPHA_MAX
     f_lo = stationarity_residual(lo, k, p_bar, noise_power, e_fmax_sq)
     if f_lo >= 0.0:
         return lo
     f_hi = stationarity_residual(hi, k, p_bar, noise_power, e_fmax_sq)
     if f_hi <= 0.0:
         return hi
-    for _ in range(iterations):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if stationarity_residual(mid, k, p_bar, noise_power, e_fmax_sq) < 0.0:
             lo = mid
@@ -267,11 +267,11 @@ def brute_force_alpha(model: FeatureModel, k: int, p_bars: Sequence[float],
 
 
 def fit_calibration(pairs: Sequence[Tuple[float, float]], k: int,
-                    e_fmax_sq: float, noise_power: float = 1.0) -> CalibrationConstants:
+                    e_fmax_sq: float) -> CalibrationConstants:
     """Least-squares affine calibration of the closed form against references.
 
     `pairs` holds (snr_linear, alpha_reference) rows; the predictor is the
-    closed-form alpha at p_bar = snr_linear * noise_power. Returns the fitted
+    closed-form alpha at p_bar = snr_linear under unit noise. Returns the fitted
     (c1, c2) of alpha_ref ~ c1 * alpha_closed + c2 and the mean squared
     residual.
 
@@ -285,7 +285,7 @@ def fit_calibration(pairs: Sequence[Tuple[float, float]], k: int,
     if len(pairs) < 3:
         raise ValueError("fit_calibration requires at least 3 pairs")
     predictors = np.array([
-        closed_form_alpha(k, snr * noise_power, noise_power, e_fmax_sq).alpha_star
+        closed_form_alpha(k, snr, 1.0, e_fmax_sq).alpha_star
         for snr, _ in pairs])
     targets = np.array([ref for _, ref in pairs], dtype=float)
     if np.ptp(predictors) < 1e-12:

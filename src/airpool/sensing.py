@@ -21,6 +21,8 @@ from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postproc
 
 DEFAULT_VIEWS = 4
 DEFAULT_FEATURES = 4
+HIDDEN_WIDTH = 5
+N_CLASSES = 2
 TRAIN_FRACTION = 0.8
 
 
@@ -32,8 +34,6 @@ class SyntheticDataset:
     labels: np.ndarray           # (n,), values in {0, 1}
     mode: PoolingMode            # pooling used to derive the labels
     generator_seed: int
-    label_rule: str              # "tanh" or "linear"
-    margin_gap: float = 0.0      # half-width of the excluded band around the boundary
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -71,11 +71,10 @@ def _label_projection(rng: np.random.Generator, n_features: int):
 def generate_dataset(n_samples: int, seed: int,
                      mode: Optional[PoolingMode] = None,
                      model: Optional[FeatureModel] = None,
-                     k_views: int = DEFAULT_VIEWS,
-                     n_features: int = DEFAULT_FEATURES,
                      linear_labels: bool = False,
                      margin_gap: float = 0.0) -> SyntheticDataset:
-    """Draw i.i.d. non-negative views and label them by a pooled projection.
+    """Draw i.i.d. non-negative views, (n_samples, DEFAULT_VIEWS,
+    DEFAULT_FEATURES), and label them by a pooled projection.
 
     The label is 1 when the projection score of the noiseless pooled vector
     exceeds the sample median, which balances the classes by construction.
@@ -90,9 +89,9 @@ def generate_dataset(n_samples: int, seed: int,
     rng = rng_from(seed)
     mode = mode or PoolingMode.max()
     model = model or FeatureModel.rectified_gaussian()
-    mix, direction = _label_projection(rng, n_features)
+    mix, direction = _label_projection(rng, DEFAULT_FEATURES)
     factor = 4 if margin_gap > 0 else 1
-    views = model.draw(rng, (factor * n_samples, k_views, n_features))
+    views = model.draw(rng, (factor * n_samples, DEFAULT_VIEWS, DEFAULT_FEATURES))
     g = true_pool(np.swapaxes(views, 1, 2), mode)
     if linear_labels:
         score = g @ direction / np.linalg.norm(direction)
@@ -109,9 +108,7 @@ def generate_dataset(n_samples: int, seed: int,
         views, score = views[:n_samples], score[:n_samples]
     labels = (score > tau).astype(np.int64)
     return SyntheticDataset(views=views, labels=labels, mode=mode,
-                            generator_seed=seed,
-                            label_rule="linear" if linear_labels else "tanh",
-                            margin_gap=margin_gap)
+                            generator_seed=seed)
 
 
 def _layer_views(flat: np.ndarray, shapes):
@@ -129,21 +126,16 @@ def _layer_views(flat: np.ndarray, shapes):
 class ShallowClassifier:
     """Two tanh hidden layers and a softmax output, trained by plain SGD.
 
-    `sizes` is (inputs, hidden 1, hidden 2, outputs). Every weight matrix
-    and bias vector is a view into the flat `params` vector, laid out layer
-    by layer as (W, b), and `gradients` writes into `grads` with the same
-    layout, so one SGD update is `params -= learning_rate * grads`.
+    Layer widths n_inputs, HIDDEN_WIDTH, HIDDEN_WIDTH, N_CLASSES. Every
+    weight matrix and bias vector is a view into the flat `params` vector,
+    laid out layer by layer as (W, b), and `gradients` writes into `grads`
+    with the same layout, so one SGD update is `params -= learning_rate * grads`.
     """
 
-    def __init__(self, sizes: Tuple[int, ...] = (DEFAULT_FEATURES, 5, 5, 2),
-                 seed: int = 0):
-        sizes = tuple(sizes)
-        if len(sizes) != 4 or min(sizes) < 1:
-            raise ValueError(f"sizes must be four positive layer widths (inputs, "
-                             f"two hidden layers, outputs), got {sizes}")
+    def __init__(self, n_inputs: int, seed: int):
         rng = rng_from(seed, 11)
-        self.sizes = sizes
-        shapes = list(zip(sizes[:-1], sizes[1:]))
+        shapes = [(n_inputs, HIDDEN_WIDTH), (HIDDEN_WIDTH, HIDDEN_WIDTH),
+                  (HIDDEN_WIDTH, N_CLASSES)]
         self.params = np.zeros(sum(fan_in * fan_out + fan_out
                                    for fan_in, fan_out in shapes))
         self.grads = np.zeros_like(self.params)
@@ -209,23 +201,20 @@ class TrainingReport:
 
 
 def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
-                     learning_rate: float = 0.5, batch_size: int = 32,
-                     seed: int = 0) -> TrainingReport:
+                     learning_rate: float = 0.5, seed: int = 0) -> TrainingReport:
     """Mini-batch gradient descent on the noiselessly pooled features.
 
     Each epoch gathers the training rows and their one-hot targets once, in
-    a seed-derived order, and steps through contiguous batches of it.
+    a seed-derived order, and steps through contiguous batches of 32 rows.
     Deterministic given (dataset, seed). Raises ValueError before the first
-    epoch for epochs or batch_size below 1, a learning rate that is not
-    finite and > 0, or a split with an empty side; raises ArithmeticError if
-    the loss turns non-finite, reporting the last stable epoch.
+    epoch for epochs below 1, a learning rate that is not finite and > 0, or
+    a split with an empty side; raises ArithmeticError if the loss turns
+    non-finite, reporting the last stable epoch.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     train_idx, test_idx = dataset.split()
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ValueError(f"n_samples = {len(dataset)} leaves an empty side in the "
@@ -233,11 +222,11 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
     pooled = dataset.pooled()
     x_train, y_train = pooled[train_idx], dataset.labels[train_idx]
     x_test, y_test = pooled[test_idx], dataset.labels[test_idx]
-    clf = ShallowClassifier(sizes=(dataset.n_features, 5, 5, 2), seed=seed)
-    onehot_train = np.eye(clf.sizes[-1])[y_train]
+    clf = ShallowClassifier(dataset.n_features, seed)
+    onehot_train = np.eye(N_CLASSES)[y_train]
     params = clf.params
     shuffle_rng = rng_from(seed, 13)
-    n_train = len(x_train)
+    n_train, batch_size = len(x_train), 32
     loss = clf.loss(x_train, y_train)
     for epoch in range(epochs):
         last_stable = loss
@@ -257,12 +246,12 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
                           final_loss=loss, epochs=epochs)
 
 
-def gradient_check(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray,
-                   epsilon: float = 1e-6) -> float:
-    """Max relative error between backprop and central finite differences."""
+def gradient_check(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray) -> float:
+    """Max relative error between backprop and central finite differences
+    with step 1e-6."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    grads = clf.gradients(x, np.eye(clf.sizes[-1])[labels])
-    params = clf.params
+    grads = clf.gradients(x, np.eye(N_CLASSES)[labels])
+    params, epsilon = clf.params, 1e-6
     worst = 0.0
     for i in range(params.size):
         keep = params[i]
@@ -318,10 +307,9 @@ class LinearMarginModel:
         return np.atleast_2d(g) @ self.weight + self.bias
 
 
-def measure_linear_margin(dataset: SyntheticDataset, seed: int = 0,
-                          epochs: int = 4000,
-                          learning_rate: float = 2.0) -> LinearMarginModel:
-    """Fit a linear separator by logistic descent and report its margin.
+def measure_linear_margin(dataset: SyntheticDataset) -> LinearMarginModel:
+    """Fit a linear separator by logistic descent (4000 steps at rate 2.0)
+    and report its margin.
 
     The margin is the minimum distance of correctly classified pooled points
     to the fitted boundary; on non-separable data, that of the correct
@@ -332,9 +320,9 @@ def measure_linear_margin(dataset: SyntheticDataset, seed: int = 0,
     n = len(y)
     w = np.zeros(pooled.shape[1])
     b = 0.0
-    decay = 1e-4
+    learning_rate, decay = 2.0, 1e-4
     z, r = np.empty(n), np.empty(n)
-    for _ in range(epochs):
+    for _ in range(4000):
         np.matmul(pooled, w, out=z)
         z += b
         # r = p - y with p = 1 / (1 + exp(-clip(z, -500, 500))), in place.

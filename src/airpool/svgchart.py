@@ -26,20 +26,20 @@ class Series:
         self.y = [float(v) for v in y]
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> List[float]:
+def _ticks(lo: float, hi: float) -> List[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _fmt(v: float) -> str:
     return f"{v:.4g}"
 
 
-def render_line_chart(path, series: List[Series], title: str = "",
-                      x_label: str = "", y_label: str = "",
-                      log_x: bool = False, log_y: bool = False) -> None:
+def render_line_chart(path, series: List[Series], title: str, x_label: str,
+                      y_label: str, log_x: bool = False) -> None:
     """Write the chart to `path` as a standalone SVG file."""
     if not series or all(len(s.x) == 0 for s in series):
         raise ValueError("nothing to plot")
@@ -47,11 +47,8 @@ def render_line_chart(path, series: List[Series], title: str = "",
     def tx(v: float) -> float:
         return math.log10(v) if log_x else v
 
-    def ty(v: float) -> float:
-        return math.log10(v) if log_y else v
-
     xs = [tx(v) for s in series for v in s.x]
-    ys = [ty(v) for s in series for v in s.y if not log_y or v > 0]
+    ys = [v for s in series for v in s.y]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -65,14 +62,13 @@ def render_line_chart(path, series: List[Series], title: str = "",
         return _ML + (tx(v) - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
     def py(v: float) -> float:
-        return _H - _MB - (ty(v) - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+        return _H - _MB - (v - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
            f'viewBox="0 0 {_W} {_H}">',
-           f'<rect width="{_W}" height="{_H}" fill="white"/>']
-    if title:
-        out.append(f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{title}</text>')
+           f'<rect width="{_W}" height="{_H}" fill="white"/>',
+           f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" '
+           f'font-family="sans-serif" font-size="15">{title}</text>']
     # Axes box.
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                f'height="{_H - _MT - _MB}" fill="none" stroke="#333" stroke-width="1"/>')
@@ -85,24 +81,20 @@ def render_line_chart(path, series: List[Series], title: str = "",
         out.append(f'<text x="{xp:.2f}" y="{_H - _MB + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="11">{_fmt(x_val)}</text>')
     for t in _ticks(y_lo, y_hi):
-        y_val = 10.0 ** t if log_y else t
         yp = _H - _MB - (t - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
         out.append(f'<line x1="{_ML}" y1="{yp:.2f}" x2="{_W - _MR}" y2="{yp:.2f}" '
                    f'stroke="#ddd" stroke-width="0.5"/>')
         out.append(f'<text x="{_ML - 6}" y="{yp + 4:.2f}" text-anchor="end" '
-                   f'font-family="sans-serif" font-size="11">{_fmt(y_val)}</text>')
-    if x_label:
-        out.append(f'<text x="{_W / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="13">{x_label}</text>')
-    if y_label:
-        out.append(f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="13" '
-                   f'transform="rotate(-90 18 {_H / 2:.1f})">{y_label}</text>')
+                   f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>')
+    out.append(f'<text x="{_W / 2:.1f}" y="{_H - 14}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="13">{x_label}</text>')
+    out.append(f'<text x="18" y="{_H / 2:.1f}" text-anchor="middle" '
+               f'font-family="sans-serif" font-size="13" '
+               f'transform="rotate(-90 18 {_H / 2:.1f})">{y_label}</text>')
     # Series.
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.x, s.y)
-                       if not log_y or y > 0)
+        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.x, s.y))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.8"/>')
         ly = _MT + 16 + 16 * i

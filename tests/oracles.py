@@ -34,7 +34,7 @@ import numpy as np
 
 from airpool._mc import MonteCarloEstimate, rng_from
 from airpool.analysis import ErrorBreakdown
-from airpool.sensing import ShallowClassifier, SyntheticDataset
+from airpool.sensing import N_CLASSES, ShallowClassifier, SyntheticDataset
 from airpool.pooling import (WEIGHTED_SUM, AirPoolConfig, aggregate_with_noise,
                              postprocess, powered_sum, true_pool)
 from airpool.specfun import ITERATION_CAP, regularized_gamma_p
@@ -153,37 +153,43 @@ class InverseResult(NamedTuple):
 
 
 def inverse_regularized_gamma_p_result(k: float, p: float) -> InverseResult:
-    """Solve P(k, x) = p for x by bracketing bisection.
+    """Solve P(k, x) = p for x by bracketing multisection.
 
-    Terminates once |P(k, x) - p| <= 1e-9 (and polishes the bracket down to
-    relative width 1e-14 when the cap allows).
+    Each step evaluates P at the 31 inner points that split the bracket into
+    32 equal parts, in one array call, and keeps the part where P crosses p.
+    Terminates once the bracket end nearer p has |P(k, x) - p| <= 1e-9 and
+    the bracket has relative width 1e-14, or after ITERATION_CAP calls.
     """
     if not (k > 0.0):
         raise ValueError(f"inverse_regularized_gamma_p requires k > 0, got k={k}")
     if not (0.0 < p < 1.0):
         raise ValueError(f"inverse_regularized_gamma_p requires 0 < p < 1, got p={p}")
     lo, hi = 0.0, max(k, 1.0)
-    iters = 0
-    while regularized_gamma_p(k, hi) < p:
-        lo = hi
+    f_lo, f_hi = 0.0, regularized_gamma_p(k, hi)
+    iters = 1
+    while f_hi < p:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
+        f_hi = regularized_gamma_p(k, hi)
         iters += 1
         if iters >= ITERATION_CAP:
             return InverseResult(hi, False, iters)
-    x = 0.5 * (lo + hi)
-    converged = False
+    fractions = np.arange(1, 32) / 32.0
+    x, converged = hi, False
     while iters < ITERATION_CAP:
         iters += 1
-        x = 0.5 * (lo + hi)
-        fx = regularized_gamma_p(k, x)
-        if fx < p:
-            lo = x
-        else:
-            hi = x
+        xs = lo + (hi - lo) * fractions
+        fs = regularized_gamma_p(k, xs)
+        i = int(np.searchsorted(fs >= p, True))  # first inner point at or above p
+        if i < len(xs):
+            hi, f_hi = xs[i], fs[i]
+        if i > 0:
+            lo, f_lo = xs[i - 1], fs[i - 1]
+        x, fx = (lo, f_lo) if abs(f_lo - p) < abs(f_hi - p) else (hi, f_hi)
         if abs(fx - p) <= 1e-9 and (hi - lo) <= 1e-14 * max(1.0, x):
             converged = True
             break
-    return InverseResult(x, converged, iters)
+    return InverseResult(float(x), converged, iters)
 
 
 def inverse_regularized_gamma_p(k: float, p: float) -> float:
@@ -215,7 +221,7 @@ def gradients_reference(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarra
     """Mean cross-entropy gradients as (per-layer weights, per-layer biases)."""
     acts = _activations(clf, x)
     n = len(acts[0])
-    onehot = np.eye(clf.sizes[-1])[labels]
+    onehot = np.eye(N_CLASSES)[labels]
     delta = (acts[-1] - onehot) / n
     grads_w, grads_b = [], []
     for layer in range(len(clf.weights) - 1, -1, -1):
@@ -240,7 +246,7 @@ def train_classifier_reference(dataset: SyntheticDataset, epochs: int = 200,
     train_idx, test_idx = dataset.split()
     x_train, y_train = pooled[train_idx], dataset.labels[train_idx]
     x_test, y_test = pooled[test_idx], dataset.labels[test_idx]
-    clf = ShallowClassifier(sizes=(dataset.n_features, 5, 5, 2), seed=seed)
+    clf = ShallowClassifier(dataset.n_features, seed)
     weights = [w.copy() for w in clf.weights]
     biases = [b.copy() for b in clf.biases]
     clf.weights, clf.biases = weights, biases   # off the flat vector

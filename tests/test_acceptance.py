@@ -256,7 +256,7 @@ def test_criterion_7_margin_chain_and_chi_fit():
     dataset = sensing.generate_dataset(2500, SEED, linear_labels=True,
                                        margin_gap=0.2,
                                        mode=PoolingMode.average())
-    margin_model = sensing.measure_linear_margin(dataset, seed=SEED)
+    margin_model = sensing.measure_linear_margin(dataset)
     r0 = margin_model.clean_accuracy
     per_dim = np.swapaxes(dataset.views, 1, 2)
     pooled = dataset.pooled()

@@ -593,7 +593,8 @@ RANGE_ERRORS = {
         "alpha_grid", ("tradeoff_curve", "[sweep]\nalpha_grid = 4, 2")),
     "run-tradeoff-misspelled-model": (
         r"feature_model\] kind", ("tradeoff_curve", "[feature_model]\nkind = unifrom01")),
-    "run-alpha-optimality-k-2": ("k_sensors", ("alpha_optimality", "[system]\nk_sensors = 2")),
+    "run-alpha-optimality-k-2": (
+        "k_sensors", ("alpha_optimality", "[system]\nk_sensors = 2\n[sweep]\nsnr_grid_db = 20")),
     "run-alpha-optimality-snr-not-above-k": (
         "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 5, 30")),
     "run-bound-k-1": ("k_sensors", ("bound_validation", "[system]\nk_sensors = 1")),
@@ -627,6 +628,19 @@ RANGE_ERRORS = {
     "run-tradeoff-noise-density-nan": (
         "noise_density_dbm_per_hz",
         ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = nan")),
+    # Finite noise keys whose noise power overflows to inf or underflows to 0 W.
+    "run-tradeoff-noise-density-1e308": (
+        "noise_density_dbm_per_hz",
+        ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = 1e308")),
+    "run-tradeoff-noise-density-minus-1e308": (
+        "noise_density_dbm_per_hz",
+        ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = -1e308")),
+    # tradeoff_curve writes every built-in model, so naming one changes nothing.
+    "run-tradeoff-built-in-model": (
+        r"feature_model\] kind", ("tradeoff_curve", "[feature_model]\nkind = uniform01")),
+    # The default snr_grid_db starts at 0 dB, which is above no K >= 4.
+    "run-alpha-optimality-no-snr-grid": (
+        "snr_grid_db: alpha_optimality requires", ("alpha_optimality", "")),
     "run-latency-bandwidth-inf": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = inf")),
     "run-latency-bandwidth-nan": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = nan")),
     "run-e2e-trials-override-5": (
@@ -643,10 +657,10 @@ RANGE_ERRORS = {
                                           "sample_file = /nonexistent/features.txt")),
     # A sample_file is read only for kind = empirical.
     "run-tradeoff-unread-sample-file": (
-        "sample_file", ("tradeoff_curve", "[feature_model]\nkind = uniform01\n"
-                                          "sample_file = /nonexistent/x.txt")),
+        "sample_file", ("tradeoff_curve", "[feature_model]\nsample_file = /nonexistent/x.txt")),
     "run-alpha-optimality-only-sample-file": (
-        "sample_file", ("alpha_optimality", "[feature_model]\nsample_file = /nonexistent/x.txt")),
+        "sample_file", ("alpha_optimality", "[feature_model]\nsample_file = /nonexistent/x.txt\n"
+                                            "[sweep]\nsnr_grid_db = 20")),
     "run-bound-sample-file-not-decimal": (
         "sample_file", ("bound_validation", "[feature_model]\nkind = empirical\n"
                                             f"sample_file = {os.path.abspath(__file__)}")),
@@ -709,9 +723,12 @@ READ_KEYS = {
     "latency_table": [("system", "k_sensors", "12"), ("system", "n_features", "100"),
                       ("system", "bandwidth_hz", "10e6"), ("sweep", "snr_grid_db", "6"),
                       ("sweep", "q_bits", "6")],
-    "tradeoff_curve": [*[entry if entry[1] != "snr_grid_db" else ("sweep", "snr_grid_db", "20")
-                         for entry in _MONTE_CARLO_KEYS], ("system", "k_sensors", "12"),
-                       ("sweep", "alpha_grid", "1, 2")],
+    # tradeoff_curve reads one SNR, and a model kind only as empirical.
+    "tradeoff_curve": [*[{"snr_grid_db": ("sweep", "snr_grid_db", "20"),
+                          "kind": ("feature_model", "kind", "empirical")}.get(entry[1], entry)
+                         for entry in _MONTE_CARLO_KEYS],
+                       ("feature_model", "sample_file", "features.txt"),
+                       ("system", "k_sensors", "12"), ("sweep", "alpha_grid", "1, 2")],
     "bound_validation": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12"),
                          ("sweep", "alpha_grid", "1, 2")],
     "alpha_optimality": [*_MONTE_CARLO_KEYS, ("system", "k_sensors", "12")],

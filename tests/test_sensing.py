@@ -54,7 +54,7 @@ class TestGenerateDataset:
 
 class TestShallowClassifier:
     def test_softmax_normalization(self):
-        clf = sensing.ShallowClassifier(seed=8)
+        clf = sensing.ShallowClassifier(sensing.DEFAULT_FEATURES, seed=8)
         x = RG.draw(np.random.default_rng(8), (500, 4))
         p = clf.predict_proba(x)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
@@ -62,7 +62,7 @@ class TestShallowClassifier:
 
     def test_gradient_check_at_init(self):
         ds = sensing.generate_dataset(200, seed=9)
-        clf = sensing.ShallowClassifier(seed=9)
+        clf = sensing.ShallowClassifier(sensing.DEFAULT_FEATURES, seed=9)
         worst = sensing.gradient_check(clf, ds.pooled()[:10], ds.labels[:10])
         assert worst <= 1e-4
 
@@ -90,13 +90,8 @@ class TestShallowClassifier:
         with pytest.raises(ArithmeticError, match="last stable loss"):
             sensing.train_classifier(ds, epochs=5, learning_rate=1000.0, seed=13)
 
-    @pytest.mark.parametrize("sizes", [(4, 5, 2), (4, 5, 5, 5, 2), (4, 0, 5, 2)])
-    def test_sizes_must_be_four_positive_widths(self, sizes):
-        with pytest.raises(ValueError, match="four positive layer widths"):
-            sensing.ShallowClassifier(sizes=sizes)
-
     def test_parameters_are_views_of_the_flat_vector(self):
-        clf = sensing.ShallowClassifier(seed=8)
+        clf = sensing.ShallowClassifier(sensing.DEFAULT_FEATURES, seed=8)
         assert clf.params.size == 4 * 5 + 5 + 5 * 5 + 5 + 5 * 2 + 2
         for part in (*clf.weights, *clf.biases):
             assert np.shares_memory(part, clf.params)
@@ -111,7 +106,6 @@ class TestShallowClassifier:
         (300, {"learning_rate": 0.0}, "learning_rate"),
         (300, {"learning_rate": math.nan}, "learning_rate"),
         (300, {"learning_rate": math.inf}, "learning_rate"),
-        (300, {"batch_size": 0}, "batch_size"),
     ])
     def test_bad_input_raises_before_the_first_step(self, n_samples, kwargs, named,
                                                     monkeypatch):
@@ -206,42 +200,42 @@ class TestLinearMargin:
         ds = sensing.generate_dataset(3000, seed=18, linear_labels=True,
                                       margin_gap=planted,
                                       mode=PoolingMode.average())
-        mm = sensing.measure_linear_margin(ds, seed=0)
+        mm = sensing.measure_linear_margin(ds)
         assert 0.8 * planted <= mm.margin <= 1.2 * planted
 
-    @pytest.mark.parametrize("seed,learning_rate", [(19, 2.0), (23, 2000.0)])
-    def test_fit_bit_identical_to_reference_loop(self, seed, learning_rate):
-        # A rate of 2000 drives |z| past the clip at 500.
+    @pytest.mark.parametrize("seed,scale", [(19, 1.0), (23, 1e3)])
+    def test_fit_bit_identical_to_reference_loop(self, seed, scale):
+        # Views scaled by 1e3 drive |z| past the clip at 500.
         ds = sensing.generate_dataset(1500, seed=seed, linear_labels=True,
                                       margin_gap=0.2, mode=PoolingMode.average())
-        mm = sensing.measure_linear_margin(ds, seed=0, epochs=300,
-                                           learning_rate=learning_rate)
-        w, b = linear_margin_fit_reference(ds, 300, learning_rate)
+        ds = sensing.SyntheticDataset(views=ds.views * scale, labels=ds.labels,
+                                      mode=ds.mode, generator_seed=ds.generator_seed)
+        mm = sensing.measure_linear_margin(ds)
+        w, b = linear_margin_fit_reference(ds, 4000, 2.0)
         assert mm.weight.tobytes() == w.tobytes() and mm.bias == b
 
     def test_margin_positive_on_correct_subset(self):
         ds = sensing.generate_dataset(1500, seed=19, linear_labels=True,
                                       mode=PoolingMode.average())
-        mm = sensing.measure_linear_margin(ds, seed=0)
+        mm = sensing.measure_linear_margin(ds)
         assert mm.margin > 0.0
         assert 0.9 <= mm.clean_accuracy <= 1.0
 
     def test_margin_scales_with_features(self):
         ds = sensing.generate_dataset(3000, seed=20, linear_labels=True,
                                       margin_gap=0.25, mode=PoolingMode.average())
-        mm = sensing.measure_linear_margin(ds, seed=0)
+        mm = sensing.measure_linear_margin(ds)
         scaled = sensing.SyntheticDataset(
             views=ds.views * 2.0, labels=ds.labels, mode=ds.mode,
-            generator_seed=ds.generator_seed, label_rule=ds.label_rule,
-            margin_gap=2.0 * ds.margin_gap)
-        mm2 = sensing.measure_linear_margin(scaled, seed=0)
+            generator_seed=ds.generator_seed)
+        mm2 = sensing.measure_linear_margin(scaled)
         assert mm2.margin / mm.margin == pytest.approx(2.0, rel=0.1)
 
     def test_accuracy_chain_against_markov_bound(self):
         # Measured pooled-over-the-air accuracy stays above the margin bound.
         ds = sensing.generate_dataset(2000, seed=21, linear_labels=True,
                                       margin_gap=0.2, mode=PoolingMode.average())
-        mm = sensing.measure_linear_margin(ds, seed=0)
+        mm = sensing.measure_linear_margin(ds)
         clf_like = mm  # linear model classifies directly
         for snr_db in [0.0, 10.0, 20.0]:
             cfg = AirPoolConfig.for_average(RG, 4, db_to_linear(snr_db), 1.0)

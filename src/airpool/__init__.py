@@ -3,10 +3,11 @@
 A simulation and optimization toolkit for pooling distributed sensor
 features directly through a multi-access channel: the protocol itself
 (`pooling`), feature-distribution moments (`features`), the system
-setting and latency models (`channel`), error bounds and accuracy translation
-(`analysis`), configuration-parameter selection (`optimizer`), a synthetic
-end-to-end recognition task (`sensing`), special functions
-(`specfun`), and batch experiment drivers (`experiments`, `cli`).
+setting, the one noise power and the latency models (`channel`), error
+bounds and accuracy translation (`analysis`), configuration-parameter
+selection (`optimizer`), a synthetic end-to-end recognition task
+(`sensing`), special functions (`specfun`), and batch experiment drivers
+(`experiments`, `cli`).
 """
 
 from ._mc import MonteCarloEstimate

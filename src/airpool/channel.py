@@ -1,13 +1,14 @@
 """The multi-access channel after ideal channel inversion, and air latency.
 
-Covers the physical-layer side of the simulation: the system setting and
-its noise powers, and the air-latency models for both the over-the-air
+Covers the physical-layer side of the simulation: the system setting, the
+one noise power, and the air-latency models for both the over-the-air
 scheme and the digital baseline. After ideal channel inversion, the K
 sensors transmitting symbols s_k at once deliver sqrt(P_rx) sum_k s_k plus
 real zero-mean Gaussian noise of the sub-channel noise power per aggregated
 symbol. `pooling.aggregate_with_noise` applies that noise after
 de-normalization as its equivalent term on sum_k f_k^alpha. Experiments set
-the receive power directly as SNR x noise, so no fading gains are drawn.
+the receive power directly as SNR x NOISE_W, so no fading gains are drawn
+and the receive SNR is the only power input.
 """
 
 import math
@@ -18,6 +19,14 @@ def db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
+# Sub-channel noise power in W of the reference setting: -174 dBm/Hz and a
+# 4 dB noise figure over 10 MHz, shared by 12 sub-channels. Only the SNR
+# P / NOISE_W enters the analysis, but the rounding of P = SNR x NOISE_W
+# does not cancel exactly (unit noise moves a bound-gate slack in its 12th
+# digit), so every experiment uses these bits.
+NOISE_W = db_to_linear(-174.0 - 30.0) * db_to_linear(4.0) * 10e6 / 12
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical system setting shared by all experiments."""
@@ -25,25 +34,13 @@ class SystemParams:
     k_sensors: int = 12
     n_features: int = 17911
     bandwidth_hz: float = 10e6
-    n_subchannels: int = 12
-    noise_density_dbm_per_hz: float = -174.0
-    noise_figure_db: float = 4.0
 
     def __post_init__(self):
         for name, ok, text in (("k_sensors", lambda v: v >= 1, ">= 1"),
                                ("n_features", lambda v: v >= 0, ">= 0 (0: nothing to send)"),
-                               ("bandwidth_hz", lambda v: 0.0 < v < math.inf, "finite and > 0"),
-                               ("n_subchannels", lambda v: v >= 1, ">= 1"),
-                               ("noise_density_dbm_per_hz", math.isfinite, "finite"),
-                               ("noise_figure_db", math.isfinite, "finite")):
+                               ("bandwidth_hz", lambda v: 0.0 < v < math.inf, "finite and > 0")):
             if not ok(getattr(self, name)):
                 raise ValueError(f"{name} must be {text}, got {getattr(self, name)}")
-
-    @property
-    def subchannel_noise_w(self) -> float:
-        """Per-sub-channel noise power in W: noise density x noise figure x B/M."""
-        return (db_to_linear(self.noise_density_dbm_per_hz - 30.0)
-                * db_to_linear(self.noise_figure_db) * self.bandwidth_hz / self.n_subchannels)
 
 
 def airpool_latency(params: SystemParams) -> float:

@@ -12,12 +12,10 @@ import argparse
 import csv
 import dataclasses
 import math
-import os
 import sys
 
 from . import experiments, optimizer, sensing
-from .channel import (SystemParams, airpool_latency, db_to_linear, digital_latency,
-                      digital_rate)
+from .channel import SystemParams, db_to_linear, digital_rate
 from .experiments import ConfigError, ExperimentConfig
 from .features import FeatureModel
 
@@ -48,6 +46,13 @@ def _check_snr_db(args) -> None:
     """ConfigError naming --snr-db unless every value is finite."""
     if not all(math.isfinite(snr_db) for snr_db in args.snr_db):
         raise ConfigError(f"--snr-db values must be finite, got {args.snr_db}")
+
+
+def _check_seed(args) -> None:
+    """ConfigError naming --seed unless it is in the [experiment] seed range."""
+    seed = experiments.CONFIG_KEYS["experiment", "seed"]
+    if not seed.ok(args.seed):
+        raise ConfigError(f"--seed: must be {seed.range}, got {args.seed}")
 
 
 def _snr_db_as_values(argv):
@@ -128,17 +133,22 @@ def _cmd_latency(args) -> int:
             digital_rate(params.k_sensors, db_to_linear(snr_db))
         except ValueError as exc:
             raise ConfigError(f"--snr-db {snr_db:g}: {exc}")
-    print(f"over-the-air pooling: {airpool_latency(params) * 1e3:.4f} ms "
-          f"(independent of K and SNR)")
-    for snr_db in args.snr_db:
-        ms = digital_latency(params, args.q_bits, db_to_linear(snr_db)) * 1e3
-        print(f"digital baseline at {snr_db:g} dB, Q={args.q_bits}: {ms:.2f} ms")
+    # Every option is checked, and the --out directory made, before the first line.
+    cfg = _apply_overrides(ExperimentConfig(experiment="latency_table", system=params,
+                                            snr_grid_db=tuple(args.snr_db),
+                                            q_bits=args.q_bits), args)
     if args.out:
-        cfg = ExperimentConfig(experiment="latency_table", system=params,
-                               snr_grid_db=tuple(args.snr_db),
-                               q_bits=args.q_bits, output_dir=args.out)
-        experiments.run_experiment(cfg)
-        print(f"wrote {os.path.join(args.out, 'latency_table.csv')}")
+        result, paths = experiments.run_experiment(cfg)
+    else:
+        result, _ = experiments.run_latency_table(cfg)
+    airpool_row, *digital_rows = result.rows
+    print(f"over-the-air pooling: {airpool_row['latency_ms']:.4f} ms "
+          f"(independent of K and SNR)")
+    for row in digital_rows:
+        print(f"digital baseline at {row['snr_db']:g} dB, Q={row['q_bits']}: "
+              f"{row['latency_ms']:.2f} ms")
+    if args.out:
+        print(f"wrote {paths['csv']}")
     return EXIT_OK
 
 
@@ -146,6 +156,7 @@ def _cmd_optimize_alpha(args) -> int:
     model = FeatureModel.rectified_gaussian()
     noise = 1.0
     _check_snr_db(args)
+    _check_seed(args)
     p_bars = [db_to_linear(snr_db) * noise for snr_db in args.snr_db]
     decisions = optimizer.select_alpha(model, args.k, p_bars, noise,
                                        trials=args.trials, seed=args.seed)
@@ -157,6 +168,7 @@ def _cmd_optimize_alpha(args) -> int:
 
 
 def _cmd_train_snn(args) -> int:
+    _check_seed(args)
     dataset = sensing.generate_dataset(args.samples, args.seed)
     report = sensing.train_classifier(dataset, epochs=args.epochs,
                                       learning_rate=args.learning_rate,

@@ -26,8 +26,8 @@ from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, T
 import numpy as np
 
 from . import analysis, features as feat, optimizer, sensing
-from .channel import (SystemParams, airpool_latency, db_to_linear, digital_latency,
-                      digital_rate)
+from .channel import (NOISE_W, SystemParams, airpool_latency, db_to_linear,
+                      digital_latency, digital_rate)
 from .features import FeatureModel
 from ._mc import MonteCarloEstimate, rng_from
 from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postprocess,
@@ -89,10 +89,7 @@ CONFIG_KEYS: Dict[Tuple[str, str], Key] = {
                                    "1 (parallel workers were removed)"),
     ("system", "k_sensors"): Key("k_sensors", int, _ANY - _E2E),  # the dataset fixes K = 4
     ("system", "n_features"): Key("n_features", int, _ANY - _MC),
-    ("system", "bandwidth_hz"): Key("bandwidth_hz", float, _ANY),
-    ("system", "n_subchannels"): Key("n_subchannels", int, _MC),
-    ("system", "noise_density_dbm_per_hz"): Key("noise_density_dbm_per_hz", float, _MC),
-    ("system", "noise_figure_db"): Key("noise_figure_db", float, _MC),
+    ("system", "bandwidth_hz"): Key("bandwidth_hz", float, _ANY - _MC),
     ("feature_model", "kind"): Key("feature_kind", str.strip, _MC,
                                    (*_MODEL_KINDS, "empirical").__contains__,
                                    f"one of {', '.join(_MODEL_KINDS)}, empirical"),
@@ -138,14 +135,6 @@ class ExperimentConfig:
                 entry.check(section, key, getattr(self, entry.field))
         # Cross-key rules. K >= 4 and SNR > K are premises of the closed-form alpha.
         kind, k = self.experiment, self.system.k_sensors
-        if kind in _MC:  # the kinds that read the noise power
-            try:
-                noise = self.system.subchannel_noise_w
-            except OverflowError:  # 10 ** (dB / 10) beyond float64
-                noise = math.inf
-            if not 0.0 < noise < math.inf:
-                raise ConfigError.at("system", "noise_density_dbm_per_hz", f"must give a finite "
-                                     f"noise power > 0, got {noise:g} W per sub-channel")
         if kind in _MC and (self.feature_kind == "empirical") != bool(self.feature_file):
             raise ConfigError.at("feature_model", "sample_file", f"must be given exactly when "
                                  f"kind = empirical, got kind = {self.feature_kind}")
@@ -158,8 +147,9 @@ class ExperimentConfig:
                 sensing.SyntheticDataset.train_size(self.n_samples) >= self.n_samples:
             raise ConfigError.at("sweep", "n_samples", f"{self.n_samples} leaves no test sample "
                                  f"in the {sensing.TRAIN_FRACTION:g} train/test split")
+        # The ratio closed_form_alpha tests, rounding and all.
         if kind == "alpha_optimality" and not all(
-                db_to_linear(s) * noise / noise > k for s in self.snr_grid_db):
+                db_to_linear(s) * NOISE_W / NOISE_W > k for s in self.snr_grid_db):
             raise ConfigError.at("sweep", "snr_grid_db", f"alpha_optimality needs every SNR "
                                  f"above K = {k} in linear terms, got {self.snr_grid_db}")
         if kind == "latency_table":
@@ -314,15 +304,14 @@ def run_latency_table(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
 
 def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
     snr_db = cfg.snr_grid_db[0]
-    noise = cfg.system.subchannel_noise_w
-    p_rx = db_to_linear(snr_db) * noise
+    p_rx = db_to_linear(snr_db) * NOISE_W
     rows: List[Dict] = []
     series: List[Series] = []
     models = {"empirical": cfg.feature_model} if cfg.feature_kind == "empirical" else _MODEL_KINDS
     k = cfg.system.k_sensors
     for kind, make_model in models.items():
         curve, diagnostics = analysis.tradeoff_curve(
-            make_model(), k, p_rx, noise, list(cfg.alpha_grid),
+            make_model(), k, p_rx, NOISE_W, list(cfg.alpha_grid),
             trials=cfg.trials, seed=cfg.seed)
         for row, diag in zip(curve, [";".join(diagnostics)] + [""] * (len(curve) - 1)):
             rows.append({"model": kind, "snr_db": snr_db, **row,
@@ -331,11 +320,12 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
                              [r["noise_bound"] for r in curve]))
         series.append(Series(f"{kind} approx", [r["alpha"] for r in curve],
                              [r["approx_bound_max"] for r in curve]))
+    # The config echo names the models that ran, not the default kind.
     result = ExperimentResult(
         "tradeoff_curve",
         ("model", "snr_db", "alpha", "noise_bound", "noise_bound_asymptotic",
          "approx_bound_max", "bound_sum", "diagnostics", "seed"),
-        rows, {"config": asdict(cfg)})
+        rows, {"config": {**asdict(cfg), "feature_kind": list(models)}})
     chart = dict(series=series, title=f"Error-bound tradeoff at {snr_db:g} dB",
                  x_label="alpha", y_label="bound", log_x=True)
     return result, chart
@@ -379,7 +369,6 @@ def _grid_point_rows(err: analysis.ErrorBreakdown, point: AirPoolConfig,
 
 
 def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
-    noise = cfg.system.subchannel_noise_w
     k = cfg.system.k_sensors
     model = cfg.feature_model()
     betas = optimizer.BetaTable(model, k, seed=cfg.seed)
@@ -390,10 +379,10 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     points = [(alpha, snr_db) for alpha in cfg.alpha_grid for snr_db in cfg.snr_grid_db]
     # One sweep over both modes; each mode's part ends with the argmin grid
     # at the power of its rule.
-    argmin_p_rx = {"average": db_to_linear(cfg.snr_grid_db[0]) * noise,
-                   "max": 0.5 * optimizer.low_snr_threshold(k, e2) * noise}
-    grid = [(alpha, db_to_linear(snr_db) * noise) for alpha, snr_db in points]
-    cfgs = [optimizer.config_for(model, mode, k, alpha, p_rx, noise, betas)
+    argmin_p_rx = {"average": db_to_linear(cfg.snr_grid_db[0]) * NOISE_W,
+                   "max": 0.5 * optimizer.low_snr_threshold(k, e2) * NOISE_W}
+    grid = [(alpha, db_to_linear(snr_db) * NOISE_W) for alpha, snr_db in points]
+    cfgs = [optimizer.config_for(model, mode, k, alpha, p_rx, NOISE_W, betas)
             for mode in (PoolingMode.average(), PoolingMode.max())
             for alpha, p_rx in grid + [(a, argmin_p_rx[mode.kind]) for a in _ARGMIN_GRID]]
     sweep = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials, seed=cfg.seed)
@@ -411,19 +400,19 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
             rows.extend(_grid_point_rows(sweep[j], cfgs[j], eps, snr_db))
 
     # Closed-form cross checks that need no Monte Carlo.
-    p10 = 10.0 * noise
+    p10 = 10.0 * NOISE_W
     gaussian = FeatureModel.rectified_gaussian()
-    ratio64, ratio8 = (analysis.noise_error_asymptote(a, p10, noise)
+    ratio64, ratio8 = (analysis.noise_error_asymptote(a, p10, NOISE_W)
                        / analysis.noise_error_bound(feat.normalization_moments(gaussian, a),
-                                                    p10, noise) for a in (64.0, 8.0))
+                                                    p10, NOISE_W) for a in (64.0, 8.0))
     rows.append(_check(
         "asymptote-tightness", "max", 64.0, 10.0, ratio64, 1.05, 0.05 - abs(ratio64 - 1.0),
         abs(ratio64 - 1.0) <= 0.05 and abs(ratio64 - 1.0) < abs(ratio8 - 1.0)))
-    slope = analysis.noise_error_asymptote_derivative(64.0, p10, noise)
+    slope = analysis.noise_error_asymptote_derivative(64.0, p10, NOISE_W)
     rows.append(_check("asymptote-slope", "max", 64.0, 10.0, slope, 2.0 / math.e,
                        0.05 - abs(slope / (2.0 / math.e) - 1.0)))
-    gaps = [abs(optimizer.closed_form_alpha(k, ratio * noise, noise, e2).alpha_star
-                - optimizer.bisection_alpha(k, ratio * noise, noise, e2))
+    gaps = [abs(optimizer.closed_form_alpha(k, ratio * NOISE_W, NOISE_W, e2).alpha_star
+                - optimizer.bisection_alpha(k, ratio * NOISE_W, NOISE_W, e2))
             for ratio in (1e2, 1e3, 1e4)]
     rows.append(_check(
         "stationarity-gap-monotone", "max", "", "", max(gaps), gaps[0],
@@ -431,8 +420,8 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
         all(gaps[i] >= gaps[i + 1] - 1e-12 for i in range(len(gaps) - 1))))
     dense = np.geomspace(1.0, 128.0, 512)
     for ratio in (1e3, 1e4):
-        closed = optimizer.closed_form_alpha(k, ratio * noise, noise, e2)
-        best = min(optimizer.surrogate_objective(a, k, ratio * noise, noise, e2)
+        closed = optimizer.closed_form_alpha(k, ratio * NOISE_W, NOISE_W, e2)
+        best = min(optimizer.surrogate_objective(a, k, ratio * NOISE_W, NOISE_W, e2)
                    for a in dense)
         rows.append(_check("surrogate-near-optimality", "max", closed.alpha_star,
                            10.0 * math.log10(ratio), closed.objective_value, 1.1 * best,
@@ -448,7 +437,7 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
                     1.0, 1.0 - avg_alpha),
              _check("low-snr-argmin", "max", max_alpha, "", max_alpha, _ARGMIN_GRID[1],
                     _ARGMIN_GRID[1] - max_alpha)]
-    rows.extend(_margin_chain_checks(model, noise, cfg))
+    rows.extend(_margin_chain_checks(model, cfg))
     failures = sum(0 if r["passed"] else 1 for r in rows)
     result = ExperimentResult(
         "bound_validation",
@@ -513,7 +502,7 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
     return rows
 
 
-def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
+def _margin_chain_checks(model, cfg: ExperimentConfig) -> List[Dict]:
     """Accuracy chain on the linear synthetic task plus the chi fit of the
     averaging error norm."""
     rows = []
@@ -526,7 +515,7 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
     r0 = margin_model.clean_accuracy
     for snr_db in (cfg.snr_grid_db[0], cfg.snr_grid_db[-1]):
         pool_cfg = AirPoolConfig.for_average(model, dataset.k_views,
-                                             db_to_linear(snr_db) * noise, noise)
+                                             db_to_linear(snr_db) * NOISE_W, NOISE_W)
         v_sum = powered_sum(per_dim, pool_cfg)
         rng = rng_from(cfg.seed)
         hits, sq, n = 0, 0.0, 0
@@ -544,7 +533,7 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
         rows.append(_check("margin-chain", "average", 1.0, snr_db, r_ap, bound,
                            r_ap - (bound - 2.0 * se)))
     chi_cfg = AirPoolConfig.for_average(model, dataset.k_views,
-                                        db_to_linear(10.0) * noise, noise)
+                                        db_to_linear(10.0) * NOISE_W, NOISE_W)
     fit = analysis.chi_error_check(chi_cfg, dataset.n_features, trials=cfg.trials,
                                    seed=cfg.seed)
     rows.append(_check("chi-fit", "average", 1.0, 10.0, fit.statistic, fit.critical_1pct,
@@ -557,13 +546,12 @@ def _margin_chain_checks(model, noise, cfg: ExperimentConfig) -> List[Dict]:
 # ---------------------------------------------------------------------------
 
 def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
-    noise = cfg.system.subchannel_noise_w
     k = cfg.system.k_sensors
     model = cfg.feature_model()
     e2 = feat.max_second_moment(model, k, max(cfg.trials, 100_000), cfg.seed).value
     grid = optimizer.default_alpha_grid(48)
-    p_bars = [db_to_linear(snr_db) * noise for snr_db in cfg.snr_grid_db]
-    closed_alphas = [optimizer.closed_form_alpha(k, p_bar, noise, e2)
+    p_bars = [db_to_linear(snr_db) * NOISE_W for snr_db in cfg.snr_grid_db]
+    closed_alphas = [optimizer.closed_form_alpha(k, p_bar, NOISE_W, e2)
                      for p_bar in p_bars]
     betas = optimizer.BetaTable(model, k, seed=cfg.seed)
     betas.fill(grid + [c.alpha_star for c in closed_alphas])
@@ -571,7 +559,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     # SNR's closed-form alpha, which shares the draw but not the argmin.
     sweep = [(alpha, p_bar) for alpha in grid for p_bar in p_bars]
     sweep += [(closed.alpha_star, p_bar) for closed, p_bar in zip(closed_alphas, p_bars)]
-    cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar, noise, betas)
+    cfgs = [optimizer.config_for(model, PoolingMode.max(), k, alpha, p_bar, NOISE_W, betas)
             for alpha, p_bar in sweep]
     errors = analysis.estimate_errors_grid(model, cfgs, k, trials=cfg.trials,
                                            seed=cfg.seed)
@@ -582,7 +570,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
         brute = optimizer.lowest_error_alpha(grid, errors[i:n_grid:len(p_bars)])
         rows.append({
             "snr_db": snr_db, "alpha_closed": closed.alpha_star,
-            "alpha_bisection": optimizer.bisection_alpha(k, p_bar, noise, e2),
+            "alpha_bisection": optimizer.bisection_alpha(k, p_bar, NOISE_W, e2),
             "alpha_bruteforce": brute.alpha_star,
             "d_closed": errors[n_grid + i].total.value, "d_bruteforce": brute.objective_value,
             "seed": cfg.seed,
@@ -607,7 +595,6 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
 # ---------------------------------------------------------------------------
 
 def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
-    noise = cfg.system.subchannel_noise_w
     model = cfg.feature_model()
     dataset = sensing.generate_dataset(cfg.n_samples, cfg.seed, model=model)
     report = sensing.train_classifier(dataset, epochs=cfg.epochs,
@@ -615,14 +602,14 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
     rows = []
     k = dataset.k_views
     snrs = sorted(cfg.snr_grid_db, reverse=True)
-    p_rxs = [db_to_linear(snr_db) * noise for snr_db in snrs]
-    decisions = optimizer.select_alpha(model, k, p_rxs, noise, trials=cfg.trials,
+    p_rxs = [db_to_linear(snr_db) * NOISE_W for snr_db in snrs]
+    decisions = optimizer.select_alpha(model, k, p_rxs, NOISE_W, trials=cfg.trials,
                                        seed=cfg.seed)
     betas = optimizer.BetaTable(model, k, beta_trials=200_000, seed=cfg.seed)
     betas.fill([d.alpha_star for d in decisions])
     for snr_db, p_rx, decision in zip(snrs, p_rxs, decisions):
         pool_cfg = optimizer.config_for(model, PoolingMode.max(), k, decision.alpha_star,
-                                        p_rx, noise, betas)
+                                        p_rx, NOISE_W, betas)
         r_ap, d_sigma = sensing.evaluate_accuracy(
             report.classifier, dataset, pool_cfg,
             trials_per_sample=cfg.trials_per_sample, seed=cfg.seed)

@@ -12,10 +12,10 @@ from oracles import transmit_over_mac
 
 class TestSystemParams:
     def test_subchannel_noise_matches_aggregate_constant(self):
-        p = SystemParams()
-        # -174 dBm/Hz plus a 4 dB noise figure is 1e-20 W/Hz.
-        assert p.subchannel_noise_w == pytest.approx(
-            1e-20 * p.bandwidth_hz / p.n_subchannels, rel=1e-6)
+        # -174 dBm/Hz plus a 4 dB noise figure is 1e-20 W/Hz, here over 10 MHz
+        # and 12 sub-channels. The bits are those every pinned CSV was made with.
+        assert channel.NOISE_W == pytest.approx(1e-20 * 10e6 / 12, rel=1e-6)
+        assert channel.NOISE_W.hex() == "0x1.2c3d6f030f9bep-47"
 
     def test_validation(self):
         with pytest.raises(ValueError):

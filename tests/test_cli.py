@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from airpool import analysis, cli, experiments, features as feat, optimizer, sensing
 from airpool._mc import pairwise_nodes, rng_from
-from airpool.channel import SystemParams, db_to_linear
+from airpool.channel import NOISE_W, SystemParams, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
@@ -186,6 +186,22 @@ class TestTradeoffExperiment:
             hashes.append(_sha(paths["csv"]))
         assert hashes[0] == hashes[1]
 
+    @pytest.mark.parametrize("feature_model,models", [
+        ("", ["rectified_gaussian", "uniform01", "exponential_unit"]),
+        ("[feature_model]\nkind = empirical\nsample_file = {samples}\n", ["empirical"])],
+        ids=["kind-omitted", "empirical"])
+    def test_sidecar_names_the_models_that_ran(self, tmp_path, feature_model, models):
+        samples = tmp_path / "samples.txt"
+        samples.write_text("0.5\n1.5\n2.0\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[experiment]\nkind = tradeoff_curve\ntrials = 10000\n"
+                        f"output_dir = {tmp_path / 'out'}\n\n[sweep]\nsnr_grid_db = 6\n"
+                        f"alpha_grid = 1, 4\n\n" + feature_model.format(samples=samples))
+        result, paths = experiments.run_experiment(parse_config(path))
+        assert [r["model"] for r in result.rows][::2] == models
+        with open(paths["meta"]) as fh:
+            assert json.load(fh)["config"]["feature_kind"] == models
+
 
 class TestBoundValidationGate:
     def test_small_grid_passes(self, tmp_path):
@@ -332,7 +348,7 @@ class TestBoundValidationGate:
                                seed=seed, output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
         model = FeatureModel.rectified_gaussian()
-        noise = cfg.system.subchannel_noise_w
+        noise = NOISE_W
         e2 = feat.max_second_moment(model, k, trials=trials, seed=seed)
         expected = []
         for alpha in cfg.alpha_grid:
@@ -372,7 +388,7 @@ class TestBoundValidationGate:
         result, _ = experiments.run_experiment(cfg)
         shared, decisions[:] = list(decisions), []
         model = FeatureModel.rectified_gaussian()
-        noise = cfg.system.subchannel_noise_w
+        noise = NOISE_W
         e2 = feat.max_second_moment(model, k, trials=100_000, seed=seed).value
         grid = (1.0, 2.0, 4.0)
         average = optimizer.lowest_error_alpha(grid, analysis.estimate_errors_grid(
@@ -433,7 +449,7 @@ class TestAlphaOptimality:
                                output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
         model = FeatureModel.rectified_gaussian()
-        noise = cfg.system.subchannel_noise_w
+        noise = NOISE_W
         e2 = feat.max_second_moment(model, k, trials=100_000, seed=seed).value
         for row in result.rows:
             p_bar = db_to_linear(row["snr_db"]) * noise
@@ -456,7 +472,7 @@ class TestAlphaOptimality:
                                output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
         model = FeatureModel.rectified_gaussian()
-        noise = cfg.system.subchannel_noise_w
+        noise = NOISE_W
         grid = optimizer.default_alpha_grid(48)
         betas = optimizer.BetaTable(model, k, seed=seed)
         betas.fill(grid)
@@ -623,17 +639,19 @@ RANGE_ERRORS = {
        for kind in ("tradeoff_curve", "bound_validation", "alpha_optimality",
                     "latency_table")
        for text in ("nan", "inf", "-inf")},
+    # The noise keys are unknown keys: the receive SNR is the only power input,
+    # so no noise power, finite or not, reaches a run.
     "run-bound-noise-figure-inf": (
-        "noise_figure_db", ("bound_validation", "[system]\nnoise_figure_db = inf")),
+        r"system\] noise_figure_db: unknown key",
+        ("bound_validation", "[system]\nnoise_figure_db = inf")),
     "run-tradeoff-noise-density-nan": (
-        "noise_density_dbm_per_hz",
+        r"system\] noise_density_dbm_per_hz: unknown key",
         ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = nan")),
-    # Finite noise keys whose noise power overflows to inf or underflows to 0 W.
     "run-tradeoff-noise-density-1e308": (
-        "noise_density_dbm_per_hz",
+        r"system\] noise_density_dbm_per_hz: unknown key",
         ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = 1e308")),
     "run-tradeoff-noise-density-minus-1e308": (
-        "noise_density_dbm_per_hz",
+        r"system\] noise_density_dbm_per_hz: unknown key",
         ("tradeoff_curve", "[system]\nnoise_density_dbm_per_hz = -1e308")),
     # tradeoff_curve writes every built-in model, so naming one changes nothing.
     "run-tradeoff-built-in-model": (
@@ -669,6 +687,9 @@ RANGE_ERRORS = {
     # A % in a value is a character, not an interpolation.
     "run-latency-percent-in-seed": ("seed", ("latency_table", "seed = 5%")),
     "latency-q-bits-0": ("q_bits", ["latency", "--q-bits", "0"]),
+    "latency-out-is-a-file": ("output_dir", ["latency", "--out", os.path.abspath(__file__)]),
+    "optimize-alpha-seed-minus-1": ("seed", ["optimize-alpha", "--seed", "-1"]),
+    "train-snn-seed-minus-1": ("seed", ["train-snn", "--seed", "-1"]),
     "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
     "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
     "optimize-alpha-trials-5": ("trials", ["optimize-alpha", "--trials", "5"]),
@@ -683,14 +704,16 @@ RANGE_ERRORS = {
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
-# one changes nothing for that experiment, so the file is rejected.
+# one changes nothing for that experiment, so the file is rejected. The
+# first ones are keys of no experiment, the noise keys among them: the
+# receive SNR is the only power input.
 UNREAD_KEYS = [
-    *[(kind, "experiment", "fault_injection", "noise_bound")
-      for kind in experiments.EXPERIMENT_KINDS],
+    *[(kind, section, key, value) for kind in experiments.EXPERIMENT_KINDS
+      for section, key, value in (("experiment", "fault_injection", "noise_bound"),
+                                  ("system", "n_subchannels", "12"),
+                                  ("system", "noise_density_dbm_per_hz", "-174"),
+                                  ("system", "noise_figure_db", "4"))],
     ("latency_table", "experiment", "trials", "10"),
-    ("latency_table", "system", "n_subchannels", "12"),
-    ("latency_table", "system", "noise_density_dbm_per_hz", "-174"),
-    ("latency_table", "system", "noise_figure_db", "4"),
     ("latency_table", "feature_model", "kind", "uniform01"),
     ("latency_table", "feature_model", "sample_file", "features.txt"),
     ("latency_table", "sweep", "alpha_grid", "1, 2"),
@@ -698,6 +721,8 @@ UNREAD_KEYS = [
     ("latency_table", "sweep", "epochs", "10"),
     ("latency_table", "sweep", "learning_rate", "0.5"),
     ("latency_table", "sweep", "trials_per_sample", "10"),
+    *[(kind, "system", "bandwidth_hz", "10e6") for kind in
+      ("tradeoff_curve", "bound_validation", "alpha_optimality", "synthetic_e2e")],
     *[(kind, section, key, value)
       for kind in ("tradeoff_curve", "bound_validation", "alpha_optimality")
       for section, key, value in (("system", "n_features", "100"),
@@ -713,10 +738,7 @@ UNREAD_KEYS = [
 ]
 
 # The keys each experiment reads, as (section, key, value).
-_NOISE_KEYS = [("system", "bandwidth_hz", "10e6"), ("system", "n_subchannels", "12"),
-               ("system", "noise_density_dbm_per_hz", "-174"),
-               ("system", "noise_figure_db", "4")]
-_MONTE_CARLO_KEYS = [("experiment", "trials", "10000"), *_NOISE_KEYS,
+_MONTE_CARLO_KEYS = [("experiment", "trials", "10000"),
                      ("feature_model", "kind", "rectified_gaussian"),
                      ("sweep", "snr_grid_db", "20, 30")]
 READ_KEYS = {
@@ -769,10 +791,9 @@ class TestExperimentKeys:
         path.write_text(config_body(kind, [(section, key, value)], tmp_path / "out"))
         assert cli.main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert f"[{section}] " in err and key in err
-        if key != "fault_injection":
-            assert f"{kind} does not read this key" in err
+        assert err.startswith(f"config error: [{section}] {key}: ") and err.count("\n") == 1
+        assert ("unknown key" if (section, key) not in experiments.CONFIG_KEYS
+                else f"{kind} does not read this key") in err
 
     def test_trials_override_of_latency_table_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -958,8 +979,8 @@ class TestCliExitCodes:
             command = command or ["run"]
             argv = [command[0], "--config", str(path), *command[1:]]
         assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
         assert re.search(rf"\b{named}\b", err)
 
     @pytest.mark.parametrize("argv,named", [

@@ -2,8 +2,8 @@
 
 A simulation and optimization toolkit for pooling distributed sensor
 features directly through a multi-access channel: the protocol itself
-(`pooling`), feature-distribution moments (`features`), the system
-setting, the one noise power and the latency models (`channel`), error
+(`pooling`), feature-distribution moments (`features`), the one noise
+power and the latency models (`channel`), error
 bounds and accuracy translation (`analysis`), configuration-parameter
 selection (`optimizer`), a synthetic end-to-end recognition task
 (`sensing`), special functions (`specfun`), and batch experiment drivers
@@ -11,7 +11,6 @@ selection (`optimizer`), a synthetic end-to-end recognition task
 """
 
 from ._mc import MonteCarloEstimate
-from .channel import SystemParams
 from .features import FeatureModel, MomentSet
 from .pooling import AirPoolConfig, PoolingMode
 
@@ -21,7 +20,6 @@ __all__ = [
     "MomentSet",
     "MonteCarloEstimate",
     "PoolingMode",
-    "SystemParams",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,9 @@
 """The multi-access channel after ideal channel inversion, and air latency.
 
-Covers the physical-layer side of the simulation: the system setting, the
-one noise power, and the air-latency models for both the over-the-air
-scheme and the digital baseline. After ideal channel inversion, the K
+Covers the physical-layer side of the simulation: the one noise power and
+the air-latency models for both the over-the-air scheme and the digital
+baseline, which take K sensors, N feature dimensions and bandwidth B as
+plain numbers. After ideal channel inversion, the K
 sensors transmitting symbols s_k at once deliver sqrt(P_rx) sum_k s_k plus
 real zero-mean Gaussian noise of the sub-channel noise power per aggregated
 symbol. `pooling.aggregate_with_noise` applies that noise after
@@ -12,7 +13,6 @@ and the receive SNR is the only power input.
 """
 
 import math
-from dataclasses import dataclass
 
 
 def db_to_linear(x_db: float) -> float:
@@ -27,25 +27,9 @@ def db_to_linear(x_db: float) -> float:
 NOISE_W = db_to_linear(-174.0 - 30.0) * db_to_linear(4.0) * 10e6 / 12
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """Physical system setting shared by all experiments."""
-
-    k_sensors: int = 12
-    n_features: int = 17911
-    bandwidth_hz: float = 10e6
-
-    def __post_init__(self):
-        for name, ok, text in (("k_sensors", lambda v: v >= 1, ">= 1"),
-                               ("n_features", lambda v: v >= 0, ">= 0 (0: nothing to send)"),
-                               ("bandwidth_hz", lambda v: 0.0 < v < math.inf, "finite and > 0")):
-            if not ok(getattr(self, name)):
-                raise ValueError(f"{name} must be {text}, got {getattr(self, name)}")
-
-
-def airpool_latency(params: SystemParams) -> float:
+def airpool_latency(n_features: int, bandwidth_hz: float) -> float:
     """Air latency of over-the-air pooling in seconds: N / B (no K term)."""
-    return _seconds(params.n_features, params.bandwidth_hz)
+    return _seconds(n_features, bandwidth_hz)
 
 
 def _seconds(symbols, per_second: float) -> float:
@@ -68,7 +52,8 @@ def digital_rate(k: int, snr_rx: float) -> float:
     return rate
 
 
-def digital_latency(params: SystemParams, q_bits: int, snr_rx: float) -> float:
+def digital_latency(k: int, n_features: int, bandwidth_hz: float, q_bits: int,
+                    snr_rx: float) -> float:
     """Latency of the orthogonal-access digital baseline in seconds.
 
     Each sensor quantizes each feature to q_bits and transmits over its
@@ -76,5 +61,5 @@ def digital_latency(params: SystemParams, q_bits: int, snr_rx: float) -> float:
     """
     if q_bits < 1:
         raise ValueError("q_bits must be >= 1")
-    rate = digital_rate(params.k_sensors, snr_rx)
-    return _seconds(params.k_sensors * params.n_features * q_bits, params.bandwidth_hz * rate)
+    rate = digital_rate(k, snr_rx)
+    return _seconds(k * n_features * q_bits, bandwidth_hz * rate)

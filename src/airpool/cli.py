@@ -11,12 +11,11 @@ arguments), 3 numeric error (an ArithmeticError such as an overflow).
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 
 from . import experiments, optimizer, sensing
-from .channel import SystemParams, db_to_linear, digital_rate
-from .experiments import ConfigError, ExperimentConfig
+from .channel import db_to_linear
+from .experiments import CONFIG_KEYS, ConfigError, ExperimentConfig
 from .features import FeatureModel
 
 EXIT_OK = 0
@@ -25,47 +24,71 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 
+# The config key each option sets. The option's dest is the key's field and
+# (but for the list --snr-db) its type the key's parser; the key's range and
+# rules check its value, and an error about the key names the option as typed.
+OPTION_KEYS = {
+    "--seed": ("experiment", "seed"), "--trials": ("experiment", "trials"),
+    "--out": ("experiment", "output_dir"), "--k": ("system", "k_sensors"),
+    "--n-features": ("system", "n_features"), "--bandwidth-hz": ("system", "bandwidth_hz"),
+    "--snr-db": ("sweep", "snr_grid_db"), "--q-bits": ("sweep", "q_bits"),
+    "--samples": ("sweep", "n_samples"), "--epochs": ("sweep", "epochs"),
+    "--learning-rate": ("sweep", "learning_rate"),
+}
+
+
+def _option(sub, option, **kwargs):
+    entry = CONFIG_KEYS[OPTION_KEYS[option]]
+    sub.add_argument(option, dest=entry.field, **{"type": entry.parse, **kwargs})
+
+
 def _add_common_overrides(sub):
-    sub.add_argument("--seed", type=int, help="override the config seed")
-    sub.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
-    sub.add_argument("--out", help="override the output directory")
+    _option(sub, "--seed", help="override the config seed")
+    _option(sub, "--trials", help="override the Monte Carlo trial count")
+    _option(sub, "--out", help="override the output directory")
+
+
+def _typed(args) -> dict:
+    """(section, key) -> (option, value) of each option given."""
+    typed = {}
+    for option, where in OPTION_KEYS.items():
+        value = getattr(args, CONFIG_KEYS[where].field, None)
+        if value is not None:
+            typed[where] = (option, tuple(value) if isinstance(value, list) else value)
+    return typed
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    """The config with the command-line overrides, checked again."""
-    overrides = {name: getattr(args, option) for name, option in
-                 (("seed", "seed"), ("trials", "trials"), ("output_dir", "out"))
-                 if getattr(args, option, None) is not None}
-    if "trials" in overrides and \
-            cfg.experiment not in experiments.CONFIG_KEYS["experiment", "trials"].read_by:
-        raise ConfigError(f"--trials: {cfg.experiment} does not read trials")
-    return dataclasses.replace(cfg, **overrides)
+    """The config with the values of the options given, checked as their keys:
+    as in a config file, a key the kind does not read is an error."""
+    typed = _typed(args)
+    for section, key in typed:
+        if cfg.experiment not in CONFIG_KEYS[section, key].read_by:
+            raise ConfigError.at(section, key, f"{cfg.experiment} does not read this key")
+    return dataclasses.replace(cfg, **{CONFIG_KEYS[where].field: value
+                                       for where, (_, value) in typed.items()})
 
 
-def _check_snr_db(args) -> None:
-    """ConfigError naming --snr-db unless every value is finite."""
-    if not all(math.isfinite(snr_db) for snr_db in args.snr_db):
-        raise ConfigError(f"--snr-db values must be finite, got {args.snr_db}")
+def _read_config(path) -> ExperimentConfig:
+    """parse_config; its errors name `[section] key`, even of a key an option sets."""
+    try:
+        return experiments.parse_config(path)
+    except ConfigError as exc:
+        exc.where = None  # the file's value is at fault, not the option's
+        raise
 
 
-def _check_seed(args) -> None:
-    """ConfigError naming --seed unless it is in the [experiment] seed range."""
-    seed = experiments.CONFIG_KEYS["experiment", "seed"]
-    if not seed.ok(args.seed):
-        raise ConfigError(f"--seed: must be {seed.range}, got {args.seed}")
-
-
-def _snr_db_as_values(argv):
-    """argv with every token after --snr-db that float() accepts kept as a
+def _numbers_as_values(argv):
+    """argv with every token after an option that float() accepts kept as a
     value: argparse's negative-number pattern takes only digits and a point,
     so it reads -1e3 or -inf as an unknown option. A leading space makes
-    argparse take such a token as a value, and float() strips it."""
-    marked, in_snr_db = [], False
+    argparse take such a token as a value, and every option's parser strips it."""
+    marked, after_option = [], False
     for token in argv:
-        if in_snr_db and _is_float(token):
+        if after_option and _is_float(token):
             marked.append(" " + token if token.startswith("-") else token)
         else:
-            in_snr_db = token == "--snr-db"
+            after_option = token.startswith("--")
             marked.append(token)
     return marked
 
@@ -78,10 +101,12 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _error_exit(exc: Exception) -> int:
-    """Print the one-line message of a config or numeric error; its exit code."""
+def _error_exit(exc: Exception, args) -> int:
+    """Print the one-line message of a config or numeric error, naming the
+    option as typed if one set the key at fault; its exit code."""
     if isinstance(exc, (ConfigError, ValueError)):
-        print(f"config error: {exc}", file=sys.stderr)
+        option, _ = _typed(args).get(getattr(exc, "where", None), (None, None))
+        print(f"config error: {f'{option}: {exc.text}' if option else exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     print(f"numeric error: {type(exc).__name__}: {exc}", file=sys.stderr)
     return EXIT_NUMERIC_ERROR
@@ -96,7 +121,7 @@ def _print_table(csv_path) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(experiments.parse_config(args.config), args)
+    cfg = _apply_overrides(_read_config(args.config), args)
     result, paths = experiments.run_experiment(cfg)
     print(f"{cfg.experiment}: {len(result.rows)} rows -> {paths['csv']}")
     if result.failures:
@@ -107,7 +132,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate_bounds(args) -> int:
     if args.config:
-        cfg = experiments.parse_config(args.config)
+        cfg = _read_config(args.config)
         if cfg.experiment != "bound_validation":
             raise ConfigError.at("experiment", "kind", f"validate-bounds takes bound_validation, "
                                                        f"got {cfg.experiment}")
@@ -125,19 +150,9 @@ def _cmd_validate_bounds(args) -> int:
 
 
 def _cmd_latency(args) -> int:
-    _check_snr_db(args)
-    params = SystemParams(k_sensors=args.k, n_features=args.n_features,
-                          bandwidth_hz=args.bandwidth_hz)
-    for snr_db in args.snr_db:
-        try:
-            digital_rate(params.k_sensors, db_to_linear(snr_db))
-        except ValueError as exc:
-            raise ConfigError(f"--snr-db {snr_db:g}: {exc}")
     # Every option is checked, and the --out directory made, before the first line.
-    cfg = _apply_overrides(ExperimentConfig(experiment="latency_table", system=params,
-                                            snr_grid_db=tuple(args.snr_db),
-                                            q_bits=args.q_bits), args)
-    if args.out:
+    cfg = _apply_overrides(ExperimentConfig(experiment="latency_table"), args)
+    if args.output_dir:
         result, paths = experiments.run_experiment(cfg)
     else:
         result, _ = experiments.run_latency_table(cfg)
@@ -147,20 +162,21 @@ def _cmd_latency(args) -> int:
     for row in digital_rows:
         print(f"digital baseline at {row['snr_db']:g} dB, Q={row['q_bits']}: "
               f"{row['latency_ms']:.2f} ms")
-    if args.out:
+    if args.output_dir:
         print(f"wrote {paths['csv']}")
     return EXIT_OK
 
 
 def _cmd_optimize_alpha(args) -> int:
+    # No experiment kind fits these options: each is checked by its key's range.
+    for (section, key), (_, value) in _typed(args).items():
+        CONFIG_KEYS[section, key].check(section, key, value)
     model = FeatureModel.rectified_gaussian()
     noise = 1.0
-    _check_snr_db(args)
-    _check_seed(args)
-    p_bars = [db_to_linear(snr_db) * noise for snr_db in args.snr_db]
-    decisions = optimizer.select_alpha(model, args.k, p_bars, noise,
+    p_bars = [db_to_linear(snr_db) * noise for snr_db in args.snr_grid_db]
+    decisions = optimizer.select_alpha(model, args.k_sensors, p_bars, noise,
                                        trials=args.trials, seed=args.seed)
-    for snr_db, decision in zip(args.snr_db, decisions):
+    for snr_db, decision in zip(args.snr_grid_db, decisions):
         extra = f" ({decision.note})" if decision.note else ""
         print(f"snr={snr_db:g} dB: alpha*={decision.alpha_star:.4f} "
               f"[{decision.method}]{extra}")
@@ -168,22 +184,21 @@ def _cmd_optimize_alpha(args) -> int:
 
 
 def _cmd_train_snn(args) -> int:
-    _check_seed(args)
-    dataset = sensing.generate_dataset(args.samples, args.seed)
-    report = sensing.train_classifier(dataset, epochs=args.epochs,
-                                      learning_rate=args.learning_rate,
-                                      seed=args.seed)
+    cfg = _apply_overrides(ExperimentConfig(experiment="synthetic_e2e"), args)
+    dataset = sensing.generate_dataset(cfg.n_samples, cfg.seed)
+    report = sensing.train_classifier(dataset, epochs=cfg.epochs,
+                                      learning_rate=cfg.learning_rate, seed=cfg.seed)
     pooled = dataset.pooled()
     check = sensing.gradient_check(report.classifier, pooled[:10],
                                    dataset.labels[:10])
-    print(f"samples={len(dataset)} epochs={args.epochs} "
+    print(f"samples={len(dataset)} epochs={cfg.epochs} "
           f"clean accuracy={report.clean_accuracy:.4f} "
           f"loss={report.final_loss:.4f} gradient check={check:.2e}")
     return EXIT_OK if report.clean_accuracy >= 0.85 and check <= 1e-4 \
         else EXIT_CHECK_FAILURE
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airpool",
         description="Over-the-air multi-view pooling: simulation and optimization")
@@ -200,33 +215,36 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_validate_bounds)
 
     p = subs.add_parser("latency", help="latency comparison table")
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--n-features", type=int, default=17911)
-    p.add_argument("--bandwidth-hz", type=float, default=10e6)
-    p.add_argument("--q-bits", type=int, default=6)
-    p.add_argument("--snr-db", type=float, nargs="+", default=[6.0, 10.0, 16.0])
-    p.add_argument("--out", help="also write latency_table artifacts here")
+    _option(p, "--k", default=12)
+    _option(p, "--n-features", default=17911)
+    _option(p, "--bandwidth-hz", default=10e6)
+    _option(p, "--q-bits", default=6)
+    _option(p, "--snr-db", type=float, nargs="+", default=[6.0, 10.0, 16.0])
+    _option(p, "--out", help="also write latency_table artifacts here")
     p.set_defaults(func=_cmd_latency)
 
     p = subs.add_parser("optimize-alpha", help="select alpha for max pooling")
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--snr-db", type=float, nargs="+", default=[20.0, 30.0, 40.0])
-    p.add_argument("--trials", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=42)
+    _option(p, "--k", default=12)
+    _option(p, "--snr-db", type=float, nargs="+", default=[20.0, 30.0, 40.0])
+    _option(p, "--trials", default=200_000)
+    _option(p, "--seed", default=42)
     p.set_defaults(func=_cmd_optimize_alpha)
 
     p = subs.add_parser("train-snn", help="train the synthetic-task classifier")
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=42)
+    _option(p, "--samples", default=4000)
+    _option(p, "--epochs", default=200)
+    _option(p, "--learning-rate", default=0.5)
+    _option(p, "--seed", default=42)
     p.set_defaults(func=_cmd_train_snn)
+    return parser
 
-    args = parser.parse_args(_snr_db_as_values(sys.argv[1:] if argv is None else argv))
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, ValueError, ArithmeticError) as exc:
-        return _error_exit(exc)
+        return _error_exit(exc, args)
 
 
 if __name__ == "__main__":

@@ -20,14 +20,13 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import analysis, features as feat, optimizer, sensing
-from .channel import (NOISE_W, SystemParams, airpool_latency, db_to_linear,
-                      digital_latency, digital_rate)
+from .channel import NOISE_W, airpool_latency, db_to_linear, digital_latency, digital_rate
 from .features import FeatureModel
 from ._mc import MonteCarloEstimate, rng_from
 from .pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise, postprocess,
@@ -45,12 +44,15 @@ _MODEL_KINDS = {
 
 
 class ConfigError(Exception):
-    """Raised for unparsable or invalid experiment configuration."""
+    """Raised for unparsable or invalid experiment configuration; `at` keeps
+    the (section, key) as `where` and the text after it as `text`."""
 
     @classmethod
     def at(cls, section: str, key: str, text: str) -> "ConfigError":
         """The one form of every config key error: `[section] key: text`."""
-        return cls(f"[{section}] {key}: {text}")
+        exc = cls(f"[{section}] {key}: {text}")
+        exc.where, exc.text = (section, key), text
+        return exc
 
 
 def _float_list(raw: str) -> Tuple[float, ...]:
@@ -58,8 +60,8 @@ def _float_list(raw: str) -> Tuple[float, ...]:
 
 
 class Key(NamedTuple):
-    """One config key: the field it sets (of SystemParams for [system]; none for
-    `workers`), its parser, the kinds that read it, and its range: a predicate, its text."""
+    """One config key: the ExperimentConfig field it sets (none for `workers`),
+    its parser, the kinds that read it, and its range: a predicate, its text."""
 
     field: Optional[str]
     parse: Callable[[str], Any]
@@ -82,21 +84,25 @@ _E2E = frozenset({"synthetic_e2e"})
 CONFIG_KEYS: Dict[Tuple[str, str], Key] = {
     ("experiment", "kind"): Key("experiment", str.strip, _ANY, EXPERIMENT_KINDS.__contains__,
                                 f"one of {', '.join(EXPERIMENT_KINDS)}"),
-    ("experiment", "trials"): Key("trials", int, _MC),
+    ("experiment", "trials"): Key("trials", int, _MC, lambda v: v >= feat.MIN_MC_TRIALS,
+                                  f">= {feat.MIN_MC_TRIALS}"),
     ("experiment", "seed"): Key("seed", int, _ANY, lambda v: v >= 0, ">= 0"),
     ("experiment", "output_dir"): Key("output_dir", str.strip, _ANY),
     ("experiment", "workers"): Key(None, int, _ANY, lambda v: v == 1,
                                    "1 (parallel workers were removed)"),
-    ("system", "k_sensors"): Key("k_sensors", int, _ANY - _E2E),  # the dataset fixes K = 4
-    ("system", "n_features"): Key("n_features", int, _ANY - _MC),
-    ("system", "bandwidth_hz"): Key("bandwidth_hz", float, _ANY - _MC),
+    # synthetic_e2e's dataset fixes K = 4.
+    ("system", "k_sensors"): Key("k_sensors", int, _ANY - _E2E, lambda v: v >= 1, ">= 1"),
+    ("system", "n_features"): Key("n_features", int, _ANY - _MC, lambda v: v >= 0, ">= 0"),
+    ("system", "bandwidth_hz"): Key("bandwidth_hz", float, _ANY - _MC,
+                                    lambda v: 0.0 < v < math.inf, "finite and > 0"),
     ("feature_model", "kind"): Key("feature_kind", str.strip, _MC,
                                    (*_MODEL_KINDS, "empirical").__contains__,
                                    f"one of {', '.join(_MODEL_KINDS)}, empirical"),
     ("feature_model", "sample_file"): Key("feature_file", str.strip, _MC),
+    # 10^(dB/10) stays nonzero, and sqrt(2) times it finite (closed_form_alpha).
     ("sweep", "snr_grid_db"): Key("snr_grid_db", _float_list, _ANY,
-                                  lambda g: bool(g) and all(map(math.isfinite, g)),
-                                  "a nonempty list of finite values"),
+                                  lambda g: bool(g) and all(-3000.0 <= s <= 3000.0 for s in g),
+                                  "a nonempty list of values in [-3000, 3000]"),
     ("sweep", "alpha_grid"): Key("alpha_grid", _float_list,
                                  frozenset({"tradeoff_curve", "bound_validation"}),
                                  lambda g: bool(g) and all(1.0 <= a <= feat.ALPHA_MAX for a in g),
@@ -115,7 +121,9 @@ class ExperimentConfig:
     """Everything one experiment run needs."""
 
     experiment: str
-    system: SystemParams = field(default_factory=SystemParams)
+    k_sensors: int = 12
+    n_features: int = 17911
+    bandwidth_hz: float = 10e6
     feature_kind: str = "rectified_gaussian"
     feature_file: str = ""
     snr_grid_db: Tuple[float, ...] = (0.0, 6.0, 12.0)
@@ -131,16 +139,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for (section, key), entry in CONFIG_KEYS.items():
-            if section != "system" and entry.field is not None:  # [system]: SystemParams
+            if entry.field is not None:
                 entry.check(section, key, getattr(self, entry.field))
         # Cross-key rules. K >= 4 and SNR > K are premises of the closed-form alpha.
-        kind, k = self.experiment, self.system.k_sensors
+        kind, k = self.experiment, self.k_sensors
         if kind in _MC and (self.feature_kind == "empirical") != bool(self.feature_file):
             raise ConfigError.at("feature_model", "sample_file", f"must be given exactly when "
                                  f"kind = empirical, got kind = {self.feature_kind}")
-        if kind in _MC and self.trials < feat.MIN_MC_TRIALS:
-            raise ConfigError.at("experiment", "trials", f"must be >= {feat.MIN_MC_TRIALS} "
-                                 f"for {kind}, got {self.trials}")
         if kind in ("bound_validation", "alpha_optimality") and k < 4:
             raise ConfigError.at("system", "k_sensors", f"must be >= 4 for {kind}, got {k}")
         if kind == "synthetic_e2e" and \
@@ -186,7 +191,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: file not found or empty")
     sections = dict.fromkeys(section for section, _ in CONFIG_KEYS)
     kind = parser.get("experiment", "kind", fallback="").strip()
-    config, system = {"experiment": kind}, {}
+    config = {"experiment": kind}
     for section in parser.sections():
         if section not in sections:
             raise ConfigError(f"{path}: unknown section [{section}]; expected one of "
@@ -204,7 +209,7 @@ def parse_config(path) -> ExperimentConfig:
                 raise ConfigError.at(section, key, f"cannot parse {raw!r}: {exc}")
             entry.check(section, key, value)
             if entry.field is not None:
-                (system if section == "system" else config)[entry.field] = value
+                config[entry.field] = value
     # On the file's values: a tradeoff_curve that omits snr_grid_db reads 0 dB.
     if kind == "tradeoff_curve" and len(config.get("snr_grid_db", ())) > 1:
         raise ConfigError.at("sweep", "snr_grid_db",
@@ -215,11 +220,7 @@ def parse_config(path) -> ExperimentConfig:
     if kind == "alpha_optimality" and "snr_grid_db" not in config:
         raise ConfigError.at("sweep", "snr_grid_db", "alpha_optimality requires this key: "
                              "the default grid's 0 dB is above no K >= 4")
-    try:
-        params = SystemParams(**system)
-    except ValueError as exc:  # its message names the field first
-        raise ConfigError.at("system", *str(exc).split(" ", 1))
-    return ExperimentConfig(system=params, **config)
+    return ExperimentConfig(**config)
 
 
 @dataclass
@@ -274,20 +275,14 @@ def write_outputs(result: ExperimentResult, out_dir, chart: Optional[dict]) -> d
 # ---------------------------------------------------------------------------
 
 def run_latency_table(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
-    params = cfg.system
-    rows = [{
-        "scheme": "airpool", "snr_db": "", "q_bits": "",
-        "latency_ms": airpool_latency(params) * 1e3, "seed": cfg.seed,
-    }]
-    for snr_db in cfg.snr_grid_db:
-        rows.append({
-            "scheme": "digital", "snr_db": snr_db, "q_bits": cfg.q_bits,
-            "latency_ms": digital_latency(params, cfg.q_bits, db_to_linear(snr_db)) * 1e3,
-            "seed": cfg.seed,
-        })
+    rows = [{"scheme": "airpool", "snr_db": "", "q_bits": "", "seed": cfg.seed,
+             "latency_ms": airpool_latency(cfg.n_features, cfg.bandwidth_hz) * 1e3}]
+    rows += [{"scheme": "digital", "snr_db": snr_db, "q_bits": cfg.q_bits, "seed": cfg.seed,
+              "latency_ms": digital_latency(cfg.k_sensors, cfg.n_features, cfg.bandwidth_hz,
+                                            cfg.q_bits, db_to_linear(snr_db)) * 1e3}
+             for snr_db in cfg.snr_grid_db]
     result = ExperimentResult(
-        "latency_table", ("scheme", "snr_db", "q_bits", "latency_ms", "seed"),
-        rows, {"config": asdict(cfg)})
+        "latency_table", ("scheme", "snr_db", "q_bits", "latency_ms", "seed"), rows, {})
     chart = dict(
         series=[Series("digital", list(cfg.snr_grid_db),
                        [r["latency_ms"] for r in rows[1:]]),
@@ -308,7 +303,7 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
     rows: List[Dict] = []
     series: List[Series] = []
     models = {"empirical": cfg.feature_model} if cfg.feature_kind == "empirical" else _MODEL_KINDS
-    k = cfg.system.k_sensors
+    k = cfg.k_sensors
     for kind, make_model in models.items():
         curve, diagnostics = analysis.tradeoff_curve(
             make_model(), k, p_rx, NOISE_W, list(cfg.alpha_grid),
@@ -325,7 +320,7 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
         "tradeoff_curve",
         ("model", "snr_db", "alpha", "noise_bound", "noise_bound_asymptotic",
          "approx_bound_max", "bound_sum", "diagnostics", "seed"),
-        rows, {"config": {**asdict(cfg), "feature_kind": list(models)}})
+        rows, {"config": {"feature_kind": list(models)}})
     chart = dict(series=series, title=f"Error-bound tradeoff at {snr_db:g} dB",
                  x_label="alpha", y_label="bound", log_x=True)
     return result, chart
@@ -369,7 +364,7 @@ def _grid_point_rows(err: analysis.ErrorBreakdown, point: AirPoolConfig,
 
 
 def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
-    k = cfg.system.k_sensors
+    k = cfg.k_sensors
     model = cfg.feature_model()
     betas = optimizer.BetaTable(model, k, seed=cfg.seed)
     betas.fill([*cfg.alpha_grid, *_RECONFIG_ALPHAS, *_ARGMIN_GRID])
@@ -442,7 +437,7 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     result = ExperimentResult(
         "bound_validation",
         ("check", "mode", "alpha", "snr_db", "measured", "bound", "slack", "passed"),
-        rows, {"config": asdict(cfg)}, failures=failures)
+        rows, {}, failures=failures)
     return result, None
 
 
@@ -546,7 +541,7 @@ def _margin_chain_checks(model, cfg: ExperimentConfig) -> List[Dict]:
 # ---------------------------------------------------------------------------
 
 def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional[dict]]:
-    k = cfg.system.k_sensors
+    k = cfg.k_sensors
     model = cfg.feature_model()
     e2 = feat.max_second_moment(model, k, max(cfg.trials, 100_000), cfg.seed).value
     grid = optimizer.default_alpha_grid(48)
@@ -579,7 +574,7 @@ def run_alpha_optimality(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
         "alpha_optimality",
         ("snr_db", "alpha_closed", "alpha_bisection", "alpha_bruteforce",
          "d_closed", "d_bruteforce", "seed"),
-        rows, {"config": asdict(cfg)})
+        rows, {})
     xs = [r["snr_db"] for r in rows]
     chart = dict(series=[
         Series("closed form", xs, [r["alpha_closed"] for r in rows]),
@@ -620,9 +615,7 @@ def run_synthetic_e2e(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optional
     result = ExperimentResult(
         "synthetic_e2e",
         ("snr_db", "alpha", "alpha_method", "r_ap", "d_sigma", "r0", "seed"),
-        rows, {"config": asdict(cfg),
-               "clean_accuracy": report.clean_accuracy,
-               "final_loss": report.final_loss})
+        rows, {"clean_accuracy": report.clean_accuracy, "final_loss": report.final_loss})
     xs = [r["snr_db"] for r in rows]
     chart = dict(series=[Series("accuracy", xs, [r["r_ap"] for r in rows]),
                          Series("feature error", xs, [r["d_sigma"] for r in rows])],
@@ -649,5 +642,9 @@ def run_experiment(cfg: ExperimentConfig) -> Tuple[ExperimentResult, dict]:
         raise ConfigError.at("experiment", "output_dir", f"cannot make the directory "
                              f"{cfg.output_dir!r}: {exc.strerror}")
     result, chart = _RUNNERS[cfg.experiment](cfg)
+    # The config echo: the keys the kind reads, then what the runner adds.
+    read = {entry.field: getattr(cfg, entry.field) for entry in CONFIG_KEYS.values()
+            if entry.field is not None and cfg.experiment in entry.read_by}
+    result.metadata["config"] = {**read, **result.metadata.get("config", {})}
     paths = write_outputs(result, cfg.output_dir, chart)
     return result, paths

@@ -269,7 +269,7 @@ def train_classifier_reference(dataset: SyntheticDataset, epochs: int = 200,
 
 
 def gradient_check_reference(clf: ShallowClassifier, x: np.ndarray,
-                             labels: np.ndarray, epsilon: float = 1e-6) -> float:
+                             labels: np.ndarray, epsilon: float = 1e-5) -> float:
     """Max relative error between backprop and central finite differences,
     perturbing all weights, then all biases."""
     grads_w, grads_b = gradients_reference(clf, x, labels)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from airpool import analysis, features as feat, optimizer, sensing
-from airpool.channel import SystemParams, airpool_latency, db_to_linear, digital_latency
+from airpool.channel import airpool_latency, db_to_linear, digital_latency
 from airpool.features import FeatureModel
 from airpool.pooling import (AirPoolConfig, PoolingMode, aggregate_with_noise,
                              postprocess, powered_sum)
@@ -56,12 +56,12 @@ def trained_task():
 
 def test_criterion_1_latency_reproduction():
     t0 = time.time()
-    params = SystemParams(k_sensors=12, n_features=17911, bandwidth_hz=10e6)
-    air_ms = airpool_latency(params) * 1e3
+    n, bandwidth = 17911, 10e6
+    air_ms = airpool_latency(n, bandwidth) * 1e3
     ok = abs(air_ms - 1.7911) <= 1e-9
     details = [f"air={air_ms:.4f}ms"]
     for snr_db, ref in [(6.0, 22.90), (10.0, 18.64), (16.0, 14.47)]:
-        ms = digital_latency(params, 6, db_to_linear(snr_db)) * 1e3
+        ms = digital_latency(K, n, bandwidth, 6, db_to_linear(snr_db)) * 1e3
         ok &= abs(ms - ref) / ref <= 0.05
         details.append(f"digital@{snr_db:g}dB={ms:.2f}ms (ref {ref})")
     assert _report("1 latency-reproduction", ok, " ".join(details), t0, 1.0)

@@ -1,4 +1,4 @@
-"""System parameters, the aggregation channel, and latency."""
+"""The noise power, the aggregation channel, and latency."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from airpool import channel
-from airpool.channel import SystemParams, db_to_linear
+from airpool.channel import db_to_linear
+from airpool.experiments import ConfigError, ExperimentConfig, run_latency_table
 from oracles import transmit_over_mac
 
 
@@ -18,10 +19,10 @@ class TestSystemParams:
         assert channel.NOISE_W.hex() == "0x1.2c3d6f030f9bep-47"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SystemParams(k_sensors=0)
-        with pytest.raises(ValueError):
-            SystemParams(bandwidth_hz=0.0)
+        # K, N and B are config fields, checked by their [system] key ranges.
+        for field, value in (("k_sensors", 0), ("n_features", -1), ("bandwidth_hz", 0.0)):
+            with pytest.raises(ConfigError, match=rf"^\[system\] {field}: must be "):
+                ExperimentConfig(experiment="latency_table", **{field: value})
 
 
 class TestTransmitOverMac:
@@ -56,40 +57,37 @@ class TestTransmitOverMac:
 
 class TestLatency:
     def test_airpool_large_preset(self):
-        p = SystemParams(n_features=17911, bandwidth_hz=10e6)
-        assert channel.airpool_latency(p) * 1e3 == pytest.approx(1.7911, abs=1e-12)
+        assert channel.airpool_latency(17911, 10e6) * 1e3 == pytest.approx(1.7911, abs=1e-12)
 
     def test_airpool_small_preset(self):
-        p = SystemParams(n_features=7675, bandwidth_hz=10e6)
-        assert channel.airpool_latency(p) * 1e3 == pytest.approx(0.7675, abs=1e-12)
+        assert channel.airpool_latency(7675, 10e6) * 1e3 == pytest.approx(0.7675, abs=1e-12)
 
     def test_airpool_empty_payload(self):
-        assert channel.airpool_latency(SystemParams(n_features=0)) == 0.0
+        assert channel.airpool_latency(0, 10e6) == 0.0
 
     def test_airpool_independent_of_k(self):
-        a = channel.airpool_latency(SystemParams(k_sensors=1))
-        b = channel.airpool_latency(SystemParams(k_sensors=120))
+        # The latency table's over-the-air row reads no K.
+        a, b = (run_latency_table(ExperimentConfig(experiment="latency_table", k_sensors=k))[0]
+                .rows[0] for k in (1, 120))
         assert a == b
 
     def test_digital_reference_values(self):
-        p = SystemParams(k_sensors=12, n_features=17911, bandwidth_hz=10e6)
-        ms = channel.digital_latency(p, 6, db_to_linear(6.0)) * 1e3
+        ms = channel.digital_latency(12, 17911, 10e6, 6, db_to_linear(6.0)) * 1e3
         assert abs(ms - 22.90) / 22.90 <= 0.05
-        ms = channel.digital_latency(p, 6, db_to_linear(10.0)) * 1e3
+        ms = channel.digital_latency(12, 17911, 10e6, 6, db_to_linear(10.0)) * 1e3
         assert abs(ms - 18.64) / 18.64 <= 0.02
-        ms = channel.digital_latency(p, 6, db_to_linear(16.0)) * 1e3
+        ms = channel.digital_latency(12, 17911, 10e6, 6, db_to_linear(16.0)) * 1e3
         assert abs(ms - 14.47) / 14.47 <= 0.02
 
     def test_digital_monotonicity(self):
-        p = SystemParams()
         snrs = [1.0, 2.0, 5.0, 20.0]
-        lat = [channel.digital_latency(p, 6, s) for s in snrs]
+        lat = [channel.digital_latency(12, 17911, 10e6, 6, s) for s in snrs]
         assert all(a > b for a, b in zip(lat, lat[1:]))
-        q_lat = [channel.digital_latency(p, q, 4.0) for q in [1, 2, 6, 12]]
+        q_lat = [channel.digital_latency(12, 17911, 10e6, q, 4.0) for q in [1, 2, 6, 12]]
         assert all(a < b for a, b in zip(q_lat, q_lat[1:]))
 
     def test_digital_argument_validation(self):
         with pytest.raises(ValueError):
-            channel.digital_latency(SystemParams(), 0, 1.0)
+            channel.digital_latency(12, 17911, 10e6, 0, 1.0)
         with pytest.raises(ValueError):
-            channel.digital_latency(SystemParams(), 6, 0.0)
+            channel.digital_latency(12, 17911, 10e6, 6, 0.0)

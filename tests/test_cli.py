@@ -1,6 +1,7 @@
 """Config parsing, experiment artifacts, reproducibility, and CLI exit
 codes."""
 
+import argparse
 import contextlib
 import csv
 import glob
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from airpool import analysis, cli, experiments, features as feat, optimizer, sensing
 from airpool._mc import pairwise_nodes, rng_from
-from airpool.channel import NOISE_W, SystemParams, db_to_linear
+from airpool.channel import NOISE_W, db_to_linear
 from airpool.experiments import ConfigError, ExperimentConfig, parse_config
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
@@ -68,7 +69,7 @@ class TestConfigParsing:
         cfg = parse_config(path)
         assert cfg.experiment == "latency_table"
         assert cfg.seed == 7
-        assert cfg.system.n_features == 17911
+        assert cfg.n_features == 17911
         assert cfg.snr_grid_db == (6.0, 10.0, 16.0)
 
     def test_missing_file(self, tmp_path):
@@ -284,7 +285,7 @@ class TestBoundValidationGate:
             monkeypatch.setattr(module, "rng_from", counting_rng_from)
         monkeypatch.setattr(feat, "optimal_beta_grid", counting_beta_grid)
         cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
-                               system=SystemParams(k_sensors=4),
+                               k_sensors=4,
                                snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
                                seed=seed, output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
@@ -313,7 +314,7 @@ class TestBoundValidationGate:
         fmax = model.draw(rng_from(seed), (50_000, k)).max(axis=1)
         assert np.any((fmax > 0.0) & (fmax ** 64 == 0.0))
         cfg = ExperimentConfig(experiment="bound_validation", trials=100_000,
-                               system=SystemParams(k_sensors=k), seed=seed)
+                               k_sensors=k, seed=seed)
         rows = experiments._reconfigurability_checks(
             model, k, cfg, optimizer.BetaTable(model, k, seed=seed))
         sandwich, = [row for row in rows if row["check"] == "sandwich"]
@@ -343,7 +344,7 @@ class TestBoundValidationGate:
         # the rows of drawing every (mode, alpha, SNR) point on its own.
         k, seed, trials = 4, 3, 10_000
         cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
-                               system=SystemParams(k_sensors=k),
+                               k_sensors=k,
                                snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
                                seed=seed, output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
@@ -382,7 +383,7 @@ class TestBoundValidationGate:
 
         monkeypatch.setattr(optimizer, "lowest_error_alpha", recording)
         cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
-                               system=SystemParams(k_sensors=k),
+                               k_sensors=k,
                                snr_grid_db=snr_grid_db, alpha_grid=(1.0, 4.0),
                                seed=seed, output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
@@ -444,7 +445,7 @@ class TestAlphaOptimality:
         # equals a separate estimate at that alpha.
         k, seed, trials = 6, 5, 10_000
         cfg = ExperimentConfig(experiment="alpha_optimality", trials=trials,
-                               system=SystemParams(k_sensors=k),
+                               k_sensors=k,
                                snr_grid_db=(15.0, 25.0), seed=seed,
                                output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
@@ -467,7 +468,7 @@ class TestAlphaOptimality:
         # alpha and error of a sweep over that SNR alone.
         k, seed, trials = 6, 5, 10_000
         cfg = ExperimentConfig(experiment="alpha_optimality", trials=trials,
-                               system=SystemParams(k_sensors=k),
+                               k_sensors=k,
                                snr_grid_db=(15.0, 25.0, 35.0), seed=seed,
                                output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
@@ -520,7 +521,7 @@ class TestAlphaOptimality:
                                                     model, 4, beta_trials=20_000, seed=2))
         assert decision.method == optimizer.BRUTE_FORCE
         cfg = ExperimentConfig(experiment="alpha_optimality", trials=10_000,
-                               system=SystemParams(k_sensors=4), snr_grid_db=(20.0,),
+                               k_sensors=4, snr_grid_db=(20.0,),
                                seed=2, output_dir=str(tmp_path))
         result, _ = experiments.run_experiment(cfg)
         assert len(result.rows) == 1 and sweeps == [3, 49]
@@ -599,9 +600,9 @@ class TestBenchmarkCsvBytes:
         assert _sha(paths["csv"]) == self.LARGE_SEED_SHA256[workload, seed]
 
 
-# Inputs outside their documented range, each with the field its error
-# message names: a config body for `run` (or for the subcommand and options
-# that follow it), or a subcommand's argv.
+# Inputs outside their documented range, each with what its error message
+# names: a config body for `run` (or for the subcommand and options that
+# follow it) names its key, and an option names itself as typed.
 RANGE_ERRORS = {
     "run-bound-alpha-below-one": (
         "alpha_grid", ("bound_validation", "[sweep]\nalpha_grid = 0.5, 2")),
@@ -659,13 +660,30 @@ RANGE_ERRORS = {
     # The default snr_grid_db starts at 0 dB, which is above no K >= 4.
     "run-alpha-optimality-no-snr-grid": (
         "snr_grid_db: alpha_optimality requires", ("alpha_optimality", "")),
+    # The ranges of [system]: K >= 1, N >= 0, and a finite bandwidth > 0.
+    "run-latency-k-0": ("k_sensors", ("latency_table", "[system]\nk_sensors = 0")),
+    "run-latency-n-features-minus-1": (
+        "n_features", ("latency_table", "[system]\nn_features = -1")),
+    "run-latency-bandwidth-0": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = 0")),
     "run-latency-bandwidth-inf": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = inf")),
     "run-latency-bandwidth-nan": ("bandwidth_hz", ("latency_table", "[system]\nbandwidth_hz = nan")),
+    # From about 3081 dB on, 10^(dB/10) or sqrt(2) times it overflows.
+    "run-alpha-optimality-snr-4000": (
+        "snr_grid_db", ("alpha_optimality", "[sweep]\nsnr_grid_db = 4000")),
+    # An option names itself, first, even where its value overrides a file's.
     "run-e2e-trials-override-5": (
-        "trials", ("synthetic_e2e", "[sweep]\nn_samples = 300", "run", "--trials", "5")),
+        "--trials", ("synthetic_e2e", "[sweep]\nn_samples = 300", "run", "--trials", "5")),
     "validate-bounds-trials-override-5": (
-        "trials", ("bound_validation", "[sweep]\nsnr_grid_db = 0, 6, 12\nalpha_grid = 1, 4, 16",
-                   "validate-bounds", "--trials", "5")),
+        "--trials", ("bound_validation", "[sweep]\nsnr_grid_db = 0, 6, 12\nalpha_grid = 1, 4, 16",
+                     "validate-bounds", "--trials", "5")),
+    "run-seed-override-minus-1": ("--seed", ("latency_table", "", "run", "--seed", "-1")),
+    # A bad value in the file names its key, though an option overrides it.
+    "run-file-seed-minus-1-seed-override-5": (
+        "seed", ("latency_table", "seed = -1", "run", "--seed", "5")),
+    "validate-bounds-file-seed-minus-1-seed-override-5": (
+        "seed", ("bound_validation", "seed = -1", "validate-bounds", "--seed", "5")),
+    "run-out-is-a-file": (
+        "--out", ("latency_table", "", "run", "--out", os.path.abspath(__file__))),
     # A body line before any section header belongs to [experiment].
     "run-bound-negative-seed": ("seed", ("bound_validation", "seed = -1")),
     "run-bound-output-dir-is-a-file": (
@@ -686,21 +704,26 @@ RANGE_ERRORS = {
     "run-latency-empty-snr-grid": ("snr_grid_db", ("latency_table", "[sweep]\nsnr_grid_db =")),
     # A % in a value is a character, not an interpolation.
     "run-latency-percent-in-seed": ("seed", ("latency_table", "seed = 5%")),
-    "latency-q-bits-0": ("q_bits", ["latency", "--q-bits", "0"]),
-    "latency-out-is-a-file": ("output_dir", ["latency", "--out", os.path.abspath(__file__)]),
-    "optimize-alpha-seed-minus-1": ("seed", ["optimize-alpha", "--seed", "-1"]),
-    "train-snn-seed-minus-1": ("seed", ["train-snn", "--seed", "-1"]),
-    "train-snn-no-samples": ("n_samples", ["train-snn", "--samples", "0"]),
-    "optimize-alpha-k-0": ("k", ["optimize-alpha", "--k", "0"]),
-    "optimize-alpha-trials-5": ("trials", ["optimize-alpha", "--trials", "5"]),
+    "latency-k-0": ("--k", ["latency", "--k", "0"]),
+    "latency-q-bits-0": ("--q-bits", ["latency", "--q-bits", "0"]),
+    "latency-out-is-a-file": ("--out", ["latency", "--out", os.path.abspath(__file__)]),
+    "optimize-alpha-seed-minus-1": ("--seed", ["optimize-alpha", "--seed", "-1"]),
+    "train-snn-seed-minus-1": ("--seed", ["train-snn", "--seed", "-1"]),
+    "train-snn-no-samples": ("--samples", ["train-snn", "--samples", "0"]),
+    "train-snn-no-epochs": ("--epochs", ["train-snn", "--epochs", "0"]),
+    "optimize-alpha-k-0": ("--k", ["optimize-alpha", "--k", "0"]),
+    "optimize-alpha-trials-5": ("--trials", ["optimize-alpha", "--trials", "5"]),
     "optimize-alpha-snr-nan": (
-        "snr-db", ["optimize-alpha", "--snr-db", "nan", "--trials", "10000"]),
-    "optimize-alpha-snr-inf": ("snr-db", ["optimize-alpha", "--snr-db", "inf"]),
-    "latency-snr-nan": ("snr-db", ["latency", "--snr-db", "nan"]),
+        "--snr-db", ["optimize-alpha", "--snr-db", "nan", "--trials", "10000"]),
+    "optimize-alpha-snr-inf": ("--snr-db", ["optimize-alpha", "--snr-db", "inf"]),
+    "latency-snr-nan": ("--snr-db", ["latency", "--snr-db", "nan"]),
     # argparse alone would read -inf as an unknown option.
-    "latency-snr-minus-inf": ("snr-db", ["latency", "--snr-db", "6", "-inf"]),
-    "optimize-alpha-snr-minus-inf": ("snr-db", ["optimize-alpha", "--snr-db", "-inf"]),
-    "latency-snr-minus-1e3": ("snr-db", ["latency", "--snr-db", "6", "-1e3"]),
+    "latency-snr-minus-inf": ("--snr-db", ["latency", "--snr-db", "6", "-inf"]),
+    "optimize-alpha-snr-minus-inf": ("--snr-db", ["optimize-alpha", "--snr-db", "-inf"]),
+    "latency-snr-minus-1e3": ("--snr-db", ["latency", "--snr-db", "6", "-1e3"]),
+    "latency-snr-4000": ("--snr-db", ["latency", "--snr-db", "4000"]),
+    "optimize-alpha-snr-3082": (
+        "--snr-db", ["optimize-alpha", "--snr-db", "3082", "--trials", "10000"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
@@ -826,6 +849,19 @@ class TestExperimentKeys:
         path.write_text(config_body(kind, READ_KEYS[kind], tmp_path / "out"))
         cfg = parse_config(path)
         assert (cfg.experiment, cfg.seed) == (kind, 1)
+
+    @pytest.mark.parametrize("kind", experiments.EXPERIMENT_KINDS)
+    def test_sidecar_echoes_the_keys_its_kind_reads(self, kind, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # tradeoff_curve's sample file is features.txt
+        (tmp_path / "features.txt").write_text("0.5\n1.5\n2.0\n")
+        path = tmp_path / "exp.ini"
+        path.write_text(config_body(kind, READ_KEYS[kind], tmp_path / "out"))
+        _, paths = experiments.run_experiment(parse_config(path))
+        with open(paths["meta"]) as fh:
+            echo = json.load(fh)["config"]
+        assert set(echo) == {entry.field for entry in experiments.CONFIG_KEYS.values()
+                             if entry.field is not None and kind in entry.read_by}
+        assert (echo["experiment"], echo["seed"]) == (kind, 1)
 
 
 class Sentinel(Exception):
@@ -965,6 +1001,93 @@ class TestConfigGrammar:
             assert code == 3 and err.startswith("numeric error: "), err
 
 
+def subcommand_options():
+    """Each subcommand -> its options' argparse actions, but --help and --config."""
+    subs, = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in sub._actions if a.option_strings and a.dest not in ("help", "config")]
+            for name, sub in subs.choices.items()}
+
+
+def _key_of(action):
+    """The (section, key) whose field an option's action sets."""
+    where, = [where for where, entry in experiments.CONFIG_KEYS.items()
+              if entry.field == action.dest]
+    return where
+
+
+_POSITIVE_OUT_OF_RANGE = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
+# Values outside each option's key range; `run` takes them with a bound_validation config.
+OPTIONS_OUT_OF_RANGE = {
+    "--seed": st.integers(max_value=-1),
+    "--trials": st.integers(max_value=feat.MIN_MC_TRIALS - 1),
+    "--out": st.just(os.path.abspath(__file__)),
+    "--k": st.integers(max_value=0),
+    "--n-features": st.integers(max_value=-1),
+    "--bandwidth-hz": _POSITIVE_OUT_OF_RANGE,
+    "--q-bits": st.integers(max_value=0),
+    "--snr-db": st.one_of(st.floats(min_value=3000.0, exclude_min=True),
+                          st.floats(max_value=-3000.0, exclude_max=True), st.just(math.nan)),
+    "--samples": st.integers(max_value=2),  # 1 and 2 leave no test sample
+    "--epochs": st.integers(max_value=0),
+    "--learning-rate": _POSITIVE_OUT_OF_RANGE,
+}
+
+
+class TestOptionGrammar:
+    """A subcommand with one option out of its key's range exits 2 before any
+    draw or training step, printing one line that names the option as typed."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("options")
+        path = root / "bounds.ini"
+        path.write_text(f"[experiment]\nkind = bound_validation\noutput_dir = {root / 'out'}\n")
+        return str(path)
+
+    def test_every_option_is_a_config_key(self):
+        for command, actions in subcommand_options().items():
+            for action in actions:
+                option, = action.option_strings
+                assert cli.OPTION_KEYS[option] == _key_of(action), (command, option)
+
+    def test_readme_option_table_matches_the_parser(self):
+        # The README's table: one row per option, its `[section] key`, and the
+        # subcommands that take it.
+        with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+            rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+                    for line in fh if line.startswith("| `--")]
+        documented = {option.strip("`"): (tuple(key.strip("`[").split("] ")),
+                                          set(re.findall(r"`([\w-]+)`", commands)))
+                      for option, key, commands in rows}
+        parsed = {}
+        for command, actions in subcommand_options().items():
+            for action in actions:
+                parsed.setdefault(action.option_strings[0], (_key_of(action), set()))[1].add(command)
+        assert documented == parsed
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_every_option_out_of_range_ends_in_one_line(self, data, config):
+        options = subcommand_options()
+        command = data.draw(st.sampled_from(sorted(options)))
+        option = data.draw(st.sampled_from(sorted(a.option_strings[0] for a in options[command])))
+        values = OPTIONS_OUT_OF_RANGE[option]
+        if (command, option) == ("latency", "--snr-db"):  # the rate rounds to 0 at K = 12
+            values = st.one_of(values, st.floats(-3000.0, -171.0))
+        value = str(data.draw(values))
+        argv = [command, *(["--config", config] if command == "run" else []), option, value]
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(out):
+            mp.setattr(FeatureModel, "draw", _raise_sentinel)
+            mp.setattr(sensing, "train_classifier", _raise_sentinel)
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert code == 2 and out.getvalue() == "", (argv, err)
+        assert err.startswith(f"config error: {option}: ") and err.count("\n") == 1, (argv, err)
+
+
 class TestCliExitCodes:
     @pytest.mark.parametrize("case", sorted(RANGE_ERRORS))
     def test_out_of_range_input_is_a_config_error(self, case, tmp_path, capsys,
@@ -980,8 +1103,11 @@ class TestCliExitCodes:
             argv = [command[0], "--config", str(path), *command[1:]]
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("config error: ") and err.count("\n") == 1
-        assert re.search(rf"\b{named}\b", err)
+        assert out == "" and err.count("\n") == 1
+        if named.startswith("--"):
+            assert err.startswith(f"config error: {named}: ")
+        else:  # a value from the file: `[section] key: `
+            assert err.startswith("config error: [") and re.search(rf"\b{named}\b", err)
 
     @pytest.mark.parametrize("argv,named", [
         (["--samples", "2"], "n_samples"), (["--samples", "1"], "n_samples"),
@@ -997,8 +1123,9 @@ class TestCliExitCodes:
         monkeypatch.setattr(sensing.ShallowClassifier, "gradients", no_step)
         assert cli.main(["train-snn", *argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert re.search(rf"\b{named}\b", err)
+        option = argv[-2]  # the option of the value out of range, another name for `named`
+        assert cli.OPTION_KEYS[option] == ("sweep", named)
+        assert err.startswith(f"config error: {option}: ") and err.count("\n") == 1
 
     def test_run_latency(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"
@@ -1080,13 +1207,18 @@ class TestCliExitCodes:
         assert cli.main(["latency", "--snr-db", "-1e3"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
-        assert err.startswith("config error: --snr-db -1000: ")
+        assert err.startswith("config error: --snr-db: -1000 dB: ")
 
     def test_optimize_alpha_command(self, capsys):
         assert cli.main(["optimize-alpha", "--k", "12", "--snr-db", "30",
                          "--trials", "50000"]) == 0
         out = capsys.readouterr().out
         assert "closed_form" in out
+
+    def test_train_snn_at_its_defaults_passes(self, capsys):
+        # The README's example: its gradient check must clear the 1e-4 bar.
+        assert cli.main(["train-snn"]) == 0
+        assert "gradient check=" in capsys.readouterr().out
 
     def test_train_snn_command(self, capsys):
         assert cli.main(["train-snn", "--samples", "1500", "--epochs", "60",

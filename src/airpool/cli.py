@@ -24,9 +24,10 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 
-# The config key each option sets. The option's dest is the key's field and
-# (but for the list --snr-db) its type the key's parser; the key's range and
-# rules check its value, and an error about the key names the option as typed.
+# The config key each option sets. The option's dest is the key's field; the
+# key's parser reads the option's text (the words of --snr-db as one list), its
+# range and rules check the value, and an error about the key names the option
+# as typed. Defaults are text too.
 OPTION_KEYS = {
     "--seed": ("experiment", "seed"), "--trials": ("experiment", "trials"),
     "--out": ("experiment", "output_dir"), "--k": ("system", "k_sensors"),
@@ -38,8 +39,7 @@ OPTION_KEYS = {
 
 
 def _option(sub, option, **kwargs):
-    entry = CONFIG_KEYS[OPTION_KEYS[option]]
-    sub.add_argument(option, dest=entry.field, **{"type": entry.parse, **kwargs})
+    sub.add_argument(option, dest=CONFIG_KEYS[OPTION_KEYS[option]].field, **kwargs)
 
 
 def _add_common_overrides(sub):
@@ -54,8 +54,20 @@ def _typed(args) -> dict:
     for option, where in OPTION_KEYS.items():
         value = getattr(args, CONFIG_KEYS[where].field, None)
         if value is not None:
-            typed[where] = (option, tuple(value) if isinstance(value, list) else value)
+            typed[where] = (option, value)
     return typed
+
+
+def _parse_options(args) -> None:
+    """Replace each option's text by its key's parse of it; text the parser
+    rejects is a config error, as the same text in a config file is."""
+    for where, (_, text) in _typed(args).items():
+        entry = CONFIG_KEYS[where]
+        text = " ".join(text) if isinstance(text, list) else text
+        try:
+            setattr(args, entry.field, entry.parse(text))
+        except ValueError as exc:
+            raise ConfigError.at(*where, f"cannot parse {text.strip()!r}: {exc}")
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -215,26 +227,26 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate_bounds)
 
     p = subs.add_parser("latency", help="latency comparison table")
-    _option(p, "--k", default=12)
-    _option(p, "--n-features", default=17911)
-    _option(p, "--bandwidth-hz", default=10e6)
-    _option(p, "--q-bits", default=6)
-    _option(p, "--snr-db", type=float, nargs="+", default=[6.0, 10.0, 16.0])
+    _option(p, "--k", default="12")
+    _option(p, "--n-features", default="17911")
+    _option(p, "--bandwidth-hz", default="10e6")
+    _option(p, "--q-bits", default="6")
+    _option(p, "--snr-db", nargs="+", default="6 10 16")
     _option(p, "--out", help="also write latency_table artifacts here")
     p.set_defaults(func=_cmd_latency)
 
     p = subs.add_parser("optimize-alpha", help="select alpha for max pooling")
-    _option(p, "--k", default=12)
-    _option(p, "--snr-db", type=float, nargs="+", default=[20.0, 30.0, 40.0])
-    _option(p, "--trials", default=200_000)
-    _option(p, "--seed", default=42)
+    _option(p, "--k", default="12")
+    _option(p, "--snr-db", nargs="+", default="20 30 40")
+    _option(p, "--trials", default="200000")
+    _option(p, "--seed", default="42")
     p.set_defaults(func=_cmd_optimize_alpha)
 
     p = subs.add_parser("train-snn", help="train the synthetic-task classifier")
-    _option(p, "--samples", default=4000)
-    _option(p, "--epochs", default=200)
-    _option(p, "--learning-rate", default=0.5)
-    _option(p, "--seed", default=42)
+    _option(p, "--samples", default="4000")
+    _option(p, "--epochs", default="200")
+    _option(p, "--learning-rate", default="0.5")
+    _option(p, "--seed", default="42")
     p.set_defaults(func=_cmd_train_snn)
     return parser
 
@@ -242,6 +254,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
     try:
+        _parse_options(args)
         return args.func(args)
     except (ConfigError, ValueError, ArithmeticError) as exc:
         return _error_exit(exc, args)

@@ -3,9 +3,9 @@
 A desk-scale stand-in for a multi-view recognition pipeline: K = 4 views of
 N = 4 non-negative features per sample, a binary label derived from the
 noiselessly pooled feature vector, a small fully-connected classifier trained
-with plain mini-batch gradient descent, and an evaluation loop that feeds
-pooled-over-the-air features back into the classifier to measure accuracy
-against feature error.
+with plain mini-batch gradient descent in preallocated workspaces (a step
+allocates nothing), and an evaluation loop that feeds pooled-over-the-air
+features back into the classifier to measure accuracy against feature error.
 """
 
 import math
@@ -111,16 +111,11 @@ def generate_dataset(n_samples: int, seed: int,
                             generator_seed=seed)
 
 
-def _layer_views(flat: np.ndarray, shapes):
-    """Per-layer (weight matrix, bias vector) views of a flat vector laid out
-    layer by layer as (W, b)."""
-    weights, biases, offset = [], [], 0
-    for fan_in, fan_out in shapes:
-        w_end = offset + fan_in * fan_out
-        weights.append(flat[offset:w_end].reshape(fan_in, fan_out))
-        biases.append(flat[w_end:w_end + fan_out])
-        offset = w_end + fan_out
-    return weights, biases
+def _layer_views(shapes):
+    """A zeroed flat vector and its consecutive views, one per shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat, starts = np.zeros(sum(sizes)), [sum(sizes[:i]) for i in range(len(sizes))]
+    return flat, [flat[a:a + n].reshape(s) for a, n, s in zip(starts, sizes, shapes)]
 
 
 class ShallowClassifier:
@@ -128,68 +123,74 @@ class ShallowClassifier:
 
     Layer widths n_inputs, HIDDEN_WIDTH, HIDDEN_WIDTH, N_CLASSES. Every
     weight matrix and bias vector is a view into the flat `params` vector,
-    laid out layer by layer as (W, b), and `gradients` writes into `grads`
-    with the same layout, so one SGD update is `params -= learning_rate * grads`.
+    laid out layer by layer as (W, b), as is `grads`. `_passes` (private: no
+    trace span per training step) runs both passes in a caller's workspace.
     """
 
     def __init__(self, n_inputs: int, seed: int):
         rng = rng_from(seed, 11)
         shapes = [(n_inputs, HIDDEN_WIDTH), (HIDDEN_WIDTH, HIDDEN_WIDTH),
                   (HIDDEN_WIDTH, N_CLASSES)]
-        self.params = np.zeros(sum(fan_in * fan_out + fan_out
-                                   for fan_in, fan_out in shapes))
-        self.grads = np.zeros_like(self.params)
-        self.weights, self.biases = _layer_views(self.params, shapes)
-        self._grad_weights, self._grad_biases = _layer_views(self.grads, shapes)
+        layout = [part for fan_in, fan_out in shapes for part in ((fan_in, fan_out), (fan_out,))]
+        (self.params, parts), (self.grads, self._grad_parts) = map(_layer_views, (layout, layout))
+        self.weights, self.biases = parts[::2], parts[1::2]
         for w, (fan_in, fan_out) in zip(self.weights, shapes):
             w[...] = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
 
-    # -- forward ----------------------------------------------------------
-    def _forward(self, x: np.ndarray):
-        """Both hidden activations and the softmax output for a 2-D x."""
-        w0, w1, w2 = self.weights
-        b0, b1, b2 = self.biases
-        h1 = np.tanh(x @ w0 + b0)
-        h2 = np.tanh(h1 @ w1 + b1)
-        z = h2 @ w2 + b2
-        z -= np.maximum.reduce(z, axis=1, keepdims=True)
-        e = np.exp(z)
-        e /= np.add.reduce(e, axis=1, keepdims=True)
-        return h1, h2, e
+    def _passes(self, rows: int, backward: bool = True):
+        """(forward(x) -> softmax output, backward(x, onehot) -> grads) for
+        batches of `rows` rows, bound once to a workspace that the caller owns:
+        the hidden layers (in one array if `backward`, so 1 - h^2 of both is
+        two calls), their slopes, the logits and a column, which np.maximum and
+        np.add of the two logit columns fill with keepdims reductions' bits."""
+        (w0, w1, w2), (b0, b1, b2) = self.weights, self.biases
+        gw0, gb0, gw1, gb1, gw2, gb2 = self._grad_parts
+        # Forward-only (the full-set loss), two arrays: one twice as big raised peak RSS.
+        layer = (rows, HIDDEN_WIDTH)
+        hidden = np.empty((2, *layer)) if backward else [np.empty(layer), np.empty(layer)]
+        slope = np.empty((2, rows * backward, HIDDEN_WIDTH))
+        z, column = np.empty((rows, N_CLASSES)), np.empty(rows)
+        (h1, h2), (s1, s2), (z0, z1), column_2d = hidden, slope, z.T, column[:, None]
+        h1t, h2t, w1t, w2t = h1.T, h2.T, w1.T, w2.T
+
+        def forward(x):
+            np.tanh(np.add(np.matmul(x, w0, out=h1), b0, out=h1), out=h1)
+            np.tanh(np.add(np.matmul(h1, w1, out=h2), b1, out=h2), out=h2)
+            np.add(np.matmul(h2, w2, out=z), b2, out=z)
+            np.maximum(z0, z1, out=column)
+            np.exp(np.subtract(z, column_2d, out=z), out=z)
+            np.add(z0, z1, out=column)
+            return np.divide(z, column_2d, out=z)
+
+        def backward_step(x, onehot):
+            delta = np.divide(np.subtract(forward(x), onehot, out=z), rows, out=z)
+            np.subtract(1.0, np.multiply(hidden, hidden, out=slope), out=slope)
+            np.matmul(h2t, delta, out=gw2)
+            np.add.reduce(delta, axis=0, out=gb2)
+            np.multiply(np.matmul(delta, w2t, out=h2), s2, out=h2)  # h2 takes the delta
+            np.matmul(h1t, h2, out=gw1)
+            np.add.reduce(h2, axis=0, out=gb1)
+            np.multiply(np.matmul(h2, w1t, out=h1), s1, out=h1)
+            np.matmul(x.T, h1, out=gw0)
+            np.add.reduce(h1, axis=0, out=gb0)
+            return self.grads
+
+        return forward, backward_step
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(np.atleast_2d(np.asarray(x, dtype=float)))[2]
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.predict_proba(x).argmax(axis=1)
-
-    def accuracy(self, x: np.ndarray, labels: np.ndarray) -> float:
-        return float((self.predict(x) == labels).mean())
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return self._passes(len(x), backward=False)[0](x)
 
     def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
-        p = self.predict_proba(x)
-        with np.errstate(divide="ignore"):
-            return float(-np.mean(np.log(p[np.arange(len(labels)), labels])))
+        return _cross_entropy(self.predict_proba(x), labels)
 
-    # -- backward ---------------------------------------------------------
     def gradients(self, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy gradient of a 2-D float batch x against its
-        one-hot targets, written into and returned as `grads`."""
-        w0, w1, w2 = self.weights
-        gw0, gw1, gw2 = self._grad_weights
-        gb0, gb1, gb2 = self._grad_biases
-        h1, h2, delta = self._forward(x)
-        delta -= onehot
-        delta /= len(x)
-        np.matmul(h2.T, delta, out=gw2)
-        np.add.reduce(delta, axis=0, out=gb2)
-        delta = (delta @ w2.T) * (1.0 - h2 * h2)
-        np.matmul(h1.T, delta, out=gw1)
-        np.add.reduce(delta, axis=0, out=gb1)
-        delta = (delta @ w1.T) * (1.0 - h1 * h1)
-        np.matmul(x.T, delta, out=gw0)
-        np.add.reduce(delta, axis=0, out=gb0)
-        return self.grads
+        return self._passes(len(x))[1](x, onehot)
+
+
+def _cross_entropy(p: np.ndarray, labels: np.ndarray) -> float:
+    with np.errstate(divide="ignore"):
+        return float(-np.mean(np.log(p[np.arange(len(labels)), labels])))
 
 
 @dataclass(frozen=True)
@@ -204,12 +205,13 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
                      learning_rate: float = 0.5, seed: int = 0) -> TrainingReport:
     """Mini-batch gradient descent on the noiselessly pooled features.
 
-    Each epoch gathers the training rows and their one-hot targets once, in
-    a seed-derived order, and steps through contiguous batches of 32 rows.
-    Deterministic given (dataset, seed). Raises ValueError before the first
-    epoch for epochs below 1, a learning rate that is not finite and > 0, or
-    a split with an empty side; raises ArithmeticError if the loss turns
-    non-finite, reporting the last stable epoch.
+    Each epoch gathers the training rows and their one-hot targets once, in a
+    seed-derived order, and steps through contiguous batches of 32 rows, in
+    workspaces this call owns (ShallowClassifier._passes): one per batch length
+    and a forward-only one for the full-set loss. Deterministic given (dataset,
+    seed). Raises ValueError before the first epoch for epochs below 1, a
+    learning rate that is not finite and > 0, or a split with an empty side;
+    ArithmeticError if the loss turns non-finite, naming the last stable loss.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -221,28 +223,28 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
                          f"{TRAIN_FRACTION:g} train/test split")
     pooled = dataset.pooled()
     x_train, y_train = pooled[train_idx], dataset.labels[train_idx]
-    x_test, y_test = pooled[test_idx], dataset.labels[test_idx]
     clf = ShallowClassifier(dataset.n_features, seed)
     onehot_train = np.eye(N_CLASSES)[y_train]
-    params = clf.params
     shuffle_rng = rng_from(seed, 13)
     n_train, batch_size = len(x_train), 32
-    loss = clf.loss(x_train, y_train)
+    full, last = clf._passes(batch_size)[1], clf._passes(n_train % batch_size)[1]
+    forward_train = clf._passes(n_train, backward=False)[0]
+    loss = _cross_entropy(forward_train(x_train), y_train)
     for epoch in range(epochs):
         last_stable = loss
         order = shuffle_rng.permutation(n_train)
-        x_epoch, onehot_epoch = x_train[order], onehot_train[order]
+        x_epoch, targets = x_train[order], onehot_train[order]
         for start in range(0, n_train, batch_size):
             stop = start + batch_size
-            grads = clf.gradients(x_epoch[start:stop], onehot_epoch[start:stop])
-            grads *= learning_rate
-            params -= grads
-        loss = clf.loss(x_train, y_train)
+            grads = (full if stop <= n_train else last)(x_epoch[start:stop], targets[start:stop])
+            clf.params -= np.multiply(grads, learning_rate, out=grads)
+        loss = _cross_entropy(forward_train(x_train), y_train)
         if not math.isfinite(loss):
             raise ArithmeticError(
                 f"training diverged at epoch {epoch + 1}; "
                 f"last stable loss was {last_stable:.6g}")
-    return TrainingReport(classifier=clf, clean_accuracy=clf.accuracy(x_test, y_test),
+    correct = clf.predict_proba(pooled[test_idx]).argmax(axis=1) == dataset.labels[test_idx]
+    return TrainingReport(classifier=clf, clean_accuracy=float(correct.mean()),
                           final_loss=loss, epochs=epochs)
 
 
@@ -251,8 +253,7 @@ def gradient_check(clf: ShallowClassifier, x: np.ndarray, labels: np.ndarray) ->
     with step 1e-5, near cbrt(eps), where roundoff and truncation balance."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     grads = clf.gradients(x, np.eye(N_CLASSES)[labels])
-    params, epsilon = clf.params, 1e-5
-    worst = 0.0
+    params, epsilon, worst = clf.params, 1e-5, 0.0
     for i in range(params.size):
         keep = params[i]
         params[i] = keep + epsilon
@@ -284,13 +285,12 @@ def evaluate_accuracy(clf: ShallowClassifier, dataset: SyntheticDataset,
     labels = dataset.labels[test_idx]
     per_dim = np.swapaxes(dataset.views[test_idx], 1, 2)  # (n_test, N, K)
     v_sum = powered_sum(per_dim, cfg)
-    hits, sq_err, count = 0.0, 0.0, 0
+    hits, sq_err, count = 0.0, 0.0, trials_per_sample * len(labels)
     for trial in range(trials_per_sample):
         v_hat = aggregate_with_noise(v_sum, cfg, rng_from(seed, trial))
         g_hat = postprocess(v_hat, cfg)
-        hits += float((clf.predict(g_hat) == labels).sum())
+        hits += float((clf.predict_proba(g_hat).argmax(axis=1) == labels).sum())
         sq_err += float(((g_hat - pooled_true) ** 2).sum(axis=1).sum())
-        count += len(labels)
     return hits / count, sq_err / count
 
 

@@ -724,6 +724,10 @@ RANGE_ERRORS = {
     "latency-snr-4000": ("--snr-db", ["latency", "--snr-db", "4000"]),
     "optimize-alpha-snr-3082": (
         "--snr-db", ["optimize-alpha", "--snr-db", "3082", "--trials", "10000"]),
+    # Text that the key's parser rejects is one config error line, as in a file.
+    "latency-k-abc": ("--k", ["latency", "--k", "abc"]),
+    "latency-k-1.5": ("--k", ["latency", "--k", "1.5"]),
+    "optimize-alpha-trials-1e5": ("--trials", ["optimize-alpha", "--trials", "1e5"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
@@ -870,6 +874,10 @@ class Sentinel(Exception):
 
 def _raise_sentinel(*args, **kwargs):
     raise Sentinel
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a rejected input reached a training step")
 
 
 # The grammar of a config file, built from experiments.CONFIG_KEYS: every key
@@ -1031,11 +1039,21 @@ OPTIONS_OUT_OF_RANGE = {
     "--epochs": st.integers(max_value=0),
     "--learning-rate": _POSITIVE_OUT_OF_RANGE,
 }
+# Text each option's parser rejects (any text is an --out path).
+_NOT_AN_INT = st.sampled_from(["abc", "1.5", "1e5", "0x10", "", "12 3"])
+_NOT_A_FLOAT = st.sampled_from(["abc", "1,5", "0x10", "", "1e", "6 dB"])
+OPTIONS_UNPARSABLE = {
+    **dict.fromkeys(["--seed", "--trials", "--k", "--n-features", "--q-bits", "--samples",
+                     "--epochs"], _NOT_AN_INT),
+    **dict.fromkeys(["--bandwidth-hz", "--learning-rate"], _NOT_A_FLOAT),
+    "--snr-db": st.sampled_from(["abc", "6,,x", "1e"]),
+}
 
 
 class TestOptionGrammar:
-    """A subcommand with one option out of its key's range exits 2 before any
-    draw or training step, printing one line that names the option as typed."""
+    """A subcommand with one option out of its key's range, or with text that
+    the key's parser rejects, exits 2 before any draw or training step,
+    printing one line that names the option as typed."""
 
     @pytest.fixture(scope="class")
     def config(self, tmp_path_factory):
@@ -1072,7 +1090,8 @@ class TestOptionGrammar:
         options = subcommand_options()
         command = data.draw(st.sampled_from(sorted(options)))
         option = data.draw(st.sampled_from(sorted(a.option_strings[0] for a in options[command])))
-        values = OPTIONS_OUT_OF_RANGE[option]
+        values = st.one_of(OPTIONS_OUT_OF_RANGE[option],
+                           OPTIONS_UNPARSABLE.get(option, st.nothing()))
         if (command, option) == ("latency", "--snr-db"):  # the rate rounds to 0 at K = 12
             values = st.one_of(values, st.floats(-3000.0, -171.0))
         value = str(data.draw(values))
@@ -1117,15 +1136,19 @@ class TestCliExitCodes:
         ids=lambda v: "_".join(v) if isinstance(v, list) else v)
     def test_train_snn_out_of_range_is_a_config_error(self, argv, named, capsys,
                                                       monkeypatch):
-        def no_step(*args, **kwargs):
-            raise AssertionError("a rejected input reached a training step")
-
-        monkeypatch.setattr(sensing.ShallowClassifier, "gradients", no_step)
+        monkeypatch.setattr(sensing.ShallowClassifier, "_passes", _no_step)
         assert cli.main(["train-snn", *argv]) == 2
         err = capsys.readouterr().err
         option = argv[-2]  # the option of the value out of range, another name for `named`
         assert cli.OPTION_KEYS[option] == ("sweep", named)
         assert err.startswith(f"config error: {option}: ") and err.count("\n") == 1
+
+    def test_train_snn_in_range_reaches_the_patched_step(self, monkeypatch):
+        # The guard above is not vacuous: every training step goes through
+        # the entry it patches.
+        monkeypatch.setattr(sensing.ShallowClassifier, "_passes", _no_step)
+        with pytest.raises(AssertionError, match="reached a training step"):
+            cli.main(["train-snn", "--samples", "300", "--epochs", "1"])
 
     def test_run_latency(self, tmp_path, capsys):
         path = tmp_path / "exp.ini"

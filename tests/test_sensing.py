@@ -17,6 +17,10 @@ from oracles import (gradient_check_reference, linear_margin_fit_reference,
 RG = FeatureModel.rectified_gaussian()
 
 
+def no_step(*args, **kwargs):
+    raise AssertionError("a rejected input reached a training step")
+
+
 class TestGenerateDataset:
     def test_deterministic(self):
         a = sensing.generate_dataset(500, seed=1)
@@ -109,13 +113,18 @@ class TestShallowClassifier:
     ])
     def test_bad_input_raises_before_the_first_step(self, n_samples, kwargs, named,
                                                     monkeypatch):
-        def no_step(*args, **kw):
-            raise AssertionError("a rejected input reached a training step")
-
-        monkeypatch.setattr(sensing.ShallowClassifier, "gradients", no_step)
+        monkeypatch.setattr(sensing.ShallowClassifier, "_passes", no_step)
         ds = sensing.generate_dataset(n_samples, seed=23)
         with pytest.raises(ValueError, match=named):
             sensing.train_classifier(ds, **kwargs)
+
+    def test_valid_input_reaches_the_patched_step(self, monkeypatch):
+        # The guard above patches the entry that every training step goes
+        # through, so a valid input must trip it.
+        monkeypatch.setattr(sensing.ShallowClassifier, "_passes", no_step)
+        ds = sensing.generate_dataset(300, seed=23)
+        with pytest.raises(AssertionError, match="reached a training step"):
+            sensing.train_classifier(ds, epochs=1)
 
     def test_three_samples_train(self):
         ds = sensing.generate_dataset(3, seed=23)
@@ -145,6 +154,18 @@ class TestTrainingOracle:
                                           seed=seed)
         want = train_classifier_reference(ds, epochs=epochs, learning_rate=0.5,
                                           seed=seed)
+        assert np.array_equal(report.classifier.params, want.params)
+        assert report.final_loss == want.final_loss
+        assert report.clean_accuracy == want.clean_accuracy
+
+    @pytest.mark.parametrize("learning_rate", [0.5, 0.3])
+    def test_partial_last_batch_of_24_rows_equals_reference(self, learning_rate):
+        # 1208 training rows: 37 full batches and a last one of 24 rows, so
+        # training binds two step workspaces; 0.3 is not a power of two.
+        ds = sensing.generate_dataset(1510, seed=5)
+        assert sensing.SyntheticDataset.train_size(len(ds)) % 32 == 24
+        report = sensing.train_classifier(ds, epochs=30, learning_rate=learning_rate, seed=5)
+        want = train_classifier_reference(ds, epochs=30, learning_rate=learning_rate, seed=5)
         assert np.array_equal(report.classifier.params, want.params)
         assert report.final_loss == want.final_loss
         assert report.clean_accuracy == want.clean_accuracy

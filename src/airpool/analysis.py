@@ -80,7 +80,9 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     configuration and their squares stacked into one `_mc.PairwiseSum`. The
     unit noise, the only array of `trials` rows, follows the last feature
     block in the stream (seed, 0, 0), which a second generator runs through
-    to reach it. Each result, in input order, is bit-identical to the same
+    to reach it. It is drawn whatever the noise levels: at zero noise,
+    v + 0.0 * noise is v bit for bit, as v is a sum of non-negative powers
+    from +0.0. Each result, in input order, is bit-identical to the same
     call on that configuration alone. The streams are listed in `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
@@ -92,12 +94,10 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         raise ValueError("estimate_errors_grid takes max and average configurations")
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
-    unit_noise = None
-    if any(cfg.noise_power_w != 0.0 for cfg in cfgs):
-        rng = rng_from(seed, 0, 0)
-        for _ in feat.draw_blocks(model, rng, trials, k):
-            pass
-        unit_noise = rng.standard_normal(trials)
+    rng = rng_from(seed, 0, 0)
+    for _ in feat.draw_blocks(model, rng, trials, k):
+        pass
+    unit_noise = rng.standard_normal(trials)
     by_alpha: Dict[float, List[int]] = {}
     for i, cfg in enumerate(cfgs):
         by_alpha.setdefault(cfg.alpha, []).append(i)
@@ -108,7 +108,7 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     start = 0
     for x in feat.draw_blocks(model, rng_from(seed, 0, 0), trials, k):
         rows, g_true = len(x), {kind: true_pool(x, mode) for kind, mode in modes.items()}
-        noise = None if unit_noise is None else unit_noise[start:start + rows]
+        noise = unit_noise[start:start + rows]
         start += rows
         row_sums.load(x)
         for alpha, indices in by_alpha.items():
@@ -121,8 +121,7 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
                 if key not in clean:
                     clean[key] = postprocess(v, cfg)
                 g_clean = clean[key]
-                g_hat = g_clean if cfg.noise_power_w == 0.0 else postprocess(
-                    v + math.sqrt(cfg.noise_sigma_sq) * noise, cfg)
+                g_hat = postprocess(v + math.sqrt(cfg.noise_sigma_sq) * noise, cfg)
                 for (g, ref), e in zip(
                         ((g_hat, g_ref), (g_hat, g_clean), (g_clean, g_ref)), terms[:, 0]):
                     np.subtract(g, ref, out=e)
@@ -151,8 +150,6 @@ def noise_error_asymptote(alpha: float, p_rx_w: float, noise_power_w: float) -> 
     """Large-alpha surrogate of the noise bound: (2/e)(sigma^2/(sqrt2 P))^(1/a) a."""
     if alpha < 1.0:
         raise ValueError("alpha must be >= 1")
-    if noise_power_w == 0.0:
-        return 0.0
     base = noise_power_w / (math.sqrt(2.0) * p_rx_w)
     return 2.0 / math.e * base ** (1.0 / alpha) * alpha
 

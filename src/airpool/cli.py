@@ -63,11 +63,11 @@ def _parse_options(args) -> None:
     rejects is a config error, as the same text in a config file is."""
     for where, (_, text) in _typed(args).items():
         entry = CONFIG_KEYS[where]
-        text = " ".join(text) if isinstance(text, list) else text
+        text = " ".join(map(str.strip, text)) if isinstance(text, list) else text.strip()
         try:
             setattr(args, entry.field, entry.parse(text))
         except ValueError as exc:
-            raise ConfigError.at(*where, f"cannot parse {text.strip()!r}: {exc}")
+            raise ConfigError.at(*where, f"cannot parse {text!r}: {exc}")
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
@@ -82,35 +82,22 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _read_config(path) -> ExperimentConfig:
-    """parse_config; its errors name `[section] key`, even of a key an option sets."""
+    """parse_config of the stripped path (`--config -x.ini` comes as ' -x.ini');
+    its errors name `[section] key`, even of a key an option sets."""
     try:
-        return experiments.parse_config(path)
+        return experiments.parse_config(path.strip())
     except ConfigError as exc:
         exc.where = None  # the file's value is at fault, not the option's
         raise
 
 
-def _numbers_as_values(argv):
-    """argv with every token after an option that float() accepts kept as a
-    value: argparse's negative-number pattern takes only digits and a point,
-    so it reads -1e3 or -inf as an unknown option. A leading space makes
-    argparse take such a token as a value, and every option's parser strips it."""
-    marked, after_option = [], False
-    for token in argv:
-        if after_option and _is_float(token):
-            marked.append(" " + token if token.startswith("-") else token)
-        else:
-            after_option = token.startswith("--")
-            marked.append(token)
-    return marked
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def _dashes_as_values(argv):
+    """argv with every token that starts with a single '-', but -h, kept as a
+    value: every option is --name, and argparse reads -1e3, -inf or -x as an
+    unknown option. A leading space makes argparse take such a token as a
+    value, and `_parse_options` strips it."""
+    return [" " + token if token.startswith("-") and not token.startswith("--")
+            and token != "-h" else token for token in argv]
 
 
 def _error_exit(exc: Exception, args) -> int:
@@ -252,7 +239,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_numbers_as_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_dashes_as_values(sys.argv[1:] if argv is None else argv))
     try:
         _parse_options(args)
         return args.func(args)

@@ -201,45 +201,37 @@ class _RowSums:
     block and alpha reuses (a fresh 400 KB array per block lies above
     glibc's mmap threshold, and its page faults double the time of pow).
 
-    `load` keeps the block's transposed (K, rows) layout as the index of its
-    exact 1.0 entries, then of its other non-zero ones, and their values:
-    0.0 and 1.0 are fixed points of pow, which is slowest at 0 (about half
-    of a rectified Gaussian draw; rescaled row maxima are 1.0). A call
-    scatters the ones and powers into zeroed dense scratch and adds its K
-    rows in numpy's pairwise order while in cache: the bits of
-    ``(x ** alpha).sum(axis=1)``. A -0.0 entry lands as 0.0; numpy sums a
-    row of zeros of either sign to 0.0 too.
+    `load` writes the block transposed, (K, rows), into dense scratch once,
+    a -0.0 entry as 0.0 (numpy sums a row of zeros of either sign to 0.0).
+    Its 0.0 and 1.0 entries are fixed points of pow, which is slowest at 0
+    (about half of a rectified Gaussian draw; rescaled row maxima are 1.0),
+    so they stay as written; `load` keeps the index and values of the other
+    entries. A call powers those, scatters them into the scratch and adds
+    its K rows in numpy's pairwise order while in cache: the bits of
+    ``(x ** alpha).sum(axis=1)``.
     """
 
     def __init__(self, k: int, n: int):
         self.most = rows = max(pairwise_nodes(n, _BLOCK_ROWS))  # the largest block
-        self._k, self._rows, self._ones, self._entries = k, 0, 0, 0
+        self._k, self._rows, self._others = k, 0, np.empty(0, dtype=np.intp)
         self._dense, self._scratch = np.empty(k * rows), np.empty((14, rows))
         self._values, self._powers = np.empty(k * rows), np.empty(k * rows)
-        self._index = np.empty(k * rows, dtype=np.intp)
 
     def load(self, x: np.ndarray) -> None:
         """Keeps the (rows, K) block x >= 0 for the next calls, in its own
         scratch: the caller may change x afterwards."""
-        rows = len(x)
+        self._rows = rows = len(x)
         t = self._dense[:self._k * rows]
-        np.copyto(t.reshape(self._k, rows), x.T)
-        ones = t == 1.0
-        others = np.flatnonzero((t != 0.0) & ~ones)
-        self._rows, self._ones = rows, np.count_nonzero(ones)
-        self._entries = self._ones + len(others)
-        np.concatenate([np.flatnonzero(ones), others], out=self._index[:self._entries])
+        np.add(x.T, 0.0, out=t.reshape(self._k, rows))  # x.T, with -0.0 + 0.0 = 0.0
+        self._others = others = np.flatnonzero((t != 0.0) & (t != 1.0))
         # mode="clip" lets take write into out unbuffered; `others` is in range.
         np.take(t, others, out=self._values[:len(others)], mode="clip")
 
     def __call__(self, alpha: float, out: np.ndarray) -> np.ndarray:
         """out = the row sums at alpha of the loaded block; returns out."""
-        rows, n_ones, m = self._rows, self._ones, self._entries
-        dense, powers = self._dense[:self._k * rows], self._powers[:m]
-        dense.fill(0.0)
-        powers[:n_ones] = 1.0
-        np.power(self._values[:m - n_ones], alpha, out=powers[n_ones:])
-        dense[self._index[:m]] = powers
+        rows, m = self._rows, len(self._others)
+        dense = self._dense[:self._k * rows]
+        dense[self._others] = np.power(self._values[:m], alpha, out=self._powers[:m])
         _pairwise_sum(dense.reshape(self._k, rows), out, self._scratch[:, :rows])
         return out
 

@@ -146,9 +146,9 @@ _NEG_INV_E = -math.exp(-1.0)
 def lambert_w0(x: float) -> float:
     """Principal branch W0 of the Lambert W function (w e^w = x, w >= -1).
 
-    Halley iteration from a log-based initial guess; falls back to bisection
-    if the iteration fails to contract. Residual target is
-    |w e^w - x| <= 1e-12 * max(1, |x|).
+    Halley iteration from a log-based initial guess, for at most
+    `ITERATION_CAP` steps, with no fallback: a non-finite step carries NaN
+    to the error. Residual target is |w e^w - x| <= 1e-12 * max(1, |x|).
     """
     if math.isnan(x) or x < _NEG_INV_E:
         raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
@@ -164,9 +164,7 @@ def lambert_w0(x: float) -> float:
     else:
         # Near the branch point w ~ -1 + sqrt(2(e x + 1)).
         w = -1.0 + math.sqrt(max(0.0, 2.0 * (math.e * x + 1.0)))
-    iters = 0
-    for _ in range(min(64, ITERATION_CAP)):
-        iters += 1
+    for _ in range(ITERATION_CAP):
         ew = math.exp(w)
         f = w * ew - x
         if abs(f) <= tol:
@@ -177,22 +175,5 @@ def lambert_w0(x: float) -> float:
         w_new = w - step
         if w_new < -1.0:
             w_new = -1.0 + 0.5 * (w + 1.0)
-        if not math.isfinite(w_new):
-            break
         w = w_new
-    # Bisection fallback: W0 is increasing, bracket then halve.
-    lo, hi = -1.0, max(w, 1.0)
-    while hi * math.exp(hi) < x and iters < ITERATION_CAP:
-        hi *= 2.0
-        iters += 1
-    while iters < ITERATION_CAP:
-        iters += 1
-        mid = 0.5 * (lo + hi)
-        f = mid * math.exp(mid) - x
-        if abs(f) <= tol:
-            return mid
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
     raise _unconverged("lambert_w0", f"x={x}")

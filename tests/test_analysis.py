@@ -108,6 +108,8 @@ class TestNoiseBound:
         assert analysis.noise_error_bound(feat.normalization_moments(RG, 4.0), 1.0,
                                           0.0) == 0.0
         assert gamma_form_noise_bound(4.0, 1.0, 0.0) == 0.0
+        for alpha in [1.0, 4.0, 128.0]:
+            assert analysis.noise_error_asymptote(alpha, 1.0, 0.0) == 0.0
 
     def test_scalar_root_difference_inequality(self):
         # |((a+b)+)^(1/alpha) - a^(1/alpha)| <= |b|^(1/alpha) for a >= 0,
@@ -213,6 +215,10 @@ class TestEstimateErrorsGrid:
             own = [cfg for cfg in cfgs if cfg.mode.kind == kind]
             assert [err for cfg, err in zip(cfgs, errs) if cfg.mode.kind == kind] \
                 == analysis.estimate_errors_grid(RG, own, k, trials=10_000, seed=5)
+        if noise == 0.0:  # the unit noise, scaled by 0.0, changes no bit
+            for err in errs:
+                assert (err.chan.value, err.chan.std_error) == (0.0, 0.0)
+                assert err.total == err.appr
 
     def test_weighted_sum_rejected(self):
         # The sweep powers raw features, which a weighted sum does not send.

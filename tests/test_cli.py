@@ -728,6 +728,8 @@ RANGE_ERRORS = {
     "latency-k-abc": ("--k", ["latency", "--k", "abc"]),
     "latency-k-1.5": ("--k", ["latency", "--k", "1.5"]),
     "optimize-alpha-trials-1e5": ("--trials", ["optimize-alpha", "--trials", "1e5"]),
+    # A dash-led word is a value, so argparse prints no usage block for it.
+    "latency-snr-db-dash-led-text": ("--snr-db", ["latency", "--snr-db", "6", "-abc"]),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each
@@ -1040,13 +1042,13 @@ OPTIONS_OUT_OF_RANGE = {
     "--learning-rate": _POSITIVE_OUT_OF_RANGE,
 }
 # Text each option's parser rejects (any text is an --out path).
-_NOT_AN_INT = st.sampled_from(["abc", "1.5", "1e5", "0x10", "", "12 3"])
-_NOT_A_FLOAT = st.sampled_from(["abc", "1,5", "0x10", "", "1e", "6 dB"])
+_NOT_AN_INT = st.sampled_from(["abc", "1.5", "1e5", "0x10", "", "12 3", "-abc"])
+_NOT_A_FLOAT = st.sampled_from(["abc", "1,5", "0x10", "", "1e", "6 dB", "-abc"])
 OPTIONS_UNPARSABLE = {
     **dict.fromkeys(["--seed", "--trials", "--k", "--n-features", "--q-bits", "--samples",
                      "--epochs"], _NOT_AN_INT),
     **dict.fromkeys(["--bandwidth-hz", "--learning-rate"], _NOT_A_FLOAT),
-    "--snr-db": st.sampled_from(["abc", "6,,x", "1e"]),
+    "--snr-db": st.sampled_from(["abc", "6,,x", "1e", "-abc"]),
 }
 
 
@@ -1223,6 +1225,24 @@ class TestCliExitCodes:
         assert "at -10 dB" in out and "at -3 dB" in out
         assert cli.main(["optimize-alpha", "--snr-db", "-1e3", "--trials", "10000"]) == 0
         assert "snr=-1000 dB" in capsys.readouterr().out
+
+    def test_dash_led_text_is_a_value(self, tmp_path, capsys, monkeypatch):
+        # --config -c.ini reads that file, --out -x writes where output_dir =
+        # -x in the file does, and the words of --snr-db are quoted as typed.
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "-c.ini"
+        path.write_text(LATENCY_CFG.format(out="-x"))
+        assert cli.main(["run", "--config", "-c.ini"]) == 0
+        want = (tmp_path / "-x" / "latency_table.csv").read_bytes()
+        (tmp_path / "-x" / "latency_table.csv").unlink()
+        path.write_text(LATENCY_CFG.format(out="out"))
+        assert cli.main(["run", "--config", "-c.ini", "--out", "-x"]) == 0
+        assert (tmp_path / "-x" / "latency_table.csv").read_bytes() == want
+        assert not (tmp_path / "out").exists()
+        capsys.readouterr()
+        assert cli.main(["latency", "--snr-db", "6", "-abc"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --snr-db: cannot parse '6 -abc': ")
 
     def test_latency_snr_that_rounds_the_rate_to_zero(self, capsys):
         # log2(1 + 12e-100) is 0: one line naming the option and the value,

@@ -286,7 +286,8 @@ class TestPowerSums:
     numpy's pairwise order; these pin it to numpy's own row sums, so a numpy
     that sums in another order fails here."""
 
-    ALPHAS = [1.0, 2.0, 3.7, 128.0]
+    # 2.0 again after 128.0: a call on a loaded block after a larger alpha.
+    ALPHAS = [1.0, 2.0, 3.7, 128.0, 2.0]
 
     def assert_equal_to_oracle(self, x, alphas=ALPHAS):
         for alpha, got in block_power_sums(x, alphas).items():

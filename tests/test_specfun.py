@@ -1,6 +1,7 @@
 """Special-function oracles: every routine is checked against an independent
 computation (recursions, quadrature, bisection, and scipy)."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -191,3 +192,20 @@ class TestLambertW0:
         monkeypatch.setattr(specfun, "ITERATION_CAP", 1)
         with pytest.raises(ArithmeticError, match=r"lambert_w0: .*x=3.5"):
             specfun.lambert_w0(3.5)
+
+    def test_bits_pinned_on_the_whole_domain(self):
+        # The sha256 of the results' bits on acceptance 9's grid and on
+        # 2,000 points up to 2.7e307, recorded with the Halley iteration
+        # plus a bisection fallback, which never returned on this grid.
+        xs = np.concatenate([[-math.exp(-1.0) + 1e-6], np.geomspace(1e-6, 1e6, 300),
+                             np.geomspace(1e-300, 2.7e307, 2000)])
+        w = np.array([specfun.lambert_w0(float(x)) for x in xs], dtype="<f8")
+        assert hashlib.sha256(w.tobytes()).hexdigest() == \
+            "3318e87bf191b1bc240a3482f7369398b4cd15ad1f97f89fe8014b051399a2e2"
+
+    @pytest.mark.parametrize("x", [2.8e307, 1e308, 1.7e308])
+    def test_above_2_7e307_raises_naming_x(self, x):
+        # Halley's denominator overflows to inf there, so the iteration
+        # stands still above the tolerance.
+        with pytest.raises(ArithmeticError, match=r"lambert_w0: .*x="):
+            specfun.lambert_w0(x)

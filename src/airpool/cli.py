@@ -64,6 +64,8 @@ def _parse_options(args) -> None:
     for where, (_, text) in _typed(args).items():
         entry = CONFIG_KEYS[where]
         text = " ".join(map(str.strip, text)) if isinstance(text, list) else text.strip()
+        if text == "-h" or text.startswith("--"):  # `--out -h`: the value is missing
+            raise ConfigError.at(*where, f"expected a value, got the option {text!r}")
         try:
             setattr(args, entry.field, entry.parse(text))
         except ValueError as exc:
@@ -92,12 +94,16 @@ def _read_config(path) -> ExperimentConfig:
 
 
 def _dashes_as_values(argv):
-    """argv with every token that starts with a single '-', but -h, kept as a
-    value: every option is --name, and argparse reads -1e3, -inf or -x as an
-    unknown option. A leading space makes argparse take such a token as a
-    value, and `_parse_options` strips it."""
-    return [" " + token if token.startswith("-") and not token.startswith("--")
-            and token != "-h" else token for token in argv]
+    """argv with a leading space on each dash-led token that is a value, so
+    that argparse takes it as one (`_parse_options` strips it): a token right
+    after an option, and one that starts with a single '-', but -h. Every
+    option is --name, and argparse reads -1e3, -inf or -x as unknown options."""
+    marked = []
+    for token in argv:
+        after_option = marked and marked[-1].startswith("--") and "=" not in marked[-1]
+        value = after_option or not token.startswith("--") and token != "-h"
+        marked.append(" " + token if value and token.startswith("-") else token)
+    return marked
 
 
 def _error_exit(exc: Exception, args) -> int:

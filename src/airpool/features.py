@@ -121,10 +121,11 @@ def moment_abs_power(model: FeatureModel, s: float) -> float:
     """E[|f|^s] for s >= 0, evaluated without sampling.
 
     Rectified Gaussian, uniform, and unit-exponential use their closed
-    forms (the first and last through ln_gamma, staying finite up to
-    s = 256); the empirical model uses the exact sample moment. There is
-    no sampled route: a Monte Carlo estimate of a high-order moment is
-    single-draw dominated for the heavy-tailed models.
+    forms (the first and last as exp of ln_gamma, finite up to s = 256 and
+    within a few ulp of the exact value at integer s); the empirical model
+    uses the exact sample moment. There is no sampled route: a Monte Carlo
+    estimate of a high-order moment is single-draw dominated for the
+    heavy-tailed models.
     """
     if s < 0:
         raise ValueError("s must be >= 0")

@@ -14,43 +14,16 @@ import numpy as np
 
 ITERATION_CAP = 500
 
-# Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
-# Gives ln-gamma to ~1e-14 relative accuracy over the positive axis.
-_LANCZOS_G = 4.7421875
-_LANCZOS_COEF = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Lanczos approximation; accurate to well under 1e-12 relative error on
-    [1e-3, 1e3].
-    """
-    if not (x > 0.0) or math.isnan(x):
+    """Natural log of the gamma function for x > 0: `math.lgamma`, and inf
+    at +inf and above about 2.55e305, where `math.lgamma` overflows."""
+    if not x > 0.0:  # NaN too
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if math.isinf(x):
+    try:
+        return math.lgamma(x)
+    except OverflowError:
         return math.inf
-    s = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        s += c / (x + i - 1.0)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(s)
 
 
 def _unconverged(name: str, detail: str) -> ArithmeticError:

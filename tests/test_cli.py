@@ -730,6 +730,9 @@ RANGE_ERRORS = {
     "optimize-alpha-trials-1e5": ("--trials", ["optimize-alpha", "--trials", "1e5"]),
     # A dash-led word is a value, so argparse prints no usage block for it.
     "latency-snr-db-dash-led-text": ("--snr-db", ["latency", "--snr-db", "6", "-abc"]),
+    # An option where its value should be is a missing value, not argparse's usage block.
+    "run-out-minus-h": ("--out", ("latency_table", "", "run", "--out", "-h")),
+    "run-out-option-like": ("--out", ("latency_table", "", "run", "--out", "--x")),
 }
 
 # Keys outside each experiment's set, as (kind, section, key, value): each

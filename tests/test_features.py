@@ -135,6 +135,18 @@ class TestMoments:
         assert feat.moment_abs_power(RG, 1.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
+    @pytest.mark.parametrize("model, s, exact", [
+        (RG, 1.0, 1.0 / math.sqrt(2.0 * math.pi)), (RG, 2.0, 0.5), (RG, 4.0, 1.5),
+        (RG, 6.0, 7.5),
+        *[(FeatureModel.exponential_unit(), float(s), float(math.factorial(s)))
+          for s in range(1, 8)]],
+        ids=lambda v: v.kind if isinstance(v, FeatureModel) else None)
+    def test_integer_orders_within_8_ulp_of_exact(self, model, s, exact):
+        # Rectified Gaussian: 2^(s/2 - 1) Gamma((s + 1)/2) / sqrt(pi), whose
+        # integer orders are 1/sqrt(2 pi), 1/2, 3/2, 15/2; unit exponential: s!.
+        got = feat.moment_abs_power(model, s)
+        assert abs(got - exact) <= 8.0 * math.ulp(exact)
+
     def test_zeroth_moment(self):
         for model in [RG, FeatureModel.uniform01(), FeatureModel.exponential_unit()]:
             assert feat.moment_abs_power(model, 0.0) == pytest.approx(1.0, rel=1e-12)
@@ -422,10 +434,10 @@ class TestOptimalBetaGrid:
         # `trials` rows is held, only one block's compacted draw, six
         # block-sized work rows and five sums per alpha and block. So
         # the peak is a small fraction of the dense (trials, K) draw, at 2
-        # alphas and at 64: about 0.07x and 0.08x for the rectified Gaussian
-        # (half its entries are 0.0), 0.08x and 0.10x for the models without
-        # zeros. Holding the compacted draw and two trials-sized work rows
-        # read 0.83x and 1.46x.
+        # alphas and at 64: 0.057x and 0.074x for the rectified Gaussian
+        # (half its entries are 0.0), 0.061x and 0.078x for the models
+        # without zeros. Holding the compacted draw and two trials-sized
+        # work rows read 0.83x and 1.46x.
         trials, k = 400_000, 12
         for count in (2, 64):
             alphas = list(np.linspace(1.0, feat.ALPHA_MAX, count))

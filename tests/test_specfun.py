@@ -14,7 +14,23 @@ from oracles import inverse_regularized_gamma_p, inverse_regularized_gamma_p_res
 
 class TestLnGamma:
     def test_value_at_one(self):
-        assert specfun.ln_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
+        assert specfun.ln_gamma(1.0) == 0.0
+
+    def test_value_at_two(self):
+        assert specfun.ln_gamma(2.0) == 0.0
+
+    @pytest.mark.parametrize("x", [3e305, 1e308, math.inf])
+    def test_inf_where_lgamma_overflows_and_at_inf(self, x):
+        assert specfun.ln_gamma(x) == math.inf
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-12])
+    def test_series_oracle_near_zero(self, x):
+        # ln Gamma(x) = -ln x - gamma x + O(x^2), gamma Euler's constant.
+        assert specfun.ln_gamma(x) == pytest.approx(-math.log(x) - 0.5772156649015329 * x,
+                                                    rel=1e-14)
+
+    def test_finite_just_below_the_overflow(self):
+        assert specfun.ln_gamma(2.55e305) == math.lgamma(2.55e305) < math.inf
 
     def test_value_at_half(self):
         assert specfun.ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)),
@@ -194,14 +210,18 @@ class TestLambertW0:
             specfun.lambert_w0(3.5)
 
     def test_bits_pinned_on_the_whole_domain(self):
-        # The sha256 of the results' bits on acceptance 9's grid and on
-        # 2,000 points up to 2.7e307, recorded with the Halley iteration
-        # plus a bisection fallback, which never returned on this grid.
-        xs = np.concatenate([[-math.exp(-1.0) + 1e-6], np.geomspace(1e-6, 1e6, 300),
-                             np.geomspace(1e-300, 2.7e307, 2000)])
-        w = np.array([specfun.lambert_w0(float(x)) for x in xs], dtype="<f8")
+        # The sha256 of the results' bits from -1/e + 1e-6 to 2.7e307: ten
+        # points a decade (the R10 series) down to +-1e-300. The inputs are
+        # parsed from decimal text, which gives the same bits on every host;
+        # np.geomspace does not, as its bits follow numpy's SIMD kernels.
+        edge = -0.36787844117144236  # -1/e + 1e-6
+        r10 = ("1", "1.25", "1.6", "2", "2.5", "3.15", "4", "5", "6.3", "8")
+        xs = [edge] + [x for x in (float(f"{sign}{m}e{e}") for sign in "-+"
+                                   for e in range(-300, 308) for m in r10)
+                       if edge < x <= 2.7e307] + [2.7e307]
+        w = np.array([specfun.lambert_w0(x) for x in xs], dtype="<f8")
         assert hashlib.sha256(w.tobytes()).hexdigest() == \
-            "3318e87bf191b1bc240a3482f7369398b4cd15ad1f97f89fe8014b051399a2e2"
+            "d3ed83be7ed29faeca1852eb15388f8efe3ff901fb0733548711b35121dd98c5"
 
     @pytest.mark.parametrize("x", [2.8e307, 1e308, 1.7e308])
     def test_above_2_7e307_raises_naming_x(self, x):

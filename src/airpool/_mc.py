@@ -130,15 +130,8 @@ class PairwiseSum:
     -0.0 into 0.0; the sign of a zero changes a float sum only when the sum
     is zero, and the final 0.0 makes that 0.0 in both. So the total is
     bit-identical to the one-shot sum; `add` may take any leading axes, and
-    each line of terms along the last one is summed on its own.
-
-    Two traps in the ways to vectorize this, measured with numpy 2.4:
-    `np.add.reduceat` along a middle axis does not add in sequence (its
-    sums of m = 16 to 300 terms differed from sequential adds), while
-    `np.add.reduce` over a leading axis does; and `np.power(s,
-    exponents[:, None])` with an array exponent gives other bits than one
-    scalar exponent per row (at 0.5, where the scalar takes a square root),
-    so the callers power row by row.
+    each line of terms along the last one is summed on its own. Ways to
+    vectorize this that give other bits: tests/test_numpy_canary.py.
     """
 
     def __init__(self, n: int, most: int):

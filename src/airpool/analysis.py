@@ -171,24 +171,20 @@ def average_approx_error_bounds(model: FeatureModel, k: int, alphas: Sequence[fl
     """Averaging approximation bound E[(||f||_a / K - g_avg)^2] at every alpha
     of `alphas`, from one pass over a draw of the sub-stream (seed, 1, 0),
     one block of rows at a time: each block's row means g_avg are taken, the
-    block is rescaled by its row maxima (`features._rescale_rows`) and
-    loaded into `features._RowSums`, and every alpha's squared errors and
-    their squares are reduced to the block's node sums (`_mc.PairwiseSum`).
-    The max form is `max_approx_error_bound`."""
+    block is loaded rescaled (`features._RowSums.load_rescaled`), and every
+    alpha's squared errors and their squares are reduced to the block's node
+    sums (`_mc.PairwiseSum`). The max form is `max_approx_error_bound`."""
     if any(alpha < 1.0 for alpha in alphas):
         raise ValueError("alpha must be >= 1")
     row_sums, sums = feat._RowSums(k, trials), PairwiseSum(trials, feat._BLOCK_ROWS)
     work = np.empty(2 * len(alphas) * row_sums.most)
     for x in feat.draw_blocks(model, rng_from(seed, 1, 0), trials, k):
         rows, g_avg = len(x), x.mean(axis=1)
-        fmax = feat._rescale_rows(x)
-        row_sums.load(x)
+        row_sums.load_rescaled(x)
         sq = work[:2 * len(alphas) * rows].reshape(len(alphas), 2, rows)
         e2, e4 = sq[:, 0], sq[:, 1]
         for alpha, norm in zip(alphas, e2):
-            row_sums(alpha, norm)
-            norm **= 1.0 / alpha
-            norm *= fmax
+            row_sums.norms(alpha, norm)
             norm /= k
             norm -= g_avg
         np.square(e2, out=e2)

@@ -27,7 +27,8 @@ EXIT_NUMERIC_ERROR = 3
 # The config key each option sets. The option's dest is the key's field; the
 # key's parser reads the option's text (the words of --snr-db as one list), its
 # range and rules check the value, and an error about the key names the option
-# as typed. Defaults are text too.
+# as typed. Defaults are text too; an option of a command that builds an
+# ExperimentConfig has none unless its default differs from the field's.
 OPTION_KEYS = {
     "--seed": ("experiment", "seed"), "--trials": ("experiment", "trials"),
     "--out": ("experiment", "output_dir"), "--k": ("system", "k_sensors"),
@@ -220,10 +221,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate_bounds)
 
     p = subs.add_parser("latency", help="latency comparison table")
-    _option(p, "--k", default="12")
-    _option(p, "--n-features", default="17911")
-    _option(p, "--bandwidth-hz", default="10e6")
-    _option(p, "--q-bits", default="6")
+    _option(p, "--k")
+    _option(p, "--n-features")
+    _option(p, "--bandwidth-hz")
+    _option(p, "--q-bits")
     _option(p, "--snr-db", nargs="+", default="6 10 16")
     _option(p, "--out", help="also write latency_table artifacts here")
     p.set_defaults(func=_cmd_latency)
@@ -236,10 +237,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize_alpha)
 
     p = subs.add_parser("train-snn", help="train the synthetic-task classifier")
-    _option(p, "--samples", default="4000")
-    _option(p, "--epochs", default="200")
-    _option(p, "--learning-rate", default="0.5")
-    _option(p, "--seed", default="42")
+    _option(p, "--samples")
+    _option(p, "--epochs")
+    _option(p, "--learning-rate")
+    _option(p, "--seed")
     p.set_defaults(func=_cmd_train_snn)
     return parser
 

@@ -36,13 +36,6 @@ from .svgchart import Series, render_line_chart
 EXPERIMENT_KINDS = ("latency_table", "tradeoff_curve", "bound_validation",
                     "alpha_optimality", "synthetic_e2e")
 
-_MODEL_KINDS = {
-    "rectified_gaussian": FeatureModel.rectified_gaussian,
-    "uniform01": FeatureModel.uniform01,
-    "exponential_unit": FeatureModel.exponential_unit,
-}
-
-
 class ConfigError(Exception):
     """Raised for unparsable or invalid experiment configuration; `at` keeps
     the (section, key) as `where` and the text after it as `text`."""
@@ -96,8 +89,8 @@ CONFIG_KEYS: Dict[Tuple[str, str], Key] = {
     ("system", "bandwidth_hz"): Key("bandwidth_hz", float, _ANY - _MC,
                                     lambda v: 0.0 < v < math.inf, "finite and > 0"),
     ("feature_model", "kind"): Key("feature_kind", str.strip, _MC,
-                                   (*_MODEL_KINDS, "empirical").__contains__,
-                                   f"one of {', '.join(_MODEL_KINDS)}, empirical"),
+                                   (*feat.BUILT_IN_KINDS, "empirical").__contains__,
+                                   f"one of {', '.join(feat.BUILT_IN_KINDS)}, empirical"),
     ("feature_model", "sample_file"): Key("feature_file", str.strip, _MC),
     # 10^(dB/10) stays nonzero, and sqrt(2) times it finite (closed_form_alpha).
     ("sweep", "snr_grid_db"): Key("snr_grid_db", _float_list, _ANY,
@@ -170,7 +163,7 @@ class ExperimentConfig:
 
     def feature_model(self) -> FeatureModel:
         if self.feature_kind != "empirical":
-            return _MODEL_KINDS[self.feature_kind]()
+            return FeatureModel(self.feature_kind)
         try:
             return FeatureModel.from_file(self.feature_file)
         except (OSError, ValueError) as exc:  # unreadable, or a line that is no feature
@@ -302,12 +295,12 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
     p_rx = db_to_linear(snr_db) * NOISE_W
     rows: List[Dict] = []
     series: List[Series] = []
-    models = {"empirical": cfg.feature_model} if cfg.feature_kind == "empirical" else _MODEL_KINDS
+    kinds = ("empirical",) if cfg.feature_kind == "empirical" else feat.BUILT_IN_KINDS
     k = cfg.k_sensors
-    for kind, make_model in models.items():
+    for kind in kinds:
+        model = cfg.feature_model() if kind == "empirical" else FeatureModel(kind)
         curve, diagnostics = analysis.tradeoff_curve(
-            make_model(), k, p_rx, NOISE_W, list(cfg.alpha_grid),
-            trials=cfg.trials, seed=cfg.seed)
+            model, k, p_rx, NOISE_W, list(cfg.alpha_grid), trials=cfg.trials, seed=cfg.seed)
         for row, diag in zip(curve, [";".join(diagnostics)] + [""] * (len(curve) - 1)):
             rows.append({"model": kind, "snr_db": snr_db, **row,
                          "diagnostics": diag, "seed": cfg.seed})
@@ -320,7 +313,7 @@ def run_tradeoff_curve(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optiona
         "tradeoff_curve",
         ("model", "snr_db", "alpha", "noise_bound", "noise_bound_asymptotic",
          "approx_bound_max", "bound_sum", "diagnostics", "seed"),
-        rows, {"config": {"feature_kind": list(models)}})
+        rows, {"config": {"feature_kind": list(kinds)}})
     chart = dict(series=series, title=f"Error-bound tradeoff at {snr_db:g} dB",
                  x_label="alpha", y_label="bound", log_x=True)
     return result, chart
@@ -467,19 +460,16 @@ def _reconfigurability_checks(model, k, cfg: ExperimentConfig,
         g_true = true_pool(f, avg_cfg.mode)
         avg_errs.append(np.max(np.abs(g_hat - g_true) / np.where(g_true > 0, g_true, 1.0)))
         row_sums.load(f)
-        fmax = feat._rescale_rows(f)
+        fmax = f.max(axis=1)
         pos = fmax > 0
         v = v_sum[:len(f)]
         for max_cfg, rel in zip(max_cfgs, rel_errs):
             g_hat = postprocess(row_sums(max_cfg.alpha, v), max_cfg)
             rel.append(np.abs(g_hat[pos] - fmax[pos]) / fmax[pos])
-        row_sums.load(f)
+        row_sums.load_rescaled(f)
         for max_cfg in max_cfgs:
             alpha = max_cfg.alpha
-            norm = row_sums(alpha, v)
-            norm **= 1.0 / alpha
-            norm *= fmax
-            g_rescaled = norm * max_cfg.beta ** (-1.0 / alpha)
+            g_rescaled = row_sums.norms(alpha, v) * max_cfg.beta ** (-1.0 / alpha)
             sandwich_ok &= bool(np.all(g_rescaled >= fmax * k ** (-1.0 / alpha) - 1e-12)
                                 and np.all(g_rescaled <= fmax * k ** (1.0 / alpha) + 1e-12))
     avg_err = float(np.max(avg_errs))

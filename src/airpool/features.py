@@ -28,7 +28,8 @@ UNIFORM01 = "uniform01"
 EXPONENTIAL_UNIT = "exponential_unit"
 EMPIRICAL = "empirical"
 
-_KINDS = (RECTIFIED_GAUSSIAN, UNIFORM01, EXPONENTIAL_UNIT, EMPIRICAL)
+#: The closed-form models, in the order `tradeoff_curve` writes them.
+BUILT_IN_KINDS = (RECTIFIED_GAUSSIAN, UNIFORM01, EXPONENTIAL_UNIT)
 
 MIN_MC_TRIALS = 10_000
 ALPHA_MAX = 128.0
@@ -42,7 +43,7 @@ class FeatureModel:
     samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in (*BUILT_IN_KINDS, EMPIRICAL):
             raise ValueError(f"unknown feature model kind: {self.kind!r}")
         if self.kind == EMPIRICAL:
             if self.samples is None or len(self.samples) == 0:
@@ -116,6 +117,13 @@ class MomentSet:
     nu_sq: float
     clamped: bool = False
 
+    @classmethod
+    def of(cls, alpha: float, eta: float, second: float) -> "MomentSet":
+        """The moments from eta and second = E[v^2]: nu_sq = second - eta^2,
+        a negative value clipped to 0.0 and flagged `clamped`."""
+        nu_sq = second - eta * eta
+        return cls(alpha, eta, max(nu_sq, 0.0), nu_sq < 0.0)
+
 
 def moment_abs_power(model: FeatureModel, s: float) -> float:
     """E[|f|^s] for s >= 0, evaluated without sampling.
@@ -153,12 +161,7 @@ def normalization_moments(model: FeatureModel, alpha: float) -> MomentSet:
         raise ValueError("alpha must be >= 1")
     if alpha > ALPHA_MAX:
         raise ValueError(f"alpha must be <= {ALPHA_MAX}")
-    eta, second = (_finite_moment(model, s, alpha) for s in (alpha, 2.0 * alpha))
-    nu_sq = second - eta * eta
-    clamped = nu_sq < 0.0
-    if clamped:
-        nu_sq = 0.0
-    return MomentSet(alpha=alpha, eta=eta, nu_sq=nu_sq, clamped=clamped)
+    return MomentSet.of(alpha, *(_finite_moment(model, s, alpha) for s in (alpha, 2.0 * alpha)))
 
 
 def _finite_moment(model: FeatureModel, s: float, alpha: float) -> float:
@@ -210,6 +213,11 @@ class _RowSums:
     entries. A call powers those, scatters them into the scratch and adds
     its K rows in numpy's pairwise order while in cache: the bits of
     ``(x ** alpha).sum(axis=1)``.
+
+    `load_rescaled` and `norms` give the l_alpha norm of each row as
+    fmax (sum (f/fmax)^alpha)^(1/alpha), the scaling of Blue's norm
+    algorithm (ACM TOMS 4(1), 1978): its powers lie in [0, 1], so it stays
+    finite at large alpha where the plain sum would overflow.
     """
 
     def __init__(self, k: int, n: int):
@@ -228,12 +236,28 @@ class _RowSums:
         # mode="clip" lets take write into out unbuffered; `others` is in range.
         np.take(t, others, out=self._values[:len(others)], mode="clip")
 
+    def load_rescaled(self, x: np.ndarray) -> np.ndarray:
+        """Divides each row of the block x >= 0 by its maximum in place (an
+        all-zero row stays zero), loads it, and returns the maxima."""
+        self._fmax = fmax = x.max(axis=1)
+        np.divide(x, fmax[:, None], out=x, where=(fmax > 0)[:, None])
+        self.load(x)
+        return fmax
+
     def __call__(self, alpha: float, out: np.ndarray) -> np.ndarray:
         """out = the row sums at alpha of the loaded block; returns out."""
         rows, m = self._rows, len(self._others)
         dense = self._dense[:self._k * rows]
         dense[self._others] = np.power(self._values[:m], alpha, out=self._powers[:m])
         _pairwise_sum(dense.reshape(self._k, rows), out, self._scratch[:, :rows])
+        return out
+
+    def norms(self, alpha: float, out: np.ndarray) -> np.ndarray:
+        """out = the l_alpha norms of the rows of the block that
+        `load_rescaled` loaded; returns out."""
+        self(alpha, out)
+        out **= 1.0 / alpha
+        out *= self._fmax
         return out
 
 
@@ -272,16 +296,6 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
         second = np.empty_like(out)
         _pairwise_sum(terms[half:], second, scratch)
         np.add(out, second, out=out)
-
-
-def _rescale_rows(f: np.ndarray) -> np.ndarray:
-    """Divides each row of f >= 0 by its maximum in place (all-zero rows stay
-    zero) and returns the maxima. The l_alpha norm of a row is then
-    fmax * (sum (f/fmax)^alpha)^(1/alpha), whose powers lie in [0, 1], so it
-    stays finite at large alpha where the plain sum would overflow."""
-    fmax = f.max(axis=1)
-    np.divide(f, fmax[:, None], out=f, where=(fmax > 0)[:, None])
-    return fmax
 
 
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
@@ -326,12 +340,12 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     numeric fault.
 
     The features are drawn from the sub-stream (seed, 0) in one pass, one
-    block of rows at a time (`draw_blocks`). Each block is rescaled by its
-    row maxima and loaded into `_RowSums` once, and then every alpha (common
-    random numbers across the grid) takes its rescaled norms,
-    a = fmax ||f||_a, b = ||f||_a^2, a^2, ab and b^2 on the block, in six
-    block-sized rows that the whole pass reuses, and sums the last five to
-    the block's node sums (`_mc.PairwiseSum`). So no array of `trials` rows exists, and each
+    block of rows at a time (`draw_blocks`). Each block is loaded into
+    `_RowSums` once, rescaled by its row maxima, and then every alpha (common
+    random numbers across the grid) takes its norms, a = fmax ||f||_a,
+    b = ||f||_a^2, a^2, ab and b^2 on the block, in six block-sized rows
+    that the whole pass reuses, and sums the last five to the block's node
+    sums (`_mc.PairwiseSum`). So no array of `trials` rows exists, and each
     estimate is bit-identical to drawing the whole array anew for that alpha
     alone.
     """
@@ -345,14 +359,11 @@ def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],
     row_sums = _RowSums(k, trials)
     work = np.empty(6 * row_sums.most)
     for x in draw_blocks(model, rng_from(seed, 0), trials, k):
-        rows, fmax = len(x), _rescale_rows(x)
-        row_sums.load(x)
+        rows, fmax = len(x), row_sums.load_rescaled(x)
         stats = work[:6 * rows].reshape(6, rows)
         norm, a, b, aa, ab, bb = stats
         for alpha, alpha_sums in zip(alphas, sums):
-            row_sums(alpha, norm)
-            norm **= 1.0 / alpha
-            norm *= fmax
+            row_sums.norms(alpha, norm)
             np.multiply(fmax, norm, out=a)
             np.multiply(norm, norm, out=b)
             np.multiply(a, a, out=aa)

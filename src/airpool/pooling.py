@@ -138,11 +138,8 @@ def weighted_sum_moments(model: FeatureModel, weights: np.ndarray) -> MomentSet:
     k = len(weights)
     m1 = feat.moment_abs_power(model, 1.0)
     m2 = feat.moment_abs_power(model, 2.0)
-    eta = float(np.mean(k * weights) * m1)
-    second = float(np.mean((k * weights) ** 2) * m2)
-    nu_sq = second - eta * eta
-    clamped = nu_sq < 0.0
-    return MomentSet(alpha=1.0, eta=eta, nu_sq=max(nu_sq, 0.0), clamped=clamped)
+    return MomentSet.of(1.0, float(np.mean(k * weights) * m1),
+                        float(np.mean((k * weights) ** 2) * m2))
 
 
 def true_pool(features: np.ndarray, mode: PoolingMode) -> np.ndarray:
@@ -188,10 +185,9 @@ def aggregate_with_noise(v_sum: np.ndarray, cfg: AirPoolConfig,
     """The de-normalized aggregate sum_k v_k + xi, xi ~ N(0, sigma^2 nu^2/Prx).
 
     Stands for the symbol-domain chain (normalize, transmit, de-normalize);
-    see the module docstring.
+    see the module docstring. At zero noise it draws the noise all the same,
+    and v + 0.0 * noise is v for v >= +0.0.
     """
-    if cfg.noise_power_w == 0.0:
-        return np.asarray(v_sum, dtype=float)
     sigma_xi = math.sqrt(cfg.noise_sigma_sq)
     return v_sum + sigma_xi * rng.standard_normal(np.shape(v_sum))
 

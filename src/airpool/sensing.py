@@ -201,6 +201,7 @@ class TrainingReport:
     epochs: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finite-loss check reports divergence
 def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
                      learning_rate: float = 0.5, seed: int = 0) -> TrainingReport:
     """Mini-batch gradient descent on the noiselessly pooled features.

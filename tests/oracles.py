@@ -25,9 +25,13 @@ The library's step must give the same bits.
 The logistic fit of `sensing.measure_linear_margin` as it was written
 before its loop worked in place: a fresh array per operation, `np.clip`
 and `.mean()`. The library's fit must give the same bits.
+
+`numpy_dispatch_target` names the x86 level of numpy's SIMD kernels, which
+the bit pins that depend on it report.
 """
 
 import math
+import platform
 from typing import List, NamedTuple
 
 import numpy as np
@@ -38,6 +42,14 @@ from airpool.sensing import N_CLASSES, ShallowClassifier, SyntheticDataset
 from airpool.pooling import (WEIGHTED_SUM, AirPoolConfig, aggregate_with_noise,
                              postprocess, powered_sum, true_pool)
 from airpool.specfun import ITERATION_CAP, regularized_gamma_p
+
+
+def numpy_dispatch_target():
+    """The highest x86 microarchitecture level numpy dispatches to, or the
+    machine name where numpy reports none."""
+    features = np._core._multiarray_umath.__cpu_features__
+    return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
+                 if features.get(level)), platform.machine())
 
 
 def dense_estimate(x) -> MonteCarloEstimate:

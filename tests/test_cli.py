@@ -4,6 +4,7 @@ codes."""
 import argparse
 import contextlib
 import csv
+import dataclasses
 import glob
 import hashlib
 import importlib.util
@@ -13,6 +14,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +157,16 @@ class TestLatencyTable:
         text = open(paths["svg"]).read()
         assert text.startswith("<svg") and "polyline" in text
         assert _sha(paths["csv"]) == before
+
+    def test_latency_command_echoes_the_config_defaults(self, tmp_path, capsys):
+        # The options the user does not type leave ExperimentConfig's
+        # defaults; --snr-db has its own.
+        assert cli.main(["latency", "--out", str(tmp_path)]) == 0
+        echo = json.load(open(tmp_path / "latency_table.meta.json"))["config"]
+        defaults = dataclasses.asdict(ExperimentConfig(experiment="latency_table"))
+        assert echo == {**{key: defaults[key] for key in echo},
+                        "snr_grid_db": [6.0, 10.0, 16.0], "output_dir": str(tmp_path)}
+        assert {"k_sensors", "n_features", "bandwidth_hz", "q_bits", "seed"} <= echo.keys()
 
     def test_meta_sidecar_has_hash(self, tmp_path):
         cfg = ExperimentConfig(experiment="latency_table", output_dir=str(tmp_path))
@@ -827,6 +839,11 @@ class TestExperimentKeys:
         assert ("unknown key" if (section, key) not in experiments.CONFIG_KEYS
                 else f"{kind} does not read this key") in err
 
+    @pytest.mark.parametrize("kind", feat.BUILT_IN_KINDS)
+    def test_feature_model_of_each_built_in_kind(self, kind):
+        cfg = ExperimentConfig(experiment="bound_validation", feature_kind=kind)
+        assert cfg.feature_model() == FeatureModel(kind)
+
     def test_trials_override_of_latency_table_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["run", "--config", os.path.join(ROOT, "configs", "latency.ini"),
@@ -916,7 +933,7 @@ def _key_values(out, files, wild):
         ("experiment", "workers"): st.just("2" if wild else "1"),
         ("experiment", "output_dir"): st.just(files["good"] if wild else out),
         ("feature_model", "kind"): st.sampled_from(
-            ["unifrom01"] if wild else [*experiments._MODEL_KINDS, "empirical"]),
+            ["unifrom01"] if wild else [*feat.BUILT_IN_KINDS, "empirical"]),
         ("feature_model", "sample_file"): st.sampled_from(
             [files["missing"], files["not-decimal"], files["directory"]] if wild
             else [files["good"]]),
@@ -1203,6 +1220,24 @@ class TestCliExitCodes:
         assert err.startswith("numeric error: OverflowError")
         assert "exponential_unit" in err and "alpha = 128" in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train-snn", "run"])
+    def test_training_that_diverges_prints_one_line(self, command, tmp_path, capsys):
+        # An overflow on the way to the non-finite loss is no warning.
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nkind = synthetic_e2e\ntrials = 10000\n"
+                        f"output_dir = {tmp_path / 'out'}\n\n[sweep]\nn_samples = 50\n"
+                        "epochs = 2\nlearning_rate = 1e308\n")
+        argv = {"train-snn": ["train-snn", "--learning-rate", "1e308", "--epochs", "2",
+                              "--samples", "50"],
+                "run": ["run", "--config", str(path)]}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == [] and out == ""
+        assert err.startswith("numeric error: ArithmeticError: training diverged at epoch 1; ")
+        assert err.count("\n") == 1
 
     def test_latency_that_overflows_is_a_numeric_error(self, tmp_path, capsys):
         # N / B overflows to inf at B = 1e-308 Hz: one line and exit 3, never

@@ -201,6 +201,11 @@ class TestMoments:
             ms = feat.normalization_moments(model, alpha)
         assert all(math.isfinite(v) for v in (ms.eta, ms.nu_sq))
 
+    def test_moment_set_clips_a_negative_variance(self):
+        # 0.5 - 1.0^2 is the cancellation a closed form can leave.
+        assert feat.MomentSet.of(2.0, 1.0, 0.5) == feat.MomentSet(2.0, 1.0, 0.0, True)
+        assert feat.MomentSet.of(2.0, 1.0, 1.5) == feat.MomentSet(2.0, 1.0, 0.5, False)
+
     def test_degenerate_empirical_all_zero(self):
         ms = feat.normalization_moments(FeatureModel.empirical([0.0, 0.0, 0.0]), 1.0)
         assert ms.eta == 0.0 and ms.nu_sq == 0.0
@@ -353,18 +358,13 @@ class TestPowerSums:
 
 
 def rescaled_norm(f, alpha):
-    """The l_alpha norm of each row of f, from blocks copied from f: each is
-    rescaled by its row maxima (`_rescale_rows`, in place) and its powers
-    summed by `_RowSums`."""
+    """The l_alpha norm of each row of f, from blocks copied from f, each
+    loaded by `_RowSums.load_rescaled` (in place) and normed by `norms`."""
     f = np.array(np.atleast_2d(f), dtype=float)
     row_sums, norms = feat._RowSums(f.shape[1], len(f)), []
     for block in row_blocks(f):
-        fmax = feat._rescale_rows(block)
-        row_sums.load(block)
-        norm = row_sums(alpha, np.empty(len(block)))
-        norm **= 1.0 / alpha
-        norm *= fmax
-        norms.append(norm)
+        row_sums.load_rescaled(block)
+        norms.append(row_sums.norms(alpha, np.empty(len(block))))
     return np.concatenate(norms)
 
 

@@ -21,6 +21,18 @@ def max_config(k, alpha, noise_power=0.0, p_rx=1.0, seed=0):
     return AirPoolConfig.for_max(RG, alpha, beta, p_rx, noise_power)
 
 
+class TestAggregateWithNoise:
+    @pytest.mark.parametrize("cfg", [AirPoolConfig.for_average(RG, 6, 1.0, 0.0),
+                                     AirPoolConfig.for_max(RG, 8.0, 2.0, 1.0, 0.0)],
+                             ids=lambda cfg: cfg.mode.kind)
+    def test_zero_noise_returns_the_sum_bit_for_bit(self, cfg):
+        # v + 0.0 * noise is v for a sum of non-negative powers.
+        v_sum = pooling.powered_sum(RG.draw(np.random.default_rng(5), (2000, 6)), cfg)
+        assert np.any(v_sum == 0.0)
+        got = pooling.aggregate_with_noise(v_sum, cfg, np.random.default_rng(6))
+        assert got.tobytes() == v_sum.tobytes()
+
+
 class TestTruePool:
     def test_max(self):
         assert pooling.true_pool(np.array([3.0, 1.0, 2.0]), PoolingMode.max()) == 3.0

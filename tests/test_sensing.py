@@ -2,7 +2,6 @@
 pool-then-classify evaluation loop."""
 
 import math
-import platform
 
 import numpy as np
 import pytest
@@ -13,17 +12,9 @@ from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
 from oracles import (gradient_check_reference, linear_margin_fit_reference,
-                     train_classifier_reference)
+                     numpy_dispatch_target, train_classifier_reference)
 
 RG = FeatureModel.rectified_gaussian()
-
-
-def numpy_dispatch_target():
-    """The highest x86 microarchitecture level numpy dispatches to, or the
-    machine name where numpy reports none."""
-    features = np._core._multiarray_umath.__cpu_features__
-    return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
-                 if features.get(level)), platform.machine())
 
 
 def no_step(*args, **kwargs):

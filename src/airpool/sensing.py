@@ -6,6 +6,12 @@ noiselessly pooled feature vector, a small fully-connected classifier trained
 with plain mini-batch gradient descent in preallocated workspaces (a step
 allocates nothing), and an evaluation loop that feeds pooled-over-the-air
 features back into the classifier to measure accuracy against feature error.
+
+On 32-row batches numpy's per-call overhead is most of a training step, so
+products go through `np.dot` (less dispatch than `np.matmul`), scalar
+operands are 0-d float64 arrays bound once (numpy converts a Python scalar
+on every call) and row gathers are `np.take`: each is faster with the same
+bits (`tests/test_numpy_canary.py` checks the products).
 """
 
 import math
@@ -142,7 +148,9 @@ class ShallowClassifier:
         batches of `rows` rows, bound once to a workspace that the caller owns:
         the hidden layers (in one array if `backward`, so 1 - h^2 of both is
         two calls), their slopes, the logits and a column, which np.maximum and
-        np.add of the two logit columns fill with keepdims reductions' bits."""
+        np.add of the two logit columns fill with keepdims reductions' bits.
+        Products are `np.dot` calls, and `rows` and the 1 of 1 - h^2 are 0-d
+        arrays (see the module docstring)."""
         (w0, w1, w2), (b0, b1, b2) = self.weights, self.biases
         gw0, gb0, gw1, gb1, gw2, gb2 = self._grad_parts
         # Forward-only (the full-set loss), two arrays: one twice as big raised peak RSS.
@@ -152,26 +160,27 @@ class ShallowClassifier:
         z, column = np.empty((rows, N_CLASSES)), np.empty(rows)
         (h1, h2), (s1, s2), (z0, z1), column_2d = hidden, slope, z.T, column[:, None]
         h1t, h2t, w1t, w2t = h1.T, h2.T, w1.T, w2.T
+        count, one = np.array(float(rows)), np.array(1.0)
 
         def forward(x):
-            np.tanh(np.add(np.matmul(x, w0, out=h1), b0, out=h1), out=h1)
-            np.tanh(np.add(np.matmul(h1, w1, out=h2), b1, out=h2), out=h2)
-            np.add(np.matmul(h2, w2, out=z), b2, out=z)
+            np.tanh(np.add(np.dot(x, w0, out=h1), b0, out=h1), out=h1)
+            np.tanh(np.add(np.dot(h1, w1, out=h2), b1, out=h2), out=h2)
+            np.add(np.dot(h2, w2, out=z), b2, out=z)
             np.maximum(z0, z1, out=column)
             np.exp(np.subtract(z, column_2d, out=z), out=z)
             np.add(z0, z1, out=column)
             return np.divide(z, column_2d, out=z)
 
         def backward_step(x, onehot):
-            delta = np.divide(np.subtract(forward(x), onehot, out=z), rows, out=z)
-            np.subtract(1.0, np.multiply(hidden, hidden, out=slope), out=slope)
-            np.matmul(h2t, delta, out=gw2)
+            delta = np.divide(np.subtract(forward(x), onehot, out=z), count, out=z)
+            np.subtract(one, np.multiply(hidden, hidden, out=slope), out=slope)
+            np.dot(h2t, delta, out=gw2)
             np.add.reduce(delta, axis=0, out=gb2)
-            np.multiply(np.matmul(delta, w2t, out=h2), s2, out=h2)  # h2 takes the delta
-            np.matmul(h1t, h2, out=gw1)
+            np.multiply(np.dot(delta, w2t, out=h2), s2, out=h2)  # h2 takes the delta
+            np.dot(h1t, h2, out=gw1)
             np.add.reduce(h2, axis=0, out=gb1)
-            np.multiply(np.matmul(h2, w1t, out=h1), s1, out=h1)
-            np.matmul(x.T, h1, out=gw0)
+            np.multiply(np.dot(h2, w1t, out=h1), s1, out=h1)
+            np.dot(x.T, h1, out=gw0)
             np.add.reduce(h1, axis=0, out=gb0)
             return self.grads
 
@@ -230,15 +239,17 @@ def train_classifier(dataset: SyntheticDataset, epochs: int = 200,
     n_train, batch_size = len(x_train), 32
     full, last = clf._passes(batch_size)[1], clf._passes(n_train % batch_size)[1]
     forward_train = clf._passes(n_train, backward=False)[0]
+    rate = np.array(float(learning_rate))
     loss = _cross_entropy(forward_train(x_train), y_train)
     for epoch in range(epochs):
         last_stable = loss
         order = shuffle_rng.permutation(n_train)
-        x_epoch, targets = x_train[order], onehot_train[order]
+        x_epoch = np.take(x_train, order, axis=0)
+        targets = np.take(onehot_train, order, axis=0)
         for start in range(0, n_train, batch_size):
             stop = start + batch_size
             grads = (full if stop <= n_train else last)(x_epoch[start:stop], targets[start:stop])
-            clf.params -= np.multiply(grads, learning_rate, out=grads)
+            clf.params -= np.multiply(grads, rate, out=grads)
         loss = _cross_entropy(forward_train(x_train), y_train)
         if not math.isfinite(loss):
             raise ArithmeticError(
@@ -320,25 +331,31 @@ def measure_linear_margin(dataset: SyntheticDataset) -> LinearMarginModel:
     y = dataset.labels.astype(float)
     n = len(y)
     w = np.zeros(pooled.shape[1])
+    gw, decayed = np.empty_like(w), np.empty_like(w)
     b = 0.0
-    learning_rate, decay = 2.0, 1e-4
+    learning_rate = 2.0
+    rate, decay, count = np.array(learning_rate), np.array(1e-4), np.array(float(n))
+    low, high, one = np.array(-500.0), np.array(500.0), np.array(1.0)
     z, r = np.empty(n), np.empty(n)
     for _ in range(4000):
-        np.matmul(pooled, w, out=z)
+        np.dot(pooled, w, out=z)
         z += b
         # r = p - y with p = 1 / (1 + exp(-clip(z, -500, 500))), in place.
-        np.maximum(z, -500.0, out=r)
-        np.minimum(r, 500.0, out=r)
+        np.maximum(z, low, out=r)
+        np.minimum(r, high, out=r)
         np.negative(r, out=r)
         np.exp(r, out=r)
-        r += 1.0
-        np.divide(1.0, r, out=r)
+        r += one
+        np.divide(one, r, out=r)
         r -= y
-        gw = pooled.T @ r / n + decay * w
-        gb = float(np.add.reduce(r) / n)
-        w -= learning_rate * gw
+        # gw = pooled.T @ r / n + decay * w, in place.
+        np.divide(np.dot(pooled.T, r, out=gw), count, out=gw)
+        gw += np.multiply(decay, w, out=decayed)
+        gb = float(np.add.reduce(r) / count)
+        w -= np.multiply(rate, gw, out=gw)
         b -= learning_rate * gb
-    z = pooled @ w + b
+    np.dot(pooled, w, out=z)
+    z += b
     correct = (z > 0) == (y == 1)
     if not np.any(correct):
         raise ArithmeticError("linear fit classified nothing correctly")

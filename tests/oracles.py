@@ -26,11 +26,15 @@ The logistic fit of `sensing.measure_linear_margin` as it was written
 before its loop worked in place: a fresh array per operation, `np.clip`
 and `.mean()`. The library's fit must give the same bits.
 
-`numpy_dispatch_target` names the x86 level of numpy's SIMD kernels, which
-the bit pins that depend on it report.
+`numpy_dispatch_target` names the x86 level of numpy's SIMD kernels, and
+`openblas_core` the kernel set of numpy's bundled OpenBLAS: the bit pins
+that depend on them report both.
 """
 
+import ctypes
+import glob
 import math
+import os
 import platform
 from typing import List, NamedTuple
 
@@ -50,6 +54,19 @@ def numpy_dispatch_target():
     features = np._core._multiarray_umath.__cpu_features__
     return next((level for level in ("X86_V4", "X86_V3", "X86_V2")
                  if features.get(level)), platform.machine())
+
+
+def openblas_core():
+    """The core (kernel set) that numpy's bundled OpenBLAS runs on this CPU,
+    as OpenBLAS names it ("SkylakeX", "Haswell", ...; OPENBLAS_CORETYPE
+    overrides it), or "unknown" where numpy bundles no scipy-openblas."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    if not found:
+        return "unknown"
+    corename = ctypes.CDLL(found[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def dense_estimate(x) -> MonteCarloEstimate:

@@ -15,6 +15,11 @@ sums of m = 16 to 300 terms differed from sequential adds), while
 None])` with an array exponent gives other bits than one scalar exponent
 per row (at 0.5, where the scalar takes a square root), so the callers
 power row by row.
+
+`sensing` computes its products with `np.dot(..., out=)`, cheaper on small
+arrays than `np.matmul`, and the training and margin-fit oracles with `@`.
+The canary checks that both give the same bits on every product shape of
+an SGD step and of the margin fit, transposed views included.
 """
 
 import hashlib
@@ -25,7 +30,7 @@ import pytest
 from airpool import features as feat
 from airpool._mc import PAIRWISE_RUN, PairwiseSum, pairwise_nodes, rng_from
 from airpool.features import FeatureModel
-from oracles import numpy_dispatch_target
+from oracles import numpy_dispatch_target, openblas_core
 
 MODELS = [FeatureModel.rectified_gaussian(), FeatureModel.uniform01(),
           FeatureModel.exponential_unit(),
@@ -46,9 +51,14 @@ TERMS = (7, 8, 127, 128, 129, 3125)
 # sha256 of the row sums x.sum(axis=1) of `crafted(n)`, for n in TERMS in order.
 SUM_SHA256 = "3cad1d9d2c0b4f4b0ffadaffdcccbceccfa3dd7f72fc2cdd6b9740e42e67a2c5"
 
+# Batch lengths: one row, the partial last batch of 1,208 training rows, a
+# full batch and the 4,800 training rows of the full-set pass.
+PRODUCT_ROWS = (1, 24, 32, 4800)
+
 
 def where() -> str:
-    return f"numpy {np.__version__} dispatching to {numpy_dispatch_target()}"
+    return (f"numpy {np.__version__} dispatching to {numpy_dispatch_target()} "
+            f"with OpenBLAS core {openblas_core()}")
 
 
 def sha256(x: np.ndarray) -> str:
@@ -91,3 +101,28 @@ def test_block_sums_are_numpys_sum(n):
         start += m
     assert sums.total().tobytes() == x.sum(axis=1).tobytes(), \
         f"{where()}: _mc.PairwiseSum of {n} terms differs from numpy's sum"
+
+
+def products(rows: int):
+    """The operands of the eight products of `ShallowClassifier._passes`
+    and the two of `measure_linear_margin`'s fit on `rows` rows, by name."""
+    rng = rng_from(2023, rows)
+    x, h1, h2, delta = (rng.standard_normal((rows, n)) for n in (4, 5, 5, 2))
+    w0, w1, w2 = (rng.standard_normal(shape) for shape in ((4, 5), (5, 5), (5, 2)))
+    w, r = rng.standard_normal(4), rng.standard_normal(rows)
+    return {"x @ w0": (x, w0), "h1 @ w1": (h1, w1), "h2 @ w2": (h2, w2),
+            "h2.T @ delta": (h2.T, delta), "delta @ w2.T": (delta, w2.T),
+            "h1.T @ h2": (h1.T, h2), "h2 @ w1.T": (h2, w1.T), "x.T @ h1": (x.T, h1),
+            "pooled @ w": (x, w), "pooled.T @ r": (x.T, r)}
+
+
+@pytest.mark.parametrize("rows", PRODUCT_ROWS)
+def test_dot_into_out_is_matmul(rows):
+    differ = []
+    for name, (a, b) in products(rows).items():
+        want = np.matmul(a, b)
+        got = np.dot(a, b, out=np.empty_like(want))
+        if got.tobytes() != want.tobytes():
+            differ.append(name)
+    assert not differ, f"{where()}: np.dot(..., out=) and np.matmul differ on " \
+        f"{', '.join(differ)} at {rows} rows"

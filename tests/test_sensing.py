@@ -12,7 +12,7 @@ from airpool.channel import db_to_linear
 from airpool.features import FeatureModel
 from airpool.pooling import AirPoolConfig, PoolingMode
 from oracles import (gradient_check_reference, linear_margin_fit_reference,
-                     numpy_dispatch_target, train_classifier_reference)
+                     numpy_dispatch_target, openblas_core, train_classifier_reference)
 
 RG = FeatureModel.rectified_gaussian()
 
@@ -143,9 +143,22 @@ class TestTrainingOracle:
     """The flat-vector step gives the same bits as the per-layer loop in
     tests/oracles.py."""
 
-    # The final loss of test_gradient_check_and_loss_bits by numpy dispatch target.
-    LOSS_BITS = {"X86_V4": "0x1.0d1b93cb6553fp-5", "X86_V3": "0x1.0d1b93cb6553bp-5",
-                 "X86_V2": "0x1.0d1b93cb65528p-5"}
+    # The final loss of test_gradient_check_and_loss_bits by (numpy dispatch
+    # target, OpenBLAS core). OpenBLAS runs its Haswell kernels on Zen.
+    LOSS_BITS = {
+        ("X86_V4", "SkylakeX"): "0x1.0d1b93cb6553fp-5",
+        ("X86_V3", "SkylakeX"): "0x1.0d1b93cb6553bp-5",
+        ("X86_V2", "SkylakeX"): "0x1.0d1b93cb65528p-5",
+        ("X86_V4", "Haswell"): "0x1.0d1b93cb65532p-5",
+        ("X86_V3", "Haswell"): "0x1.0d1b93cb65535p-5",
+        ("X86_V2", "Haswell"): "0x1.0d1b93cb65527p-5",
+        ("X86_V4", "Zen"): "0x1.0d1b93cb65532p-5",
+        ("X86_V3", "Zen"): "0x1.0d1b93cb65535p-5",
+        ("X86_V2", "Zen"): "0x1.0d1b93cb65527p-5",
+        ("X86_V4", "Sandybridge"): "0x1.0d1b93cb65549p-5",
+        ("X86_V3", "Sandybridge"): "0x1.0d1b93cb6555bp-5",
+        ("X86_V2", "Sandybridge"): "0x1.0d1b93cb6555ap-5",
+    }
 
     @pytest.mark.parametrize("n_samples,seed,epochs,linear", [
         (1500, 10, 40, False),     # 1200 training rows: the last batch is partial
@@ -182,12 +195,16 @@ class TestTrainingOracle:
             gradient_check_reference(report.classifier, x, labels)
         # A numpy or BLAS change that moves these bits also moves the
         # benchmark CSVs. numpy's SIMD kernels give other last bits on each
-        # x86 dispatch target, so the bits are recorded per target: X86_V4's
-        # before the flat-vector step, X86_V3's and X86_V2's with the higher
-        # targets turned off through NPY_DISABLE_CPU_FEATURES.
-        target = numpy_dispatch_target()
-        assert target in self.LOSS_BITS, f"no final_loss bits recorded for {target}"
-        assert report.final_loss.hex() == self.LOSS_BITS[target]
+        # x86 dispatch target, and OpenBLAS's gemm kernels on each core, so
+        # the bits are recorded per pair: (X86_V4, SkylakeX) before the
+        # flat-vector step, the others with the higher targets turned off
+        # through NPY_DISABLE_CPU_FEATURES and the core set through
+        # OPENBLAS_CORETYPE.
+        key = numpy_dispatch_target(), openblas_core()
+        assert key in self.LOSS_BITS, \
+            f"no final_loss bits recorded for numpy target {key[0]} with OpenBLAS core {key[1]}"
+        assert report.final_loss.hex() == self.LOSS_BITS[key], \
+            f"final_loss bits moved on numpy target {key[0]} with OpenBLAS core {key[1]}"
 
 
 class TestEvaluateAccuracy:

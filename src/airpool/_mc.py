@@ -11,11 +11,11 @@ The streams, by key:
     (seed,)        `pooling.airpool_round` noise, the `sensing` dataset,
                    `analysis.chi_error_check`, and bound_validation's
                    reconfiguration features and margin-chain noise
-    (seed, 0)      `features.max_second_moment_prefixes` (and
-                   `features.max_second_moment`), `features.optimal_beta_grid`
+    (seed, 0)      `features.max_second_moment`, `features.optimal_beta_grid`
     (seed, 0, 0)   `analysis.estimate_errors_grid`: error features; the
                    unit noise follows their last block, and a second
                    generator of the stream runs through them to reach it
+                   and then draws it block by block
     (seed, 1, 0)   `analysis.average_approx_error_bounds`
     (seed, 11)     `sensing.ShallowClassifier` initial weights
     (seed, 13)     `sensing.train_classifier` epoch shuffles
@@ -31,9 +31,9 @@ the beta* draw. From 2**64 on the seed takes three words, so (seed, 0, 0)
 and (seed, 1, 0) overflow the pool and name streams of their own; each
 routine therefore keeps its key as written.
 
-An experiment draws E[fmax^2] once, at max(trials, 100000); the bound gate
-reads its max-pooling approximation bounds' estimate at `trials` from a
-prefix of that draw, which has the bits of drawing it anew.
+An experiment draws E[fmax^2] at max(trials, 100000); the bound gate,
+whose max-pooling approximation bounds read the estimate at `trials`, draws
+it a second time when trials < 100000.
 
 The feature estimators (E[fmax^2], beta*, the error sweep, the averaging
 bound) and the reconfiguration checks draw their features one block of
@@ -41,12 +41,12 @@ rows at a time (`features.draw_blocks`), which stacks to the one-shot draw
 of the same stream. The blocks are the largest nodes of numpy's
 pairwise-sum tree over the trials that hold at most
 `features._BLOCK_ROWS` rows (`pairwise_nodes`), so a per-trial value sums
-block by block to the bits of its one-shot sum (`PairwiseSum`). beta*, the
-error sweep and the averaging bound make one pass: per block, per-trial
-statistics, one powering per alpha (`features._RowSums`), and one `add` of
-the stacked statistics; only the sweep's unit noise has `trials` rows.
-Estimates come from `mean_estimate`, `estimate_from_sums` or `finite_mean`,
-so the float operations of each estimate live here.
+block by block to the bits of its one-shot sum (`PairwiseSum`). Each
+estimator makes one pass: per block, per-trial statistics (beta*, the
+error sweep and the averaging bound power them once per alpha through
+`features._RowSums`), and one `add` of the stacked statistics; no array
+of `trials` rows is held. Estimates come from `estimate_from_sums` or
+`finite_mean`, so the float operations of each estimate live here.
 """
 
 import math
@@ -84,11 +84,6 @@ def finite_mean(total: float, n: int, estimator: str, what: str) -> float:
             f"{estimator}: Monte Carlo {what} is not finite ({value}); "
             "the sampled values overflow float64")
     return value
-
-
-def mean_estimate(x: np.ndarray, estimator: str) -> MonteCarloEstimate:
-    """Mean of the samples x with its standard error (`estimate_from_sums`)."""
-    return estimate_from_sums(x.sum(), (x * x).sum(), len(x), estimator)
 
 
 def estimate_from_sums(sum_x: float, sum_xx: float, n: int,

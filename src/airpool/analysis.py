@@ -78,12 +78,14 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
     per block and distinct alpha, one powering (`features._RowSums`), the
     clean pipeline once per (mode, beta), and the squared errors of every
     configuration and their squares stacked into one `_mc.PairwiseSum`. The
-    unit noise, the only array of `trials` rows, follows the last feature
-    block in the stream (seed, 0, 0), which a second generator runs through
-    to reach it. It is drawn whatever the noise levels: at zero noise,
-    v + 0.0 * noise is v bit for bit, as v is a sum of non-negative powers
-    from +0.0. Each result, in input order, is bit-identical to the same
-    call on that configuration alone. The streams are listed in `_mc`.
+    unit noise follows the last feature block in the stream (seed, 0, 0): a
+    second generator runs through the features to reach it, then draws it
+    one block at a time, which gives the values of drawing it whole. No
+    array of `trials` rows exists. The noise is drawn whatever the noise
+    levels: at zero noise, v + 0.0 * noise is v bit for bit, as v is a sum
+    of non-negative powers from +0.0. Each result, in input order, is
+    bit-identical to the same call on that configuration alone. The streams
+    are listed in `_mc`.
     """
     if trials < feat.MIN_MC_TRIALS:
         raise ValueError(f"estimate_errors_grid requires trials >= {feat.MIN_MC_TRIALS}")
@@ -94,22 +96,19 @@ def estimate_errors_grid(model: FeatureModel, cfgs: Sequence[AirPoolConfig],
         raise ValueError("estimate_errors_grid takes max and average configurations")
     if any(cfg.moments.nu_sq <= 0.0 for cfg in cfgs):
         raise ValueError("degenerate feature distribution: nu is zero")
-    rng = rng_from(seed, 0, 0)
-    for _ in feat.draw_blocks(model, rng, trials, k):
+    noise_rng = rng_from(seed, 0, 0)
+    for _ in feat.draw_blocks(model, noise_rng, trials, k):
         pass
-    unit_noise = rng.standard_normal(trials)
     by_alpha: Dict[float, List[int]] = {}
     for i, cfg in enumerate(cfgs):
         by_alpha.setdefault(cfg.alpha, []).append(i)
     sums = {alpha: PairwiseSum(trials, feat._BLOCK_ROWS) for alpha in by_alpha}
     row_sums = feat._RowSums(k, trials)
-    v_sum = np.empty(row_sums.most)
+    v_sum, noise_block = np.empty(row_sums.most), np.empty(row_sums.most)
     work = np.empty(6 * row_sums.most * max(map(len, by_alpha.values())))
-    start = 0
     for x in feat.draw_blocks(model, rng_from(seed, 0, 0), trials, k):
         rows, g_true = len(x), {kind: true_pool(x, mode) for kind, mode in modes.items()}
-        noise = unit_noise[start:start + rows]
-        start += rows
+        noise = noise_rng.standard_normal(out=noise_block[:rows])
         row_sums.load(x)
         for alpha, indices in by_alpha.items():
             v = row_sums(alpha, v_sum[:rows])
@@ -265,7 +264,6 @@ class GoodnessOfFit:
 
     statistic: float
     critical_1pct: float
-    trials: int
 
     @property
     def passed(self) -> bool:
@@ -299,4 +297,4 @@ def chi_error_check(cfg: AirPoolConfig, n_dims: int, trials: int = 100_000,
         cdf = regularized_gamma_p(n_dims / 2.0, 0.5 * r[a:b] * r[a:b])
         steps = np.arange(a + 1, b + 1) / trials
         gaps.append(np.max(np.maximum(np.abs(steps - cdf), np.abs(steps - 1.0 / trials - cdf))))
-    return GoodnessOfFit(float(np.max(gaps)), 1.6276 / math.sqrt(trials), trials)
+    return GoodnessOfFit(float(np.max(gaps)), 1.6276 / math.sqrt(trials))

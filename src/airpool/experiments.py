@@ -361,8 +361,9 @@ def run_bound_validation(cfg: ExperimentConfig) -> Tuple[ExperimentResult, Optio
     model = cfg.feature_model()
     betas = optimizer.BetaTable(model, k, seed=cfg.seed)
     betas.fill([*cfg.alpha_grid, *_RECONFIG_ALPHAS, *_ARGMIN_GRID])
-    e2_est, e2_sweep = feat.max_second_moment_prefixes(
-        model, k, [max(cfg.trials, 100_000), cfg.trials], seed=cfg.seed)
+    e2_est = feat.max_second_moment(model, k, max(cfg.trials, 100_000), cfg.seed)
+    e2_sweep = e2_est if cfg.trials >= 100_000 else \
+        feat.max_second_moment(model, k, cfg.trials, cfg.seed)
     e2 = e2_est.value
     points = [(alpha, snr_db) for alpha in cfg.alpha_grid for snr_db in cfg.snr_grid_db]
     # One sweep over both modes; each mode's part ends with the argmin grid

@@ -19,8 +19,8 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ._mc import (PAIRWISE_RUN, MonteCarloEstimate, PairwiseSum, finite_mean, mean_estimate,
-                  pairwise_half, pairwise_nodes, rng_from)
+from ._mc import (PAIRWISE_RUN, MonteCarloEstimate, PairwiseSum, estimate_from_sums,
+                  finite_mean, pairwise_half, pairwise_nodes, rng_from)
 from .specfun import ln_gamma
 
 RECTIFIED_GAUSSIAN = "rectified_gaussian"
@@ -48,8 +48,9 @@ class FeatureModel:
         if self.kind == EMPIRICAL:
             if self.samples is None or len(self.samples) == 0:
                 raise ValueError("empirical model requires a non-empty sample set")
-            if np.any(np.asarray(self.samples) < 0):
-                raise ValueError("empirical model requires non-negative samples")
+            samples = np.asarray(self.samples)
+            if not np.all(np.isfinite(samples) & (samples >= 0)):
+                raise ValueError("empirical model requires finite, non-negative samples")
         elif self.samples is not None:
             raise ValueError("samples are only valid for the empirical model")
 
@@ -301,30 +302,24 @@ def _pairwise_sum(terms: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> No
 def max_second_moment(model: FeatureModel, k: int, trials: int = 1_000_000,
                       seed: int = 0) -> MonteCarloEstimate:
     """Monte Carlo estimate of E[max_k f_k^2] with its standard error, from
-    the sub-stream (seed, 0), drawn one block of rows at a time."""
-    return max_second_moment_prefixes(model, k, [trials], seed)[0]
-
-
-def max_second_moment_prefixes(model: FeatureModel, k: int, trials: Sequence[int],
-                               seed: int = 0) -> List[MonteCarloEstimate]:
-    """`max_second_moment` at every trial count of `trials`, from one draw of
-    the largest.
-
-    Each estimate is the mean over a prefix of that draw: every model draws
-    its entries in order from the stream, so the first n rows are the draw
-    of n rows and each estimate is bit-identical to its own call. Only the
-    estimates outlive the call, not the per-trial values.
-    """
+    the sub-stream (seed, 0), drawn one block of rows at a time
+    (`draw_blocks`). Each block's squared row maxima and their squares go
+    into two block-sized rows that the pass reuses and sum to the block's
+    node sums (`_mc.PairwiseSum`): no array of `trials` rows exists, and the
+    estimate has the bits of the one-shot draw's."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if min(trials) < MIN_MC_TRIALS:
+    if trials < MIN_MC_TRIALS:
         raise ValueError(f"max_second_moment requires trials >= {MIN_MC_TRIALS}")
-    fmax_sq, end = np.empty(max(trials)), 0
-    for x in draw_blocks(model, rng_from(seed, 0), max(trials), k):
-        end += len(x)
-        x.max(axis=1, out=fmax_sq[end - len(x):end])
-    np.square(fmax_sq, out=fmax_sq)  # in place: the peak holds one trials-sized array fewer
-    return [mean_estimate(fmax_sq[:n], "max_second_moment") for n in trials]
+    sums, work = PairwiseSum(trials, _BLOCK_ROWS), np.empty(2 * _BLOCK_ROWS)
+    for x in draw_blocks(model, rng_from(seed, 0), trials, k):
+        stats = work[:2 * len(x)].reshape(2, len(x))
+        fmax_sq, fmax_sq_sq = stats
+        x.max(axis=1, out=fmax_sq)
+        np.square(fmax_sq, out=fmax_sq)
+        np.multiply(fmax_sq, fmax_sq, out=fmax_sq_sq)
+        sums.add(stats)
+    return estimate_from_sums(*sums.total(), trials, "max_second_moment")
 
 
 def optimal_beta_grid(model: FeatureModel, k: int, alphas: Sequence[float],

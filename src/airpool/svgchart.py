@@ -27,9 +27,7 @@ class Series:
 
 
 def _ticks(lo: float, hi: float) -> List[float]:
-    """Five evenly spaced ticks from lo to hi."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Five evenly spaced ticks from lo to hi > lo."""
     step = (hi - lo) / 4
     return [lo + i * step for i in range(5)]
 

@@ -232,19 +232,27 @@ class TestBoundValidationGate:
                 "margin-chain", "chi-fit"} <= checks
 
     def test_one_sweep_one_power_per_alpha_one_fmax_draw(self, tmp_path, monkeypatch):
+        # Below 100k trials the max-mode approximation bound reads E[fmax^2]
+        # at `trials`, a second (seed, 0) draw besides the 100k one.
+        self._check_draws_and_powers(tmp_path, monkeypatch, 10_000, [100_000, 10_000])
+
+    def test_one_fmax_draw_from_100k_trials(self, tmp_path, monkeypatch):
+        self._check_draws_and_powers(tmp_path, monkeypatch, 100_000, [100_000])
+
+    def _check_draws_and_powers(self, tmp_path, monkeypatch, trials, fmax_trials):
         # Both pooling modes share one error sweep, which powers each
-        # distinct alpha once per block; E[fmax^2] and the max-mode
-        # approximation bound read one (seed, 0) draw besides the beta*
-        # table's, and one averaging-bound call covers the grid alphas, not
-        # the argmin grid. The reconfiguration check powers its own
-        # 10k-row draw, raw and then rescaled.
-        seed, trials = 3, 10_000
-        sweeps, keys, in_beta_table, avg_bounds, in_sweep = [], [], [], [], []
+        # distinct alpha once per block; E[fmax^2] is drawn from (seed, 0)
+        # once per trial count of `fmax_trials` besides the beta* table's
+        # draw, and one averaging-bound call covers the grid alphas, not the
+        # argmin grid. The reconfiguration check powers its own draw of up
+        # to 50k rows, raw and then rescaled.
+        seed = 3
+        sweeps, keys, in_beta_table, avg_bounds, in_sweep, e2_trials = [], [], [], [], [], []
         loads = {}  # the caller of each `_RowSums` -> the alphas of each load
         errors_grid, average_bounds = (analysis.estimate_errors_grid,
                                        analysis.average_approx_error_bounds)
         init, load, call = feat._RowSums.__init__, feat._RowSums.load, feat._RowSums.__call__
-        rng_from, beta_grid = feat.rng_from, feat.optimal_beta_grid
+        rng_from, beta_grid, e2 = feat.rng_from, feat.optimal_beta_grid, feat.max_second_moment
 
         def counting_errors_grid(*args, **kwargs):
             sweeps.append(len(args[1]))
@@ -281,6 +289,10 @@ class TestBoundValidationGate:
             keys.append((key, bool(in_beta_table)))
             return rng_from(*key)
 
+        def recording_e2(model, k, trials, seed):
+            e2_trials.append(trials)
+            return e2(model, k, trials, seed)
+
         def counting_beta_grid(*args, **kwargs):
             in_beta_table.append(True)
             try:
@@ -296,6 +308,7 @@ class TestBoundValidationGate:
         for module in (feat, analysis):
             monkeypatch.setattr(module, "rng_from", counting_rng_from)
         monkeypatch.setattr(feat, "optimal_beta_grid", counting_beta_grid)
+        monkeypatch.setattr(feat, "max_second_moment", recording_e2)
         cfg = ExperimentConfig(experiment="bound_validation", trials=trials,
                                k_sensors=4,
                                snr_grid_db=(0.0, 12.0), alpha_grid=(1.0, 4.0, 16.0),
@@ -309,13 +322,15 @@ class TestBoundValidationGate:
         assert [sorted(alphas) for alphas in loads["sweep"]] \
             == [[1.0, 2.0, 4.0, 16.0]] * blocks
         assert loads["average"] == [[1.0, 4.0, 16.0]] * blocks
-        assert loads["reconfig"] == [list(experiments._RECONFIG_ALPHAS)] * 2 * blocks
+        assert loads["reconfig"] == [list(experiments._RECONFIG_ALPHAS)] * 2 \
+            * len(pairwise_nodes(min(trials, 50_000), feat._BLOCK_ROWS))
         assert [key for key, beta in keys if beta] == [(seed, 0)]
+        assert e2_trials == fmax_trials
         # Besides the chi fit's (seed,): E[fmax^2], the sweep and the
-        # averaging bound, one draw each, and the sweep's stream once more
-        # to reach the unit noise that follows its features.
-        assert sorted(key for key, beta in keys if not beta) \
-            == [(seed,), (seed, 0), (seed, 0, 0), (seed, 0, 0), (seed, 1, 0)]
+        # averaging bound, and the sweep's stream once more to reach the
+        # unit noise that follows its features.
+        assert sorted(key for key, beta in keys if not beta) == [(seed,)] \
+            + [(seed, 0)] * len(fmax_trials) + [(seed, 0, 0), (seed, 0, 0), (seed, 1, 0)]
 
     def test_sandwich_holds_where_the_powered_maximum_underflows(self):
         # Seed 1611 draws a row whose maximum, about 7e-6, powers to 0.0 at

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from airpool import features as feat
-from airpool._mc import (MonteCarloEstimate, finite_mean, mean_estimate, pairwise_nodes,
+from airpool._mc import (MonteCarloEstimate, estimate_from_sums, finite_mean, pairwise_nodes,
                          rng_from)
 from airpool.features import FeatureModel
+from oracles import dense_estimate
 
 RG = FeatureModel.rectified_gaussian()
 
@@ -36,8 +37,7 @@ class TestSampling:
         assert head(rng_from(seed, 1, 0)) == head(rng_from(seed, 1))
         assert head(rng_from(seed, 1)) != head(rng_from(seed))
         fmax_sq = RG.draw(rng_from(seed, 0, 0), (10_000, 4)).max(axis=1) ** 2
-        assert feat.max_second_moment(RG, 4, trials=10_000, seed=seed) \
-            == mean_estimate(fmax_sq, "max_second_moment")
+        assert feat.max_second_moment(RG, 4, trials=10_000, seed=seed) == dense_estimate(fmax_sq)
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2 ** 32 + 5, 2 ** 64 + 3, 2 ** 70])
     def test_seed_stream_is_default_rng(self, seed):
@@ -100,6 +100,13 @@ class TestSampling:
             FeatureModel.empirical([])
         with pytest.raises(ValueError):
             FeatureModel.empirical([1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_empirical_rejects_non_finite_samples(self, bad):
+        # A NaN or inf sample would surface later as a moment that
+        # "overflows"; the model refuses it where it is given.
+        with pytest.raises(ValueError, match="finite, non-negative samples"):
+            FeatureModel.empirical([bad, 1.0])
 
 
 class TestEmpiricalIngestion:
@@ -175,11 +182,11 @@ class TestMoments:
 
     def test_monte_carlo_overflow_raises(self):
         # f^128 of a unit exponential reaches 1e150, so its square overflows;
-        # `mean_estimate` names the estimator instead of returning inf.
+        # `estimate_from_sums` names the estimator instead of returning inf.
         v = FeatureModel.exponential_unit().draw(rng_from(1, 0), 1_000_000) ** 128.0
         with np.errstate(over="ignore"), \
                 pytest.raises(ArithmeticError, match="some_estimator: .*second moment"):
-            mean_estimate(v, "some_estimator")
+            estimate_from_sums(v.sum(), (v * v).sum(), len(v), "some_estimator")
 
     @pytest.mark.parametrize("alpha", [1.0, 85.0, 86.0, 128.0])
     @pytest.mark.parametrize("model", [RG, FeatureModel.uniform01(),
@@ -225,10 +232,10 @@ class TestMomentSums:
         big = np.array([1.5e308, 1.5e308])
         with np.errstate(over="ignore"):
             with pytest.raises(ArithmeticError, match="two_moments: .*mean"):
-                mean_estimate(big, "two_moments")
+                estimate_from_sums(big.sum(), (big * big).sum(), 2, "two_moments")
             with pytest.raises(ArithmeticError, match="two_moments: .*cross moment"):
                 finite_mean((big * 2.0).sum(), 2, "two_moments", "cross moment")
-        assert mean_estimate(np.ones(2), "two_moments") == MonteCarloEstimate(1.0, 0.0, 2)
+        assert estimate_from_sums(2.0, 2.0, 2, "two_moments") == MonteCarloEstimate(1.0, 0.0, 2)
 
 
 class TestRescaledNorm:
@@ -483,20 +490,24 @@ class TestMaxSecondMoment:
         trials, seed = 3 * feat._BLOCK_ROWS + 1, 17
         fmax = model.draw(rng_from(seed, 0), (trials, k)).max(axis=1)
         assert feat.max_second_moment(model, k, trials=trials, seed=seed) \
-            == mean_estimate(fmax ** 2, "max_second_moment")
+            == dense_estimate(fmax ** 2)
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
-    def test_prefixes_bit_identical_to_own_draws(self, model):
-        # Prefixes that end inside a block and on a block boundary, in any
-        # order and with a repeat: each is the draw of that many trials.
-        block = feat._BLOCK_ROWS
-        counts = [3 * block + 1, 10_000, 3 * block, 3 * block + 1]
-        assert feat.max_second_moment_prefixes(model, 5, counts, seed=23) \
-            == [feat.max_second_moment(model, 5, trials=n, seed=23) for n in counts]
-
-    def test_prefixes_reject_a_short_count(self):
-        with pytest.raises(ValueError):
-            feat.max_second_moment_prefixes(RG, 4, [100_000, 100], seed=0)
+    @pytest.mark.parametrize("model", [
+        RG, FeatureModel.uniform01(), FeatureModel.exponential_unit()],
+        ids=[RG.kind, feat.UNIFORM01, feat.EXPONENTIAL_UNIT])
+    def test_peak_memory_below_dense_draw_multiple(self, model):
+        # One block's draw and two block-sized work rows, the squared row
+        # maxima and their squares: 0.018x of the dense (trials, K) draw.
+        # Holding the squared maxima of all trials and their squares read
+        # 0.175x.
+        trials, k = 400_000, 12
+        tracemalloc.start()
+        try:
+            feat.max_second_moment(model, k, trials=trials, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * trials * k * 8
 
     def test_quadrature_oracle_k12(self):
         ref, err = integrate.quad(
